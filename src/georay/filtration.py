@@ -344,16 +344,14 @@ def equivalence_check(
     inst: BergmanInstance,
     data: WeightedLatticeData,
     k: int,
-    t_grid=None,
-    k_list=None,
+    t_grid,
+    k_list,
 ) -> np.ndarray:
     """Per-t sup-norm gap between the Phong-Sturm ray at degree k and the
-    envelope-built ray of the limit curve."""
+    envelope-built ray of the limit curve built from the degrees k_list."""
     from .curves import concave_transform, maximal_envelope
     from .rays import compare_rays, ray_from_curve
 
-    if k_list is None:
-        k_list = sorted(data.closures)
     curve = limit_curve(inst, data, k_list)
     env = maximal_envelope(inst.phi, curve, inst.dual)
     hat = ray_from_curve(env, t_grid)

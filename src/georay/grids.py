@@ -225,6 +225,8 @@ def pointwise_shift(f: GridFunction, c: float) -> GridFunction:
 
 def _lower_hull_1d(x: np.ndarray, v: np.ndarray):
     """Indices of the lower convex hull vertices of points (x, v), x sorted."""
+    # Python floats: same IEEE double arithmetic as numpy scalars, less overhead
+    x, v = np.asarray(x, dtype=float).tolist(), np.asarray(v, dtype=float).tolist()
     hull: list[int] = []
     for i in range(len(x)):
         while len(hull) >= 2:

@@ -1,14 +1,43 @@
 """Discrete Legendre-Fenchel transform, biconjugation, and slope regions.
 
 The transform phi*(y) = max_x <x,y> - phi(x) is computed two ways: a
-brute-force maximum over all primal nodes, and a fast axis-separable sweep
-(the max factors one axis at a time).  Both evaluate every candidate with
-the *same* floating-point expression, namely
+brute-force maximum over all primal nodes, and a fast method.  Every
+candidate either method evaluates uses the *same* floating-point
+expression, namely
 
     x1*y1 + (x2*y2 - f(x1, x2))        (1-D: x*y - f(x))
 
-and break ties toward the lowest row-major primal index, so their results
-are bit-identical -- a property the test suite asserts.
+and ties break toward the lowest row-major primal index, so the two are
+bit-identical, argmax witnesses included -- a property the test suite
+asserts.
+
+In 2-D the fast method is an axis-separable sweep (the max factors one
+axis at a time) that evaluates every candidate.  In 1-D it is a certified
+hull-guided kernel that evaluates a few candidates per dual node, after
+Lucet's linear-time Legendre transform (Numer. Algorithms 16, 1997) and
+the lower-envelope scan of Felzenszwalb-Huttenlocher (Theory of
+Computing 8, 2012):
+
+1. H is a convex minorant of f: the lower hull of (x, f) with its slopes
+   forced nondecreasing, rebuilt by a cumulative sum and shifted down to
+   lie at or below f.
+2. For each dual node y, the hull vertex J whose slopes bracket y is found
+   by binary search, and the window of nodes J-2..J+2 is evaluated with
+   the shared expression; its lowest-index argmax is the candidate answer.
+3. g(x) = x*y - H(x) is concave and bounds x*y - f(x) from above.  If the
+   window max exceeds g at the nearest node outside the window on each
+   side by more than a rounding margin, no node beyond the window can
+   reach the window max, so the window's value and witness are exactly
+   the dense argmax's.  The margin, (64 + hull size) * eps * (max|x| *
+   max|y| + max|f| + max|H|), covers the rounding of each evaluation and
+   the error the cumulative sum accumulates along the hull.
+4. Dual nodes the certificate does not settle (exact or near ties, e.g. y
+   equal to the slope of a linear run) fall back to the dense expression
+   over all primal nodes, in row chunks capped by ``_CHUNK_ELEMS``.
+
+For n primal nodes, m dual nodes and the window width w = 5, the 1-D
+cost is O(n + m * (w + log n)), plus O(n) per uncertified dual node, and
+memory is O(n + m).
 
 Slope regions (the numerical Delta_phi) keep only dual nodes whose max is
 attained at an interior primal node: boundary attainment encodes the box
@@ -42,13 +71,14 @@ def default_dual_grid(f: GridFunction, nodes_per_axis=None) -> Grid:
 
     The raw range per axis is [min, max] of forward differences of the
     finite values; padding one spacing on each side keeps Delta_f strictly
-    inside the dual box.
+    inside the dual box.  A scalar ``nodes_per_axis`` applies to every axis.
     """
     if f.is_identically_neg_inf:
         raise DomainError("no slopes: function is identically -inf")
     if nodes_per_axis is None:
         nodes_per_axis = f.grid.nodes_per_axis
-    nodes = tuple(max(int(m), 5) for m in np.atleast_1d(nodes_per_axis))
+    counts = np.broadcast_to(np.atleast_1d(nodes_per_axis), (f.grid.dim,))
+    nodes = tuple(max(int(m), 5) for m in counts)
     lo, hi = [], []
     v = f.values
     for ax in range(f.grid.dim):
@@ -111,16 +141,67 @@ def _transform_brute(axes, values, dual_axes):
     return out, wit
 
 
+def _transform_1d(x, v, y):
+    """Hull-guided 1-D conjugate, bit-identical to the dense argmax.
+
+    Returns (vals, witness, dense_nodes): the last entry counts the dual
+    nodes the certificate could not settle, which were evaluated densely.
+    """
+    n = len(x)
+    if not np.isfinite(v).all():
+        # +inf candidates: only the dense argmax reproduces their tie-break
+        vals, wit = _dense_1d(x, v, y, np.arange(len(y)))
+        return vals, wit, len(y)
+    # H: convex minorant of v from the lower hull; forcing the slopes
+    # nondecreasing makes it exactly convex up to the rounding of the sum
+    hull = np.asarray(_lower_hull_1d(x, v))
+    dx = np.diff(x[hull])
+    slopes = np.maximum.accumulate(np.diff(v[hull]) / dx)
+    hv = v[0] + np.concatenate(([0.0], np.cumsum(slopes * dx)))
+    H = np.interp(x, x[hull], hv)
+    H -= max(0.0, float((H - v).max()))
+    # window of five nodes around the hull vertex whose slopes bracket y
+    J = hull[np.searchsorted(slopes, y)]
+    idx = np.clip(J[:, None] + np.arange(-2, 3), 0, n - 1)
+    cand = x[idx] * y[:, None] - v[idx]
+    k = np.argmax(cand, axis=1)
+    rows = np.arange(len(y))
+    wit = idx[rows, k]
+    vals = cand[rows, k]
+    # certificate: g = x*y - H is concave and g >= x*y - v, so the nearest
+    # node outside the window on each side bounds every node beyond it
+    bound = np.full(len(y), -np.inf)
+    for j in (J - 3, J + 3):
+        jc = np.clip(j, 0, n - 1)
+        g = x[jc] * y - H[jc]
+        bound = np.maximum(bound, np.where(j == jc, g, -np.inf))
+    scale = np.abs(x).max() * np.abs(y).max() + np.abs(v).max() + np.abs(H).max()
+    margin = (64 + len(hull)) * np.finfo(float).eps * scale
+    dense = np.flatnonzero(~(bound + margin < vals))
+    if dense.size:
+        vals[dense], wit[dense] = _dense_1d(x, v, y, dense)
+    return vals, wit, dense.size
+
+
+def _dense_1d(x, v, y, rows):
+    """Dense argmax over all primal nodes for the dual nodes ``rows``."""
+    vals = np.empty(len(rows))
+    wit = np.empty(len(rows), dtype=np.intp)
+    step = max(1, _CHUNK_ELEMS // len(x))
+    for s in range(0, len(rows), step):
+        cand = x[None, :] * y[rows[s : s + step], None] - v[None, :]
+        w = np.argmax(cand, axis=1)
+        wit[s : s + step] = w
+        vals[s : s + step] = cand[np.arange(len(w)), w]
+    return vals, wit
+
+
 def _transform_fast(axes, values, dual_axes):
-    """Axis-separable conjugate; same candidates and tie-break as brute."""
-    dim = len(axes)
-    if dim == 1:
-        x = axes[0]
-        y = dual_axes[0]
-        cand = x[None, :] * y[:, None] - values[None, :]
-        wit = np.argmax(cand, axis=1)
-        out = cand[np.arange(len(y)), wit]
-        return out, wit
+    """Hull-guided kernel in 1-D, axis-separable sweep in 2-D; both use the
+    same candidates and tie-break as brute."""
+    if len(axes) == 1:
+        vals, wit, _ = _transform_1d(axes[0], values, dual_axes[0])
+        return vals, wit
     x1, x2 = axes
     y1, y2 = dual_axes
     n1, n2 = values.shape
@@ -149,8 +230,8 @@ def legendre(
 ):
     """phi*(y) = max over primal nodes of <x,y> - phi(x), on the dual grid.
 
-    method is "fast" (axis-separable sweep) or "brute"; the two agree
-    bit-for-bit including the argmax witness.
+    method is "fast" (hull-guided kernel in 1-D, axis-separable sweep in
+    2-D) or "brute"; the two agree bit-for-bit including the argmax witness.
     """
     if not f.finite_mask.all():
         # any -inf node would push the max to +inf at every slope

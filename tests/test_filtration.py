@@ -136,6 +136,15 @@ class TestLimitCurveAndRay:
         g32 = equivalence_check(base_inst, w01, 32, ts, k_list).max()
         assert g32 < g4
 
+    def test_gap_independent_of_closure_cache(self, base_inst):
+        ts = np.linspace(0.0, 1.0, 6)
+        cold = WeightedLatticeData(np.array([[0], [1]]), np.array([0, 1]))
+        warm = WeightedLatticeData(np.array([[0], [1]]), np.array([0, 1]))
+        warm.closure(32)
+        g_cold = equivalence_check(base_inst, cold, 8, ts, [4, 8])
+        g_warm = equivalence_check(base_inst, warm, 8, ts, [4, 8])
+        assert np.array_equal(g_cold, g_warm)
+
     def test_trivial_weights_constant_in_t(self, base_inst):
         data = WeightedLatticeData(np.array([[0], [1]]), np.array([0, 0]))
         ray = phong_sturm_ray(base_inst, data, 8)

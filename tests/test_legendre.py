@@ -1,13 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from georay.errors import DomainError
-from georay.grids import Box, ConvexGridFunction, GridFunction, NEG_INF, make_grid
-from georay.instances import quadratic_1d, random_convex_1d, random_nonconvex_1d
+from georay.grids import Box, ConvexGridFunction, GridFunction, NEG_INF, _lower_hull_1d, make_grid
+from georay.instances import (
+    linear_growth_bowl,
+    quadratic_1d,
+    quadratic_2d,
+    random_convex_1d,
+    random_nonconvex_1d,
+)
 from georay.legendre import (
     SlopeRegion,
+    _transform_1d,
+    _transform_brute,
     biconjugate,
     check_dual_contains_slopes,
     default_dual_grid,
@@ -15,6 +25,7 @@ from georay.legendre import (
     subgradient_range,
     superlevel_of_concave,
 )
+from georay.monge_ampere import _energy_dual_grid
 
 
 def conjugate_oracle(f, dual):
@@ -46,6 +57,9 @@ class TestDefaultDualGrid:
         f = GridFunction(g, np.zeros(9))
         dual = default_dual_grid(f)
         assert dual.box.lower[0] < 0.0 < dual.box.upper[0]
+
+    def test_scalar_node_count_broadcasts_2d(self):
+        assert default_dual_grid(quadratic_2d(17), 33).shape == (33, 33)
 
 
 class TestTransform:
@@ -105,6 +119,76 @@ class TestTransform:
         dual = make_grid(Box((-1.0,), (1.0,)), 3)
         with pytest.raises(DomainError):
             legendre(GridFunction.neg_inf(g), dual)
+
+
+class TestKernel1D:
+    """The certified hull-guided 1-D kernel against the dense argmax."""
+
+    @pytest.mark.parametrize("make", [quadratic_1d, linear_growth_bowl])
+    def test_certifies_nearly_every_node(self, make):
+        # a silent fall back to the dense path must fail here, not only slow down
+        f = make(513)
+        for dual in (default_dual_grid(f), _energy_dual_grid(f)):
+            _, _, dense = _transform_1d(f.grid.axis(0), f.values, dual.axis(0))
+            assert dense <= 0.01 * dual.num_nodes
+
+    def test_neg_inf_entries_match_brute(self):
+        # curve samples loaded from files are trusted and may be partly -inf
+        x = np.linspace(-1.0, 1.0, 7)
+        v = np.array([0.0, NEG_INF, 1.0, 0.5, NEG_INF, 0.0, 2.0])
+        y = np.linspace(-2.0, 2.0, 9)
+        vals, wit, _ = _transform_1d(x, v, y)
+        bvals, bwit = _transform_brute([x], v, [y])
+        assert np.array_equal(vals, bvals)
+        assert np.array_equal(wit, bwit)
+
+    def test_memory_stays_linear(self):
+        # a dense m x n temporary here would take 2 GB
+        f = quadratic_1d(16385)
+        dual = default_dual_grid(f)
+        tracemalloc.start()
+        try:
+            legendre(f, dual)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Primal data with ties, runs and roundings, and dual nodes that include
+    every hull slope exactly."""
+    n = draw(st.one_of(st.sampled_from([1, 2, 3]), st.integers(4, 40)))
+    lo = draw(st.floats(-3, 0))
+    x = np.linspace(lo, lo + draw(st.floats(0.5, 4)), n)
+    kind = draw(st.sampled_from(["random", "rounded", "constant", "linear", "kinked"]))
+    a, b = draw(st.floats(-5, 5)), draw(st.floats(-5, 5))
+    if kind in ("random", "rounded"):
+        v = np.asarray(draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n)))
+        if kind == "rounded":
+            v = np.round(v)
+    elif kind == "constant":
+        v = np.full(n, a)
+    elif kind == "linear":
+        v = a * x + b
+    else:
+        v = np.maximum(a * x, b * x + 1.0)
+    hull = _lower_hull_1d(x, v)
+    slopes = np.diff(v[hull]) / np.diff(x[hull])
+    extra = draw(st.lists(st.floats(-20, 20), min_size=1, max_size=30))
+    y = np.sort(np.concatenate([slopes, [a, b], extra]))
+    return x, v, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_inputs())
+def test_kernel_1d_equals_brute(data):
+    x, v, y = data
+    vals, wit, _ = _transform_1d(x, v, y)
+    bvals, bwit = _transform_brute([x], v, [y])
+    assert np.array_equal(vals, bvals)
+    assert np.array_equal(wit, bwit)
 
 
 class TestBiconjugate:
