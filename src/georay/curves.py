@@ -27,6 +27,7 @@ from .grids import (
 from .legendre import (
     SlopeRegion,
     check_dual_contains_slopes,
+    conjugate,
     legendre,
     subgradient_range,
 )
@@ -211,29 +212,17 @@ def envelope_from_u(
     check_dual_contains_slopes(phi, dual)
     lam = np.asarray(lambdas, dtype=float).ravel()
     phistar = legendre(phi, dual)
-    coords_primal = phi.grid.coords()
-    coords_dual = dual.coords()
-    uvals = u.u.values.ravel()
-    base = u.base.mask.ravel()
-    star = phistar.values.ravel()
+    usable = u.base.mask & np.isfinite(u.u.values)
     samples = []
     lambda_c = None
     for l in lam:
-        sel = base & np.isfinite(uvals) & (uvals >= l - 1e-12)
+        sel = usable & (u.u.values >= l - 1e-12)
         if not sel.any():
             samples.append(ConvexGridFunction.trusted(GridFunction.neg_inf(phi.grid)))
             continue
         lambda_c = l
-        y = coords_dual[sel]
-        c = star[sel]
-        vals = np.empty(phi.grid.num_nodes)
-        chunk = max(1, (1 << 24) // max(1, y.shape[0]))
-        for s in range(0, coords_primal.shape[0], chunk):
-            block = coords_primal[s : s + chunk]
-            vals[s : s + chunk] = (block @ y.T - c).max(axis=1)
-        samples.append(
-            ConvexGridFunction.trusted(GridFunction(phi.grid, vals.reshape(phi.grid.shape)))
-        )
+        vals, _ = conjugate(dual.axes(), np.where(sel, phistar.values, np.inf), phi.grid.axes())
+        samples.append(ConvexGridFunction.trusted(GridFunction(phi.grid, vals)))
     if lambda_c is None:
         raise DomainError("every lambda selection is empty")
     if lambda_head is None:

@@ -19,7 +19,7 @@ from scipy.special import logsumexp
 from .curves import TestCurve, envelope_from_u
 from .errors import DomainError, ResourceError
 from .grids import ConvexGridFunction, Grid, GridFunction, NEG_INF, lower_convex_envelope
-from .legendre import _lower_hull_1d, check_dual_contains_slopes
+from .legendre import _lower_hull_1d, check_dual_contains_slopes, conjugate
 
 #: Guard on lattice array sizes produced by closures.
 LATTICE_SIZE_CAP = 10**6
@@ -137,9 +137,8 @@ class BergmanInstance:
 
     def __post_init__(self):
         check_dual_contains_slopes(self.phi, self.dual)
-        self._conj_cache: dict[tuple, float] = {}
         self._coords = self.phi.grid.coords()
-        self._vflat = self.phi.values.ravel()
+        self._sections: dict[tuple[int, int], tuple] = {}
 
     def conj_at(self, y: np.ndarray) -> np.ndarray:
         """phi*(y) at arbitrary slope points (exact max over primal nodes)."""
@@ -150,18 +149,27 @@ class BergmanInstance:
                 or y[:, ax].max() > self.dual.box.upper[ax] + 1e-12
             ):
                 raise DomainError("normalized lattice point outside the dual box")
-        return (self._coords @ y.T - self._vflat[:, None]).max(axis=0)
+        # the points lie on the tensor grid of their distinct coordinates
+        axes, where = zip(*(np.unique(c, return_inverse=True) for c in y.T))
+        vals, _ = conjugate(self.phi.grid.axes(), self.phi.values, axes)
+        return vals[where]
 
     def section_values(self, data: WeightedLatticeData, k: int):
         """e_i(x) = <alpha_i/k, x> - phi*(alpha_i/k) for reachable alpha_i.
 
-        Returns (E (num_nodes, R), weights (R,)) in row-major point order.
+        Returns read-only (E (num_nodes, R), weights (R,)) in row-major
+        point order, cached per (data, k).
         """
-        pts, w = data.reachable(k)
-        slopes = pts.astype(float) / k
-        c = self.conj_at(slopes)
-        E = self._coords @ slopes.T - c
-        return E, w
+        key = (id(data), k)
+        if key not in self._sections:
+            pts, w = data.reachable(k)
+            slopes = pts.astype(float) / k
+            E = self._coords @ slopes.T - self.conj_at(slopes)
+            E.setflags(write=False)
+            w.setflags(write=False)
+            # holding data keeps its id from being reused by another object
+            self._sections[key] = (data, E, w)
+        return self._sections[key][1:]
 
 
 def extremal_metric(

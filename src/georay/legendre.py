@@ -1,43 +1,41 @@
 """Discrete Legendre-Fenchel transform, biconjugation, and slope regions.
 
-The transform phi*(y) = max_x <x,y> - phi(x) is computed two ways: a
-brute-force maximum over all primal nodes, and a fast method.  Every
-candidate either method evaluates uses the *same* floating-point
-expression, namely
+phi*(y) = max_x <x,y> - phi(x) is computed by brute force and by
+``conjugate``, the one kernel for every max of affine functions in georay.
+Both evaluate each candidate with the *same* float expression
 
     x1*y1 + (x2*y2 - f(x1, x2))        (1-D: x*y - f(x))
 
-and ties break toward the lowest row-major primal index, so the two are
-bit-identical, argmax witnesses included -- a property the test suite
-asserts.
+and break ties toward the lowest row-major primal index, so they are
+bit-identical, argmax witnesses included.  A +inf value excludes its node,
+so a max over a selection is a conjugate of data set to +inf off it; a dual
+node with no node left gets -inf.
 
-In 2-D the fast method is an axis-separable sweep (the max factors one
-axis at a time) that evaluates every candidate.  In 1-D it is a certified
-hull-guided kernel that evaluates a few candidates per dual node, after
-Lucet's linear-time Legendre transform (Numer. Algorithms 16, 1997) and
-the lower-envelope scan of Felzenszwalb-Huttenlocher (Theory of
-Computing 8, 2012):
+The row kernel ``_transform_1d`` conjugates rows V (r x n) that share the
+primal nodes x, each cut to its finite run, after Lucet's linear-time
+Legendre transform (Numer. Algorithms 16, 1997) and the lower-envelope scan
+of Felzenszwalb-Huttenlocher (Theory of Computing 8, 2012):
 
-1. H is a convex minorant of f: the lower hull of (x, f) with its slopes
-   forced nondecreasing, rebuilt by a cumulative sum and shifted down to
-   lie at or below f.
-2. For each dual node y, the hull vertex J whose slopes bracket y is found
-   by binary search, and the window of nodes J-2..J+2 is evaluated with
-   the shared expression; its lowest-index argmax is the candidate answer.
-3. g(x) = x*y - H(x) is concave and bounds x*y - f(x) from above.  If the
-   window max exceeds g at the nearest node outside the window on each
-   side by more than a rounding margin, no node beyond the window can
-   reach the window max, so the window's value and witness are exactly
-   the dense argmax's.  The margin, (64 + hull size) * eps * (max|x| *
-   max|y| + max|f| + max|H|), covers the rounding of each evaluation and
-   the error the cumulative sum accumulates along the hull.
-4. Dual nodes the certificate does not settle (exact or near ties, e.g. y
-   equal to the slope of a linear run) fall back to the dense expression
-   over all primal nodes, in row chunks capped by ``_CHUNK_ELEMS``.
+1. H, a convex minorant of each run: the running max of its slopes, summed
+   back up and shifted down to lie at or below the run.
+2. For each dual node y, the window of five run nodes around the node J
+   whose slopes of H bracket y is evaluated; its first max is the answer.
+3. g = x*y - H is concave and bounds x*y - f, so if the window max exceeds
+   g at the nearest node outside the window on each side by a margin, no
+   node beyond the window reaches it.  The margin, (64 + run length) * eps
+   * (max|x| max|y| + max|f| + max|H|) per row, covers the rounding of
+   each evaluation and of the cumulative sum along the run.
+4. Unsettled pairs (near ties, e.g. y equal to the slope of a linear run)
+   go to the dense expression over the row, as do whole rows with -inf
+   entries, holes in their finite nodes, or runs shorter than the window.
 
-For n primal nodes, m dual nodes and the window width w = 5, the 1-D
-cost is O(n + m * (w + log n)), plus O(n) per uncertified dual node, and
-memory is O(n + m).
+2-D is two passes: over axis 2 on the rows f(x1, .), giving t(x1, y2), then
+over axis 1 on the rows -t(., y2), since x1*y1 - (-t) is x1*y1 + t
+bit-for-bit.  Adding x1*y1 can round a lower-index inner candidate up to
+the max; where the inner pass's gap does not rule that out, the winning
+row is redone densely.  With window w = 5 the cost is O(n1 (n2 + m2 w)) +
+O(m2 (n1 + m1 w)), plus a row per unsettled pair; temporaries are built in
+blocks of ``_BLOCK`` elements.
 
 Slope regions (the numerical Delta_phi) keep only dual nodes whose max is
 attained at an interior primal node: boundary attainment encodes the box
@@ -63,7 +61,8 @@ from .grids import (
 # A dual grid is an ordinary Grid over the slope box.
 DualGrid = Grid
 
-_CHUNK_ELEMS = 1 << 24  # soft cap on temporary array size in elements
+_BLOCK = 1 << 15  # elements per temporary: small blocks stay in cache
+_EPS = np.finfo(float).eps
 
 
 def default_dual_grid(f: GridFunction, nodes_per_axis=None) -> Grid:
@@ -141,85 +140,112 @@ def _transform_brute(axes, values, dual_axes):
     return out, wit
 
 
-def _transform_1d(x, v, y):
-    """Hull-guided 1-D conjugate, bit-identical to the dense argmax.
+def _chunks(total: int, width: int):
+    """Slices of ``total`` items whose (items x width) temporaries hold at
+    most ``_BLOCK`` elements."""
+    step = max(1, _BLOCK // max(1, width))
+    return (slice(s, s + step) for s in range(0, total, step))
 
-    Returns (vals, witness, dense_nodes): the last entry counts the dual
-    nodes the certificate could not settle, which were evaluated densely.
+
+def _transform_1d(x, V, y):
+    """Row-batched certified conjugate max_j x[j]*y[q] - V[r, j] for
+    increasing x and ascending y; +inf entries of V are excluded nodes.
+
+    Returns (vals, wit, gap, dense), each (rows, len(y)): the lowest-index
+    argmax and its witness, a lower bound on vals minus every candidate
+    below the witness (-inf if unknown), and the pairs evaluated densely.
     """
-    n = len(x)
-    if not np.isfinite(v).all():
-        # +inf candidates: only the dense argmax reproduces their tie-break
-        vals, wit = _dense_1d(x, v, y, np.arange(len(y)))
-        return vals, wit, len(y)
-    # H: convex minorant of v from the lower hull; forcing the slopes
-    # nondecreasing makes it exactly convex up to the rounding of the sum
-    hull = np.asarray(_lower_hull_1d(x, v))
-    dx = np.diff(x[hull])
-    slopes = np.maximum.accumulate(np.diff(v[hull]) / dx)
-    hv = v[0] + np.concatenate(([0.0], np.cumsum(slopes * dx)))
-    H = np.interp(x, x[hull], hv)
-    H -= max(0.0, float((H - v).max()))
-    # window of five nodes around the hull vertex whose slopes bracket y
-    J = hull[np.searchsorted(slopes, y)]
-    idx = np.clip(J[:, None] + np.arange(-2, 3), 0, n - 1)
-    cand = x[idx] * y[:, None] - v[idx]
-    k = np.argmax(cand, axis=1)
-    rows = np.arange(len(y))
-    wit = idx[rows, k]
-    vals = cand[rows, k]
-    # certificate: g = x*y - H is concave and g >= x*y - v, so the nearest
-    # node outside the window on each side bounds every node beyond it
-    bound = np.full(len(y), -np.inf)
-    for j in (J - 3, J + 3):
-        jc = np.clip(j, 0, n - 1)
-        g = x[jc] * y - H[jc]
-        bound = np.maximum(bound, np.where(j == jc, g, -np.inf))
-    scale = np.abs(x).max() * np.abs(y).max() + np.abs(v).max() + np.abs(H).max()
-    margin = (64 + len(hull)) * np.finfo(float).eps * scale
-    dense = np.flatnonzero(~(bound + margin < vals))
-    if dense.size:
-        vals[dense], wit[dense] = _dense_1d(x, v, y, dense)
-    return vals, wit, dense.size
-
-
-def _dense_1d(x, v, y, rows):
-    """Dense argmax over all primal nodes for the dual nodes ``rows``."""
-    vals = np.empty(len(rows))
-    wit = np.empty(len(rows), dtype=np.intp)
-    step = max(1, _CHUNK_ELEMS // len(x))
-    for s in range(0, len(rows), step):
-        cand = x[None, :] * y[rows[s : s + step], None] - v[None, :]
+    if np.any(x[1:] <= x[:-1]) or np.any(y[1:] < y[:-1]):
+        raise ValueError("primal nodes must increase and dual nodes must ascend")
+    V = np.atleast_2d(V)
+    shape, n = (len(V), len(y)), V.shape[1]
+    vals, gap = np.full(shape, -np.inf), np.full(shape, -np.inf)
+    wit, dense = np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=bool)
+    kept = V < np.inf
+    count = kept.sum(axis=1)
+    lo = np.argmax(kept, axis=1)
+    hi = n - 1 - np.argmax(kept[:, ::-1], axis=1)
+    # rows with -inf or NaN entries, with holes, or shorter than the window
+    whole = (np.isnan(V) | (V == -np.inf)).any(axis=1)
+    whole |= (count > 0) & ((hi - lo + 1 != count) | (count < 5))
+    dense[whole] = True
+    rows = np.flatnonzero((count > 0) & ~whole)
+    for b in _chunks(rows.size, len(y)):
+        k = rows[b]
+        vals[k], wit[k], gap[k], settled = _window(x, V[k], kept[k], y, lo[k, None], hi[k, None])
+        dense[k] = ~settled
+    rr, qq = np.nonzero(dense)
+    gap[rr, qq] = -np.inf
+    for b in _chunks(rr.size, n):
+        r, q = rr[b], qq[b]
+        cand = x * y[q, None] - V[r]
         w = np.argmax(cand, axis=1)
-        wit[s : s + step] = w
-        vals[s : s + step] = cand[np.arange(len(w)), w]
-    return vals, wit
+        vals[r, q], wit[r, q] = cand[np.arange(len(w)), w], w
+    return vals, wit, gap, dense
 
 
-def _transform_fast(axes, values, dual_axes):
-    """Hull-guided kernel in 1-D, axis-separable sweep in 2-D; both use the
-    same candidates and tie-break as brute."""
+def _window(x, W, run, y, lo, hi):
+    """Steps 1-3 on rows whose finite run W[lo..hi] (the mask ``run``) has
+    at least five nodes; returns (vals, wit, gap, settled)."""
+    k, n = W.shape
+    row = np.arange(k)[:, None]
+    Wz = np.where(run, W, 0.0)
+    link = run[:, 1:] & run[:, :-1]
+    dx = np.diff(x)
+    S = np.maximum.accumulate(np.where(link, np.diff(Wz, axis=1) / dx, -np.inf), axis=1)
+    H = np.zeros((k, n))
+    np.cumsum(np.where(link, S * dx, 0.0), axis=1, out=H[:, 1:])
+    H += np.take_along_axis(Wz, lo, 1)
+    H -= np.maximum((H - W).max(axis=1, keepdims=True), 0.0)  # W is +inf off the run
+    # H repeats its end values off the run, where Wz is 0
+    scale = np.abs(x).max() * np.abs(y).max() + np.abs(Wz).max(axis=1, keepdims=True)
+    scale += np.abs(H).max(axis=1, keepdims=True)
+    # J = #{slopes < y}, a cumulative count of the slopes' positions among
+    # the ascending y; slopes read -inf before the run and +inf after it
+    pos = np.searchsorted(y, np.where(np.arange(n - 1) < hi, S, np.inf), side="right")
+    J = np.bincount((pos + (len(y) + 1) * row).ravel(), minlength=k * (len(y) + 1))
+    J = J.reshape(k, -1).cumsum(axis=1)[:, :-1]
+    # the window s..s+4 of the run around J: its first max and second largest
+    s = np.maximum(np.minimum(J - 2, hi - 4), lo)
+    at = row * n + s
+    cand = [x[s + d] * y - W.take(at + d) for d in range(5)]
+    v, second = cand[0], np.full(s.shape, -np.inf)
+    for c in cand[1:]:
+        second, v = np.maximum(second, np.minimum(v, c)), np.maximum(v, c)
+    w, ahead = s.copy(), cand[0] != v
+    for c in cand[1:]:
+        w += ahead
+        ahead &= c != v
+    # certificate: g = x*y - H is concave and g >= x*y - W, so g at the
+    # nodes s-1 and s+5 bounds every node beyond them; H padded with +inf
+    # bounds nothing where the run has no such node
+    Hp = np.full((k, n + 2), np.inf)
+    Hp[:, 1:-1] = np.where(run, H, np.inf)
+    xp = np.concatenate(([0.0], x, [0.0]))
+    at += 2 * row  # node s-1 in the padding
+    bound = np.maximum(xp[s] * y - Hp.take(at), xp[s + 6] * y - Hp.take(at + 6))
+    bound += (64 + hi - lo + 1) * _EPS * scale
+    return v, w, v - np.maximum(second, bound), bound < v
+
+
+def conjugate(axes, values, dual_axes):
+    """max over primal nodes of <x,y> - values and its lowest-index witness,
+    bit-identical to ``_transform_brute``; +inf values are excluded nodes."""
     if len(axes) == 1:
-        vals, wit, _ = _transform_1d(axes[0], values, dual_axes[0])
-        return vals, wit
-    x1, x2 = axes
-    y1, y2 = dual_axes
-    n1, n2 = values.shape
-    m1, m2 = len(y1), len(y2)
-    inner = x2[None, :, None] * y2[None, None, :] - values[:, :, None]  # (n1,n2,m2)
-    w2 = np.argmax(inner, axis=1)  # (n1, m2)
-    t = np.take_along_axis(inner, w2[:, None, :], axis=1)[:, 0, :]  # (n1, m2)
-    out = np.empty((m1, m2))
-    w1 = np.empty((m1, m2), dtype=np.intp)
-    step = max(1, _CHUNK_ELEMS // (n1 * m2))
-    for s in range(0, m1, step):
-        yb = y1[s : s + step]
-        outer = x1[:, None, None] * yb[None, :, None] + t[:, None, :]  # (n1,b,m2)
-        wb = np.argmax(outer, axis=0)
-        w1[s : s + step] = wb
-        out[s : s + step] = np.take_along_axis(outer, wb[None, :, :], axis=0)[0]
-    wit = w1 * n2 + w2[w1, np.arange(m2)[None, :]]
-    return out, wit
+        vals, wit, _, _ = _transform_1d(axes[0], values, dual_axes[0])
+        return vals[0], wit[0]
+    (x1, x2), (y1, y2) = axes, dual_axes
+    t, w2, gap, _ = _transform_1d(x2, values, y2)
+    out, w1, _, _ = _transform_1d(x1, -t.T, y1)  # x1*y1 - (-t) is x1*y1 + t
+    out, w1 = out.T, w1.T
+    w2, gap = w2[w1, np.arange(len(y2))], gap[w1, np.arange(len(y2))]
+    # sums that round alike lie within eps * |sum| of each other
+    pp, qq = np.nonzero(~(gap > 4 * _EPS * np.abs(out) + np.finfo(float).tiny))
+    for b in _chunks(pp.size, len(x2)):
+        p, q = pp[b], qq[b]
+        i = w1[p, q]
+        w2[p, q] = np.argmax(x1[i, None] * y1[p, None] + (x2 * y2[q, None] - values[i]), axis=1)
+    return out, w1 * len(x2) + w2
 
 
 def legendre(
@@ -230,14 +256,14 @@ def legendre(
 ):
     """phi*(y) = max over primal nodes of <x,y> - phi(x), on the dual grid.
 
-    method is "fast" (hull-guided kernel in 1-D, axis-separable sweep in
-    2-D) or "brute"; the two agree bit-for-bit including the argmax witness.
+    method is "fast" (the certified ``conjugate`` kernel) or "brute"; the
+    two agree bit-for-bit including the argmax witness.
     """
     if not f.finite_mask.all():
         # any -inf node would push the max to +inf at every slope
         raise DomainError("conjugate of a function with -inf values is +inf everywhere")
     if method == "fast":
-        vals, wit = _transform_fast(f.grid.axes(), f.values, dual.axes())
+        vals, wit = conjugate(f.grid.axes(), f.values, dual.axes())
     elif method == "brute":
         vals, wit = _transform_brute(f.grid.axes(), f.values, dual.axes())
     else:
@@ -328,10 +354,10 @@ def subgradient_range(
     """
     if f.is_identically_neg_inf:
         raise DomainError("identically -inf function has no subgradients")
-    full, _ = _transform_fast(f.grid.axes(), f.values, dual.axes())
+    full, _ = conjugate(f.grid.axes(), f.values, dual.axes())
     int_axes = [a[1:-1] for a in f.grid.axes()]
     sl = tuple(slice(1, -1) for _ in range(f.grid.dim))
-    interior, _ = _transform_fast(int_axes, f.values[sl], dual.axes())
+    interior, _ = conjugate(int_axes, f.values[sl], dual.axes())
     if tol is None:
         scale = max(1.0, f.value_range(), float(np.abs(full).max()))
         tol = 1e-8 * scale

@@ -101,24 +101,33 @@ def _energy_dual_grid(f: GridFunction) -> Grid:
     return default_dual_grid(f, nodes)
 
 
+def energy_base(f0: ConvexGridFunction, dual: Grid):
+    """The slope region of f0 and the t = 0 measure of every path from f0,
+    whose node (1 - t) f0 + t f1 is f0 there up to the sign of zero."""
+    region = subgradient_range(f0, dual)
+    return region, ma_measure(f0, dual, region=region)
+
+
 def energy_quadrature(
     f1: ConvexGridFunction,
     f0: ConvexGridFunction,
     t_samples: int = 11,
     dual: Grid | None = None,
+    base: tuple | None = None,
 ) -> EnergyReport:
     """E(f1, f0) = int_0^1 int (f1 - f0) MA(f_t) dt, composite Simpson in t.
 
     The MA measures along the path are taken with the dual box of the base
     f0: equivalent functions share one slope set, and on a box that shared
     set is realized by fixing the base's dual box for the whole path.
+    ``base`` is ``energy_base(f0, dual)``, reused across many f1.
     """
     _require_equivalent(f1, f0)
     if t_samples < 3 or t_samples % 2 == 0:
         raise DomainError("t_samples must be odd and >= 3")
     if dual is None:
         dual = _energy_dual_grid(f0)
-    region = subgradient_range(f0, dual)
+    region, mu0 = energy_base(f0, dual) if base is None else base
     diff = np.where(f1.finite_mask, f1.values - f0.values, 0.0)
     ts = np.linspace(0.0, 1.0, t_samples)
     w = np.ones(t_samples)
@@ -129,7 +138,7 @@ def energy_quadrature(
     for t, wt in zip(ts, w):
         vt = np.where(f1.finite_mask, (1.0 - t) * f0.values + t * f1.values, -np.inf)
         ft = ConvexGridFunction.trusted(GridFunction(f1.grid, vt))
-        mu = ma_measure(ft, dual, region=region)
+        mu = mu0 if t == 0.0 else ma_measure(ft, dual, region=region)
         total += wt * float((diff * mu.masses).sum())
     return EnergyReport(value=total, method="quadrature", t_samples=t_samples)
 

@@ -18,7 +18,7 @@ import numpy as np
 from .curves import ConcaveTransform, TestCurve
 from .errors import DomainError
 from .grids import ConvexGridFunction, Grid, GridFunction, NEG_INF
-from .monge_ampere import _energy_dual_grid, energy_quadrature, ma_measure
+from .monge_ampere import _energy_dual_grid, energy_base, energy_quadrature, ma_measure
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,29 +79,23 @@ def ray_dual(
     phi: ConvexGridFunction, u: ConcaveTransform, t_grid=None
 ) -> Ray:
     """frame(t) = conjugate (dual -> primal) of phi* - t u on the u-region."""
-    from .legendre import legendre
+    from .legendre import conjugate, legendre
 
     if t_grid is None:
         t_grid = default_t_grid()
     ts = np.asarray(t_grid, dtype=float).ravel()
     dual = u.u.grid
-    sel = u.base.mask.ravel() & np.isfinite(u.u.values.ravel())
+    sel = u.base.mask & np.isfinite(u.u.values)
     if not sel.any():
         raise DomainError("empty slope region for the dual ray")
-    phistar = legendre(phi, dual)
-    y = dual.coords()[sel]
-    star = phistar.values.ravel()[sel]
-    uv = u.u.values.ravel()[sel]
-    coords = phi.grid.coords()
+    star = legendre(phi, dual).values[sel]
+    uv = u.u.values[sel]
     frames = []
     for t in ts:
-        mod = star - t * uv
-        vals = np.empty(phi.grid.num_nodes)
-        chunk = max(1, (1 << 24) // max(1, y.shape[0]))
-        for s in range(0, coords.shape[0], chunk):
-            block = coords[s : s + chunk]
-            vals[s : s + chunk] = (block @ y.T - mod).max(axis=1)
-        frames.append(GridFunction(phi.grid, vals.reshape(phi.grid.shape)))
+        mod = np.full(dual.shape, np.inf)
+        mod[sel] = star - t * uv
+        vals, _ = conjugate(dual.axes(), mod, phi.grid.axes())
+        frames.append(GridFunction(phi.grid, vals))
     return Ray(ts, tuple(frames), source="dual")
 
 
@@ -151,10 +145,11 @@ def energy_linearity(
     one get predicted_slope = NaN.
     """
     dual = _energy_dual_grid(f0)
+    base = energy_base(f0, dual)
     energies = np.array(
         [
             energy_quadrature(
-                ConvexGridFunction.trusted(fr), f0, t_samples, dual=dual
+                ConvexGridFunction.trusted(fr), f0, t_samples, dual=dual, base=base
             ).value
             for fr in ray.frames
         ]

@@ -152,22 +152,25 @@ def load_slope_region(text: str) -> SlopeRegion:
     return SlopeRegion(grid, mask)
 
 
+def _coord_fields(grid: Grid) -> list[str]:
+    """Each node's coordinates as comma-separated Python float reprs."""
+    return [",".join(repr(x) for x in c) for c in grid.coords().tolist()]
+
+
 def dump_measure_csv(mu: DiscreteMeasure) -> str:
-    coords = mu.grid.coords()
     header = "index," + ",".join(f"x{i}" for i in range(mu.grid.dim)) + ",mass"
     rows = [header]
-    for i, (c, m) in enumerate(zip(coords, mu.masses.ravel())):
-        rows.append(f"{i}," + ",".join(repr(v) for v in c) + f",{repr(float(m))}")
+    for i, (c, m) in enumerate(zip(_coord_fields(mu.grid), mu.masses.ravel().tolist())):
+        rows.append(f"{i},{c},{m!r}")
     return "\n".join(rows) + "\n"
 
 
 def dump_ray_csv(ray) -> str:
-    coords = ray.grid.coords()
+    coords = _coord_fields(ray.grid)
     header = "t," + ",".join(f"x{i}" for i in range(ray.grid.dim)) + ",value"
     rows = [header]
-    for t, fr in zip(ray.t_grid, ray.frames):
-        for c, v in zip(coords, fr.values.ravel()):
-            rows.append(f"{repr(float(t))}," + ",".join(repr(x) for x in c) + f",{_fmt(v)}")
+    for t, fr in zip(ray.t_grid.tolist(), ray.frames):
+        rows.extend(f"{t!r},{c},{_fmt(v)}" for c, v in zip(coords, fr.values.ravel().tolist()))
     return "\n".join(rows) + "\n"
 
 

@@ -59,6 +59,8 @@ class TestRayCommand:
         rows = (out / "ray.csv").read_text().strip().splitlines()
         assert rows[0] == "t,x0,value"
         assert len(rows) == 1 + 11 * 65
+        for row in rows[1:]:
+            [float(field) for field in row.split(",")]  # every field parses
 
     def test_curve_spec(self, specdir, tmp_path):
         out = tmp_path / "out"

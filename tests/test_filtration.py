@@ -109,6 +109,27 @@ class TestHistogram:
         assert (np.diff(vals) < 0).all()
 
 
+class TestSectionValues:
+    def test_cached_read_only_and_exact(self, base_inst, w01):
+        E, w = base_inst.section_values(w01, 8)
+        again = base_inst.section_values(w01, 8)
+        assert again[0] is E and again[1] is w
+        assert not E.flags.writeable and not w.flags.writeable
+        # phi*(alpha/k) is the exact max over primal nodes of x*y - phi
+        pts, _ = w01.reachable(8)
+        x, v = base_inst.phi.grid.axis(0), base_inst.phi.values
+        for col, a in enumerate(pts[:, 0] / 8):
+            star = (x * a - v).max()
+            assert np.array_equal(E[:, col], x * a - star)
+
+    def test_cache_keyed_by_data_and_degree(self, base_inst):
+        a = WeightedLatticeData(np.array([[0], [1]]), np.array([0, 1]))
+        b = WeightedLatticeData(np.array([[0], [1]]), np.array([1, 0]))
+        assert np.array_equal(base_inst.section_values(a, 4)[1], [0, 1, 2, 3, 4])
+        assert np.array_equal(base_inst.section_values(b, 4)[1], [4, 3, 2, 1, 0])
+        assert base_inst.section_values(a, 8)[0].shape[1] == 9
+
+
 class TestSandwich:
     def test_exact_bound_every_lambda(self, base_inst, w01):
         for k in (4, 8, 16):

@@ -2,9 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from georay.curves import ConcaveTransform, envelope_from_u
 from georay.errors import DomainError
 from georay.grids import Box, ConvexGridFunction, GridFunction, NEG_INF, _lower_hull_1d, make_grid
 from georay.instances import (
@@ -20,12 +21,14 @@ from georay.legendre import (
     _transform_brute,
     biconjugate,
     check_dual_contains_slopes,
+    conjugate,
     default_dual_grid,
     legendre,
     subgradient_range,
     superlevel_of_concave,
 )
 from georay.monge_ampere import _energy_dual_grid
+from georay.rays import ray_dual
 
 
 def conjugate_oracle(f, dual):
@@ -129,18 +132,35 @@ class TestKernel1D:
         # a silent fall back to the dense path must fail here, not only slow down
         f = make(513)
         for dual in (default_dual_grid(f), _energy_dual_grid(f)):
-            _, _, dense = _transform_1d(f.grid.axis(0), f.values, dual.axis(0))
-            assert dense <= 0.01 * dual.num_nodes
+            _, _, _, dense = _transform_1d(f.grid.axis(0), f.values, dual.axis(0))
+            assert dense.sum() <= 0.01 * dual.num_nodes
+
+    def test_masked_row_is_cut_not_dense(self):
+        # a contiguous selection is cut to its run and stays certified
+        f = linear_growth_bowl(513)
+        mask = np.abs(f.grid.axis(0)) <= 2.0
+        y = _energy_dual_grid(f).axis(0)
+        vals, _, _, dense = _transform_1d(f.grid.axis(0), np.where(mask, f.values, np.inf), y)
+        assert dense.sum() <= 0.01 * y.size
+        ovals, _ = masked_oracle([f.grid.axis(0)], f.values, mask, [y])
+        assert np.array_equal(vals[0], ovals)
+
+    def test_descending_nodes_rejected(self):
+        x = np.linspace(-1.0, 1.0, 7)
+        with pytest.raises(ValueError):
+            _transform_1d(x, x * x, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            _transform_1d(x[::-1], x * x, np.array([0.0, 1.0]))
 
     def test_neg_inf_entries_match_brute(self):
         # curve samples loaded from files are trusted and may be partly -inf
         x = np.linspace(-1.0, 1.0, 7)
         v = np.array([0.0, NEG_INF, 1.0, 0.5, NEG_INF, 0.0, 2.0])
         y = np.linspace(-2.0, 2.0, 9)
-        vals, wit, _ = _transform_1d(x, v, y)
+        vals, wit, _, _ = _transform_1d(x, v, y)
         bvals, bwit = _transform_brute([x], v, [y])
-        assert np.array_equal(vals, bvals)
-        assert np.array_equal(wit, bwit)
+        assert np.array_equal(vals[0], bvals)
+        assert np.array_equal(wit[0], bwit)
 
     def test_memory_stays_linear(self):
         # a dense m x n temporary here would take 2 GB
@@ -185,10 +205,260 @@ def kernel_inputs(draw):
 @given(kernel_inputs())
 def test_kernel_1d_equals_brute(data):
     x, v, y = data
-    vals, wit, _ = _transform_1d(x, v, y)
+    vals, wit, _, _ = _transform_1d(x, v, y)
     bvals, bwit = _transform_brute([x], v, [y])
+    assert np.array_equal(vals[0], bvals)
+    assert np.array_equal(wit[0], bwit)
+
+
+def huber_bowl_2d(n):
+    """Sum of 1-D Huber bowls on [-3, 3]^2 with a small tilt: linear runs,
+    quadratic patches and a kink in every row and column."""
+    g = make_grid(Box((-3.0, -3.0), (3.0, 3.0)), (n, n))
+    x1, x2 = np.meshgrid(g.axis(0), g.axis(1), indexing="ij")
+    hub = lambda x: np.where(np.abs(x) <= 1.0, x * x / 2, np.abs(x) - 0.5)
+    return ConvexGridFunction.certify(
+        GridFunction(g, hub(x1) + hub(x2) + 0.13 * x1 - 0.27 * x2)
+    )
+
+
+def bowl_instance_2d(n):
+    """The 2-D bowl with u = -(|y1| + |y2|)/2 on its slope region."""
+    phi = huber_bowl_2d(n)
+    dual = default_dual_grid(phi)
+    base = subgradient_range(phi, dual)
+    y1, y2 = np.meshgrid(*dual.axes(), indexing="ij")
+    uvals = np.where(base.mask, -(np.abs(y1) + np.abs(y2)) / 2, -np.inf)
+    return phi, dual, ConcaveTransform(GridFunction(dual, uvals), base)
+
+
+def masked_oracle(axes, values, mask, dual_axes):
+    """Max of the shared expression over the selected nodes only, with the
+    lowest selected flat index as witness; -inf where nothing is selected."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    xs = [a.ravel()[mask.ravel()] for a in mesh]
+    idx = np.flatnonzero(mask.ravel())
+    v = values.ravel()[idx]
+    shape = tuple(len(a) for a in dual_axes)
+    out = np.full(shape, -np.inf)
+    wit = np.zeros(shape, dtype=np.intp)
+    for q in np.ndindex(shape):
+        ys = [a[i] for a, i in zip(dual_axes, q)]
+        if len(axes) == 1:
+            cand = xs[0] * ys[0] - v
+        else:
+            cand = xs[0] * ys[0] + (xs[1] * ys[1] - v)
+        if cand.size:
+            k = int(np.argmax(cand))
+            out[q], wit[q] = cand[k], idx[k]
+    return out, wit
+
+
+def _data(draw, kind, x1, x2):
+    """Values on the grid x1 x x2 of one kind, plus the slopes they use."""
+    a, b, c = (draw(st.floats(-5, 5)) for _ in range(3))
+    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
+    if kind in ("random", "rounded"):
+        v = np.asarray(
+            draw(st.lists(st.floats(-10, 10), min_size=X1.size, max_size=X1.size))
+        ).reshape(X1.shape)
+        v = np.round(v) if kind == "rounded" else v
+    elif kind == "constant":
+        v = np.full(X1.shape, a)
+    elif kind == "linear":
+        v = a * X1 + b * X2 + c
+    elif kind == "kinked":
+        v = np.maximum(a * X1 + b * X2, b * X1 - a * X2 + 1.0)
+    else:  # bowl: quadratic rows whose slopes meet dual nodes at midpoints
+        v = (X1 * X1 + X2 * X2) / 2 + a * X1 + b * X2
+    return v, [a, b, c]
+
+
+@st.composite
+def grid_inputs(draw):
+    """2-D primal axes (3 nodes and up, n1 != n2 allowed), data of every kind,
+    and ascending dual axes that include the data's slopes exactly: those it
+    was built with, and the chord slopes of one row and one column."""
+    axes = []
+    for _ in range(2):
+        lo = draw(st.floats(-3, 0))
+        axes.append(np.linspace(lo, lo + draw(st.floats(0.5, 4)), draw(st.integers(3, 12))))
+    kind = draw(st.sampled_from(["random", "rounded", "constant", "linear", "kinked", "bowl"]))
+    v, slopes = _data(draw, kind, *axes)
+    i = draw(st.integers(0, v.shape[0] - 1))
+    j = draw(st.integers(0, v.shape[1] - 1))
+    chords = [np.diff(v[:, j]) / np.diff(axes[0]), np.diff(v[i]) / np.diff(axes[1])]
+    dual_axes = []
+    for chord in chords:
+        extra = draw(st.lists(st.floats(-20, 20), min_size=1, max_size=9))
+        dual_axes.append(np.sort(np.concatenate([slopes, chord, extra])))
+    return axes, v, dual_axes
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_inputs())
+def test_conjugate_2d_equals_brute(data):
+    axes, v, dual_axes = data
+    vals, wit = conjugate(axes, v, dual_axes)
+    bvals, bwit = _transform_brute(axes, v, dual_axes)
     assert np.array_equal(vals, bvals)
     assert np.array_equal(wit, bwit)
+
+
+@st.composite
+def row_inputs(draw):
+    """Rows of every kind, 1 to 40 nodes on a shared x, and ascending dual
+    nodes that include the chord slope of every pair of adjacent nodes."""
+    n = draw(st.one_of(st.sampled_from([1, 2, 3]), st.integers(4, 40)))
+    lo = draw(st.floats(-3, 0))
+    x = np.linspace(lo, lo + draw(st.floats(0.5, 4)), n)
+    rows, ys = [], [draw(st.lists(st.floats(-20, 20), min_size=1, max_size=9))]
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["random", "rounded", "constant", "linear", "kinked", "bowl"]))
+        v, slopes = _data(draw, kind, x, np.zeros(1))
+        rows.append(v[:, 0])
+        ys += [slopes, np.diff(v[:, 0]) / np.diff(x)]
+    return x, np.array(rows), np.sort(np.concatenate(ys))
+
+
+def kinked_row(n, a, b):
+    """A kink joining two linear runs, with dual nodes on every chord slope:
+    along a run the chord slopes differ in their last bits, and only the
+    certificate's margin keeps a rounded-down bound from settling a pair."""
+    x = np.linspace(-1.0, 2.0, n)
+    v = np.maximum(a * x, b * x + 1.0)
+    return x, v[None, :], np.sort(np.concatenate([np.diff(v) / np.diff(x), [a, b]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_inputs())
+@example(kinked_row(12, 3.9, 0.5))
+@example(kinked_row(10, 0.2, 1.3))
+def test_row_kernel_equals_brute(data):
+    # every row is a separate 1-D problem on the shared x
+    x, v, y = data
+    vals, wit, gap, _ = _transform_1d(x, v, y)
+    for r in range(v.shape[0]):
+        bvals, bwit = _transform_brute([x], v[r], [y])
+        assert np.array_equal(vals[r], bvals)
+        assert np.array_equal(wit[r], bwit)
+        # gap bounds vals minus every candidate below the witness
+        for q, w in enumerate(wit[r]):
+            below = x[:w] * y[q] - v[r, :w]
+            assert not (vals[r, q] - below < gap[r, q]).any()
+
+
+@st.composite
+def masked_inputs(draw):
+    axes, v, dual_axes = draw(grid_inputs())
+    X1, X2 = np.meshgrid(*axes, indexing="ij")
+    kind = draw(st.sampled_from(["convex", "nonconvex", "empty rows", "empty"]))
+    if kind == "nonconvex":
+        bits = draw(st.lists(st.booleans(), min_size=X1.size, max_size=X1.size))
+        mask = np.asarray(bits).reshape(X1.shape)
+    elif kind == "empty":
+        mask = np.zeros(X1.shape, dtype=bool)
+    else:
+        c1, c2 = draw(st.floats(-3, 3)), draw(st.floats(-3, 3))
+        mask = (X1 - c1) ** 2 + (X2 - c2) ** 2 <= draw(st.floats(0.1, 9)) ** 2
+        if kind == "empty rows":
+            mask[draw(st.integers(0, X1.shape[0] - 1)) :] = False
+    return axes, v, mask, dual_axes
+
+
+@settings(max_examples=300, deadline=None)
+@given(masked_inputs())
+def test_masked_conjugate_equals_masked_max(data):
+    axes, v, mask, dual_axes = data
+    vals, wit = conjugate(axes, np.where(mask, v, np.inf), dual_axes)
+    ovals, owit = masked_oracle(axes, v, mask, dual_axes)
+    assert np.array_equal(vals, ovals)
+    hit = np.isfinite(ovals)
+    assert np.array_equal(wit[hit], owit[hit])
+    # the same masks row by row, through the row kernel
+    (_, x), (_, y) = axes, dual_axes
+    rvals, rwit, _, _ = _transform_1d(x, np.where(mask, v, np.inf), y)
+    for r in range(v.shape[0]):
+        ovals, owit = masked_oracle([x], v[r], mask[r], [y])
+        assert np.array_equal(rvals[r], ovals)
+        assert np.array_equal(rwit[r][np.isfinite(ovals)], owit[np.isfinite(ovals)])
+
+
+class TestKernel2D:
+    def test_absorbed_ties_match_brute(self):
+        # y2 equal to the slope of linear data: the inner candidates differ
+        # by rounding only, and adding x1*y1 can round a lower index up to
+        # the max, which brute force then reports
+        x1, x2 = np.linspace(-3.0, 1.0, 7), np.linspace(-1.0, 2.5, 9)
+        v = 0.3 * x1[:, None] + 1.7 * x2[None, :] - 0.1
+        dual_axes = [np.array([-9.0, 0.3, 7.5]), np.array([-2.0, 1.7, 4.0])]
+        vals, wit = conjugate([x1, x2], v, dual_axes)
+        bvals, bwit = _transform_brute([x1, x2], v, dual_axes)
+        assert np.array_equal(vals, bvals)
+        assert np.array_equal(wit, bwit)
+
+    def test_certifies_nearly_every_pair(self):
+        # a silent fall back to the dense path must fail here, not only slow down
+        f = huber_bowl_2d(65)
+        dual = _energy_dual_grid(f)
+        (x1, x2), (y1, y2) = f.grid.axes(), dual.axes()
+        t, _, _, dense_inner = _transform_1d(x2, f.values, y2)
+        _, _, _, dense_outer = _transform_1d(x1, -t.T, y1)
+        dense = dense_inner.sum() + dense_outer.sum()
+        assert dense <= 0.05 * (dense_inner.size + dense_outer.size)
+
+    def test_envelope_memory_2d(self):
+        # the dense (primal x selected dual) matmul it replaced peaked at 256 MB
+        phi, dual, u = bowl_instance_2d(65)
+        lambdas = np.linspace(-1.0, 0.0, 5)
+        tracemalloc.start()
+        try:
+            envelope_from_u(phi, u, lambdas, dual)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_envelope_2d_matches_masked_max(self):
+        phi, dual, u = bowl_instance_2d(17)
+        lam = -0.5
+        tc = envelope_from_u(phi, u, [lam], dual)
+        star = legendre(phi, dual).values
+        sel = u.base.mask & (u.u.values >= lam - 1e-12)
+        want, _ = masked_oracle(dual.axes(), star, sel, phi.grid.axes())
+        assert np.array_equal(tc.samples[0].values, want)
+
+
+class TestOneDimensionalCallers:
+    """1-D envelopes and dual rays keep the bytes of the old x*y - c max."""
+
+    @staticmethod
+    def old_max(x, y, c):
+        return (x[:, None] * y[None, :] - c).max(axis=1)
+
+    def test_envelope_from_u_bytes(self):
+        from georay.instances import huber_instance
+
+        inst = huber_instance(nodes=129, dual_nodes=129, lambda_spacing=0.125)
+        x, y = inst.phi.grid.axis(0), inst.dual.axis(0)
+        star = legendre(inst.phi, inst.dual).values
+        for lam, s in zip(inst.curve.lambdas, inst.curve.samples):
+            sel = inst.u.base.mask & (inst.u.u.values >= lam - 1e-12)
+            if sel.any():
+                assert np.array_equal(s.values, self.old_max(x, y[sel], star[sel]))
+
+    def test_ray_dual_bytes(self):
+        from georay.instances import huber_instance
+
+        inst = huber_instance(nodes=129, dual_nodes=129, lambda_spacing=0.125)
+        ts = np.linspace(0.0, 1.0, 5)
+        ray = ray_dual(inst.phi, inst.u, ts)
+        x, y = inst.phi.grid.axis(0), inst.dual.axis(0)
+        sel = inst.u.base.mask & np.isfinite(inst.u.u.values)
+        star = legendre(inst.phi, inst.dual).values[sel]
+        for t, fr in zip(ts, ray.frames):
+            mod = star - t * inst.u.u.values[sel]
+            assert np.array_equal(fr.values, self.old_max(x, y[sel], mod))
 
 
 class TestBiconjugate:

@@ -8,7 +8,7 @@ from georay.grids import Box, GridFunction, NEG_INF, make_grid
 from georay.instances import huber_instance, quadratic_2d
 from georay.legendre import SlopeRegion, default_dual_grid, subgradient_range
 from georay.monge_ampere import ma_measure
-from georay.rays import ray_from_curve
+from georay.rays import Ray, ray_from_curve
 
 
 class TestGridFunctionRoundTrip:
@@ -101,3 +101,18 @@ class TestCsvDumps:
         lines = ser.dump_ray_csv(ray).strip().splitlines()
         assert lines[0] == "t,x0,value"
         assert len(lines) == 1 + 2 * 17
+
+    def test_every_csv_field_is_a_float(self):
+        # numpy scalars must not leak their repr (np.float64(...)) into a field
+        inst = huber_instance(nodes=17, dual_nodes=17, lambda_spacing=0.5)
+        f2 = quadratic_2d(5)
+        texts = [
+            ser.dump_ray_csv(ray_from_curve(inst.curve, np.array([0.0, 1.0]))),
+            ser.dump_ray_csv(Ray(np.array([0.0, 0.5]), (f2, f2))),
+            ser.dump_measure_csv(ma_measure(f2, default_dual_grid(f2))),
+        ]
+        for text in texts:
+            for row in text.strip().splitlines()[1:]:
+                for field in row.split(","):
+                    float(field)
+
