@@ -263,8 +263,7 @@ def check_phong_sturm(tol_scale: float = 1.0) -> dict:
     lam_sp = 1.0 / max(k_list)
     gaps = {}
     worst = 0.0
-    for k in k_list:
-        g = equivalence_check(inst, data, k, t_grid, k_list)
+    for k, g in zip(k_list, equivalence_check(inst, data, t_grid, k_list)):
         gaps[k] = float(g.max())
         bound = math.log(k + 1.0) / k + 10.0 * (h + hd + lam_sp) * (1.0 + t_grid)
         worst = max(worst, float((g / bound).max()))

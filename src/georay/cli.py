@@ -157,8 +157,7 @@ def cmd_filtration(
     ts = _t_grid(doc)
     k_list = sorted(set(int(k) for k in k_list))
     rows = ["k,t,gap"]
-    for k in k_list:
-        gaps = equivalence_check(inst, data, k, ts, k_list)
+    for k, gaps in zip(k_list, equivalence_check(inst, data, ts, k_list)):
         for t, g in zip(ts, gaps):
             rows.append(f"{k},{repr(float(t))},{repr(float(g))}")
     (out / "gap.csv").write_text("\n".join(rows) + "\n")

@@ -222,7 +222,7 @@ def envelope_from_u(
             continue
         lambda_c = l
         vals, _ = conjugate(dual.axes(), np.where(sel, phistar.values, np.inf), phi.grid.axes())
-        samples.append(ConvexGridFunction.trusted(GridFunction(phi.grid, vals)))
+        samples.append(ConvexGridFunction(phi.grid, vals))
     if lambda_c is None:
         raise DomainError("every lambda selection is empty")
     if lambda_head is None:

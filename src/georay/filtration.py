@@ -14,15 +14,32 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .curves import TestCurve, envelope_from_u
+from .curves import TestCurve, maximal_envelope
 from .errors import DomainError, ResourceError
 from .grids import ConvexGridFunction, Grid, GridFunction, NEG_INF, lower_convex_envelope
 from .legendre import _lower_hull_1d, check_dual_contains_slopes, conjugate
+from .rays import Ray, compare_rays, default_t_grid, ray_from_curve
 
 #: Guard on lattice array sizes produced by closures.
 LATTICE_SIZE_CAP = 10**6
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log sum exp along the rows of a 2-D array.
+
+    Takes the steps of scipy 1.17's ``scipy.special.logsumexp(a, axis=1)``
+    for real input, so the bits agree: the tied row maxima are counted as m
+    and left out of the shifted sum s, which is divided by m when nonzero,
+    and the result is log1p(s) + log(m) + max.  Every row needs a finite
+    entry (the section values are finite); -inf entries add nothing.
+    """
+    a_max = a.max(axis=1, keepdims=True)
+    top = a == a_max
+    m = top.sum(axis=1, keepdims=True, dtype=float)
+    s = np.exp(np.where(top, NEG_INF, a) - a_max).sum(axis=1, keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    return (np.log1p(s) + np.log(m) + a_max)[:, 0]
 
 
 @dataclass(eq=False)
@@ -193,7 +210,7 @@ def bergman_metric(
     grid = inst.phi.grid
     if not sel.any():
         return GridFunction.neg_inf(grid)
-    vals = logsumexp(k * E[:, sel], axis=1) / k
+    vals = _logsumexp(k * E[:, sel]) / k
     return GridFunction(grid, vals.reshape(grid.shape))
 
 
@@ -201,8 +218,6 @@ def phong_sturm_ray(
     inst: BergmanInstance, data: WeightedLatticeData, k: int, t_grid=None
 ):
     """frame(t) = (1/k) log sum over all sections of exp(t w_i + k e_i)."""
-    from .rays import Ray, default_t_grid
-
     if t_grid is None:
         t_grid = default_t_grid()
     ts = np.asarray(t_grid, dtype=float).ravel()
@@ -210,7 +225,7 @@ def phong_sturm_ray(
     grid = inst.phi.grid
     frames = []
     for t in ts:
-        vals = logsumexp(k * E + t * w[None, :], axis=1) / k
+        vals = _logsumexp(k * E + t * w[None, :]) / k
         frames.append(GridFunction(grid, vals.reshape(grid.shape)))
     return Ray(ts, tuple(frames), source=f"phong-sturm k={k}")
 
@@ -341,7 +356,7 @@ def log_sum_exp_sandwich_gap(
         raise DomainError("empty selection")
     block = E[:, sel]
     mx = block.max(axis=1)
-    lse = logsumexp(k * block, axis=1) / k
+    lse = _logsumexp(k * block) / k
     budget = math.log(int(sel.sum())) / k
     low = float((mx - lse).max())
     high = float((lse - (mx + budget)).max())
@@ -351,17 +366,17 @@ def log_sum_exp_sandwich_gap(
 def equivalence_check(
     inst: BergmanInstance,
     data: WeightedLatticeData,
-    k: int,
     t_grid,
     k_list,
 ) -> np.ndarray:
-    """Per-t sup-norm gap between the Phong-Sturm ray at degree k and the
-    envelope-built ray of the limit curve built from the degrees k_list."""
-    from .curves import concave_transform, maximal_envelope
-    from .rays import compare_rays, ray_from_curve
+    """Per-t sup-norm gaps between the Phong-Sturm rays and the
+    envelope-built ray of the limit curve built from the degrees k_list.
 
-    curve = limit_curve(inst, data, k_list)
-    env = maximal_envelope(inst.phi, curve, inst.dual)
-    hat = ray_from_curve(env, t_grid)
-    ps = phong_sturm_ray(inst, data, k, t_grid)
-    return compare_rays(hat, ps)
+    The envelope ray does not depend on the degree, so it is built once.
+    Row i of the (degrees, t) table is the gap at the i-th distinct degree
+    of k_list in ascending order.
+    """
+    ks = sorted(set(int(k) for k in k_list))
+    curve = limit_curve(inst, data, ks)
+    hat = ray_from_curve(maximal_envelope(inst.phi, curve, inst.dual), t_grid)
+    return np.array([compare_rays(hat, phong_sturm_ray(inst, data, k, t_grid)) for k in ks])

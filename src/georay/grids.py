@@ -224,7 +224,9 @@ def pointwise_shift(f: GridFunction, c: float) -> GridFunction:
 
 
 def _lower_hull_1d(x: np.ndarray, v: np.ndarray):
-    """Indices of the lower convex hull vertices of points (x, v), x sorted."""
+    """Indices of the lower convex hull vertices of points (x, v) sorted by
+    (x, v): Andrew's monotone chain.  Points in reverse order give the
+    upper hull."""
     # Python floats: same IEEE double arithmetic as numpy scalars, less overhead
     x, v = np.asarray(x, dtype=float).tolist(), np.asarray(v, dtype=float).tolist()
     hull: list[int] = []
@@ -289,7 +291,7 @@ def lower_convex_envelope(f: GridFunction) -> ConvexGridFunction:
         env = _envelope_1d(f.grid.axis(0), f.values)
     else:
         env = _envelope_2d(f.grid, f.values)
-    return ConvexGridFunction.trusted(GridFunction(f.grid, env))
+    return ConvexGridFunction(f.grid, env)
 
 
 def is_convex(f: GridFunction, tol: float):

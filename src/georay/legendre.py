@@ -268,7 +268,7 @@ def legendre(
         vals, wit = _transform_brute(f.grid.axes(), f.values, dual.axes())
     else:
         raise ValueError(f"unknown method {method!r}")
-    out = ConvexGridFunction.trusted(GridFunction(dual, vals.reshape(dual.shape)))
+    out = ConvexGridFunction(dual, vals.reshape(dual.shape))
     if return_witness:
         return out, wit.reshape(dual.shape)
     return out
@@ -312,35 +312,41 @@ class SlopeRegion:
 
 
 def _convex_fill(grid: Grid, mask: np.ndarray) -> np.ndarray:
-    """Close a node mask under the discrete convex hull of its true-set."""
+    """Close a node mask under the discrete convex hull of its true-set.
+
+    On a uniform grid the node indices are an affine image of the
+    coordinates, so the 2-D hull is taken exactly in index space: the
+    monotone chain over each row's outermost true nodes, then an integer
+    half-plane test per hull edge.  Collinear sets fill their index
+    bounding box.
+    """
     if mask.sum() <= 1:
         return mask
+    out = np.zeros_like(mask)
     if grid.dim == 1:
         idx = np.nonzero(mask)[0]
-        out = np.zeros_like(mask)
         out[idx[0] : idx[-1] + 1] = True
         return out
-    pts = grid.coords()[mask.ravel()]
-    # collinear point sets: fill the contiguous range along the common line
-    if np.ptp(pts[:, 0]) < 1e-15 or np.ptp(pts[:, 1]) < 1e-15:
-        ii, jj = np.nonzero(mask)
-        out = np.zeros_like(mask)
-        out[ii.min() : ii.max() + 1, jj.min() : jj.max() + 1] = True
+    ii, jj = np.nonzero(mask)  # row-major: each row's run is ascending in j
+    first = np.flatnonzero(np.diff(ii, prepend=-1))
+    last = np.r_[first[1:], ii.size] - 1
+    ends = np.unique(np.r_[first, last])
+    pi, pj = ii[ends].tolist(), jj[ends].tolist()
+    # integer-valued floats: a cross product is at most the node count, so exact
+    lower = _lower_hull_1d(pi, pj)
+    upper = [len(pi) - 1 - k for k in _lower_hull_1d(pi[::-1], pj[::-1])]
+    hull = [(pi[k], pj[k]) for k in lower[:-1] + upper[:-1]]
+    i0, i1, j0, j1 = ii[0], ii[-1], jj.min(), jj.max()
+    if len(hull) < 3:
+        out[i0 : i1 + 1, j0 : j1 + 1] = True
         return out
-    from scipy.spatial import ConvexHull, QhullError
-
-    try:
-        hull = ConvexHull(pts)
-    except QhullError:
-        ii, jj = np.nonzero(mask)
-        out = np.zeros_like(mask)
-        out[ii.min() : ii.max() + 1, jj.min() : jj.max() + 1] = True
-        return out
-    eq = hull.equations
-    coords = grid.coords()
-    scale = max(1.0, float(np.abs(pts).max()))
-    inside = np.all(coords @ eq[:, :2].T + eq[:, 2] <= 1e-9 * scale, axis=1)
-    return inside.reshape(grid.shape)
+    I = np.arange(i0, i1 + 1)[:, None]
+    J = np.arange(j0, j1 + 1)[None, :]
+    inside = np.ones((I.size, J.size), dtype=bool)
+    for (pa, pb), (qa, qb) in zip(hull, hull[1:] + hull[:1]):
+        inside &= (qa - pa) * (J - pb) - (qb - pb) * (I - pa) >= 0
+    out[i0 : i1 + 1, j0 : j1 + 1] = inside
+    return out
 
 
 def subgradient_range(

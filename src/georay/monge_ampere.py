@@ -137,7 +137,7 @@ def energy_quadrature(
     total = 0.0
     for t, wt in zip(ts, w):
         vt = np.where(f1.finite_mask, (1.0 - t) * f0.values + t * f1.values, -np.inf)
-        ft = ConvexGridFunction.trusted(GridFunction(f1.grid, vt))
+        ft = ConvexGridFunction(f1.grid, vt)
         mu = mu0 if t == 0.0 else ma_measure(ft, dual, region=region)
         total += wt * float((diff * mu.masses).sum())
     return EnergyReport(value=total, method="quadrature", t_samples=t_samples)

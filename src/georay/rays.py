@@ -196,7 +196,7 @@ def inverse_transform(ray: Ray, lambdas=None) -> TestCurve:
             samples.append(ConvexGridFunction.trusted(GridFunction.neg_inf(ray.grid)))
         else:
             lambda_c = l
-            samples.append(ConvexGridFunction.trusted(GridFunction(ray.grid, vals)))
+            samples.append(ConvexGridFunction(ray.grid, vals))
     if lambda_c is None:
         raise DomainError("every lambda degenerates on this t grid")
     return TestCurve(

@@ -1,12 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import georay
+from georay import filtration
 from georay import serialization as ser
 from georay.cli import main
 from georay.filtration import WeightedLatticeData
+from georay.grids import Box, GridFunction, make_grid
 from georay.instances import filtration_base, huber_instance
+from georay.legendre import default_dual_grid
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +50,15 @@ def specdir(tmp_path_factory):
     (d / "w01.wd").write_text(ser.dump_weight_data(data))
     (d / "weights01.spec").write_text(
         json.dumps({"kind": "filtration", "phi": "base.gf", "weights": "w01.wd"})
+    )
+    g2 = make_grid(Box((-3.0, -3.0), (3.0, 3.0)), (17, 17))
+    bowl = GridFunction.from_callable(g2, lambda x, y: np.hypot(x, y) ** 2 / 4 + x / 8)
+    dual2 = default_dual_grid(bowl, 17)
+    u2 = GridFunction.from_callable(dual2, lambda y1, y2: -(abs(y1) + abs(y2)) / 2)
+    (d / "bowl2.gf").write_text(ser.dump_grid_function(bowl))
+    (d / "u2.gf").write_text(ser.dump_grid_function(u2))
+    (d / "bowl2.spec").write_text(
+        json.dumps({"kind": "dual_u", "phi": "bowl2.gf", "u": "u2.gf", "t_nodes": 3})
     )
     (d / "malformed.spec").write_text(
         json.dumps({"kind": "dual_u", "phi": "phi.gf", "u": "u.gf", "dual": {"lower": [0.0]}})
@@ -124,6 +141,24 @@ class TestFiltrationCommand:
             by_k.setdefault(int(k), []).append(float(gap))
         assert max(by_k[16]) < max(by_k[4])
 
+    def test_envelope_ray_built_once(self, specdir, tmp_path, monkeypatch):
+        calls = {"limit_curve": 0, "maximal_envelope": 0}
+
+        def counted(name):
+            fn = getattr(filtration, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(filtration, name, counted(name))
+        argv = ["filtration", "--spec", str(specdir / "weights01.spec"), "--k", "4,8,16"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert calls == {"limit_curve": 1, "maximal_envelope": 1}
+
     def test_cap_exit_4(self, specdir, tmp_path):
         rc = main(
             [
@@ -164,3 +199,26 @@ class TestCheckCommand:
 
     def test_bad_thread_count_exit_2(self):
         assert main(["--threads", "0", "check", "--suite", "core"]) == 2
+
+
+def test_ray_command_never_imports_scipy(specdir, tmp_path):
+    """scipy costs start-up time; the ray path must not load it."""
+    script = (
+        "import sys\n"
+        "import georay.cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not scipy_modules(), scipy_modules()[:5]\n"
+        "rc = georay.cli.main(['ray', '--spec', sys.argv[1], '--out', sys.argv[2]])\n"
+        "assert rc == 0, rc\n"
+        "assert not scipy_modules(), scipy_modules()[:5]\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(georay.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(specdir / "bowl2.spec"), str(tmp_path / "o")],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "o" / "ray.csv").exists()

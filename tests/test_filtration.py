@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from georay.curves import maximal_envelope
 from georay.errors import DomainError, ResourceError
 from georay.filtration import (
     BergmanInstance,
     WeightedLatticeData,
+    _logsumexp,
     bergman_metric,
     concave_transform_g,
     equivalence_check,
@@ -21,6 +23,7 @@ from georay.filtration import (
 from georay.grids import NEG_INF
 from georay.instances import filtration_base
 from georay.legendre import default_dual_grid
+from georay.rays import compare_rays, ray_from_curve
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +148,31 @@ class TestSandwich:
             assert (berg.values >= ext.values - 1e-12).all()
 
 
+def logsumexp_cases():
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        r, c = (int(v) for v in rng.integers(1, 30, size=2))
+        a = rng.normal(size=(r, c)) * 10.0 ** int(rng.integers(-3, 4))
+        yield a  # random
+        yield np.round(a, 1)  # rounded: many near ties
+        yield rng.integers(-2, 3, size=(r, c)).astype(float)  # tied maxima
+        yield a * 1e10  # large magnitude: exp underflows off the max
+        yield a[:, :1]  # single column
+        holes = a.copy()
+        holes[rng.random(a.shape) < 0.3] = -np.inf
+        holes[:, 0] = 0.0  # every row keeps a finite entry
+        yield holes
+    yield np.array([[0.0, -np.inf, -np.inf], [-np.inf, 2.0, 2.0]])
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    """The private row logsumexp repeats scipy's steps, so the bits agree."""
+    from scipy.special import logsumexp
+
+    for a in logsumexp_cases():
+        assert np.array_equal(_logsumexp(a), logsumexp(a, axis=1))
+
+
 class TestLimitCurveAndRay:
     def test_limit_curve_lambda_c(self, base_inst, w01):
         tc = limit_curve(base_inst, w01, [4, 8])
@@ -153,17 +181,28 @@ class TestLimitCurveAndRay:
     def test_gap_decreases(self, base_inst, w01):
         ts = np.linspace(0.0, 1.0, 6)
         k_list = [4, 8, 16, 32]
-        g4 = equivalence_check(base_inst, w01, 4, ts, k_list).max()
-        g32 = equivalence_check(base_inst, w01, 32, ts, k_list).max()
+        gaps = equivalence_check(base_inst, w01, ts, k_list)
+        assert gaps.shape == (len(k_list), ts.size)
+        g4, g32 = gaps[0].max(), gaps[-1].max()
         assert g32 < g4
+
+    def test_gap_rows_match_separate_rays(self, base_inst, w01):
+        ts = np.linspace(0.0, 1.0, 6)
+        k_list = [16, 4, 8]
+        gaps = equivalence_check(base_inst, w01, ts, k_list)
+        curve = limit_curve(base_inst, w01, k_list)
+        hat = ray_from_curve(maximal_envelope(base_inst.phi, curve, base_inst.dual), ts)
+        for k, row in zip(sorted(k_list), gaps):
+            ps = phong_sturm_ray(base_inst, w01, k, ts)
+            assert np.array_equal(row, compare_rays(hat, ps))
 
     def test_gap_independent_of_closure_cache(self, base_inst):
         ts = np.linspace(0.0, 1.0, 6)
         cold = WeightedLatticeData(np.array([[0], [1]]), np.array([0, 1]))
         warm = WeightedLatticeData(np.array([[0], [1]]), np.array([0, 1]))
         warm.closure(32)
-        g_cold = equivalence_check(base_inst, cold, 8, ts, [4, 8])
-        g_warm = equivalence_check(base_inst, warm, 8, ts, [4, 8])
+        g_cold = equivalence_check(base_inst, cold, ts, [4, 8])
+        g_warm = equivalence_check(base_inst, warm, ts, [4, 8])
         assert np.array_equal(g_cold, g_warm)
 
     def test_trivial_weights_constant_in_t(self, base_inst):

@@ -17,6 +17,7 @@ from georay.instances import (
 )
 from georay.legendre import (
     SlopeRegion,
+    _convex_fill,
     _transform_1d,
     _transform_brute,
     biconjugate,
@@ -482,6 +483,65 @@ class TestBiconjugate:
         assert np.abs(star3.values - star.values).max() <= 1e-10 * max(
             1.0, np.abs(star.values).max()
         )
+
+
+def convex_fill_qhull(grid, mask):
+    """The former float-coordinate fill: Qhull's hull of the true nodes with
+    a 1e-9 * scale tolerance; flat or single-line sets fill their index box."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    if mask.sum() <= 1:
+        return mask
+    ii, jj = np.nonzero(mask)
+    box = np.zeros_like(mask)
+    box[ii.min() : ii.max() + 1, jj.min() : jj.max() + 1] = True
+    pts = grid.coords()[mask.ravel()]
+    if np.ptp(pts[:, 0]) < 1e-15 or np.ptp(pts[:, 1]) < 1e-15:
+        return box
+    try:
+        hull = ConvexHull(pts)
+    except QhullError:
+        return box
+    eq = hull.equations
+    scale = max(1.0, float(np.abs(pts).max()))
+    inside = np.all(grid.coords() @ eq[:, :2].T + eq[:, 2] <= 1e-9 * scale, axis=1)
+    return inside.reshape(grid.shape)
+
+
+@st.composite
+def fill_masks(draw):
+    n1, n2 = draw(st.integers(3, 40)), draw(st.integers(3, 40))
+    lo = (draw(st.floats(-5, 0)), draw(st.floats(-5, 0)))
+    hi = (draw(st.floats(0.5, 5)), draw(st.floats(0.5, 5)))
+    grid = make_grid(Box(lo, hi), (n1, n2))
+    I, J = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
+    kind = draw(st.sampled_from(["random", "sparse", "diagonal", "line", "ellipse"]))
+    if kind == "random":
+        bits = draw(st.lists(st.booleans(), min_size=I.size, max_size=I.size))
+        mask = np.asarray(bits).reshape(I.shape)
+    elif kind == "sparse":
+        mask = np.zeros(I.shape, dtype=bool)
+        for _ in range(draw(st.integers(1, 5))):
+            mask[draw(st.integers(0, n1 - 1)), draw(st.integers(0, n2 - 1))] = True
+    elif kind == "diagonal":
+        step = draw(st.integers(1, 3))
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(0, n2 - 1))
+        mask = (J - b == a * I) & (I % step == 0) if a else J == b
+        mask &= draw(st.integers(0, n1 - 1)) <= I
+    elif kind == "line":
+        mask = (I == draw(st.integers(0, n1 - 1))) & (J % draw(st.integers(1, 4)) == 0)
+    else:
+        c1, c2 = draw(st.floats(0, n1)), draw(st.floats(0, n2))
+        r1, r2 = draw(st.floats(0.5, n1)), draw(st.floats(0.5, n2))
+        mask = ((I - c1) / r1) ** 2 + ((J - c2) / r2) ** 2 <= 1.0
+    return grid, mask
+
+
+@settings(max_examples=400, deadline=None)
+@given(fill_masks())
+def test_convex_fill_matches_qhull(data):
+    grid, mask = data
+    assert np.array_equal(_convex_fill(grid, mask), convex_fill_qhull(grid, mask))
 
 
 class TestSubgradientRange:
