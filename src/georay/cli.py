@@ -9,19 +9,17 @@ Problem files are JSON documents::
      "weights": "<weight-data file>",       (kind filtration)
      "dual": {"lower": [..], "upper": [..], "nodes": [..]},   (optional)
      "lambda": {"min": .., "max": .., "spacing": ..},         (dual_u only)
-     "t_nodes": 11, "t_max": 1.0,
-     "threads": 1, "tol_scale": 1.0}
+     "t_nodes": 11, "t_max": 1.0, "tol_scale": 1.0}
 
 Exit codes: 0 success, 2 parse error, 3 validation failure, 4 resource
 limit.  Output is deterministic: identical inputs give byte-identical
-files regardless of ``--threads``.
+files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -31,7 +29,7 @@ from . import serialization as ser
 from .checks import SUITES, run_suite
 from .curves import ConcaveTransform, envelope_from_u, validate
 from .errors import DomainError, ParseError, ResourceError
-from .filtration import BergmanInstance, equivalence_check, phong_sturm_ray, weight_histogram
+from .filtration import BergmanInstance, equivalence_check, weight_histogram
 from .grids import Box, ConvexGridFunction, Grid
 from .legendre import SlopeRegion, default_dual_grid, subgradient_range
 from .rays import energy_linearity, ray_from_curve
@@ -157,14 +155,13 @@ def cmd_filtration(
     ts = _t_grid(doc)
     k_list = sorted(set(int(k) for k in k_list))
     rows = ["k,t,gap"]
-    for k, gaps in zip(k_list, equivalence_check(inst, data, ts, k_list)):
+    table, rays = equivalence_check(inst, data, ts, k_list)
+    for k, gaps in zip(k_list, table):
         for t, g in zip(ts, gaps):
             rows.append(f"{k},{repr(float(t))},{repr(float(g))}")
     (out / "gap.csv").write_text("\n".join(rows) + "\n")
     k_max = k_list[-1]
-    (out / "ray.csv").write_text(
-        ser.dump_ray_csv(phong_sturm_ray(inst, data, k_max, ts))
-    )
+    (out / "ray.csv").write_text(ser.dump_ray_csv(rays[-1]))
     vals, counts, cum = weight_histogram(data, k_max)
     (out / "histogram.csv").write_text(ser.dump_histogram_csv(vals, counts, cum))
     return 0
@@ -206,7 +203,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="georay", description="geodesic rays from convex envelopes"
     )
-    parser.add_argument("--threads", type=int, default=None, help="worker thread cap")
     parser.add_argument(
         "--tol-scale", type=float, default=1.0, help="multiply every tolerance"
     )
@@ -226,17 +222,6 @@ def main(argv=None) -> int:
     p_chk.add_argument("--json", default=None, help="write the report here")
 
     args = parser.parse_args(argv)
-
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("GEORAY_THREADS")
-        threads = int(env) if env else 1
-    if threads < 1:
-        print("--threads must be >= 1", file=sys.stderr)
-        return 2
-    # computation is vectorized single-thread numpy; the cap is advisory and
-    # results are identical for any value
-
     try:
         if args.command == "ray":
             return cmd_ray(args.spec, args.out, args.tol_scale)

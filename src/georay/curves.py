@@ -26,9 +26,11 @@ from .grids import (
 )
 from .legendre import (
     SlopeRegion,
+    _chunks,
     check_dual_contains_slopes,
     conjugate,
     legendre,
+    slope_regions,
     subgradient_range,
 )
 
@@ -64,22 +66,6 @@ class TestCurve:
 
     def finite_flags(self) -> np.ndarray:
         return np.array([not s.is_identically_neg_inf for s in self.samples])
-
-    @staticmethod
-    def constant_cutoff(
-        head: ConvexGridFunction, lambdas, lambda_c: float
-    ) -> "TestCurve":
-        """Curve equal to ``head`` up to lambda_c and -inf after."""
-        lam = np.asarray(lambdas, dtype=float).ravel()
-        samples = []
-        for v in lam:
-            if v <= lambda_c + 1e-12:
-                samples.append(head)
-            else:
-                samples.append(
-                    ConvexGridFunction.trusted(GridFunction.neg_inf(head.grid))
-                )
-        return TestCurve(lam, tuple(samples), lambda_head=lambda_c, lambda_c=lambda_c)
 
 
 @dataclass(frozen=True)
@@ -183,17 +169,16 @@ def concave_transform(
         diag = validate(tc, tol_concave=validate_tol)
         if not diag.valid:
             raise DomainError(f"invalid test curve: {diag.issues[0]}")
-    u = np.full(dual.shape, NEG_INF)
-    base = None
-    for lam, s in zip(tc.lambdas, tc.samples):
-        if s.is_identically_neg_inf:
-            continue
-        region = subgradient_range(s, dual)
-        if base is None:
-            base = region
-        u[region.mask] = lam
-    if base is None:
+    live = [j for j, s in enumerate(tc.samples) if not s.is_identically_neg_inf]
+    if not live:
         raise DomainError("test curve has no finite samples")
+    # the first finite sample's slope region is the base
+    base = subgradient_range(tc.samples[live[0]], dual)
+    u = np.full(dual.shape, NEG_INF)
+    u[base.mask] = tc.lambdas[live[0]]
+    regions = slope_regions([tc.samples[j] for j in live[1:]], dual)
+    for j, (mask, _) in zip(live[1:], regions):
+        u[mask] = tc.lambdas[j]
     return ConcaveTransform(GridFunction(dual, u), base)
 
 
@@ -213,18 +198,17 @@ def envelope_from_u(
     lam = np.asarray(lambdas, dtype=float).ravel()
     phistar = legendre(phi, dual)
     usable = u.base.mask & np.isfinite(u.u.values)
-    samples = []
-    lambda_c = None
-    for l in lam:
-        sel = usable & (u.u.values >= l - 1e-12)
-        if not sel.any():
-            samples.append(ConvexGridFunction.trusted(GridFunction.neg_inf(phi.grid)))
-            continue
-        lambda_c = l
-        vals, _ = conjugate(dual.axes(), np.where(sel, phistar.values, np.inf), phi.grid.axes())
-        samples.append(ConvexGridFunction(phi.grid, vals))
-    if lambda_c is None:
+    sels = [usable & (u.u.values >= l - 1e-12) for l in lam]
+    live = [j for j, sel in enumerate(sels) if sel.any()]
+    if not live:
         raise DomainError("every lambda selection is empty")
+    lambda_c = lam[live[-1]]
+    samples = [ConvexGridFunction.trusted(GridFunction.neg_inf(phi.grid))] * lam.size
+    for g in _chunks(len(live), phi.grid.num_nodes):
+        stack = np.stack([np.where(sels[j], phistar.values, np.inf) for j in live[g]])
+        vals, _ = conjugate(dual.axes(), stack, phi.grid.axes())
+        for j, v in zip(live[g], vals):
+            samples[j] = ConvexGridFunction(phi.grid, v)
     if lambda_head is None:
         lambda_head = float(lam[0])
     return TestCurve(lam, tuple(samples), lambda_head=lambda_head, lambda_c=lambda_c)

@@ -72,11 +72,6 @@ class WeightedLatticeData:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    @property
-    def weight_bound(self) -> int:
-        """C with |weight at degree k| <= C k."""
-        return int(np.abs(self.weights).max())
-
     def _origin(self, k: int) -> np.ndarray:
         return k * self.points.min(axis=0)
 
@@ -368,15 +363,17 @@ def equivalence_check(
     data: WeightedLatticeData,
     t_grid,
     k_list,
-) -> np.ndarray:
+) -> tuple[np.ndarray, list[Ray]]:
     """Per-t sup-norm gaps between the Phong-Sturm rays and the
     envelope-built ray of the limit curve built from the degrees k_list.
 
     The envelope ray does not depend on the degree, so it is built once.
-    Row i of the (degrees, t) table is the gap at the i-th distinct degree
-    of k_list in ascending order.
+    Returns (gaps, rays): row i of the (degrees, t) table ``gaps`` is the
+    gap at the i-th distinct degree of k_list in ascending order, and
+    ``rays[i]`` is the Phong-Sturm ray it was measured against.
     """
     ks = sorted(set(int(k) for k in k_list))
     curve = limit_curve(inst, data, ks)
     hat = ray_from_curve(maximal_envelope(inst.phi, curve, inst.dual), t_grid)
-    return np.array([compare_rays(hat, phong_sturm_ray(inst, data, k, t_grid)) for k in ks])
+    rays = [phong_sturm_ray(inst, data, k, t_grid) for k in ks]
+    return np.array([compare_rays(hat, ray) for ray in rays]), rays

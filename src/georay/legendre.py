@@ -37,9 +37,18 @@ row is redone densely.  With window w = 5 the cost is O(n1 (n2 + m2 w)) +
 O(m2 (n1 + m1 w)), plus a row per unsettled pair; temporaries are built in
 blocks of ``_BLOCK`` elements.
 
+``conjugate`` takes one function or a stack of them along a leading batch
+axis; one function is the batch of one.  In 1-D the stacked rows go to the
+row kernel together; in 2-D pass 1 runs on r*n1 rows and pass 2 on r*m2.
+Callers that need one transform per lambda sample, path node or t conjugate
+their items in groups given by ``_chunks`` (about ``_BLOCK`` output values
+each), and reduce each group to regions, masses or frames before the next.
+
 Slope regions (the numerical Delta_phi) keep only dual nodes whose max is
 attained at an interior primal node: boundary attainment encodes the box
-truncation, not a genuine subgradient, and is discarded.
+truncation, not a genuine subgradient, and is discarded.  ``slope_regions``
+returns them for a group of functions together with the witnesses of their
+full conjugates, which the Monge-Ampere deposit reuses.
 """
 
 from __future__ import annotations
@@ -61,7 +70,10 @@ from .grids import (
 # A dual grid is an ordinary Grid over the slope box.
 DualGrid = Grid
 
-_BLOCK = 1 << 15  # elements per temporary: small blocks stay in cache
+# elements per temporary: small blocks stay in cache.  The row kernel keeps
+# a few dozen temporaries of a block alive, so the block also bounds the
+# memory that a grouped caller's group (about one block) adds.
+_BLOCK = 1 << 14
 _EPS = np.finfo(float).eps
 
 
@@ -170,7 +182,8 @@ def _transform_1d(x, V, y):
     whole |= (count > 0) & ((hi - lo + 1 != count) | (count < 5))
     dense[whole] = True
     rows = np.flatnonzero((count > 0) & ~whole)
-    for b in _chunks(rows.size, len(y)):
+    # a block's temporaries are (rows x n) and (rows x len(y))
+    for b in _chunks(rows.size, n + len(y)):
         k = rows[b]
         vals[k], wit[k], gap[k], settled = _window(x, V[k], kept[k], y, lo[k, None], hi[k, None])
         dense[k] = ~settled
@@ -205,17 +218,17 @@ def _window(x, W, run, y, lo, hi):
     pos = np.searchsorted(y, np.where(np.arange(n - 1) < hi, S, np.inf), side="right")
     J = np.bincount((pos + (len(y) + 1) * row).ravel(), minlength=k * (len(y) + 1))
     J = J.reshape(k, -1).cumsum(axis=1)[:, :-1]
-    # the window s..s+4 of the run around J: its first max and second largest
-    s = np.maximum(np.minimum(J - 2, hi - 4), lo)
+    # the window s..s+4 of the run around J: its first max (the first strict
+    # rise; the window holds no NaN) and second largest.  Arrays of this
+    # size are updated in place, so a block keeps few of them alive.
+    s = np.maximum(np.minimum(J - 2, hi - 4, out=J), lo, out=J)
     at = row * n + s
-    cand = [x[s + d] * y - W.take(at + d) for d in range(5)]
-    v, second = cand[0], np.full(s.shape, -np.inf)
-    for c in cand[1:]:
-        second, v = np.maximum(second, np.minimum(v, c)), np.maximum(v, c)
-    w, ahead = s.copy(), cand[0] != v
-    for c in cand[1:]:
-        w += ahead
-        ahead &= c != v
+    v, w, second = x[s] * y - W.take(at), s.copy(), np.full(s.shape, -np.inf)
+    for d in range(1, 5):
+        c = x[s + d] * y - W.take(at + d)
+        np.maximum(second, np.minimum(v, c), out=second)
+        np.copyto(w, s + d, where=c > v)
+        np.maximum(v, c, out=v)
     # certificate: g = x*y - H is concave and g >= x*y - W, so g at the
     # nodes s-1 and s+5 bounds every node beyond them; H padded with +inf
     # bounds nothing where the run has no such node
@@ -223,29 +236,51 @@ def _window(x, W, run, y, lo, hi):
     Hp[:, 1:-1] = np.where(run, H, np.inf)
     xp = np.concatenate(([0.0], x, [0.0]))
     at += 2 * row  # node s-1 in the padding
-    bound = np.maximum(xp[s] * y - Hp.take(at), xp[s + 6] * y - Hp.take(at + 6))
+    bound = xp[s] * y - Hp.take(at)
+    np.maximum(bound, xp[s + 6] * y - Hp.take(at + 6), out=bound)
     bound += (64 + hi - lo + 1) * _EPS * scale
-    return v, w, v - np.maximum(second, bound), bound < v
+    gap = np.subtract(v, np.maximum(second, bound, out=second), out=second)
+    return v, w, gap, bound < v
 
 
 def conjugate(axes, values, dual_axes):
     """max over primal nodes of <x,y> - values and its lowest-index witness,
-    bit-identical to ``_transform_brute``; +inf values are excluded nodes."""
+    bit-identical to ``_transform_brute``; +inf values are excluded nodes.
+
+    ``values`` is one function on the primal nodes or a stack of them along
+    a leading batch axis; the outputs then carry the same batch axis.
+    """
+    single = values.ndim == len(axes)
+    V = values[None] if single else values
+    r = len(V)
     if len(axes) == 1:
-        vals, wit, _, _ = _transform_1d(axes[0], values, dual_axes[0])
-        return vals[0], wit[0]
-    (x1, x2), (y1, y2) = axes, dual_axes
-    t, w2, gap, _ = _transform_1d(x2, values, y2)
-    out, w1, _, _ = _transform_1d(x1, -t.T, y1)  # x1*y1 - (-t) is x1*y1 + t
-    out, w1 = out.T, w1.T
-    w2, gap = w2[w1, np.arange(len(y2))], gap[w1, np.arange(len(y2))]
-    # sums that round alike lie within eps * |sum| of each other
-    pp, qq = np.nonzero(~(gap > 4 * _EPS * np.abs(out) + np.finfo(float).tiny))
-    for b in _chunks(pp.size, len(x2)):
-        p, q = pp[b], qq[b]
-        i = w1[p, q]
-        w2[p, q] = np.argmax(x1[i, None] * y1[p, None] + (x2 * y2[q, None] - values[i]), axis=1)
-    return out, w1 * len(x2) + w2
+        out, wit, _, _ = _transform_1d(axes[0], V, dual_axes[0])
+    else:
+        (x1, x2), (y1, y2) = axes, dual_axes
+        n1, n2, m1, m2 = len(x1), len(x2), len(y1), len(y2)
+        t, w2, gap, _ = _transform_1d(x2, V.reshape(r * n1, n2), y2)
+        # x1*y1 - (-t) is x1*y1 + t
+        T = -t.reshape(r, n1, m2).transpose(0, 2, 1).reshape(r * m2, n1)
+        out, w1, _, _ = _transform_1d(x1, T, y1)
+        out = out.reshape(r, m2, m1).transpose(0, 2, 1)
+        w1 = w1.reshape(r, m2, m1).transpose(0, 2, 1)
+        at = (np.arange(r)[:, None, None], w1, np.arange(m2))
+        w2, gap = w2.reshape(r, n1, m2)[at], gap.reshape(r, n1, m2)[at]
+        # sums that round alike lie within eps * |sum| of each other
+        bb, pp, qq = np.nonzero(~(gap > 4 * _EPS * np.abs(out) + np.finfo(float).tiny))
+        for s in _chunks(bb.size, n2):
+            b, p, q = bb[s], pp[s], qq[s]
+            i = w1[b, p, q]
+            cand = x1[i, None] * y1[p, None] + (x2 * y2[q, None] - V[b, i])
+            w2[b, p, q] = np.argmax(cand, axis=1)
+        wit = w1 * n2 + w2
+    return (out[0], wit[0]) if single else (out, wit)
+
+
+def _require_finite(f: GridFunction):
+    if not f.finite_mask.all():
+        # any -inf node would push the max to +inf at every slope
+        raise DomainError("conjugate of a function with -inf values is +inf everywhere")
 
 
 def legendre(
@@ -259,9 +294,7 @@ def legendre(
     method is "fast" (the certified ``conjugate`` kernel) or "brute"; the
     two agree bit-for-bit including the argmax witness.
     """
-    if not f.finite_mask.all():
-        # any -inf node would push the max to +inf at every slope
-        raise DomainError("conjugate of a function with -inf values is +inf everywhere")
+    _require_finite(f)
     if method == "fast":
         vals, wit = conjugate(f.grid.axes(), f.values, dual.axes())
     elif method == "brute":
@@ -349,6 +382,33 @@ def _convex_fill(grid: Grid, mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def slope_regions(fs, dual: Grid, tol: float | None = None):
+    """Yield (mask, witness) for each function of ``fs`` (one primal grid):
+    the node mask of its slope region, as ``subgradient_range``, and the
+    witnesses of its full conjugate on ``dual``.
+
+    The conjugates are taken in groups of ``_chunks`` items, and a group's
+    regions are yielded before the next group is conjugated.
+    """
+    for f in fs:
+        if f.is_identically_neg_inf:
+            raise DomainError("identically -inf function has no subgradients")
+    if not fs:
+        return
+    axes = fs[0].grid.axes()
+    inner = [a[1:-1] for a in axes]
+    sl = (slice(None),) + tuple(slice(1, -1) for _ in axes)
+    for g in _chunks(len(fs), dual.num_nodes):
+        V = np.stack([f.values for f in fs[g]])
+        full, wit = conjugate(axes, V, dual.axes())
+        interior, _ = conjugate(inner, V[sl], dual.axes())
+        for f, a, b, w in zip(fs[g], full, interior, wit):
+            t = tol
+            if t is None:
+                t = 1e-8 * max(1.0, f.value_range(), float(np.abs(a).max()))
+            yield _convex_fill(dual, b >= a - t), w
+
+
 def subgradient_range(
     f: ConvexGridFunction, dual: Grid, tol: float | None = None
 ) -> SlopeRegion:
@@ -356,19 +416,12 @@ def subgradient_range(
 
     Attainment is tested by comparing the full conjugate against the
     conjugate restricted to interior primal nodes; nodes passing within
-    ``tol`` are kept, and the set is closed under the discrete convex hull.
+    ``tol`` (default 1e-8 times the larger of 1, the value range and the
+    largest |conjugate|) are kept, and the set is closed under the discrete
+    convex hull.
     """
-    if f.is_identically_neg_inf:
-        raise DomainError("identically -inf function has no subgradients")
-    full, _ = conjugate(f.grid.axes(), f.values, dual.axes())
-    int_axes = [a[1:-1] for a in f.grid.axes()]
-    sl = tuple(slice(1, -1) for _ in range(f.grid.dim))
-    interior, _ = conjugate(int_axes, f.values[sl], dual.axes())
-    if tol is None:
-        scale = max(1.0, f.value_range(), float(np.abs(full).max()))
-        tol = 1e-8 * scale
-    mask = (interior >= full - tol).reshape(dual.shape)
-    return SlopeRegion(dual, _convex_fill(dual, mask))
+    mask, _ = next(slope_regions([f], dual, tol))
+    return SlopeRegion(dual, mask)
 
 
 def _concave_envelope_on_points(pts: np.ndarray, vals: np.ndarray) -> np.ndarray:

@@ -17,9 +17,13 @@ import numpy as np
 from .errors import DomainError
 from .grids import ConvexGridFunction, Grid, GridFunction
 from .legendre import (
+    _chunks,
+    _require_finite,
     check_dual_contains_slopes,
+    conjugate,
     default_dual_grid,
     legendre,
+    slope_regions,
     subgradient_range,
 )
 
@@ -51,6 +55,14 @@ class EnergyReport:
     t_samples: int = 0
 
 
+def _deposit(f: GridFunction, wit: np.ndarray, dual: Grid, mask=None) -> np.ndarray:
+    """One dual-cell volume at the primal node of each witness (of the dual
+    nodes in ``mask`` only, when given), accumulated in row-major order."""
+    masses = np.zeros(f.grid.num_nodes)
+    np.add.at(masses, (wit if mask is None else wit[mask]).ravel(), dual.cell_volume)
+    return masses.reshape(f.grid.shape)
+
+
 def ma_measure(
     f: ConvexGridFunction, dual: Grid | None = None, region=None
 ) -> DiscreteMeasure:
@@ -67,13 +79,23 @@ def ma_measure(
     if dual is None:
         dual = default_dual_grid(f)
     _, wit = legendre(f, dual, return_witness=True)
-    if region is not None:
-        if region.grid != dual:
-            raise DomainError("region grid does not match dual grid")
-        wit = wit[region.mask]
-    masses = np.zeros(f.grid.num_nodes)
-    np.add.at(masses, wit.ravel(), dual.cell_volume)
-    return DiscreteMeasure(f.grid, masses.reshape(f.grid.shape))
+    if region is not None and region.grid != dual:
+        raise DomainError("region grid does not match dual grid")
+    return DiscreteMeasure(f.grid, _deposit(f, wit, dual, None if region is None else region.mask))
+
+
+def region_measures(fs, dual: Grid):
+    """Yield (mask, masses) for each function f of ``fs`` (one primal grid,
+    none identically -inf): the node mask of ``subgradient_range(f, dual)``
+    and the masses of ``ma_measure(f, dual, region=...)`` on it.
+
+    Both come from ``slope_regions``, which conjugates the functions in
+    groups; the deposit reuses the witnesses of its full conjugate.
+    """
+    for f in fs:
+        _require_finite(f)
+    for f, (mask, wit) in zip(fs, slope_regions(fs, dual)):
+        yield mask, _deposit(f, wit, dual, mask)
 
 
 def total_mass_identity_check(f: ConvexGridFunction, dual: Grid | None = None) -> float:
@@ -135,11 +157,22 @@ def energy_quadrature(
     w[2:-1:2] = 2.0
     w *= (ts[1] - ts[0]) / 3.0
     total = 0.0
-    for t, wt in zip(ts, w):
-        vt = np.where(f1.finite_mask, (1.0 - t) * f0.values + t * f1.values, -np.inf)
-        ft = ConvexGridFunction(f1.grid, vt)
-        mu = mu0 if t == 0.0 else ma_measure(ft, dual, region=region)
-        total += wt * float((diff * mu.masses).sum())
+    total += w[0] * float((diff * mu0.masses).sum())  # t = 0: f0 itself
+    # the later nodes, validated one by one and conjugated in groups
+    axes = f1.grid.axes()
+    for g in _chunks(t_samples - 1, dual.num_nodes):
+        fts = [
+            ConvexGridFunction(
+                f1.grid, np.where(f1.finite_mask, (1.0 - t) * f0.values + t * f1.values, -np.inf)
+            )
+            for t in ts[1:][g]
+        ]
+        for ft in fts:
+            _require_finite(ft)
+        _, wits = conjugate(axes, np.stack([ft.values for ft in fts]), dual.axes())
+        for wt, wit in zip(w[1:][g], wits):
+            masses = _deposit(f1, wit, dual, region.mask)
+            total += wt * float((diff * masses).sum())
     return EnergyReport(value=total, method="quadrature", t_samples=t_samples)
 
 

@@ -18,7 +18,8 @@ import numpy as np
 from .curves import ConcaveTransform, TestCurve
 from .errors import DomainError
 from .grids import ConvexGridFunction, Grid, GridFunction, NEG_INF
-from .monge_ampere import _energy_dual_grid, energy_base, energy_quadrature, ma_measure
+from .legendre import _chunks, conjugate, legendre
+from .monge_ampere import _energy_dual_grid, energy_base, energy_quadrature, region_measures
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,8 +80,6 @@ def ray_dual(
     phi: ConvexGridFunction, u: ConcaveTransform, t_grid=None
 ) -> Ray:
     """frame(t) = conjugate (dual -> primal) of phi* - t u on the u-region."""
-    from .legendre import conjugate, legendre
-
     if t_grid is None:
         t_grid = default_t_grid()
     ts = np.asarray(t_grid, dtype=float).ravel()
@@ -91,11 +90,11 @@ def ray_dual(
     star = legendre(phi, dual).values[sel]
     uv = u.u.values[sel]
     frames = []
-    for t in ts:
-        mod = np.full(dual.shape, np.inf)
-        mod[sel] = star - t * uv
+    for g in _chunks(ts.size, phi.grid.num_nodes):
+        mod = np.full((ts[g].size,) + dual.shape, np.inf)
+        mod[:, sel] = star - ts[g, None] * uv
         vals, _ = conjugate(dual.axes(), mod, phi.grid.axes())
-        frames.append(GridFunction(phi.grid, vals))
+        frames += [GridFunction(phi.grid, v) for v in vals]
     return Ray(ts, tuple(frames), source="dual")
 
 
@@ -118,17 +117,11 @@ def _predicted_slope(tc: TestCurve, dual: Grid | None = None) -> float:
     Right Riemann-Stieltjes over the stored lambda grid, including the
     terminal drop of F to zero at lambda_c.
     """
-    from .legendre import subgradient_range
-
     if dual is None:
         dual = _energy_dual_grid(tc.head)
-    lams, Fs = [], []
-    for lam, s in zip(tc.lambdas, tc.samples):
-        if s.is_identically_neg_inf:
-            continue
-        lams.append(lam)
-        region = subgradient_range(s, dual)
-        Fs.append(ma_measure(s, dual, region=region).total)
+    live = [j for j, s in enumerate(tc.samples) if not s.is_identically_neg_inf]
+    lams = tc.lambdas[live]
+    Fs = [float(m.sum()) for _, m in region_measures([tc.samples[j] for j in live], dual)]
     total = 0.0
     for j in range(1, len(Fs)):
         total += lams[j] * (Fs[j] - Fs[j - 1])

@@ -166,12 +166,15 @@ def dump_measure_csv(mu: DiscreteMeasure) -> str:
 
 
 def dump_ray_csv(ray) -> str:
-    coords = _coord_fields(ray.grid)
-    header = "t," + ",".join(f"x{i}" for i in range(ray.grid.dim)) + ",value"
-    rows = [header]
+    lead = [c + "," for c in _coord_fields(ray.grid)]
+    blocks = ["t," + ",".join(f"x{i}" for i in range(ray.grid.dim)) + ",value"]
     for t, fr in zip(ray.t_grid.tolist(), ray.frames):
-        rows.extend(f"{t!r},{c},{_fmt(v)}" for c, v in zip(coords, fr.values.ravel().tolist()))
-    return "\n".join(rows) + "\n"
+        head = f"{t!r},"
+        # repr of a Python float is _fmt's token, -inf included; joining
+        # per frame keeps one frame's row strings alive, not every row's
+        vals = map(repr, fr.values.ravel().tolist())
+        blocks.append("\n".join([head + c + v for c, v in zip(lead, vals)]))
+    return "\n".join(blocks) + "\n"
 
 
 def dump_weight_data(data: WeightedLatticeData) -> str:

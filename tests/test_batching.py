@@ -1,0 +1,194 @@
+"""The grouped callers of ``conjugate`` against per-item references.
+
+Each reference below is the loop the library ran before its items were
+conjugated in groups: one ``subgradient_range``, ``ma_measure`` or
+``conjugate`` call per lambda sample, path node or t.  Results must be equal,
+not close, and stay so when a small ``_BLOCK`` splits the items into many
+groups.
+"""
+
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from georay.checks import check_contact_concentration
+from georay.curves import concave_transform, contact_set, envelope_from_u
+from georay.grids import ConvexGridFunction
+from georay.instances import huber_instance
+from georay.legendre import conjugate, legendre, subgradient_range
+from georay.monge_ampere import _energy_dual_grid, energy_quadrature, ma_measure
+from georay.rays import LinearityReport, energy_linearity, ray_dual, ray_from_curve
+from test_legendre import bowl_instance_2d
+
+LEGENDRE = sys.modules["georay.legendre"]
+
+
+def energy_quadrature_ref(f1, f0, t_samples, dual):
+    region = subgradient_range(f0, dual)
+    mu0 = ma_measure(f0, dual, region=region)
+    diff = np.where(f1.finite_mask, f1.values - f0.values, 0.0)
+    ts = np.linspace(0.0, 1.0, t_samples)
+    w = np.ones(t_samples)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    w *= (ts[1] - ts[0]) / 3.0
+    total = 0.0
+    for t, wt in zip(ts, w):
+        vt = np.where(f1.finite_mask, (1.0 - t) * f0.values + t * f1.values, -np.inf)
+        mu = mu0 if t == 0.0 else ma_measure(ConvexGridFunction(f1.grid, vt), dual, region=region)
+        total += wt * float((diff * mu.masses).sum())
+    return total
+
+
+def predicted_slope_ref(tc, dual):
+    lams, Fs = [], []
+    for lam, s in zip(tc.lambdas, tc.samples):
+        if s.is_identically_neg_inf:
+            continue
+        lams.append(lam)
+        Fs.append(ma_measure(s, dual, region=subgradient_range(s, dual)).total)
+    total = 0.0
+    for j in range(1, len(Fs)):
+        total += lams[j] * (Fs[j] - Fs[j - 1])
+    total += tc.lambda_c * (0.0 - Fs[-1])
+    return -total
+
+
+def energy_linearity_ref(ray, f0, t_samples=11):
+    dual = _energy_dual_grid(f0)
+    energies = np.array(
+        [
+            energy_quadrature_ref(ConvexGridFunction.trusted(fr), f0, t_samples, dual)
+            for fr in ray.frames
+        ]
+    )
+    slope, intercept = np.polyfit(ray.t_grid, energies, 1)
+    resid = float(np.abs(energies - (slope * ray.t_grid + intercept)).max())
+    return LinearityReport(
+        float(slope), float(intercept), resid, predicted_slope_ref(ray.curve, dual)
+    )
+
+
+def envelope_ref(phi, u, lambdas, dual):
+    star = legendre(phi, dual).values
+    usable = u.base.mask & np.isfinite(u.u.values)
+    out = []
+    for lam in lambdas:
+        sel = usable & (u.u.values >= lam - 1e-12)
+        vals = np.full(phi.grid.shape, -np.inf)
+        if sel.any():
+            vals, _ = conjugate(dual.axes(), np.where(sel, star, np.inf), phi.grid.axes())
+        out.append(vals.reshape(phi.grid.shape))
+    return out
+
+
+def concave_transform_ref(tc, dual):
+    u, base = np.full(dual.shape, -np.inf), None
+    for lam, s in zip(tc.lambdas, tc.samples):
+        if s.is_identically_neg_inf:
+            continue
+        region = subgradient_range(s, dual)
+        base = region.mask if base is None else base
+        u[region.mask] = lam
+    return u, base
+
+
+def ray_dual_ref(phi, u, ts):
+    dual = u.u.grid
+    sel = u.base.mask & np.isfinite(u.u.values)
+    star = legendre(phi, dual).values[sel]
+    frames = []
+    for t in ts:
+        mod = np.full(dual.shape, np.inf)
+        mod[sel] = star - t * u.u.values[sel]
+        vals, _ = conjugate(dual.axes(), mod, phi.grid.axes())
+        frames.append(vals.reshape(phi.grid.shape))
+    return frames
+
+
+@pytest.fixture(scope="module", params=["1d", "2d"])
+def case(request):
+    """(phi, dual, u, curve, ray) on a 1-D Huber bowl (129 nodes, 33
+    lambdas) and a 2-D sum of Huber bowls (17 x 17, 9 lambdas)."""
+    if request.param == "1d":
+        inst = huber_instance()
+        phi, dual, u, curve = inst.phi, inst.dual, inst.u, inst.curve
+    else:
+        phi, dual, u = bowl_instance_2d(17)
+        curve = envelope_from_u(phi, u, np.linspace(-1.0, 0.0, 9), dual)
+    return phi, dual, u, curve, ray_from_curve(curve)
+
+
+# the default block, and blocks that split each caller's items into groups
+# of one to a few dozen
+@pytest.fixture(params=[None, 1200, 3000])
+def block(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(LEGENDRE, "_BLOCK", request.param)
+
+
+def test_energy_quadrature(case, block):
+    phi, _, _, _, ray = case
+    dual = _energy_dual_grid(phi)
+    f1 = ConvexGridFunction.trusted(ray.frames[-1])
+    for t_samples in (3, 11):
+        got = energy_quadrature(f1, phi, t_samples, dual=dual).value
+        assert got == energy_quadrature_ref(f1, phi, t_samples, dual)
+
+
+def test_energy_linearity(case, block):
+    phi, _, _, _, ray = case
+    assert energy_linearity(ray, phi) == energy_linearity_ref(ray, phi)
+
+
+def test_envelope_from_u(case, block):
+    phi, dual, u, curve, _ = case
+    lambdas = np.append(curve.lambdas, 5.0)  # the last selection is empty
+    tc = envelope_from_u(phi, u, lambdas, dual)
+    ref = envelope_ref(phi, u, lambdas, dual)
+    assert tc.lambda_c == curve.lambda_c
+    for s, want in zip(tc.samples, ref):
+        assert np.array_equal(s.values, want)
+
+
+def test_concave_transform(case, block):
+    _, dual, _, curve, _ = case
+    ct = concave_transform(curve, dual)
+    u, base = concave_transform_ref(curve, dual)
+    assert np.array_equal(ct.u.values, u)
+    assert np.array_equal(ct.base.mask, base)
+
+
+def test_ray_dual(case, block):
+    phi, _, u, _, ray = case
+    got = ray_dual(phi, u, ray.t_grid)
+    for fr, want in zip(got.frames, ray_dual_ref(phi, u, ray.t_grid)):
+        assert np.array_equal(fr.values, want)
+
+
+def test_contact_concentration(block):
+    inst = huber_instance()
+    worst = 0.0
+    for lam, s in zip(inst.curve.lambdas, inst.curve.samples):
+        if lam >= inst.curve.lambda_c or s.is_identically_neg_inf:
+            continue
+        mu = ma_measure(s, inst.dual, region=subgradient_range(s, inst.dual))
+        outside = float(mu.masses[~contact_set(inst.phi, s)].sum())
+        worst = max(worst, outside / (3.0 * inst.dual.cell_volume))
+    assert check_contact_concentration()["measured"] == worst
+
+
+def test_energy_linearity_memory_2d():
+    # the per-item loop peaked at 3.47 MB here; groups may not raise it by
+    # more than 15%
+    phi, dual, u = bowl_instance_2d(65)
+    ray = ray_from_curve(envelope_from_u(phi, u, np.linspace(-1.0, 0.0, 17), dual))
+    tracemalloc.start()
+    try:
+        energy_linearity(ray, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.15 * 3.47 * 2**20

@@ -181,7 +181,7 @@ class TestLimitCurveAndRay:
     def test_gap_decreases(self, base_inst, w01):
         ts = np.linspace(0.0, 1.0, 6)
         k_list = [4, 8, 16, 32]
-        gaps = equivalence_check(base_inst, w01, ts, k_list)
+        gaps, _ = equivalence_check(base_inst, w01, ts, k_list)
         assert gaps.shape == (len(k_list), ts.size)
         g4, g32 = gaps[0].max(), gaps[-1].max()
         assert g32 < g4
@@ -189,20 +189,22 @@ class TestLimitCurveAndRay:
     def test_gap_rows_match_separate_rays(self, base_inst, w01):
         ts = np.linspace(0.0, 1.0, 6)
         k_list = [16, 4, 8]
-        gaps = equivalence_check(base_inst, w01, ts, k_list)
+        gaps, rays = equivalence_check(base_inst, w01, ts, k_list)
         curve = limit_curve(base_inst, w01, k_list)
         hat = ray_from_curve(maximal_envelope(base_inst.phi, curve, base_inst.dual), ts)
-        for k, row in zip(sorted(k_list), gaps):
+        assert len(rays) == len(k_list)
+        for k, row, ray in zip(sorted(k_list), gaps, rays):
             ps = phong_sturm_ray(base_inst, w01, k, ts)
             assert np.array_equal(row, compare_rays(hat, ps))
+            assert all(np.array_equal(a.values, b.values) for a, b in zip(ray.frames, ps.frames))
 
     def test_gap_independent_of_closure_cache(self, base_inst):
         ts = np.linspace(0.0, 1.0, 6)
         cold = WeightedLatticeData(np.array([[0], [1]]), np.array([0, 1]))
         warm = WeightedLatticeData(np.array([[0], [1]]), np.array([0, 1]))
         warm.closure(32)
-        g_cold = equivalence_check(base_inst, cold, ts, [4, 8])
-        g_warm = equivalence_check(base_inst, warm, ts, [4, 8])
+        g_cold, _ = equivalence_check(base_inst, cold, ts, [4, 8])
+        g_warm, _ = equivalence_check(base_inst, warm, ts, [4, 8])
         assert np.array_equal(g_cold, g_warm)
 
     def test_trivial_weights_constant_in_t(self, base_inst):

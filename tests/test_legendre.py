@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +32,9 @@ from georay.legendre import (
 )
 from georay.monge_ampere import _energy_dual_grid
 from georay.rays import ray_dual
+
+# the module; the package re-exports its function ``legendre`` under this name
+LEGENDRE = sys.modules["georay.legendre"]
 
 
 def conjugate_oracle(f, dual):
@@ -383,6 +388,52 @@ def test_masked_conjugate_equals_masked_max(data):
         ovals, owit = masked_oracle([x], v[r], mask[r], [y])
         assert np.array_equal(rvals[r], ovals)
         assert np.array_equal(rwit[r][np.isfinite(ovals)], owit[np.isfinite(ovals)])
+
+
+@st.composite
+def batch_inputs(draw):
+    """A stack of 1 to 7 functions on shared 1-D or 2-D axes: data of every
+    kind, some with +inf masks, all +inf, or one -inf or NaN entry; dual axes
+    holding their slopes; and a block size from one row per block up."""
+    dim = draw(st.sampled_from([1, 2]))
+    axes = []
+    for _ in range(dim):
+        lo = draw(st.floats(-3, 0))
+        axes.append(np.linspace(lo, lo + draw(st.floats(0.5, 4)), draw(st.integers(3, 12))))
+    shape = tuple(len(a) for a in axes)
+    items, slopes = [], []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["random", "rounded", "constant", "linear", "kinked", "bowl"]))
+        v, used = _data(draw, kind, axes[0], axes[1] if dim == 2 else np.zeros(1))
+        v = v.reshape(shape)
+        slopes += used
+        extra = draw(st.sampled_from(["none", "mask", "all +inf", "-inf", "nan"]))
+        if extra == "mask":
+            bits = draw(st.lists(st.booleans(), min_size=v.size, max_size=v.size))
+            v = np.where(np.reshape(bits, shape), v, np.inf)
+        elif extra == "all +inf":
+            v = np.full(shape, np.inf)
+        elif extra != "none":
+            v.flat[draw(st.integers(0, v.size - 1))] = -np.inf if extra == "-inf" else np.nan
+        items.append(v)
+    extra = [draw(st.lists(st.floats(-20, 20), min_size=1, max_size=9)) for _ in range(dim)]
+    dual_axes = [np.sort(np.concatenate([slopes, e])) for e in extra]
+    block = draw(st.one_of(st.just(LEGENDRE._BLOCK), st.integers(1, 300)))
+    return axes, np.stack(items), dual_axes, block
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch_inputs())
+def test_batched_conjugate_equals_single_calls(data):
+    # small blocks split the stack's rows across the kernel's row blocks
+    axes, stack, dual_axes, block = data
+    with mock.patch.object(LEGENDRE, "_BLOCK", block):
+        vals, wit = conjugate(axes, stack, dual_axes)
+    assert vals.shape == wit.shape == (len(stack),) + tuple(len(a) for a in dual_axes)
+    for v, bvals, bwit in zip(stack, vals, wit):
+        svals, swit = conjugate(axes, v, dual_axes)
+        assert np.array_equal(bvals, svals, equal_nan=True)
+        assert np.array_equal(bwit, swit)
 
 
 class TestKernel2D:

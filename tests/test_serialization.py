@@ -116,3 +116,16 @@ class TestCsvDumps:
                 for field in row.split(","):
                     float(field)
 
+    def test_ray_csv_bytes_match_per_field_format(self, rng):
+        # the row format before frames were formatted with repr in bulk
+        g = make_grid(Box((-1.0, 0.0), (1.0, 2.0)), (3, 4))
+        finite = GridFunction(g, rng.standard_normal(g.shape) * 1e3)
+        partial = rng.standard_normal(g.shape)
+        partial[1, 2] = partial[0, 0] = NEG_INF
+        frames = (finite, GridFunction(g, partial), GridFunction.neg_inf(g))
+        ray = Ray(np.array([0.0, 0.1, 2.0 / 3.0]), frames)
+        coords = [",".join(repr(float(x)) for x in c) for c in g.coords()]
+        rows = ["t,x0,x1,value"]
+        for t, fr in zip(ray.t_grid, ray.frames):
+            rows += [f"{float(t)!r},{c},{ser._fmt(v)}" for c, v in zip(coords, fr.values.ravel())]
+        assert ser.dump_ray_csv(ray) == "\n".join(rows) + "\n"
