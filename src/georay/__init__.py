@@ -19,7 +19,6 @@ from .grids import (
     pointwise_shift,
 )
 from .legendre import (
-    DualGrid,
     SlopeRegion,
     biconjugate,
     default_dual_grid,

@@ -11,6 +11,10 @@ Problem files are JSON documents::
      "lambda": {"min": .., "max": .., "spacing": ..},         (dual_u only)
      "t_nodes": 11, "t_max": 1.0, "tol_scale": 1.0}
 
+``--tol-scale`` multiplies the tolerances of ``ray`` (the test-curve
+validation and the linearity verdict) and the bounds of ``check``;
+``filtration`` has none to scale.
+
 Exit codes: 0 success, 2 parse error, 3 validation failure, 4 resource
 limit.  Output is deterministic: identical inputs give byte-identical
 files.
@@ -85,6 +89,7 @@ def cmd_ray(spec_path: str, out_dir: str, tol_scale: float = 1.0) -> int:
     out.mkdir(parents=True, exist_ok=True)
     ts = _t_grid(doc)
 
+    u = None
     if doc["kind"] == "curve":
         tc = ser.load_test_curve((specdir / doc["curve"]).read_text())
         phi = (
@@ -122,8 +127,8 @@ def cmd_ray(spec_path: str, out_dir: str, tol_scale: float = 1.0) -> int:
         tc = envelope_from_u(phi, u, lambdas, dual, lambda_head=lo)
 
     ray = ray_from_curve(tc, ts)
-    rep = energy_linearity(ray, phi)
     (out / "ray.csv").write_text(ser.dump_ray_csv(ray))
+    rep = energy_linearity(ray, phi, u)
     energy = {
         "slope": rep.slope,
         "intercept": rep.intercept,
@@ -139,9 +144,7 @@ def cmd_ray(spec_path: str, out_dir: str, tol_scale: float = 1.0) -> int:
     return 0
 
 
-def cmd_filtration(
-    spec_path: str, out_dir: str, k_list=(4, 8, 16, 32), tol_scale: float = 1.0
-) -> int:
+def cmd_filtration(spec_path: str, out_dir: str, k_list=(4, 8, 16, 32)) -> int:
     doc = _load_spec(spec_path)
     if doc["kind"] != "filtration":
         raise ParseError("filtration command needs kind filtration")
@@ -226,9 +229,7 @@ def main(argv=None) -> int:
         if args.command == "ray":
             return cmd_ray(args.spec, args.out, args.tol_scale)
         if args.command == "filtration":
-            return cmd_filtration(
-                args.spec, args.out, _parse_k_list(args.k), args.tol_scale
-            )
+            return cmd_filtration(args.spec, args.out, _parse_k_list(args.k))
         return cmd_check(args.suite, args.json, args.tol_scale)
     except ParseError as exc:
         loc = ""

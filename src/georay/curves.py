@@ -12,18 +12,12 @@ confined to the region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .grids import (
-    ConvexGridFunction,
-    Grid,
-    GridFunction,
-    NEG_INF,
-    pointwise_shift,
-)
+from .grids import ConvexGridFunction, Grid, GridFunction, NEG_INF
 from .legendre import (
     SlopeRegion,
     _chunks,
@@ -32,6 +26,7 @@ from .legendre import (
     legendre,
     slope_regions,
     subgradient_range,
+    trapezoid_weights,
 )
 
 
@@ -159,6 +154,12 @@ class ConcaveTransform:
     def __post_init__(self):
         if self.u.grid != self.base.grid:
             raise DomainError("u and base live on different dual grids")
+
+    def integral(self) -> float:
+        """int of u over the finite part of the base, by the trapezoid rule."""
+        sel = self.base.mask & np.isfinite(self.u.values)
+        wu = trapezoid_weights(sel)[sel] * self.u.values[sel]
+        return float(wu.sum()) * self.u.grid.cell_volume
 
 
 def concave_transform(

@@ -11,14 +11,14 @@ together with the equivalence check against the envelope-built ray.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import TestCurve, maximal_envelope
 from .errors import DomainError, ResourceError
 from .grids import ConvexGridFunction, Grid, GridFunction, NEG_INF, lower_convex_envelope
-from .legendre import _lower_hull_1d, check_dual_contains_slopes, conjugate
+from .legendre import _concave_envelope_on_points, check_dual_contains_slopes, conjugate
 from .rays import Ray, compare_rays, default_t_grid, ray_from_curve
 
 #: Guard on lattice array sizes produced by closures.
@@ -155,12 +155,14 @@ class BergmanInstance:
     def conj_at(self, y: np.ndarray) -> np.ndarray:
         """phi*(y) at arbitrary slope points (exact max over primal nodes)."""
         y = np.atleast_2d(y)
-        for ax in range(y.shape[1]):
-            if (
-                y[:, ax].min() < self.dual.box.lower[ax] - 1e-12
-                or y[:, ax].max() > self.dual.box.upper[ax] + 1e-12
-            ):
-                raise DomainError("normalized lattice point outside the dual box")
+        lo, hi = self.dual.box.lower, self.dual.box.upper
+        out = (y < np.array(lo) - 1e-12) | (y > np.array(hi) + 1e-12)
+        if out.any():
+            i, ax = np.argwhere(out)[0]
+            raise DomainError(
+                f"normalized lattice point {y[i].tolist()} outside the dual box: "
+                f"axis {ax} coordinate {float(y[i, ax])!r} not in [{lo[ax]!r}, {hi[ax]!r}]"
+            )
         # the points lie on the tensor grid of their distinct coordinates
         axes, where = zip(*(np.unique(c, return_inverse=True) for c in y.T))
         vals, _ = conjugate(self.phi.grid.axes(), self.phi.values, axes)
@@ -292,19 +294,13 @@ def concave_transform_g(data: WeightedLatticeData, k: int) -> ConcaveTransformG:
     """Concave envelope of {(alpha/k, weight(alpha)/k)} on the polytope."""
     pts, w = data.reachable(k)
     x = pts.astype(float) / k
-    v = w.astype(float) / k
+    env = _concave_envelope_on_points(x, w.astype(float) / k)
     if data.dim == 1:
-        order = np.argsort(x[:, 0], kind="stable")
-        xs, vs = x[order, 0], v[order]
-        hull = _lower_hull_1d(xs, -vs)
-        env = -np.interp(xs, xs[hull], -vs[hull])
-        return ConcaveTransformG(xs[:, None], env, None)
-    from .legendre import _concave_envelope_on_points
+        # row-major points ascend in 1-D, as np.interp in __call__ needs
+        return ConcaveTransformG(x, env, None)
     from scipy.spatial import ConvexHull
 
-    env = _concave_envelope_on_points(x, v)
-    hull = ConvexHull(x)
-    return ConcaveTransformG(x, env, hull.equations)
+    return ConcaveTransformG(x, env, ConvexHull(x).equations)
 
 
 def moment_check(

@@ -48,7 +48,8 @@ Slope regions (the numerical Delta_phi) keep only dual nodes whose max is
 attained at an interior primal node: boundary attainment encodes the box
 truncation, not a genuine subgradient, and is discarded.  ``slope_regions``
 returns them for a group of functions together with the witnesses of their
-full conjugates, which the Monge-Ampere deposit reuses.
+full conjugates, which the Monge-Ampere deposit reuses.  Integrals over a
+region use the trapezoid weights of its mask (``trapezoid_weights``).
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError
 from .grids import (
@@ -63,12 +65,8 @@ from .grids import (
     ConvexGridFunction,
     Grid,
     GridFunction,
-    NEG_INF,
     _lower_hull_1d,
 )
-
-# A dual grid is an ordinary Grid over the slope box.
-DualGrid = Grid
 
 # elements per temporary: small blocks stay in cache.  The row kernel keeps
 # a few dozen temporaries of a block alive, so the block also bounds the
@@ -108,7 +106,7 @@ def default_dual_grid(f: GridFunction, nodes_per_axis=None) -> Grid:
 
 
 def check_dual_contains_slopes(f: GridFunction, dual: Grid):
-    """DualGrid invariant: slope range of f inside the dual box."""
+    """The slope range of f lies inside the box of the dual grid."""
     v = f.values
     for ax in range(f.grid.dim):
         d = np.diff(v, axis=ax) / f.grid.spacing[ax]
@@ -342,6 +340,20 @@ class SlopeRegion:
         if self.grid != other.grid:
             raise DomainError("grid mismatch")
         return SlopeRegion(self.grid, self.mask & other.mask)
+
+
+def trapezoid_weights(mask: np.ndarray) -> np.ndarray:
+    """Per node of a d-dimensional mask: the number of its 2^d adjacent grid
+    cells whose corners all lie in the mask, over 2^d.
+
+    Against nodal values, times the cell volume, this is the trapezoid rule
+    on those cells: in 1-D each end of a run weighs 1/2, and empty and
+    single-node masks weigh 0.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    d, corners = mask.ndim, tuple(range(mask.ndim, 2 * mask.ndim))
+    cells = sliding_window_view(mask, (2,) * d).all(axis=corners)
+    return sliding_window_view(np.pad(cells, 1), (2,) * d).sum(axis=corners) / 2**d
 
 
 def _convex_fill(grid: Grid, mask: np.ndarray) -> np.ndarray:

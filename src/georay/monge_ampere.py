@@ -3,9 +3,12 @@
 The MA measure of a convex grid function is the pullback of dual-grid
 Lebesgue measure under the (discrete) gradient map: every dual node sends
 one dual-cell volume to the primal node where its conjugate max is
-attained.  Energy comes in two independent forms -- Simpson quadrature in
-t along the affine path, and the dual Legendre formula -- whose agreement
-is one of the identities the verification suite checks.
+attained; ``region_mass`` weighs the nodes of the slope region by the
+trapezoid rule instead.  Energy comes in two independent forms -- Simpson
+quadrature in t of MA deposits along the affine path, and the dual formula
+E(f_t, f) = int over Delta_f of (f* - f_t*) dy under trapezoid weights,
+taken for many f_t at once -- whose agreement is one of the identities the
+verification suite checks.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .legendre import (
     legendre,
     slope_regions,
     subgradient_range,
+    trapezoid_weights,
 )
 
 
@@ -55,11 +59,12 @@ class EnergyReport:
     t_samples: int = 0
 
 
-def _deposit(f: GridFunction, wit: np.ndarray, dual: Grid, mask=None) -> np.ndarray:
-    """One dual-cell volume at the primal node of each witness (of the dual
-    nodes in ``mask`` only, when given), accumulated in row-major order."""
+def _deposit(f: GridFunction, wit: np.ndarray, dual: Grid, weights=1.0) -> np.ndarray:
+    """The dual-cell volume times each dual node's weight (a mask weighs its
+    nodes 1) at the primal node of its witness, in row-major order."""
+    w = np.broadcast_to(np.asarray(weights, dtype=float), wit.shape)
     masses = np.zeros(f.grid.num_nodes)
-    np.add.at(masses, (wit if mask is None else wit[mask]).ravel(), dual.cell_volume)
+    np.add.at(masses, wit[w != 0], dual.cell_volume * w[w != 0])
     return masses.reshape(f.grid.shape)
 
 
@@ -81,7 +86,7 @@ def ma_measure(
     _, wit = legendre(f, dual, return_witness=True)
     if region is not None and region.grid != dual:
         raise DomainError("region grid does not match dual grid")
-    return DiscreteMeasure(f.grid, _deposit(f, wit, dual, None if region is None else region.mask))
+    return DiscreteMeasure(f.grid, _deposit(f, wit, dual, 1.0 if region is None else region.mask))
 
 
 def region_measures(fs, dual: Grid):
@@ -96,6 +101,15 @@ def region_measures(fs, dual: Grid):
         _require_finite(f)
     for f, (mask, wit) in zip(fs, slope_regions(fs, dual)):
         yield mask, _deposit(f, wit, dual, mask)
+
+
+def region_mass(f: ConvexGridFunction, dual: Grid) -> DiscreteMeasure:
+    """MA measure of f on its slope region under trapezoid weights: each
+    region node deposits its weight times the dual-cell volume at its
+    witness, so the total is the trapezoid area of the region."""
+    _require_finite(f)
+    mask, wit = next(slope_regions([f], dual))
+    return DiscreteMeasure(f.grid, _deposit(f, wit, dual, trapezoid_weights(mask)))
 
 
 def total_mass_identity_check(f: ConvexGridFunction, dual: Grid | None = None) -> float:
@@ -123,75 +137,71 @@ def _energy_dual_grid(f: GridFunction) -> Grid:
     return default_dual_grid(f, nodes)
 
 
-def energy_base(f0: ConvexGridFunction, dual: Grid):
-    """The slope region of f0 and the t = 0 measure of every path from f0,
-    whose node (1 - t) f0 + t f1 is f0 there up to the sign of zero."""
-    region = subgradient_range(f0, dual)
-    return region, ma_measure(f0, dual, region=region)
-
-
 def energy_quadrature(
     f1: ConvexGridFunction,
     f0: ConvexGridFunction,
     t_samples: int = 11,
     dual: Grid | None = None,
-    base: tuple | None = None,
 ) -> EnergyReport:
     """E(f1, f0) = int_0^1 int (f1 - f0) MA(f_t) dt, composite Simpson in t.
 
     The MA measures along the path are taken with the dual box of the base
     f0: equivalent functions share one slope set, and on a box that shared
     set is realized by fixing the base's dual box for the whole path.
-    ``base`` is ``energy_base(f0, dual)``, reused across many f1.
     """
     _require_equivalent(f1, f0)
+    _require_finite(f0)
     if t_samples < 3 or t_samples % 2 == 0:
         raise DomainError("t_samples must be odd and >= 3")
     if dual is None:
         dual = _energy_dual_grid(f0)
-    region, mu0 = energy_base(f0, dual) if base is None else base
-    diff = np.where(f1.finite_mask, f1.values - f0.values, 0.0)
+    region = subgradient_range(f0, dual)
+    diff = f1.values - f0.values
     ts = np.linspace(0.0, 1.0, t_samples)
     w = np.ones(t_samples)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     w *= (ts[1] - ts[0]) / 3.0
     total = 0.0
-    total += w[0] * float((diff * mu0.masses).sum())  # t = 0: f0 itself
-    # the later nodes, validated one by one and conjugated in groups
-    axes = f1.grid.axes()
-    for g in _chunks(t_samples - 1, dual.num_nodes):
-        fts = [
-            ConvexGridFunction(
-                f1.grid, np.where(f1.finite_mask, (1.0 - t) * f0.values + t * f1.values, -np.inf)
-            )
-            for t in ts[1:][g]
-        ]
-        for ft in fts:
-            _require_finite(ft)
-        _, wits = conjugate(axes, np.stack([ft.values for ft in fts]), dual.axes())
-        for wt, wit in zip(w[1:][g], wits):
-            masses = _deposit(f1, wit, dual, region.mask)
-            total += wt * float((diff * masses).sum())
+    # the path nodes, conjugated in groups; they lie between f0 and f1, so
+    # need no validation, and the one at t = 0 is f0 up to the sign of zero
+    shape = (-1,) + (1,) * f0.grid.dim
+    for g in _chunks(t_samples, dual.num_nodes):
+        t = ts[g].reshape(shape)
+        _, wits = conjugate(f0.grid.axes(), (1.0 - t) * f0.values + t * f1.values, dual.axes())
+        for wt, wit in zip(w[g], wits):
+            total += wt * float((diff * _deposit(f0, wit, dual, region.mask)).sum())
     return EnergyReport(value=total, method="quadrature", t_samples=t_samples)
 
 
-def energy_dual(
-    f_t: ConvexGridFunction,
-    f: ConvexGridFunction,
-    dual: Grid | None = None,
-) -> EnergyReport:
-    """E(f_t, f) = int over Delta_f of (f* - f_t*) dy (cell-weighted sum)."""
-    _require_equivalent(f_t, f)
+def dual_energies(fs, f: ConvexGridFunction, dual: Grid | None = None) -> np.ndarray:
+    """E(f_t, f) = int over Delta_f of (f* - f_t*) dy for each f_t of ``fs``.
+
+    The integral is the trapezoid rule on the nodes of the slope region of
+    f (``trapezoid_weights``).  The region and conjugate of f are taken
+    once, and the f_t are conjugated in groups of ``_chunks`` items.
+    """
+    for ft in fs:
+        _require_equivalent(ft, f)
     if dual is None:
         dual = _energy_dual_grid(f)
     else:
         check_dual_contains_slopes(f, dual)
-    region = subgradient_range(f, dual)
-    fstar = legendre(f, dual)
-    ftstar = legendre(f_t, dual)
-    diff = (fstar.values - ftstar.values)[region.mask]
-    return EnergyReport(value=float(diff.sum()) * region.cell_volume, method="dual")
+    mask = subgradient_range(f, dual).mask
+    w = trapezoid_weights(mask)[mask]
+    fstar = legendre(f, dual).values[mask]
+    out = np.empty(len(fs))
+    for g in _chunks(len(fs), dual.num_nodes):
+        stars, _ = conjugate(f.grid.axes(), np.stack([ft.values for ft in fs[g]]), dual.axes())
+        out[g] = [(w * (fstar - s[mask])).sum() for s in stars]
+    return out * dual.cell_volume
+
+
+def energy_dual(
+    f_t: ConvexGridFunction, f: ConvexGridFunction, dual: Grid | None = None
+) -> EnergyReport:
+    """E(f_t, f) by the dual formula: ``dual_energies`` of the one function."""
+    return EnergyReport(value=float(dual_energies([f_t], f, dual)[0]), method="dual")
 
 
 def cocycle_residual(

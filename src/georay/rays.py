@@ -5,21 +5,22 @@ A ray is a t-indexed family of grid functions.  Two constructions are
 implemented and compared: the lambda-supremum of a test curve,
 frame(t) = max over lambda of (phi_lambda + t lambda), and the dual route
 frame(t) = conjugate of (phi* - t u) on the finite-u region.  Their
-agreement, and the linearity of the relative energy in t, are the model
+agreement, and the energy E(frame(t), phi) = int of (phi* - frame(t)*) over
+the slope set being t times the integral of u there, are the model
 identities the acceptance suite pins down.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import ConcaveTransform, TestCurve
+from .curves import ConcaveTransform, TestCurve, concave_transform
 from .errors import DomainError
 from .grids import ConvexGridFunction, Grid, GridFunction, NEG_INF
 from .legendre import _chunks, conjugate, legendre
-from .monge_ampere import _energy_dual_grid, energy_base, energy_quadrature, region_measures
+from .monge_ampere import _energy_dual_grid, dual_energies
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,52 +112,25 @@ def compare_rays(r1: Ray, r2: Ray) -> np.ndarray:
     return out
 
 
-def _predicted_slope(tc: TestCurve, dual: Grid | None = None) -> float:
-    """-sum lambda_j dF_j with F(lambda) = total MA mass of phi_lambda.
-
-    Right Riemann-Stieltjes over the stored lambda grid, including the
-    terminal drop of F to zero at lambda_c.
-    """
-    if dual is None:
-        dual = _energy_dual_grid(tc.head)
-    live = [j for j, s in enumerate(tc.samples) if not s.is_identically_neg_inf]
-    lams = tc.lambdas[live]
-    Fs = [float(m.sum()) for _, m in region_measures([tc.samples[j] for j in live], dual)]
-    total = 0.0
-    for j in range(1, len(Fs)):
-        total += lams[j] * (Fs[j] - Fs[j - 1])
-    total += tc.lambda_c * (0.0 - Fs[-1])
-    return -total
-
-
 def energy_linearity(
-    ray: Ray, f0: ConvexGridFunction, t_samples: int = 11
+    ray: Ray, f0: ConvexGridFunction, u: ConcaveTransform | None = None
 ) -> LinearityReport:
-    """Least-squares line through (t, E(frame(t), f0)) with predicted slope.
+    """Least-squares line through (t, E(frame(t), f0)), the ``dual_energies``
+    of the frames, with predicted slope ``u.integral()``.
 
-    The prediction requires the generating curve (ray.curve); rays without
-    one get predicted_slope = NaN.
+    Without u, the concave transform of ray.curve on the energy grid of f0
+    is integrated; rays with neither get predicted_slope = NaN.
     """
-    dual = _energy_dual_grid(f0)
-    base = energy_base(f0, dual)
-    energies = np.array(
-        [
-            energy_quadrature(
-                ConvexGridFunction.trusted(fr), f0, t_samples, dual=dual, base=base
-            ).value
-            for fr in ray.frames
-        ]
-    )
+    energies = dual_energies(ray.frames, f0)
     slope, intercept = np.polyfit(ray.t_grid, energies, 1)
     resid = float(np.abs(energies - (slope * ray.t_grid + intercept)).max())
-    predicted = (
-        _predicted_slope(ray.curve, dual) if ray.curve is not None else float("nan")
-    )
+    if u is None and ray.curve is not None:
+        u = concave_transform(ray.curve, _energy_dual_grid(f0))
     return LinearityReport(
         slope=float(slope),
         intercept=float(intercept),
         max_abs_residual=resid,
-        predicted_slope=predicted,
+        predicted_slope=float("nan") if u is None else u.integral(),
     )
 
 

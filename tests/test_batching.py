@@ -1,12 +1,13 @@
 """The grouped callers of ``conjugate`` against per-item references.
 
 Each reference below is the loop the library ran before its items were
-conjugated in groups: one ``subgradient_range``, ``ma_measure`` or
-``conjugate`` call per lambda sample, path node or t.  Results must be equal,
-not close, and stay so when a small ``_BLOCK`` splits the items into many
-groups.
+conjugated in groups: one ``subgradient_range``, ``ma_measure``,
+``energy_dual`` or ``conjugate`` call per lambda sample, path node, frame
+or t.  Results must be equal, not close, and stay so when a small
+``_BLOCK`` splits the items into many groups.
 """
 
+import itertools
 import sys
 import tracemalloc
 
@@ -18,7 +19,7 @@ from georay.curves import concave_transform, contact_set, envelope_from_u
 from georay.grids import ConvexGridFunction
 from georay.instances import huber_instance
 from georay.legendre import conjugate, legendre, subgradient_range
-from georay.monge_ampere import _energy_dual_grid, energy_quadrature, ma_measure
+from georay.monge_ampere import _energy_dual_grid, energy_dual, energy_quadrature, ma_measure
 from georay.rays import LinearityReport, energy_linearity, ray_dual, ray_from_curve
 from test_legendre import bowl_instance_2d
 
@@ -42,33 +43,29 @@ def energy_quadrature_ref(f1, f0, t_samples, dual):
     return total
 
 
-def predicted_slope_ref(tc, dual):
-    lams, Fs = [], []
-    for lam, s in zip(tc.lambdas, tc.samples):
-        if s.is_identically_neg_inf:
-            continue
-        lams.append(lam)
-        Fs.append(ma_measure(s, dual, region=subgradient_range(s, dual)).total)
-    total = 0.0
-    for j in range(1, len(Fs)):
-        total += lams[j] * (Fs[j] - Fs[j - 1])
-    total += tc.lambda_c * (0.0 - Fs[-1])
-    return -total
+def integral_ref(u):
+    """int of u with each node's trapezoid weight counted cell by cell: its
+    adjacent grid cells whose corners all lie in the selection, over 2^d."""
+    sel = u.base.mask & np.isfinite(u.u.values)
+    w = np.zeros(sel.shape)
+    for node in zip(*np.nonzero(sel)):
+        for offset in itertools.product((-1, 0), repeat=sel.ndim):
+            lo = np.add(node, offset)
+            if (lo >= 0).all() and (lo + 1 < sel.shape).all():
+                w[node] += sel[tuple(slice(i, i + 2) for i in lo)].all()
+    w /= 2**sel.ndim
+    return float((w[sel] * u.u.values[sel]).sum()) * u.u.grid.cell_volume
 
 
-def energy_linearity_ref(ray, f0, t_samples=11):
-    dual = _energy_dual_grid(f0)
+def energy_linearity_ref(ray, f0, u=None):
     energies = np.array(
-        [
-            energy_quadrature_ref(ConvexGridFunction.trusted(fr), f0, t_samples, dual)
-            for fr in ray.frames
-        ]
+        [energy_dual(ConvexGridFunction.trusted(fr), f0).value for fr in ray.frames]
     )
     slope, intercept = np.polyfit(ray.t_grid, energies, 1)
     resid = float(np.abs(energies - (slope * ray.t_grid + intercept)).max())
-    return LinearityReport(
-        float(slope), float(intercept), resid, predicted_slope_ref(ray.curve, dual)
-    )
+    if u is None:
+        u = concave_transform(ray.curve, _energy_dual_grid(f0))
+    return LinearityReport(float(slope), float(intercept), resid, integral_ref(u))
 
 
 def envelope_ref(phi, u, lambdas, dual):
@@ -139,8 +136,9 @@ def test_energy_quadrature(case, block):
 
 
 def test_energy_linearity(case, block):
-    phi, _, _, _, ray = case
+    phi, _, u, _, ray = case
     assert energy_linearity(ray, phi) == energy_linearity_ref(ray, phi)
+    assert energy_linearity(ray, phi, u) == energy_linearity_ref(ray, phi, u)
 
 
 def test_envelope_from_u(case, block):

@@ -193,6 +193,24 @@ class TestFiltrationCommand:
         )
         assert rc == 4
 
+    def test_point_outside_dual_box_exit_3(self, specdir, tmp_path, capsys):
+        # P1 = {0, 1, 2} reaches slopes up to 2, but the default dual box
+        # only pads the base's slope set [0, 1]
+        base = filtration_base(257)
+        (specdir / "base257.gf").write_text(ser.dump_grid_function(base))
+        data = WeightedLatticeData(np.array([[0], [1], [2]]), np.array([1, 0, 2]))
+        (specdir / "w012.wd").write_text(ser.dump_weight_data(data))
+        spec = specdir / "weights012.spec"
+        spec.write_text(
+            json.dumps({"kind": "filtration", "phi": "base257.gf", "weights": "w012.wd"})
+        )
+        argv = ["filtration", "--spec", str(spec), "--out", str(tmp_path / "o"), "--k", "4"]
+        assert main(argv) == 3
+        box = default_dual_grid(base).box
+        err = capsys.readouterr().err
+        assert "normalized lattice point [1.25] outside the dual box" in err
+        assert f"axis 0 coordinate 1.25 not in [{box.lower[0]!r}, {box.upper[0]!r}]" in err
+
 
 class TestCheckCommand:
     def test_unknown_suite_exit_2(self, capsys):

@@ -29,6 +29,7 @@ from georay.legendre import (
     legendre,
     subgradient_range,
     superlevel_of_concave,
+    trapezoid_weights,
 )
 from georay.monge_ampere import _energy_dual_grid
 from georay.rays import ray_dual
@@ -620,6 +621,50 @@ class TestSubgradientRange:
         dual = default_dual_grid(f)
         idx = np.flatnonzero(subgradient_range(f, dual).mask)
         assert np.array_equal(idx, np.arange(idx.min(), idx.max() + 1))
+
+
+class TestTrapezoidWeights:
+    def test_run_ends_weigh_half_1d(self):
+        mask = np.array([0, 1, 1, 1, 0, 1, 1, 0, 1], dtype=bool)
+        want = [0, 0.5, 1, 0.5, 0, 0.5, 0.5, 0, 0]
+        assert np.array_equal(trapezoid_weights(mask), want)
+
+    @pytest.mark.parametrize("shape", [(7,), (5, 6)])
+    def test_empty_and_single_node_weigh_zero(self, shape):
+        mask = np.zeros(shape, dtype=bool)
+        assert np.array_equal(trapezoid_weights(mask), np.zeros(shape))
+        mask[(2,) * len(shape)] = True
+        assert np.array_equal(trapezoid_weights(mask), np.zeros(shape))
+
+    def test_rectangle_counts_its_cells_2d(self):
+        mask = np.zeros((5, 6), dtype=bool)
+        mask[1:4, 1:5] = True
+        w = trapezoid_weights(mask)
+        assert w.sum() == 2 * 3
+        assert w[1, 1] == 0.25 and w[1, 2] == 0.5 and w[2, 2] == 1.0
+
+    def test_huber_bowl_slope_set_has_area_4(self):
+        phi = huber_bowl_2d(65)
+        dual = default_dual_grid(phi)
+        area = trapezoid_weights(subgradient_range(phi, dual).mask).sum() * dual.cell_volume
+        assert abs(area - 4.0) <= 1e-12
+
+    def test_integral_of_u_on_the_tilted_bowl(self):
+        # phi = huber(x1) + huber(x2) + <a, x> + b has slope set a + [-1, 1]^2;
+        # the integral of u = -s (|y1 - a1| + |y2 - a2|) / 2 over it is -2 s
+        a1, a2, b, s = 0.21, -0.34, 0.4, 0.93
+        g = make_grid(Box((-3.0, -3.0), (3.0, 3.0)), (65, 65))
+        x1, x2 = np.meshgrid(*g.axes(), indexing="ij")
+        hub = lambda x: np.where(np.abs(x) <= 1.0, x * x / 2, np.abs(x) - 0.5)
+        phi = ConvexGridFunction.trusted(
+            GridFunction(g, hub(x1) + hub(x2) + a1 * x1 + a2 * x2 + b)
+        )
+        dual = default_dual_grid(phi)
+        base = subgradient_range(phi, dual)
+        y1, y2 = np.meshgrid(*dual.axes(), indexing="ij")
+        uvals = np.where(base.mask, -s * (np.abs(y1 - a1) + np.abs(y2 - a2)) / 2, -np.inf)
+        u = ConcaveTransform(GridFunction(dual, uvals), base)
+        assert abs(u.integral() + 2 * s) <= 1e-12
 
 
 class TestSuperlevel:

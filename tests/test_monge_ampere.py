@@ -12,6 +12,7 @@ from georay.grids import (
 from georay.instances import abs_1d, quadratic_1d, quadratic_2d, random_convex_1d
 from georay.legendre import default_dual_grid, subgradient_range
 from georay.monge_ampere import (
+    _energy_dual_grid,
     cocycle_residual,
     energy_dual,
     energy_quadrature,
@@ -71,15 +72,19 @@ class TestEnergy:
         # E(f + c, f) = c * total MA mass, exactly linear path
         f = quadratic_1d(129)
         g = ConvexGridFunction.trusted(pointwise_shift(f, 0.75))
+        dual = _energy_dual_grid(f)
         rep = energy_quadrature(g, f)
-        region_mass = ma_measure(
-            f,
-            dual=None,
-        )
+        mass = ma_measure(f, dual, region=subgradient_range(f, dual)).total
+        assert rep.value == pytest.approx(0.75 * mass, rel=1e-12)
+        # the dual route integrates over the slope set [-1 + h/2, 1 - h/2]
+        # of the discrete quadratic under trapezoid weights
         e_dual = energy_dual(g, f)
-        assert rep.value == pytest.approx(e_dual.value, rel=1e-6)
+        assert e_dual.value == pytest.approx(0.75 * (2.0 - f.grid.spacing[0]), rel=1e-12)
+        # the quadrature's node count holds one dual cell more
+        assert rep.value - e_dual.value == pytest.approx(0.75 * dual.cell_volume, rel=1e-6)
         # mass over the slope set of the quadratic on [-1,1] is 2
         assert rep.value == pytest.approx(0.75 * 2.0, rel=0.02)
+        assert e_dual.value == pytest.approx(0.75 * 2.0, rel=0.02)
 
     def test_quadrature_matches_dual_quadratic_pair(self):
         f0 = quadratic_1d(257)

@@ -9,7 +9,7 @@ from georay.instances import (
     linear_growth_bowl,
     quadratic_1d,
 )
-from georay.legendre import default_dual_grid, subgradient_range
+from georay.legendre import default_dual_grid, subgradient_range, trapezoid_weights
 from georay.rays import (
     compare_rays,
     energy_linearity,
@@ -98,8 +98,11 @@ class TestEnergyLinearity:
         inst = constant_u_instance(level=1.0)
         ray = ray_from_curve(inst.curve)
         rep = energy_linearity(ray, inst.phi)
-        vol = subgradient_range(inst.phi, inst.dual).volume
-        assert rep.slope == pytest.approx(1.0 * vol, rel=0.02)
+        # the slope set of the bowl is [-1, 1]
+        mask = subgradient_range(inst.phi, inst.dual).mask
+        area = trapezoid_weights(mask).sum() * inst.dual.cell_volume
+        assert area == pytest.approx(2.0, abs=1e-12)
+        assert rep.slope == pytest.approx(1.0 * area, rel=0.02)
         assert rep.max_abs_residual <= 1e-2 * abs(rep.slope)
 
     def test_huber_slope_matches_stieltjes(self, huber):
