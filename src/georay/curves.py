@@ -162,14 +162,8 @@ class ConcaveTransform:
         return float(wu.sum()) * self.u.grid.cell_volume
 
 
-def concave_transform(
-    tc: TestCurve, dual: Grid, validate_tol: float | None = None
-) -> ConcaveTransform:
+def concave_transform(tc: TestCurve, dual: Grid) -> ConcaveTransform:
     """Largest sample lambda whose slope region still contains each dual node."""
-    if validate_tol is not None:
-        diag = validate(tc, tol_concave=validate_tol)
-        if not diag.valid:
-            raise DomainError(f"invalid test curve: {diag.issues[0]}")
     live = [j for j, s in enumerate(tc.samples) if not s.is_identically_neg_inf]
     if not live:
         raise DomainError("test curve has no finite samples")
@@ -247,20 +241,3 @@ def contact_set(
         return np.zeros(phi.grid.shape, dtype=bool)
     return phi_lambda.values >= phi.values - tol
 
-
-def idempotence_check(
-    phi: ConvexGridFunction, tc: TestCurve, dual: Grid
-) -> float:
-    """Sup-norm drift of the envelope construction applied to its own output."""
-    c1 = maximal_envelope(phi, tc, dual)
-    c2 = maximal_envelope(phi, c1, dual)
-    worst = 0.0
-    for lam, a, b in zip(c1.lambdas, c1.samples, c2.samples):
-        if lam >= c1.lambda_c:
-            continue
-        if a.is_identically_neg_inf and b.is_identically_neg_inf:
-            continue
-        if a.is_identically_neg_inf != b.is_identically_neg_inf:
-            return float("inf")
-        worst = max(worst, float(np.abs(a.values - b.values).max()))
-    return worst

@@ -3,7 +3,7 @@
 Degree-1 lattice points with integer weights generate all higher degrees
 through a tropical (max-plus) convolution; the resulting weight arrays
 model a multiplicative filtration.  From them we build sup-norm Bergman
-metrics, their log-sum-exp surrogates, the concave transform of the
+metrics, their log-sum-exp sandwich, the concave transform of the
 weights on the polytope, the Fekete limit curve, and the Phong-Sturm ray,
 together with the equivalence check against the envelope-built ray.
 """
@@ -198,19 +198,6 @@ def extremal_metric(
     return GridFunction(grid, E[:, sel].max(axis=1).reshape(grid.shape))
 
 
-def bergman_metric(
-    inst: BergmanInstance, data: WeightedLatticeData, k: int, lam: float
-) -> GridFunction:
-    """(1/k) log sum exp(k e_i) over the same selection (max-shift stable)."""
-    E, w = inst.section_values(data, k)
-    sel = w >= k * lam - 1e-9
-    grid = inst.phi.grid
-    if not sel.any():
-        return GridFunction.neg_inf(grid)
-    vals = _logsumexp(k * E[:, sel]) / k
-    return GridFunction(grid, vals.reshape(grid.shape))
-
-
 def phong_sturm_ray(
     inst: BergmanInstance, data: WeightedLatticeData, k: int, t_grid=None
 ):
@@ -224,7 +211,7 @@ def phong_sturm_ray(
     for t in ts:
         vals = _logsumexp(k * E + t * w[None, :]) / k
         frames.append(GridFunction(grid, vals.reshape(grid.shape)))
-    return Ray(ts, tuple(frames), source=f"phong-sturm k={k}")
+    return Ray(ts, tuple(frames))
 
 
 def limit_curve(

@@ -113,21 +113,6 @@ class Grid:
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def interior_mask(self) -> np.ndarray:
-        """Boolean array (grid shape): True away from the box boundary."""
-        mask = np.ones(self.shape, dtype=bool)
-        for ax in range(self.dim):
-            sl = [slice(None)] * self.dim
-            sl[ax] = 0
-            mask[tuple(sl)] = False
-            sl[ax] = -1
-            mask[tuple(sl)] = False
-        return mask
-
-
-def make_grid(box: Box, nodes_per_axis) -> Grid:
-    return Grid(box, tuple(np.atleast_1d(nodes_per_axis)))
-
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
@@ -180,47 +165,26 @@ class GridFunction:
 class ConvexGridFunction(GridFunction):
     """GridFunction certified (or trusted by construction) convex.
 
-    ``tol_convex`` records the certification tolerance.  Functions built as
-    maxima of affine functions or as lower hulls are convex by construction
-    and are created with ``certify`` left to the caller.
+    Functions built as maxima of affine functions or as lower hulls are
+    convex by construction and are created with ``certify`` left to the
+    caller.
     """
-
-    tol_convex: float = 0.0
 
     @staticmethod
     def certify(f: GridFunction, tol: float | None = None) -> "ConvexGridFunction":
         if f.is_identically_neg_inf:
-            return ConvexGridFunction(f.grid, f.values, tol_convex=0.0)
+            return ConvexGridFunction(f.grid, f.values)
         if tol is None:
             tol = max(TOL_CONVEX_REL * f.value_range(), 1e-12)
         ok, _, dev = is_convex(f, tol)
         if not ok:
             raise DomainError(f"function is not convex: max deviation {dev:g} > {tol:g}")
-        return ConvexGridFunction(f.grid, f.values, tol_convex=tol)
+        return ConvexGridFunction(f.grid, f.values)
 
     @staticmethod
-    def trusted(f: GridFunction, tol: float = 0.0) -> "ConvexGridFunction":
+    def trusted(f: GridFunction) -> "ConvexGridFunction":
         """Wrap without re-certifying; for outputs convex by construction."""
-        return ConvexGridFunction(f.grid, f.values, tol_convex=tol)
-
-
-def _require_same_grid(f: GridFunction, g: GridFunction):
-    if f.grid != g.grid:
-        raise DomainError("grid mismatch")
-
-
-def pointwise_max(f: GridFunction, g: GridFunction) -> GridFunction:
-    """Node-wise maximum; -inf only where both operands are -inf."""
-    _require_same_grid(f, g)
-    return GridFunction(f.grid, np.maximum(f.values, g.values))
-
-
-def pointwise_shift(f: GridFunction, c: float) -> GridFunction:
-    """f + c node-wise; -inf entries stay -inf."""
-    v = f.values.copy()
-    fin = np.isfinite(v)
-    v[fin] = v[fin] + float(c)
-    return GridFunction(f.grid, v)
+        return ConvexGridFunction(f.grid, f.values)
 
 
 def _lower_hull_1d(x: np.ndarray, v: np.ndarray):

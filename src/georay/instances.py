@@ -13,23 +13,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import ConcaveTransform, TestCurve, envelope_from_u
-from .grids import Box, ConvexGridFunction, Grid, GridFunction, make_grid
-from .legendre import SlopeRegion, subgradient_range
+from .grids import Box, ConvexGridFunction, Grid, GridFunction
+from .legendre import default_dual_grid, subgradient_range
 
 
 def quadratic_1d(nodes: int = 257, half_width: float = 1.0) -> ConvexGridFunction:
     """x^2/2 on [-half_width, half_width]."""
-    g = make_grid(Box((-half_width,), (half_width,)), nodes)
+    g = Grid(Box((-half_width,), (half_width,)), nodes)
     return ConvexGridFunction.certify(GridFunction.from_callable(g, lambda x: x * x / 2))
 
 
 def abs_1d(nodes: int = 257) -> ConvexGridFunction:
-    g = make_grid(Box((-1.0,), (1.0,)), nodes)
+    g = Grid(Box((-1.0,), (1.0,)), nodes)
     return ConvexGridFunction.certify(GridFunction.from_callable(g, np.abs))
 
 
 def quadratic_2d(nodes: int = 65) -> ConvexGridFunction:
-    g = make_grid(Box((-1.0, -1.0), (1.0, 1.0)), (nodes, nodes))
+    g = Grid(Box((-1.0, -1.0), (1.0, 1.0)), (nodes, nodes))
     # convex by construction; certification at large 2-D sizes costs a hull
     return ConvexGridFunction.trusted(
         GridFunction.from_callable(g, lambda x, y: (x * x + y * y) / 2)
@@ -38,7 +38,7 @@ def quadratic_2d(nodes: int = 65) -> ConvexGridFunction:
 
 def linear_growth_bowl(nodes: int = 129, box_half: float = 3.0) -> ConvexGridFunction:
     """x^2/2 for |x| <= 1, |x| - 1/2 beyond; slope set exactly [-1, 1]."""
-    g = make_grid(Box((-box_half,), (box_half,)), nodes)
+    g = Grid(Box((-box_half,), (box_half,)), nodes)
 
     def fn(x):
         return np.where(np.abs(x) <= 1.0, x * x / 2, np.abs(x) - 0.5)
@@ -51,7 +51,7 @@ def filtration_base(nodes: int = 257) -> ConvexGridFunction:
 
     0 for x <= 0, x^2/2 on [0, 1], x - 1/2 beyond, on the box [-2, 3].
     """
-    g = make_grid(Box((-2.0,), (3.0,)), nodes)
+    g = Grid(Box((-2.0,), (3.0,)), nodes)
 
     def fn(x):
         return np.where(x <= 0.0, 0.0, np.where(x <= 1.0, x * x / 2, x - 0.5))
@@ -66,7 +66,7 @@ def random_convex_1d(
     pin_end_slopes: bool = True,
 ) -> ConvexGridFunction:
     """Random convex function; pinned end slopes give a shared slope set."""
-    g = make_grid(Box((-1.0,), (1.0,)), nodes)
+    g = Grid(Box((-1.0,), (1.0,)), nodes)
     s = np.sort(rng.uniform(-slope_bound, slope_bound, nodes - 1 - (2 if pin_end_slopes else 0)))
     if pin_end_slopes:
         s = np.concatenate([[-slope_bound], s, [slope_bound]])
@@ -76,7 +76,7 @@ def random_convex_1d(
 
 
 def random_nonconvex_1d(rng: np.random.Generator, nodes: int = 257) -> GridFunction:
-    g = make_grid(Box((-1.0,), (1.0,)), nodes)
+    g = Grid(Box((-1.0,), (1.0,)), nodes)
     x = g.axis(0)
     a, b, c = rng.uniform(1, 4), rng.uniform(2, 6), rng.uniform(0.2, 1.0)
     return GridFunction(g, np.sin(a * np.pi * x) * c + b * 0.05 * x)
@@ -101,8 +101,6 @@ def huber_instance(
 ) -> RayInstance:
     """phi with slope set [-1, 1], u(y) = -|y|; envelopes are Huber functions."""
     phi = linear_growth_bowl(nodes, box_half)
-    from .legendre import default_dual_grid
-
     dual = default_dual_grid(phi, dual_nodes)
     base = subgradient_range(phi, dual)
     uvals = np.where(base.mask, -np.abs(dual.axis(0)), -np.inf)
@@ -117,8 +115,6 @@ def constant_u_instance(
 ) -> RayInstance:
     """u identically ``level`` on the slope set: pure-translation dynamics."""
     phi = linear_growth_bowl(nodes, box_half)
-    from .legendre import default_dual_grid
-
     dual = default_dual_grid(phi, dual_nodes)
     base = subgradient_range(phi, dual)
     uvals = np.where(base.mask, level, -np.inf)

@@ -305,10 +305,10 @@ def legendre(
     return out
 
 
-def biconjugate(f: GridFunction, dual: Grid, method: str = "fast") -> ConvexGridFunction:
+def biconjugate(f: GridFunction, dual: Grid) -> ConvexGridFunction:
     """Legendre transform applied twice; lands back on the primal grid."""
-    g = legendre(f, dual, method=method)
-    return legendre(g, f.grid, method=method)
+    g = legendre(f, dual)
+    return legendre(g, f.grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,23 +323,6 @@ class SlopeRegion:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "mask", m)
-
-    @property
-    def cell_volume(self) -> float:
-        return self.grid.cell_volume
-
-    @property
-    def node_count(self) -> int:
-        return int(self.mask.sum())
-
-    @property
-    def volume(self) -> float:
-        return self.node_count * self.cell_volume
-
-    def intersect(self, other: "SlopeRegion") -> "SlopeRegion":
-        if self.grid != other.grid:
-            raise DomainError("grid mismatch")
-        return SlopeRegion(self.grid, self.mask & other.mask)
 
 
 def trapezoid_weights(mask: np.ndarray) -> np.ndarray:
@@ -458,34 +441,3 @@ def _concave_envelope_on_points(pts: np.ndarray, vals: np.ndarray) -> np.ndarray
     planes = -(pts @ eq[:, :2].T + eq[:, 3]) / eq[:, 2]
     return planes.min(axis=1)
 
-
-def is_concave_on_support(u: GridFunction, tol: float) -> tuple[bool, tuple | None, float]:
-    """Concavity of u restricted to its finite nodes (hull-based check)."""
-    fin = u.finite_mask
-    if not fin.any():
-        return True, None, 0.0
-    pts = u.grid.coords()[fin.ravel()]
-    vals = u.values[fin]
-    env = _concave_envelope_on_points(pts, vals)
-    dev = env - vals
-    worst = int(np.argmax(dev))
-    if dev[worst] <= tol:
-        return True, None, float(dev[worst])
-    flat = np.nonzero(fin.ravel())[0][worst]
-    return False, np.unravel_index(flat, u.grid.shape), float(dev[worst])
-
-
-def superlevel_of_concave(
-    u: GridFunction, lam: float, region: SlopeRegion | None = None, tol: float | None = None
-) -> SlopeRegion:
-    """{y : u(y) >= lam}, optionally intersected with a slope region."""
-    if tol is None:
-        tol = max(1e-9 * max(1.0, u.value_range()), 1e-12)
-    ok, witness, dev = is_concave_on_support(u, tol)
-    if not ok:
-        raise DomainError(f"u is not concave: deviation {dev:g} at node {witness}")
-    mask = u.finite_mask & (u.values >= lam)
-    out = SlopeRegion(u.grid, mask)
-    if region is not None:
-        out = out.intersect(region)
-    return out

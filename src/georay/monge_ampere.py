@@ -52,13 +52,6 @@ class DiscreteMeasure:
         return float(self.masses.sum())
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    value: float
-    method: str  # "quadrature" or "dual"
-    t_samples: int = 0
-
-
 def _deposit(f: GridFunction, wit: np.ndarray, dual: Grid, weights=1.0) -> np.ndarray:
     """The dual-cell volume times each dual node's weight (a mask weighs its
     nodes 1) at the primal node of its witness, in row-major order."""
@@ -112,15 +105,6 @@ def region_mass(f: ConvexGridFunction, dual: Grid) -> DiscreteMeasure:
     return DiscreteMeasure(f.grid, _deposit(f, wit, dual, trapezoid_weights(mask)))
 
 
-def total_mass_identity_check(f: ConvexGridFunction, dual: Grid | None = None) -> float:
-    """|total MA mass - volume of the slope region|, computed independently."""
-    if dual is None:
-        dual = default_dual_grid(f)
-    mass = ma_measure(f, dual).total
-    vol = subgradient_range(f, dual).volume
-    return abs(mass - vol)
-
-
 def _require_equivalent(f1: GridFunction, f0: GridFunction):
     if f1.grid != f0.grid:
         raise DomainError("grid mismatch")
@@ -142,7 +126,7 @@ def energy_quadrature(
     f0: ConvexGridFunction,
     t_samples: int = 11,
     dual: Grid | None = None,
-) -> EnergyReport:
+) -> float:
     """E(f1, f0) = int_0^1 int (f1 - f0) MA(f_t) dt, composite Simpson in t.
 
     The MA measures along the path are taken with the dual box of the base
@@ -171,7 +155,7 @@ def energy_quadrature(
         _, wits = conjugate(f0.grid.axes(), (1.0 - t) * f0.values + t * f1.values, dual.axes())
         for wt, wit in zip(w[g], wits):
             total += wt * float((diff * _deposit(f0, wit, dual, region.mask)).sum())
-    return EnergyReport(value=total, method="quadrature", t_samples=t_samples)
+    return total
 
 
 def dual_energies(fs, f: ConvexGridFunction, dual: Grid | None = None) -> np.ndarray:
@@ -199,9 +183,9 @@ def dual_energies(fs, f: ConvexGridFunction, dual: Grid | None = None) -> np.nda
 
 def energy_dual(
     f_t: ConvexGridFunction, f: ConvexGridFunction, dual: Grid | None = None
-) -> EnergyReport:
+) -> float:
     """E(f_t, f) by the dual formula: ``dual_energies`` of the one function."""
-    return EnergyReport(value=float(dual_energies([f_t], f, dual)[0]), method="dual")
+    return float(dual_energies([f_t], f, dual)[0])
 
 
 def cocycle_residual(
@@ -210,13 +194,14 @@ def cocycle_residual(
     f2: ConvexGridFunction,
     t_samples: int = 11,
 ) -> float:
-    """|E(f2,f0) - E(f2,f1) - E(f1,f0)| by quadrature.
+    """|E(f2,f0) - E(f2,f1) - E(f1,f0)| by quadrature, relative to the
+    largest of the three energies.
 
     All three energies share the base f0's dual grid (equivalent inputs
     share one slope set).
     """
     dual = _energy_dual_grid(f0)
-    e20 = energy_quadrature(f2, f0, t_samples, dual=dual).value
-    e21 = energy_quadrature(f2, f1, t_samples, dual=dual).value
-    e10 = energy_quadrature(f1, f0, t_samples, dual=dual).value
-    return abs(e20 - e21 - e10)
+    e20 = energy_quadrature(f2, f0, t_samples, dual=dual)
+    e21 = energy_quadrature(f2, f1, t_samples, dual=dual)
+    e10 = energy_quadrature(f1, f0, t_samples, dual=dual)
+    return abs(e20 - e21 - e10) / max(abs(e20), abs(e21), abs(e10), 1e-30)

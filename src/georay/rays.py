@@ -29,7 +29,6 @@ class Ray:
 
     t_grid: np.ndarray
     frames: tuple[GridFunction, ...]
-    source: str = ""
     curve: TestCurve | None = None
 
     def __post_init__(self):
@@ -74,7 +73,7 @@ def ray_from_curve(tc: TestCurve, t_grid=None) -> Ray:
                 continue
             np.maximum(acc, s.values + t * lam, out=acc)
         frames.append(GridFunction(tc.grid, acc))
-    return Ray(ts, tuple(frames), source="curve", curve=tc)
+    return Ray(ts, tuple(frames), curve=tc)
 
 
 def ray_dual(
@@ -96,7 +95,7 @@ def ray_dual(
         mod[:, sel] = star - ts[g, None] * uv
         vals, _ = conjugate(dual.axes(), mod, phi.grid.axes())
         frames += [GridFunction(phi.grid, v) for v in vals]
-    return Ray(ts, tuple(frames), source="dual")
+    return Ray(ts, tuple(frames))
 
 
 def compare_rays(r1: Ray, r2: Ray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Text formats for grid functions, curves, regions, measures, and rays.
+"""Text formats for grid functions, test curves, weight data, and rays.
 
 GridFunction record (bit-exact round trip for finite doubles; values use
 Python float repr, -inf is the literal token ``-inf``)::
@@ -29,8 +29,6 @@ from .curves import TestCurve
 from .errors import ParseError
 from .filtration import WeightedLatticeData
 from .grids import Box, ConvexGridFunction, Grid, GridFunction, NEG_INF
-from .legendre import SlopeRegion
-from .monge_ampere import DiscreteMeasure
 
 
 def _fmt(x: float) -> str:
@@ -124,45 +122,9 @@ def load_test_curve(text: str) -> TestCurve:
     return TestCurve(lambdas, samples, lambda_head=head, lambda_c=lc)
 
 
-def dump_slope_region(region: SlopeRegion) -> str:
-    g = region.grid
-    lines = [
-        "sloperegion 1",
-        f"dim {g.dim}",
-        "lower " + " ".join(repr(v) for v in g.box.lower),
-        "upper " + " ".join(repr(v) for v in g.box.upper),
-        "nodes " + " ".join(str(m) for m in g.nodes_per_axis),
-        "mask " + "".join("1" if b else "0" for b in region.mask.ravel()),
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def load_slope_region(text: str) -> SlopeRegion:
-    cur = _Cursor(text.splitlines())
-    cur.expect("sloperegion")
-    dim = int(cur.expect("dim")[0])
-    lower = tuple(_parse_float(t, cur.pos) for t in cur.expect("lower"))
-    upper = tuple(_parse_float(t, cur.pos) for t in cur.expect("upper"))
-    nodes = tuple(int(t) for t in cur.expect("nodes"))
-    bits = cur.expect("mask")[0]
-    grid = Grid(Box(lower, upper), nodes)
-    if len(bits) != grid.num_nodes:
-        raise ParseError("mask length disagrees with grid", line=cur.pos)
-    mask = np.array([c == "1" for c in bits]).reshape(grid.shape)
-    return SlopeRegion(grid, mask)
-
-
 def _coord_fields(grid: Grid) -> list[str]:
     """Each node's coordinates as comma-separated Python float reprs."""
     return [",".join(repr(x) for x in c) for c in grid.coords().tolist()]
-
-
-def dump_measure_csv(mu: DiscreteMeasure) -> str:
-    header = "index," + ",".join(f"x{i}" for i in range(mu.grid.dim)) + ",mass"
-    rows = [header]
-    for i, (c, m) in enumerate(zip(_coord_fields(mu.grid), mu.masses.ravel().tolist())):
-        rows.append(f"{i},{c},{m!r}")
-    return "\n".join(rows) + "\n"
 
 
 def dump_ray_csv(ray) -> str:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from georay.grids import Box, ConvexGridFunction, GridFunction, make_grid
+from georay.grids import Box, ConvexGridFunction, Grid, GridFunction
 
 
 @pytest.fixture
@@ -12,7 +12,7 @@ def rng():
 @pytest.fixture
 def quad_17():
     """x^2/2 on [-1, 1], 17 nodes."""
-    g = make_grid(Box((-1.0,), (1.0,)), 17)
+    g = Grid(Box((-1.0,), (1.0,)), 17)
     return ConvexGridFunction.certify(
         GridFunction.from_callable(g, lambda x: x * x / 2)
     )

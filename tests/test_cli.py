@@ -13,7 +13,7 @@ from georay import filtration
 from georay import serialization as ser
 from georay.cli import main
 from georay.filtration import WeightedLatticeData
-from georay.grids import Box, ConvexGridFunction, GridFunction, make_grid
+from georay.grids import Box, ConvexGridFunction, Grid, GridFunction
 from georay.instances import filtration_base, huber_instance
 from georay.legendre import default_dual_grid
 
@@ -52,7 +52,7 @@ def specdir(tmp_path_factory):
     (d / "weights01.spec").write_text(
         json.dumps({"kind": "filtration", "phi": "base.gf", "weights": "w01.wd"})
     )
-    g2 = make_grid(Box((-3.0, -3.0), (3.0, 3.0)), (17, 17))
+    g2 = Grid(Box((-3.0, -3.0), (3.0, 3.0)), (17, 17))
     bowl = GridFunction.from_callable(g2, lambda x, y: np.hypot(x, y) ** 2 / 4 + x / 8)
     dual2 = default_dual_grid(bowl, 17)
     u2 = GridFunction.from_callable(dual2, lambda y1, y2: -(abs(y1) + abs(y2)) / 2)
@@ -238,21 +238,27 @@ class TestCheckCommand:
         assert strip_timings(a.read_bytes()) == strip_timings(b.read_bytes())
 
 
-def test_ray_command_never_imports_scipy(specdir, tmp_path):
-    """scipy costs start-up time; the ray path must not load it."""
+@pytest.mark.parametrize(
+    "command, spec",
+    [("ray", "bowl2.spec"), ("filtration", "weights01.spec")],
+    ids=["ray", "filtration"],
+)
+def test_command_never_imports_scipy(specdir, tmp_path, command, spec):
+    """scipy costs start-up time; neither 2-D ``ray`` nor 1-D ``filtration``
+    may load it."""
     script = (
         "import sys\n"
         "import georay.cli\n"
         "def scipy_modules():\n"
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not scipy_modules(), scipy_modules()[:5]\n"
-        "rc = georay.cli.main(['ray', '--spec', sys.argv[1], '--out', sys.argv[2]])\n"
+        "rc = georay.cli.main([sys.argv[1], '--spec', sys.argv[2], '--out', sys.argv[3]])\n"
         "assert rc == 0, rc\n"
         "assert not scipy_modules(), scipy_modules()[:5]\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(georay.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(specdir / "bowl2.spec"), str(tmp_path / "o")],
+        [sys.executable, "-c", script, command, str(specdir / spec), str(tmp_path / "o")],
         env=env,
         capture_output=True,
         text=True,

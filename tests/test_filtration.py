@@ -9,10 +9,8 @@ from georay.filtration import (
     BergmanInstance,
     WeightedLatticeData,
     _logsumexp,
-    bergman_metric,
     concave_transform_g,
     equivalence_check,
-    extremal_metric,
     limit_curve,
     log_sum_exp_sandwich_gap,
     moment_check,
@@ -140,12 +138,6 @@ class TestSandwich:
                 low, high = log_sum_exp_sandwich_gap(base_inst, w01, k, lam)
                 assert low <= 1e-12
                 assert high <= 1e-12
-
-    def test_bergman_above_extremal(self, base_inst, w01):
-        for lam in (0.0, 0.5):
-            ext = extremal_metric(base_inst, w01, 8, lam)
-            berg = bergman_metric(base_inst, w01, 8, lam)
-            assert (berg.values >= ext.values - 1e-12).all()
 
 
 def logsumexp_cases():

@@ -12,9 +12,6 @@ from georay.grids import (
     NEG_INF,
     is_convex,
     lower_convex_envelope,
-    make_grid,
-    pointwise_max,
-    pointwise_shift,
 )
 
 
@@ -43,55 +40,43 @@ class TestBoxAndGrid:
 
     def test_grid_needs_three_nodes(self):
         with pytest.raises(DomainError):
-            make_grid(Box((0.0,), (1.0,)), 2)
+            Grid(Box((0.0,), (1.0,)), 2)
 
     def test_exact_node_coordinates(self):
-        g = make_grid(Box((-1.0,), (2.0,)), 7)
+        g = Grid(Box((-1.0,), (2.0,)), 7)
         h = 3.0 / 6
         assert np.array_equal(g.axis(0), -1.0 + h * np.arange(7))
 
     def test_cell_volume_2d(self):
-        g = make_grid(Box((0.0, 0.0), (1.0, 2.0)), (5, 9))
+        g = Grid(Box((0.0, 0.0), (1.0, 2.0)), (5, 9))
         assert g.cell_volume == pytest.approx((1 / 4) * (2 / 8))
-
-    def test_interior_mask(self):
-        g = make_grid(Box((0.0, 0.0), (1.0, 1.0)), (4, 5))
-        m = g.interior_mask()
-        assert m.sum() == 2 * 3
-        assert not m[0].any() and not m[-1].any()
 
 
 class TestGridFunction:
     def test_rejects_pos_inf_and_nan(self):
-        g = make_grid(Box((0.0,), (1.0,)), 3)
+        g = Grid(Box((0.0,), (1.0,)), 3)
         with pytest.raises(DomainError):
             GridFunction(g, np.array([0.0, np.inf, 0.0]))
         with pytest.raises(DomainError):
             GridFunction(g, np.array([0.0, np.nan, 0.0]))
 
     def test_allows_neg_inf(self):
-        g = make_grid(Box((0.0,), (1.0,)), 3)
+        g = Grid(Box((0.0,), (1.0,)), 3)
         f = GridFunction(g, np.array([0.0, NEG_INF, 0.0]))
         assert f.finite_mask.sum() == 2
 
     def test_rejects_huge_values(self):
-        g = make_grid(Box((0.0,), (1.0,)), 3)
+        g = Grid(Box((0.0,), (1.0,)), 3)
         with pytest.raises(DomainError):
             GridFunction(g, np.array([0.0, 1e13, 0.0]))
 
     def test_shape_mismatch(self):
-        g = make_grid(Box((0.0,), (1.0,)), 3)
+        g = Grid(Box((0.0,), (1.0,)), 3)
         with pytest.raises(DomainError):
             GridFunction(g, np.zeros(4))
 
-    def test_pointwise_max_and_shift(self, quad_17):
-        shifted = pointwise_shift(quad_17, 1.5)
-        assert np.array_equal(shifted.values, quad_17.values + 1.5)
-        mx = pointwise_max(quad_17, shifted)
-        assert np.array_equal(mx.values, shifted.values)
-
     def test_certify_rejects_nonconvex(self):
-        g = make_grid(Box((-1.0,), (1.0,)), 5)
+        g = Grid(Box((-1.0,), (1.0,)), 5)
         f = GridFunction.from_callable(g, lambda x: -x * x)
         with pytest.raises(DomainError):
             ConvexGridFunction.certify(f)
@@ -99,7 +84,7 @@ class TestGridFunction:
 
 class TestEnvelope1D:
     def test_matches_chord_oracle_random(self, rng):
-        g = make_grid(Box((-2.0,), (2.0,)), 33)
+        g = Grid(Box((-2.0,), (2.0,)), 33)
         for _ in range(20):
             vals = rng.uniform(-1.0, 1.0, 33)
             env = lower_convex_envelope(GridFunction(g, vals))
@@ -108,12 +93,12 @@ class TestEnvelope1D:
 
     def test_frozen_w_shape(self):
         # f = (1, 0, 1, -1, 1); hull vertices (0,1), (1,0), (3,-1), (4,1)
-        g = make_grid(Box((0.0,), (4.0,)), 5)
+        g = Grid(Box((0.0,), (4.0,)), 5)
         env = lower_convex_envelope(GridFunction(g, np.array([1.0, 0.0, 1.0, -1.0, 1.0])))
         assert env.values == pytest.approx([1.0, 0.0, -0.5, -1.0, 1.0])
 
     def test_neg_inf_input_collapses(self):
-        g = make_grid(Box((0.0,), (1.0,)), 3)
+        g = Grid(Box((0.0,), (1.0,)), 3)
         env = lower_convex_envelope(GridFunction(g, np.array([0.0, NEG_INF, 1.0])))
         assert env.is_identically_neg_inf
 
@@ -121,20 +106,20 @@ class TestEnvelope1D:
 class TestEnvelope2D:
     def test_frozen_pyramid(self):
         # spike at the center is cut off by the four corner planes
-        g = make_grid(Box((-1.0, -1.0), (1.0, 1.0)), (3, 3))
+        g = Grid(Box((-1.0, -1.0), (1.0, 1.0)), (3, 3))
         vals = np.zeros((3, 3))
         vals[1, 1] = 1.0
         env = lower_convex_envelope(GridFunction(g, vals))
         assert env.values == pytest.approx(np.zeros((3, 3)))
 
     def test_affine_data_is_fixed(self):
-        g = make_grid(Box((0.0, 0.0), (1.0, 1.0)), (5, 5))
+        g = Grid(Box((0.0, 0.0), (1.0, 1.0)), (5, 5))
         f = GridFunction.from_callable(g, lambda x, y: 2 * x - 3 * y + 1)
         env = lower_convex_envelope(f)
         assert np.abs(env.values - f.values).max() < 1e-10
 
     def test_paraboloid_fixed(self):
-        g = make_grid(Box((-1.0, -1.0), (1.0, 1.0)), (9, 9))
+        g = Grid(Box((-1.0, -1.0), (1.0, 1.0)), (9, 9))
         f = GridFunction.from_callable(g, lambda x, y: x * x + y * y)
         env = lower_convex_envelope(f)
         assert np.abs(env.values - f.values).max() < 1e-10
@@ -142,7 +127,7 @@ class TestEnvelope2D:
 
 class TestIsConvex:
     def test_witness_location(self):
-        g = make_grid(Box((0.0,), (4.0,)), 5)
+        g = Grid(Box((0.0,), (4.0,)), 5)
         f = GridFunction(g, np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
         ok, witness, dev = is_convex(f, tol=1e-9)
         assert not ok
@@ -158,7 +143,7 @@ class TestIsConvex:
 @given(st.lists(st.floats(-100, 100), min_size=4, max_size=40))
 def test_envelope_properties(vals):
     vals = np.asarray(vals)
-    g = make_grid(Box((0.0,), (1.0,)), vals.size)
+    g = Grid(Box((0.0,), (1.0,)), vals.size)
     f = GridFunction(g, vals)
     env = lower_convex_envelope(f)
     scale = max(1.0, np.abs(vals).max())
@@ -176,8 +161,9 @@ def test_envelope_properties(vals):
 @given(st.floats(-50, 50), st.lists(st.floats(-10, 10), min_size=4, max_size=20))
 def test_envelope_shift_equivariance(c, vals):
     vals = np.asarray(vals)
-    g = make_grid(Box((0.0,), (1.0,)), vals.size)
+    g = Grid(Box((0.0,), (1.0,)), vals.size)
     e1 = lower_convex_envelope(GridFunction(g, vals + c))
-    e2 = pointwise_shift(lower_convex_envelope(GridFunction(g, vals)), c)
+    e2 = lower_convex_envelope(GridFunction(g, vals))
+    e2 = GridFunction(e2.grid, e2.values + c)
     scale = max(1.0, np.abs(vals).max() + abs(c))
     assert np.abs(e1.values - e2.values).max() <= 1e-9 * scale

@@ -1,5 +1,5 @@
-import sys
 import tracemalloc
+import types
 from unittest import mock
 
 import numpy as np
@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import georay.legendre as LEGENDRE
 from georay.curves import ConcaveTransform, envelope_from_u
 from georay.errors import DomainError
-from georay.grids import Box, ConvexGridFunction, GridFunction, NEG_INF, _lower_hull_1d, make_grid
+from georay.grids import Box, ConvexGridFunction, Grid, GridFunction, NEG_INF, _lower_hull_1d
 from georay.instances import (
     linear_growth_bowl,
     quadratic_1d,
@@ -18,7 +19,6 @@ from georay.instances import (
     random_nonconvex_1d,
 )
 from georay.legendre import (
-    SlopeRegion,
     _convex_fill,
     _transform_1d,
     _transform_brute,
@@ -28,14 +28,10 @@ from georay.legendre import (
     default_dual_grid,
     legendre,
     subgradient_range,
-    superlevel_of_concave,
     trapezoid_weights,
 )
 from georay.monge_ampere import _energy_dual_grid
 from georay.rays import ray_dual
-
-# the module; the package re-exports its function ``legendre`` under this name
-LEGENDRE = sys.modules["georay.legendre"]
 
 
 def conjugate_oracle(f, dual):
@@ -55,6 +51,10 @@ def conjugate_oracle(f, dual):
     return out.reshape(dual.shape), wit.reshape(dual.shape)
 
 
+def test_package_does_not_shadow_the_module():
+    assert isinstance(LEGENDRE, types.ModuleType)
+
+
 class TestDefaultDualGrid:
     def test_contains_all_slopes(self, rng):
         for _ in range(5):
@@ -63,7 +63,7 @@ class TestDefaultDualGrid:
             check_dual_contains_slopes(f, dual)
 
     def test_degenerate_constant(self):
-        g = make_grid(Box((0.0,), (1.0,)), 9)
+        g = Grid(Box((0.0,), (1.0,)), 9)
         f = GridFunction(g, np.zeros(9))
         dual = default_dual_grid(f)
         assert dual.box.lower[0] < 0.0 < dual.box.upper[0]
@@ -84,9 +84,9 @@ class TestTransform:
         assert np.abs(star.values[inside] - ys[inside] ** 2 / 2).max() <= h * h
 
     def test_abs_conjugate_is_zero_inside(self):
-        g = make_grid(Box((-1.0,), (1.0,)), 129)
+        g = Grid(Box((-1.0,), (1.0,)), 129)
         f = GridFunction.from_callable(g, np.abs)
-        dual = make_grid(Box((-1.0,), (1.0,)), 65)
+        dual = Grid(Box((-1.0,), (1.0,)), 65)
         star = legendre(f, dual)
         assert np.abs(star.values).max() <= 1e-12
 
@@ -100,9 +100,9 @@ class TestTransform:
             assert np.array_equal(wf, wb)
 
     def test_fast_equals_oracle_2d(self, rng):
-        g = make_grid(Box((-1.0, -1.0), (1.0, 1.0)), (9, 11))
+        g = Grid(Box((-1.0, -1.0), (1.0, 1.0)), (9, 11))
         f = GridFunction(g, rng.uniform(-1, 1, (9, 11)))
-        dual = make_grid(Box((-2.0, -2.0), (2.0, 2.0)), (7, 8))
+        dual = Grid(Box((-2.0, -2.0), (2.0, 2.0)), (7, 8))
         vf, wf = legendre(f, dual, method="fast", return_witness=True)
         ov, ow = conjugate_oracle(f, dual)
         assert np.array_equal(vf.values, ov)
@@ -110,23 +110,23 @@ class TestTransform:
 
     def test_tie_break_lowest_index(self):
         # constant data: every x attains the max at y = 0
-        g = make_grid(Box((-1.0,), (1.0,)), 11)
+        g = Grid(Box((-1.0,), (1.0,)), 11)
         f = GridFunction(g, np.zeros(11))
-        dual = make_grid(Box((-1.0,), (1.0,)), 3)
+        dual = Grid(Box((-1.0,), (1.0,)), 3)
         _, wit = legendre(f, dual, return_witness=True)
         assert wit[1] == 0  # y = 0 ties everywhere; first node wins
 
     def test_partial_neg_inf_rejected(self):
         # any -inf node makes the conjugate +inf at every slope
-        g = make_grid(Box((0.0,), (1.0,)), 3)
+        g = Grid(Box((0.0,), (1.0,)), 3)
         f = GridFunction(g, np.array([0.0, NEG_INF, 0.0]))
-        dual = make_grid(Box((-1.0,), (1.0,)), 3)
+        dual = Grid(Box((-1.0,), (1.0,)), 3)
         with pytest.raises(DomainError):
             legendre(f, dual)
 
     def test_identically_neg_inf_rejected(self):
-        g = make_grid(Box((0.0,), (1.0,)), 3)
-        dual = make_grid(Box((-1.0,), (1.0,)), 3)
+        g = Grid(Box((0.0,), (1.0,)), 3)
+        dual = Grid(Box((-1.0,), (1.0,)), 3)
         with pytest.raises(DomainError):
             legendre(GridFunction.neg_inf(g), dual)
 
@@ -221,7 +221,7 @@ def test_kernel_1d_equals_brute(data):
 def huber_bowl_2d(n):
     """Sum of 1-D Huber bowls on [-3, 3]^2 with a small tilt: linear runs,
     quadratic patches and a kink in every row and column."""
-    g = make_grid(Box((-3.0, -3.0), (3.0, 3.0)), (n, n))
+    g = Grid(Box((-3.0, -3.0), (3.0, 3.0)), (n, n))
     x1, x2 = np.meshgrid(g.axis(0), g.axis(1), indexing="ij")
     hub = lambda x: np.where(np.abs(x) <= 1.0, x * x / 2, np.abs(x) - 0.5)
     return ConvexGridFunction.certify(
@@ -565,7 +565,7 @@ def fill_masks(draw):
     n1, n2 = draw(st.integers(3, 40)), draw(st.integers(3, 40))
     lo = (draw(st.floats(-5, 0)), draw(st.floats(-5, 0)))
     hi = (draw(st.floats(0.5, 5)), draw(st.floats(0.5, 5)))
-    grid = make_grid(Box(lo, hi), (n1, n2))
+    grid = Grid(Box(lo, hi), (n1, n2))
     I, J = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
     kind = draw(st.sampled_from(["random", "sparse", "diagonal", "line", "ellipse"]))
     if kind == "random":
@@ -607,9 +607,9 @@ class TestSubgradientRange:
         assert ys.max() == pytest.approx(1.0, abs=2 * hd)
 
     def test_abs_recovers_interval(self):
-        g = make_grid(Box((-2.0,), (2.0,)), 129)
+        g = Grid(Box((-2.0,), (2.0,)), 129)
         f = GridFunction.from_callable(g, np.abs)
-        dual = make_grid(Box((-2.0,), (2.0,)), 129)
+        dual = Grid(Box((-2.0,), (2.0,)), 129)
         region = subgradient_range(f, dual)
         ys = dual.axis(0)[region.mask]
         hd = dual.spacing[0]
@@ -653,7 +653,7 @@ class TestTrapezoidWeights:
         # phi = huber(x1) + huber(x2) + <a, x> + b has slope set a + [-1, 1]^2;
         # the integral of u = -s (|y1 - a1| + |y2 - a2|) / 2 over it is -2 s
         a1, a2, b, s = 0.21, -0.34, 0.4, 0.93
-        g = make_grid(Box((-3.0, -3.0), (3.0, 3.0)), (65, 65))
+        g = Grid(Box((-3.0, -3.0), (3.0, 3.0)), (65, 65))
         x1, x2 = np.meshgrid(*g.axes(), indexing="ij")
         hub = lambda x: np.where(np.abs(x) <= 1.0, x * x / 2, np.abs(x) - 0.5)
         phi = ConvexGridFunction.trusted(
@@ -667,25 +667,11 @@ class TestTrapezoidWeights:
         assert abs(u.integral() + 2 * s) <= 1e-12
 
 
-class TestSuperlevel:
-    def test_nesting(self):
-        dual = make_grid(Box((-1.0,), (1.0,)), 33)
-        u = GridFunction.from_callable(dual, lambda y: -np.abs(y))
-        regions = [superlevel_of_concave(u, lam) for lam in (-0.8, -0.4, -0.1)]
-        for big, small in zip(regions, regions[1:]):
-            assert (big.mask | small.mask == big.mask).all()
-
-    def test_empty_above_max(self):
-        dual = make_grid(Box((-1.0,), (1.0,)), 33)
-        u = GridFunction.from_callable(dual, lambda y: -np.abs(y))
-        assert superlevel_of_concave(u, 0.5).node_count == 0
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(-10, 10), min_size=3, max_size=25))
 def test_young_fenchel(vals):
     vals = np.asarray(vals)
-    g = make_grid(Box((-1.0,), (1.0,)), vals.size)
+    g = Grid(Box((-1.0,), (1.0,)), vals.size)
     f = GridFunction(g, vals)
     dual = default_dual_grid(f)
     star = legendre(f, dual)
@@ -702,7 +688,7 @@ def test_young_fenchel(vals):
 @given(st.lists(st.floats(-10, 10), min_size=3, max_size=25), st.floats(0.01, 5))
 def test_order_reversal(vals, bump):
     vals = np.asarray(vals)
-    g = make_grid(Box((-1.0,), (1.0,)), vals.size)
+    g = Grid(Box((-1.0,), (1.0,)), vals.size)
     f = GridFunction(g, vals)
     bigger = GridFunction(g, vals + bump)
     dual = default_dual_grid(f)

@@ -5,11 +5,10 @@ from georay.errors import DomainError
 from georay.grids import (
     Box,
     ConvexGridFunction,
+    Grid,
     GridFunction,
-    make_grid,
-    pointwise_shift,
 )
-from georay.instances import abs_1d, quadratic_1d, quadratic_2d, random_convex_1d
+from georay.instances import abs_1d, quadratic_1d, random_convex_1d
 from georay.legendre import default_dual_grid, subgradient_range
 from georay.monge_ampere import (
     _energy_dual_grid,
@@ -17,7 +16,6 @@ from georay.monge_ampere import (
     energy_dual,
     energy_quadrature,
     ma_measure,
-    total_mass_identity_check,
 )
 
 
@@ -35,7 +33,7 @@ class TestMeasure:
     def test_shift_invariance(self, rng):
         f = random_convex_1d(rng, nodes=65)
         dual = default_dual_grid(f)
-        g = ConvexGridFunction.trusted(pointwise_shift(f, 3.7))
+        g = ConvexGridFunction.trusted(GridFunction(f.grid, f.values + 3.7))
         assert np.array_equal(
             ma_measure(f, dual).masses, ma_measure(g, dual).masses
         )
@@ -51,18 +49,10 @@ class TestMeasure:
         dual = default_dual_grid(f, 65)
         region = subgradient_range(f, dual)
         mu = ma_measure(f, dual, region=region)
-        assert mu.total == pytest.approx(region.volume)
-
-    def test_mass_identity_quadratic_2d(self):
-        f = quadratic_2d(65)
-        dual = default_dual_grid(f)
-        resid = total_mass_identity_check(f, dual)
-        vol = subgradient_range(f, dual).volume
-        # boundary ring of dual cells; shrinks to < 5% at 129^2
-        assert resid <= 0.07 * vol
+        assert mu.total == pytest.approx(region.mask.sum() * dual.cell_volume)
 
     def test_rejects_neg_inf(self):
-        g = make_grid(Box((0.0,), (1.0,)), 3)
+        g = Grid(Box((0.0,), (1.0,)), 3)
         with pytest.raises(DomainError):
             ma_measure(ConvexGridFunction.trusted(GridFunction.neg_inf(g)))
 
@@ -71,45 +61,44 @@ class TestEnergy:
     def test_constant_shift_exact(self):
         # E(f + c, f) = c * total MA mass, exactly linear path
         f = quadratic_1d(129)
-        g = ConvexGridFunction.trusted(pointwise_shift(f, 0.75))
+        g = ConvexGridFunction.trusted(GridFunction(f.grid, f.values + 0.75))
         dual = _energy_dual_grid(f)
-        rep = energy_quadrature(g, f)
+        e_quad = energy_quadrature(g, f)
         mass = ma_measure(f, dual, region=subgradient_range(f, dual)).total
-        assert rep.value == pytest.approx(0.75 * mass, rel=1e-12)
+        assert e_quad == pytest.approx(0.75 * mass, rel=1e-12)
         # the dual route integrates over the slope set [-1 + h/2, 1 - h/2]
         # of the discrete quadratic under trapezoid weights
         e_dual = energy_dual(g, f)
-        assert e_dual.value == pytest.approx(0.75 * (2.0 - f.grid.spacing[0]), rel=1e-12)
+        assert e_dual == pytest.approx(0.75 * (2.0 - f.grid.spacing[0]), rel=1e-12)
         # the quadrature's node count holds one dual cell more
-        assert rep.value - e_dual.value == pytest.approx(0.75 * dual.cell_volume, rel=1e-6)
+        assert e_quad - e_dual == pytest.approx(0.75 * dual.cell_volume, rel=1e-6)
         # mass over the slope set of the quadratic on [-1,1] is 2
-        assert rep.value == pytest.approx(0.75 * 2.0, rel=0.02)
-        assert e_dual.value == pytest.approx(0.75 * 2.0, rel=0.02)
+        assert e_quad == pytest.approx(0.75 * 2.0, rel=0.02)
+        assert e_dual == pytest.approx(0.75 * 2.0, rel=0.02)
 
     def test_quadrature_matches_dual_quadratic_pair(self):
         f0 = quadratic_1d(257)
         f1 = ConvexGridFunction.trusted(
             GridFunction(f0.grid, f0.values + 0.25 * (1 - f0.grid.axis(0) ** 2))
         )
-        eq = energy_quadrature(f1, f0).value
-        ed = energy_dual(f1, f0).value
+        eq = energy_quadrature(f1, f0)
+        ed = energy_dual(f1, f0)
         assert eq == pytest.approx(ed, rel=1e-2)
 
     def test_antisymmetry_via_cocycle(self, rng):
         f0 = random_convex_1d(rng, nodes=65, pin_end_slopes=True)
         f1 = random_convex_1d(rng, nodes=65, pin_end_slopes=True)
-        # f2 = f0: E(f0,f0) = 0, so resid = |E(f0,f1) + E(f1,f0)|
-        resid = cocycle_residual(f0, f1, f0)
-        scale = abs(energy_quadrature(f1, f0).value) + 1e-30
-        assert resid <= 0.05 * scale
+        # f2 = f0: E(f0,f0) = 0, so resid = |E(f0,f1) + E(f1,f0)| relative
+        # to the larger of the two
+        assert cocycle_residual(f0, f1, f0) <= 0.05
 
     def test_zero_on_equal_inputs(self):
         f = quadratic_1d(65)
-        assert energy_quadrature(f, f).value == 0.0
-        assert abs(energy_dual(f, f).value) == 0.0
+        assert energy_quadrature(f, f) == 0.0
+        assert abs(energy_dual(f, f)) == 0.0
 
     def test_rejects_mismatched_support(self):
-        g = make_grid(Box((0.0,), (1.0,)), 5)
+        g = Grid(Box((0.0,), (1.0,)), 5)
         a = ConvexGridFunction.trusted(GridFunction(g, np.zeros(5)))
         vals = np.zeros(5)
         vals[0] = -np.inf

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from georay.curves import ConcaveTransform, envelope_from_u
-from georay.grids import Box, ConvexGridFunction, GridFunction, make_grid
+from georay.grids import Box, ConvexGridFunction, Grid, GridFunction
 from georay.instances import (
     constant_u_instance,
     huber_instance,
@@ -49,7 +49,7 @@ class TestRayConstruction:
         # phi = x^2/2, u(y) = 1 - y^2/2: frame(t) = x^2/(2(1+t)) + t where
         # the maximizing slope is interior
         phi = quadratic_1d(257)
-        dual = make_grid(Box((-1.5,), (1.5,)), 257)
+        dual = Grid(Box((-1.5,), (1.5,)), 257)
         base = subgradient_range(phi, dual)
         ys = dual.axis(0)
         u = ConcaveTransform(

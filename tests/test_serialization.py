@@ -4,23 +4,21 @@ import pytest
 from georay import serialization as ser
 from georay.errors import ParseError
 from georay.filtration import WeightedLatticeData
-from georay.grids import Box, GridFunction, NEG_INF, make_grid
+from georay.grids import Box, Grid, GridFunction, NEG_INF
 from georay.instances import huber_instance, quadratic_2d
-from georay.legendre import SlopeRegion, default_dual_grid, subgradient_range
-from georay.monge_ampere import ma_measure
 from georay.rays import Ray, ray_from_curve
 
 
 class TestGridFunctionRoundTrip:
     def test_bit_exact_1d(self, rng):
-        g = make_grid(Box((-1.25,), (2.5,)), 17)
+        g = Grid(Box((-1.25,), (2.5,)), 17)
         f = GridFunction(g, rng.uniform(-1e6, 1e6, 17))
         back = ser.load_grid_function(ser.dump_grid_function(f))
         assert back.grid == f.grid
         assert np.array_equal(back.values, f.values)
 
     def test_bit_exact_2d_with_neg_inf(self, rng):
-        g = make_grid(Box((0.0, -3.0), (1.0, 3.0)), (4, 6))
+        g = Grid(Box((0.0, -3.0), (1.0, 3.0)), (4, 6))
         vals = rng.standard_normal((4, 6))
         vals[2, 3] = NEG_INF
         f = GridFunction(g, vals)
@@ -28,7 +26,7 @@ class TestGridFunctionRoundTrip:
         assert np.array_equal(back.values, f.values)
 
     def test_awkward_doubles_survive(self):
-        g = make_grid(Box((0.0,), (1.0,)), 3)
+        g = Grid(Box((0.0,), (1.0,)), 3)
         vals = np.array([np.nextafter(0.1, 1), 1e-308, -1.0 / 3.0])
         back = ser.load_grid_function(ser.dump_grid_function(GridFunction(g, vals)))
         assert np.array_equal(back.values, vals)
@@ -38,14 +36,14 @@ class TestGridFunctionRoundTrip:
             ser.load_grid_function("gridfunction 1\nwrong 1\n")
 
     def test_truncated_values(self):
-        g = make_grid(Box((0.0,), (1.0,)), 3)
+        g = Grid(Box((0.0,), (1.0,)), 3)
         text = ser.dump_grid_function(GridFunction(g, np.zeros(3)))
         lines = text.strip().splitlines()[:-1]
         with pytest.raises(ParseError):
             ser.load_grid_function("\n".join(lines))
 
     def test_bad_float_reports_line(self):
-        g = make_grid(Box((0.0,), (1.0,)), 3)
+        g = Grid(Box((0.0,), (1.0,)), 3)
         text = ser.dump_grid_function(GridFunction(g, np.zeros(3))).replace(
             "0.0", "zero", 1
         )
@@ -65,15 +63,6 @@ class TestCurveRoundTrip:
             assert np.array_equal(a.values, b.values)
 
 
-class TestRegionRoundTrip:
-    def test_mask_preserved(self):
-        inst = huber_instance(nodes=33, dual_nodes=33, lambda_spacing=0.5)
-        region = subgradient_range(inst.phi, inst.dual)
-        back = ser.load_slope_region(ser.dump_slope_region(region))
-        assert back.grid == region.grid
-        assert np.array_equal(back.mask, region.mask)
-
-
 class TestWeightDataRoundTrip:
     def test_round_trip(self):
         data = WeightedLatticeData(np.array([[0, 1], [2, -3]]), np.array([5, -2]))
@@ -87,14 +76,6 @@ class TestWeightDataRoundTrip:
 
 
 class TestCsvDumps:
-    def test_measure_csv_header_and_rows(self):
-        f = quadratic_2d(5)
-        mu = ma_measure(f, default_dual_grid(f))
-        text = ser.dump_measure_csv(mu)
-        lines = text.strip().splitlines()
-        assert lines[0] == "index,x0,x1,mass"
-        assert len(lines) == 1 + f.grid.num_nodes
-
     def test_ray_csv_shape(self):
         inst = huber_instance(nodes=17, dual_nodes=17, lambda_spacing=0.5)
         ray = ray_from_curve(inst.curve, np.array([0.0, 1.0]))
@@ -109,7 +90,6 @@ class TestCsvDumps:
         texts = [
             ser.dump_ray_csv(ray_from_curve(inst.curve, np.array([0.0, 1.0]))),
             ser.dump_ray_csv(Ray(np.array([0.0, 0.5]), (f2, f2))),
-            ser.dump_measure_csv(ma_measure(f2, default_dual_grid(f2))),
         ]
         for text in texts:
             for row in text.strip().splitlines()[1:]:
@@ -118,7 +98,7 @@ class TestCsvDumps:
 
     def test_ray_csv_bytes_match_per_field_format(self, rng):
         # the row format before frames were formatted with repr in bulk
-        g = make_grid(Box((-1.0, 0.0), (1.0, 2.0)), (3, 4))
+        g = Grid(Box((-1.0, 0.0), (1.0, 2.0)), (3, 4))
         finite = GridFunction(g, rng.standard_normal(g.shape) * 1e3)
         partial = rng.standard_normal(g.shape)
         partial[1, 2] = partial[0, 0] = NEG_INF
