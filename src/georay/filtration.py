@@ -17,12 +17,9 @@ import numpy as np
 
 from .curves import TestCurve, maximal_envelope
 from .errors import DomainError, ResourceError
-from .grids import ConvexGridFunction, Grid, GridFunction, NEG_INF, lower_convex_envelope
+from .grids import ConvexGridFunction, Grid, GridFunction, NEG_INF, SIZE_CAP, lower_convex_envelope
 from .legendre import _concave_envelope_on_points, check_dual_contains_slopes, conjugate
 from .rays import Ray, compare_rays, default_t_grid, ray_from_curve
-
-#: Guard on lattice array sizes produced by closures.
-LATTICE_SIZE_CAP = 10**6
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -109,8 +106,8 @@ def multiplicative_closure(data: WeightedLatticeData, k: int) -> np.ndarray:
     """
     if k < 1:
         raise DomainError("degree must be >= 1")
-    if int(np.prod(data._shape(k))) > LATTICE_SIZE_CAP:
-        raise ResourceError(f"degree-{k} lattice exceeds the size cap {LATTICE_SIZE_CAP}")
+    if math.prod(data._shape(k)) > SIZE_CAP:
+        raise ResourceError(f"degree-{k} lattice exceeds the size cap {SIZE_CAP}")
     have = max(j for j in data.closures if j <= k)
     arr = data.closures[have]
     for j in range(have, k):
@@ -271,10 +268,6 @@ class ConcaveTransformG:
 
         interp = LinearNDInterpolator(self.nodes, self.values)
         return interp(pts)
-
-    @property
-    def max_value(self) -> float:
-        return float(self.values.max())
 
 
 def concave_transform_g(data: WeightedLatticeData, k: int) -> ConcaveTransformG:

@@ -9,11 +9,12 @@ that exp/log-sum-exp further down the pipeline cannot overflow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 
 NEG_INF = float("-inf")
 
@@ -22,6 +23,9 @@ VALUE_CAP = 1e12
 
 #: Default relative tolerance for convexity certification.
 TOL_CONVEX_REL = 1e-9
+
+#: Cap on the node count of a grid and on the entries of a lattice array.
+SIZE_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,10 @@ class Grid:
         for m in n:
             if m < 3:
                 raise DomainError("need at least 3 nodes per axis")
+        if self.num_nodes > SIZE_CAP:
+            raise ResourceError(
+                f"grid of {' x '.join(map(str, n))} nodes exceeds the size cap {SIZE_CAP}"
+            )
 
     @property
     def dim(self) -> int:
@@ -87,7 +95,7 @@ class Grid:
 
     @property
     def num_nodes(self) -> int:
-        return int(np.prod(self.nodes_per_axis))
+        return math.prod(self.nodes_per_axis)
 
     @property
     def spacing(self) -> tuple[float, ...]:

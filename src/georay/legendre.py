@@ -11,6 +11,13 @@ bit-identical, argmax witnesses included.  A +inf value excludes its node,
 so a max over a selection is a conjugate of data set to +inf off it; a dual
 node with no node left gets -inf.
 
+The brute force, ``_transform_brute``, is the exhaustive oracle the kernel
+is checked against: it evaluates every (dual, primal) pair, a block of dual
+columns per numpy call.  In 2-D it forms the y1-independent plane
+x2*y2 - f of a block of y2 columns once and adds x1*y1 to it for every y1,
+which is the expression above term for term; the first maximizer of each
+row is the witness.
+
 The row kernel ``_transform_1d`` conjugates rows V (r x n) that share the
 primal nodes x, each cut to its finite run, after Lucet's linear-time
 Legendre transform (Numer. Algorithms 16, 1997) and the lower-envelope scan
@@ -121,32 +128,36 @@ def check_dual_contains_slopes(f: GridFunction, dual: Grid):
 
 
 def _transform_brute(axes, values, dual_axes):
-    """Brute-force conjugate over arbitrary axis data.
+    """Exhaustive conjugate over arbitrary axis data, a block of dual
+    columns at a time (see the module docstring).
 
     Returns (vals, witness) where witness holds flat row-major primal
     indices (first maximizer).
     """
-    dim = len(axes)
     vflat = values.ravel()
-    if dim == 1:
-        x = axes[0]
-        out = np.empty(len(dual_axes[0]))
-        wit = np.empty(len(dual_axes[0]), dtype=np.intp)
-        for q, y in enumerate(dual_axes[0]):
-            cand = x * y - vflat
-            wit[q] = np.argmax(cand)
-            out[q] = cand[wit[q]]
+    if len(axes) == 1:
+        x, y = axes[0], dual_axes[0]
+        out = np.empty(len(y))
+        wit = np.empty(len(y), dtype=np.intp)
+        for q in _chunks(len(y), vflat.size):
+            cand = x * y[q, None] - vflat
+            w = np.argmax(cand, axis=1)
+            out[q], wit[q] = cand[np.arange(len(w)), w], w
         return out, wit
     mesh = np.meshgrid(axes[0], axes[1], indexing="ij")
     x1f, x2f = mesh[0].ravel(), mesh[1].ravel()
-    m1, m2 = len(dual_axes[0]), len(dual_axes[1])
-    out = np.empty((m1, m2))
-    wit = np.empty((m1, m2), dtype=np.intp)
-    for p, y1 in enumerate(dual_axes[0]):
-        for q, y2 in enumerate(dual_axes[1]):
-            cand = x1f * y1 + (x2f * y2 - vflat)
-            wit[p, q] = np.argmax(cand)
-            out[p, q] = cand[wit[p, q]]
+    y1, y2 = dual_axes
+    out = np.empty((len(y1), len(y2)))
+    wit = np.empty((len(y1), len(y2)), dtype=np.intp)
+    # blocks of about 2 * _BLOCK candidates: each x1*y1 product serves the
+    # whole block, and at 65^2 seven columns a block beat three
+    for q in _chunks(len(y2), vflat.size // 2):
+        plane = x2f * y2[q, None] - vflat
+        rows = np.arange(len(plane))
+        for p, y in enumerate(y1):
+            cand = x1f * y + plane
+            w = np.argmax(cand, axis=1)
+            out[p, q], wit[p, q] = cand[rows, w], w
     return out, wit
 
 
@@ -356,9 +367,8 @@ def _convex_fill(grid: Grid, mask: np.ndarray) -> np.ndarray:
         out[idx[0] : idx[-1] + 1] = True
         return out
     ii, jj = np.nonzero(mask)  # row-major: each row's run is ascending in j
-    first = np.flatnonzero(np.diff(ii, prepend=-1))
-    last = np.r_[first[1:], ii.size] - 1
-    ends = np.unique(np.r_[first, last])
+    starts = np.diff(ii, prepend=-1, append=ii[-1] + 1) != 0  # a row starts at k
+    ends = np.flatnonzero(starts[:-1] | starts[1:])  # each row's first and last node
     pi, pj = ii[ends].tolist(), jj[ends].tolist()
     # integer-valued floats: a cross product is at most the node count, so exact
     lower = _lower_hull_1d(pi, pj)

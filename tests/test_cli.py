@@ -13,7 +13,7 @@ from georay import filtration
 from georay import serialization as ser
 from georay.cli import main
 from georay.filtration import WeightedLatticeData
-from georay.grids import Box, ConvexGridFunction, Grid, GridFunction
+from georay.grids import SIZE_CAP, Box, ConvexGridFunction, Grid, GridFunction
 from georay.instances import filtration_base, huber_instance
 from georay.legendre import default_dual_grid
 
@@ -193,6 +193,17 @@ class TestFiltrationCommand:
         )
         assert rc == 4
 
+    def test_dual_grid_over_cap_exit_4(self, specdir, tmp_path, capsys):
+        spec = tmp_path / "big_dual.spec"
+        doc = json.loads((specdir / "weights01.spec").read_text())
+        doc.update(phi=str(specdir / "base.gf"), weights=str(specdir / "w01.wd"))
+        doc["dual"] = {"lower": [-0.5], "upper": [1.5], "nodes": [SIZE_CAP + 1]}
+        spec.write_text(json.dumps(doc))
+        rc = main(["filtration", "--spec", str(spec), "--out", str(tmp_path / "o"), "--k", "4"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert f"grid of {SIZE_CAP + 1} nodes" in err and str(SIZE_CAP) in err
+
     def test_point_outside_dual_box_exit_3(self, specdir, tmp_path, capsys):
         # P1 = {0, 1, 2} reaches slopes up to 2, but the default dual box
         # only pads the base's slope set [0, 1]
@@ -244,17 +255,18 @@ class TestCheckCommand:
     ids=["ray", "filtration"],
 )
 def test_command_never_imports_scipy(specdir, tmp_path, command, spec):
-    """scipy costs start-up time; neither 2-D ``ray`` nor 1-D ``filtration``
-    may load it."""
+    """scipy and ``numpy.ma`` cost start-up time; neither 2-D ``ray`` nor 1-D
+    ``filtration`` may load them (plain ``np.unique`` imports ``numpy.ma``)."""
     script = (
         "import sys\n"
         "import georay.cli\n"
-        "def scipy_modules():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "assert not scipy_modules(), scipy_modules()[:5]\n"
+        "def slow_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "                  or m.split('.')[:2] == ['numpy', 'ma'])\n"
+        "assert not slow_modules(), slow_modules()[:5]\n"
         "rc = georay.cli.main([sys.argv[1], '--spec', sys.argv[2], '--out', sys.argv[3]])\n"
         "assert rc == 0, rc\n"
-        "assert not scipy_modules(), scipy_modules()[:5]\n"
+        "assert not slow_modules(), slow_modules()[:5]\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(georay.__file__).parents[1]))
     proc = subprocess.run(

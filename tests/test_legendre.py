@@ -391,6 +391,27 @@ def test_masked_conjugate_equals_masked_max(data):
         assert np.array_equal(rwit[r][np.isfinite(ovals)], owit[np.isfinite(ovals)])
 
 
+@pytest.mark.parametrize(
+    "shape, dual_shape",
+    # the oracle's blocks hold 31 of 65 dual nodes in 1-D and 15 of 65
+    # columns at 65 x 33; the 9 x 14 grid takes its 65 columns in one block
+    [((513,), (65,)), ((65, 33), (17, 65)), ((9, 14), (23, 65))],
+)
+@pytest.mark.parametrize("neg_inf", [False, True], ids=["finite", "-inf"])
+def test_brute_equals_masked_oracle(rng, shape, dual_shape, neg_inf):
+    """The blocked oracle against the per-node loop with every node selected:
+    ties from rounded values, n1 != n2 and m1 != m2, and rows with -inf."""
+    axes = [np.linspace(-1.0, 2.0, n) for n in shape]
+    dual_axes = [np.linspace(-3.0, 2.5, m) for m in dual_shape]
+    v = np.round(rng.uniform(-2.0, 2.0, shape), 1)
+    if neg_inf:
+        v.flat[rng.choice(v.size, 3, replace=False)] = -np.inf
+    vals, wit = _transform_brute(axes, v, dual_axes)
+    ovals, owit = masked_oracle(axes, v, np.ones(shape, dtype=bool), dual_axes)
+    assert np.array_equal(vals, ovals)
+    assert np.array_equal(wit, owit)
+
+
 @st.composite
 def batch_inputs(draw):
     """A stack of 1 to 7 functions on shared 1-D or 2-D axes: data of every
