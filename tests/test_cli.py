@@ -193,16 +193,18 @@ class TestFiltrationCommand:
         )
         assert rc == 4
 
-    def test_dual_grid_over_cap_exit_4(self, specdir, tmp_path, capsys):
+    # 2^32 x 2^32 nodes: an int64 product of the counts wraps to 0
+    @pytest.mark.parametrize("nodes", [[SIZE_CAP + 1], [2**32, 2**32]], ids=["1d", "wrap"])
+    def test_dual_grid_over_cap_exit_4(self, specdir, tmp_path, capsys, nodes):
         spec = tmp_path / "big_dual.spec"
         doc = json.loads((specdir / "weights01.spec").read_text())
         doc.update(phi=str(specdir / "base.gf"), weights=str(specdir / "w01.wd"))
-        doc["dual"] = {"lower": [-0.5], "upper": [1.5], "nodes": [SIZE_CAP + 1]}
+        doc["dual"] = {"lower": [-0.5] * len(nodes), "upper": [1.5] * len(nodes), "nodes": nodes}
         spec.write_text(json.dumps(doc))
         rc = main(["filtration", "--spec", str(spec), "--out", str(tmp_path / "o"), "--k", "4"])
         assert rc == 4
         err = capsys.readouterr().err
-        assert f"grid of {SIZE_CAP + 1} nodes" in err and str(SIZE_CAP) in err
+        assert f"grid of {' x '.join(map(str, nodes))} nodes" in err and str(SIZE_CAP) in err
 
     def test_point_outside_dual_box_exit_3(self, specdir, tmp_path, capsys):
         # P1 = {0, 1, 2} reaches slopes up to 2, but the default dual box
