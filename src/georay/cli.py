@@ -34,8 +34,8 @@ from .checks import SUITES, run_suite
 from .curves import ConcaveTransform, envelope_from_u, validate
 from .errors import DomainError, ParseError, ResourceError
 from .filtration import BergmanInstance, equivalence_check, weight_histogram
-from .grids import Box, ConvexGridFunction, Grid
-from .legendre import SlopeRegion, default_dual_grid, subgradient_range
+from .grids import SIZE_CAP, Box, ConvexGridFunction, Grid
+from .legendre import SlopeRegion, default_dual_grid, slope_regions
 from .rays import energy_linearity, ray_from_curve
 
 
@@ -72,11 +72,22 @@ def _grid_from_block(block) -> Grid:
         raise ParseError(f"malformed grid block: {exc}") from exc
 
 
-def _t_grid(doc) -> np.ndarray:
+def _require_within_cap(what: str, count: float, nodes: int):
+    """count samples of a grid of ``nodes`` nodes fit under the size cap;
+    checked before the samples are allocated."""
+    if count * nodes > SIZE_CAP:
+        raise ResourceError(
+            f"{what} of {count:.0f} x {nodes} nodes exceeds the size cap {SIZE_CAP}"
+        )
+
+
+def _t_grid(doc, grid: Grid) -> np.ndarray:
+    """The spec's t grid; a frame per t on ``grid``."""
     n = int(doc.get("t_nodes", 11))
     tmax = float(doc.get("t_max", 1.0))
     if n < 2 or tmax <= 0:
         raise ParseError("t grid needs t_nodes >= 2 and t_max > 0")
+    _require_within_cap("t grid", n, grid.num_nodes)
     return np.linspace(0.0, tmax, n)
 
 
@@ -87,11 +98,11 @@ def cmd_ray(spec_path: str, out_dir: str, tol_scale: float = 1.0) -> int:
     specdir = Path(spec_path).parent
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ts = _t_grid(doc)
 
     u = None
     if doc["kind"] == "curve":
         tc = ser.load_test_curve((specdir / doc["curve"]).read_text())
+        ts = _t_grid(doc, tc.grid)
         phi = (
             _load_grid_function_file(specdir, doc["phi"]) if "phi" in doc else tc.head
         )
@@ -108,13 +119,17 @@ def cmd_ray(spec_path: str, out_dir: str, tol_scale: float = 1.0) -> int:
             return 3
     else:
         phi = _load_grid_function_file(specdir, doc["phi"])
+        ts = _t_grid(doc, phi.grid)
         dual = (
             _grid_from_block(doc["dual"]) if "dual" in doc else default_dual_grid(phi)
         )
         uf = ser.load_grid_function((specdir / doc["u"]).read_text())
         if uf.grid != dual:
             raise DomainError("u is not sampled on the dual grid")
-        base = SlopeRegion(dual, uf.finite_mask & subgradient_range(phi, dual).mask)
+        # phi is conjugated on the dual grid once: its slope region and
+        # phi*, which the envelopes reuse
+        mask, phistar, _ = next(slope_regions([phi], dual))
+        base = SlopeRegion(dual, uf.finite_mask & mask)
         u = ConcaveTransform(uf, base)
         lb = doc.get("lambda", {})
         finite_u = uf.values[base.mask]
@@ -123,8 +138,11 @@ def cmd_ray(spec_path: str, out_dir: str, tol_scale: float = 1.0) -> int:
         sp = float(lb.get("spacing", (hi - lo) / 32 if hi > lo else 1.0))
         if sp <= 0:
             raise ParseError("lambda spacing must be positive")
+        # a selection on the dual grid and a sample on the primal grid per lambda
+        count = np.ceil((hi + sp / 2 - lo) / sp)
+        _require_within_cap("lambda grid", count, max(dual.num_nodes, phi.grid.num_nodes))
         lambdas = np.arange(lo, hi + sp / 2, sp)
-        tc = envelope_from_u(phi, u, lambdas, dual, lambda_head=lo)
+        tc = envelope_from_u(phi, u, lambdas, dual, lambda_head=lo, phistar=phistar)
 
     ray = ray_from_curve(tc, ts)
     (out / "ray.csv").write_text(ser.dump_ray_csv(ray))
@@ -155,7 +173,7 @@ def cmd_filtration(spec_path: str, out_dir: str, k_list=(4, 8, 16, 32)) -> int:
     dual = _grid_from_block(doc["dual"]) if "dual" in doc else default_dual_grid(phi)
     data = ser.load_weight_data((specdir / doc["weights"]).read_text())
     inst = BergmanInstance(phi, dual)
-    ts = _t_grid(doc)
+    ts = _t_grid(doc, phi.grid)
     k_list = sorted(set(int(k) for k in k_list))
     rows = ["k,t,gap"]
     table, rays = equivalence_check(inst, data, ts, k_list)

@@ -21,9 +21,9 @@ from .grids import ConvexGridFunction, Grid, GridFunction, NEG_INF
 from .legendre import (
     SlopeRegion,
     _chunks,
+    _require_finite,
     check_dual_contains_slopes,
     conjugate,
-    legendre,
     slope_regions,
     subgradient_range,
     trapezoid_weights,
@@ -172,7 +172,7 @@ def concave_transform(tc: TestCurve, dual: Grid) -> ConcaveTransform:
     u = np.full(dual.shape, NEG_INF)
     u[base.mask] = tc.lambdas[live[0]]
     regions = slope_regions([tc.samples[j] for j in live[1:]], dual)
-    for j, (mask, _) in zip(live[1:], regions):
+    for j, (mask, _, _) in zip(live[1:], regions):
         u[mask] = tc.lambdas[j]
     return ConcaveTransform(GridFunction(dual, u), base)
 
@@ -183,15 +183,21 @@ def envelope_from_u(
     lambdas,
     dual: Grid,
     lambda_head: float | None = None,
+    phistar: np.ndarray | None = None,
 ) -> TestCurve:
     """Maximal-envelope curve of phi with slopes confined to {u >= lambda}.
 
     phi_lambda(x) = max over dual nodes y with u(y) >= lambda of
-    <x,y> - phi*(y); empty selections give -inf samples.
+    <x,y> - phi*(y); empty selections give -inf samples.  ``phistar`` is
+    phi* on ``dual`` when the caller has already conjugated phi there.
     """
     check_dual_contains_slopes(phi, dual)
+    _require_finite(phi)
+    if phistar is None:
+        phistar, _ = conjugate(phi.grid.axes(), phi.values, dual.axes())
+    # the value cap of a grid function, as for any Legendre transform
+    phistar = GridFunction(dual, phistar)
     lam = np.asarray(lambdas, dtype=float).ravel()
-    phistar = legendre(phi, dual)
     usable = u.base.mask & np.isfinite(u.u.values)
     sels = [usable & (u.u.values >= l - 1e-12) for l in lam]
     live = [j for j, sel in enumerate(sels) if sel.any()]

@@ -44,6 +44,18 @@ row is redone densely.  With window w = 5 the cost is O(n1 (n2 + m2 w)) +
 O(m2 (n1 + m1 w)), plus a row per unsettled pair; temporaries are built in
 blocks of ``_BLOCK`` elements.
 
+Witnesses are computed only when a caller asks for them: without, the
+window keeps only its running max v and the certificate bound < v (no
+first max, second largest or gap), dense pairs store no argmax, and 2-D
+skips the witness gather and the tie redo.  The values come from the same
+float expressions, so they are the same bits.  Dense pairs still take the
+value at the first maximizer, as the brute force does: a plain max may
+return the other sign of a zero.  Witnesses are asked for by
+``legendre(..., return_witness=True)`` (``fast_vs_brute``,
+``ma_measure``), ``slope_regions(..., witness=True)`` (``region_measures``,
+``region_mass``) and ``energy_quadrature``; every other caller conjugates
+values only.
+
 ``conjugate`` takes one function or a stack of them along a leading batch
 axis; one function is the batch of one.  In 1-D the stacked rows go to the
 row kernel together; in 2-D pass 1 runs on r*n1 rows and pass 2 on r*m2.
@@ -54,9 +66,10 @@ each), and reduce each group to regions, masses or frames before the next.
 Slope regions (the numerical Delta_phi) keep only dual nodes whose max is
 attained at an interior primal node: boundary attainment encodes the box
 truncation, not a genuine subgradient, and is discarded.  ``slope_regions``
-returns them for a group of functions together with the witnesses of their
-full conjugates, which the Monge-Ampere deposit reuses.  Integrals over a
-region use the trapezoid weights of its mask (``trapezoid_weights``).
+returns them for a group of functions together with their full conjugates
+and, on request, the witnesses, which the Monge-Ampere deposit reuses.
+Integrals over a region use the trapezoid weights of its mask
+(``trapezoid_weights``).
 """
 
 from __future__ import annotations
@@ -168,20 +181,24 @@ def _chunks(total: int, width: int):
     return (slice(s, s + step) for s in range(0, total, step))
 
 
-def _transform_1d(x, V, y):
+def _transform_1d(x, V, y, witness=False):
     """Row-batched certified conjugate max_j x[j]*y[q] - V[r, j] for
     increasing x and ascending y; +inf entries of V are excluded nodes.
 
-    Returns (vals, wit, gap, dense), each (rows, len(y)): the lowest-index
-    argmax and its witness, a lower bound on vals minus every candidate
-    below the witness (-inf if unknown), and the pairs evaluated densely.
+    Returns (vals, wit, gap, dense), each (rows, len(y)): the max, its
+    lowest-index witness, a lower bound on vals minus every candidate below
+    the witness (-inf if unknown), and the pairs evaluated densely.  Without
+    ``witness`` the witness bookkeeping is skipped and wit and gap are None;
+    vals are the same bits either way.
     """
     if np.any(x[1:] <= x[:-1]) or np.any(y[1:] < y[:-1]):
         raise ValueError("primal nodes must increase and dual nodes must ascend")
     V = np.atleast_2d(V)
     shape, n = (len(V), len(y)), V.shape[1]
-    vals, gap = np.full(shape, -np.inf), np.full(shape, -np.inf)
-    wit, dense = np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=bool)
+    vals, dense = np.full(shape, -np.inf), np.zeros(shape, dtype=bool)
+    wit = gap = None
+    if witness:
+        wit, gap = np.zeros(shape, dtype=np.intp), np.full(shape, -np.inf)
     kept = V < np.inf
     count = kept.sum(axis=1)
     lo = np.argmax(kept, axis=1)
@@ -194,21 +211,29 @@ def _transform_1d(x, V, y):
     # a block's temporaries are (rows x n) and (rows x len(y))
     for b in _chunks(rows.size, n + len(y)):
         k = rows[b]
-        vals[k], wit[k], gap[k], settled = _window(x, V[k], kept[k], y, lo[k, None], hi[k, None])
-        dense[k] = ~settled
+        v, w, g, settled = _window(x, V[k], kept[k], y, lo[k, None], hi[k, None], witness)
+        vals[k], dense[k] = v, ~settled
+        if witness:
+            wit[k], gap[k] = w, g
     rr, qq = np.nonzero(dense)
-    gap[rr, qq] = -np.inf
+    if witness:
+        gap[rr, qq] = -np.inf
+    # the value at the first maximizer, as the brute force takes it: a plain
+    # max may return the other sign of a zero
     for b in _chunks(rr.size, n):
         r, q = rr[b], qq[b]
         cand = x * y[q, None] - V[r]
         w = np.argmax(cand, axis=1)
-        vals[r, q], wit[r, q] = cand[np.arange(len(w)), w], w
+        vals[r, q] = cand[np.arange(len(w)), w]
+        if witness:
+            wit[r, q] = w
     return vals, wit, gap, dense
 
 
-def _window(x, W, run, y, lo, hi):
+def _window(x, W, run, y, lo, hi, witness):
     """Steps 1-3 on rows whose finite run W[lo..hi] (the mask ``run``) has
-    at least five nodes; returns (vals, wit, gap, settled)."""
+    at least five nodes; returns (vals, wit, gap, settled), wit and gap None
+    without ``witness``."""
     k, n = W.shape
     row = np.arange(k)[:, None]
     Wz = np.where(run, W, 0.0)
@@ -227,16 +252,20 @@ def _window(x, W, run, y, lo, hi):
     pos = np.searchsorted(y, np.where(np.arange(n - 1) < hi, S, np.inf), side="right")
     J = np.bincount((pos + (len(y) + 1) * row).ravel(), minlength=k * (len(y) + 1))
     J = J.reshape(k, -1).cumsum(axis=1)[:, :-1]
-    # the window s..s+4 of the run around J: its first max (the first strict
-    # rise; the window holds no NaN) and second largest.  Arrays of this
-    # size are updated in place, so a block keeps few of them alive.
+    # the window s..s+4 of the run around J: its max and, with witnesses,
+    # its first max (the first strict rise; the window holds no NaN) and
+    # second largest.  Arrays of this size are updated in place, so a block
+    # keeps few of them alive.
     s = np.maximum(np.minimum(J - 2, hi - 4, out=J), lo, out=J)
     at = row * n + s
-    v, w, second = x[s] * y - W.take(at), s.copy(), np.full(s.shape, -np.inf)
+    v = x[s] * y - W.take(at)
+    if witness:
+        w, second = s.copy(), np.full(s.shape, -np.inf)
     for d in range(1, 5):
         c = x[s + d] * y - W.take(at + d)
-        np.maximum(second, np.minimum(v, c), out=second)
-        np.copyto(w, s + d, where=c > v)
+        if witness:
+            np.maximum(second, np.minimum(v, c), out=second)
+            np.copyto(w, s + d, where=c > v)
         np.maximum(v, c, out=v)
     # certificate: g = x*y - H is concave and g >= x*y - W, so g at the
     # nodes s-1 and s+5 bounds every node beyond them; H padded with +inf
@@ -248,13 +277,17 @@ def _window(x, W, run, y, lo, hi):
     bound = xp[s] * y - Hp.take(at)
     np.maximum(bound, xp[s + 6] * y - Hp.take(at + 6), out=bound)
     bound += (64 + hi - lo + 1) * _EPS * scale
+    if not witness:
+        return v, None, None, bound < v
     gap = np.subtract(v, np.maximum(second, bound, out=second), out=second)
     return v, w, gap, bound < v
 
 
-def conjugate(axes, values, dual_axes):
-    """max over primal nodes of <x,y> - values and its lowest-index witness,
-    bit-identical to ``_transform_brute``; +inf values are excluded nodes.
+def conjugate(axes, values, dual_axes, witness=False):
+    """(vals, wit): the max over primal nodes of <x,y> - values and its
+    lowest-index witness, bit-identical to ``_transform_brute``; +inf values
+    are excluded nodes.  Without ``witness`` no witness work is done and
+    wit is None; vals are the same bits either way.
 
     ``values`` is one function on the primal nodes or a stack of them along
     a leading batch axis; the outputs then carry the same batch axis.
@@ -263,26 +296,29 @@ def conjugate(axes, values, dual_axes):
     V = values[None] if single else values
     r = len(V)
     if len(axes) == 1:
-        out, wit, _, _ = _transform_1d(axes[0], V, dual_axes[0])
+        out, wit, _, _ = _transform_1d(axes[0], V, dual_axes[0], witness)
     else:
         (x1, x2), (y1, y2) = axes, dual_axes
         n1, n2, m1, m2 = len(x1), len(x2), len(y1), len(y2)
-        t, w2, gap, _ = _transform_1d(x2, V.reshape(r * n1, n2), y2)
+        t, w2, gap, _ = _transform_1d(x2, V.reshape(r * n1, n2), y2, witness)
         # x1*y1 - (-t) is x1*y1 + t
         T = -t.reshape(r, n1, m2).transpose(0, 2, 1).reshape(r * m2, n1)
-        out, w1, _, _ = _transform_1d(x1, T, y1)
+        out, w1, _, _ = _transform_1d(x1, T, y1, witness)
         out = out.reshape(r, m2, m1).transpose(0, 2, 1)
-        w1 = w1.reshape(r, m2, m1).transpose(0, 2, 1)
-        at = (np.arange(r)[:, None, None], w1, np.arange(m2))
-        w2, gap = w2.reshape(r, n1, m2)[at], gap.reshape(r, n1, m2)[at]
-        # sums that round alike lie within eps * |sum| of each other
-        bb, pp, qq = np.nonzero(~(gap > 4 * _EPS * np.abs(out) + np.finfo(float).tiny))
-        for s in _chunks(bb.size, n2):
-            b, p, q = bb[s], pp[s], qq[s]
-            i = w1[b, p, q]
-            cand = x1[i, None] * y1[p, None] + (x2 * y2[q, None] - V[b, i])
-            w2[b, p, q] = np.argmax(cand, axis=1)
-        wit = w1 * n2 + w2
+        if witness:
+            w1 = w1.reshape(r, m2, m1).transpose(0, 2, 1)
+            at = (np.arange(r)[:, None, None], w1, np.arange(m2))
+            w2, gap = w2.reshape(r, n1, m2)[at], gap.reshape(r, n1, m2)[at]
+            # sums that round alike lie within eps * |sum| of each other
+            bb, pp, qq = np.nonzero(~(gap > 4 * _EPS * np.abs(out) + np.finfo(float).tiny))
+            for s in _chunks(bb.size, n2):
+                b, p, q = bb[s], pp[s], qq[s]
+                i = w1[b, p, q]
+                cand = x1[i, None] * y1[p, None] + (x2 * y2[q, None] - V[b, i])
+                w2[b, p, q] = np.argmax(cand, axis=1)
+            wit = w1 * n2 + w2
+    if not witness:
+        return (out[0] if single else out), None
     return (out[0], wit[0]) if single else (out, wit)
 
 
@@ -301,11 +337,12 @@ def legendre(
     """phi*(y) = max over primal nodes of <x,y> - phi(x), on the dual grid.
 
     method is "fast" (the certified ``conjugate`` kernel) or "brute"; the
-    two agree bit-for-bit including the argmax witness.
+    two agree bit-for-bit including the argmax witness, which the fast
+    method computes only for ``return_witness``.
     """
     _require_finite(f)
     if method == "fast":
-        vals, wit = conjugate(f.grid.axes(), f.values, dual.axes())
+        vals, wit = conjugate(f.grid.axes(), f.values, dual.axes(), return_witness)
     elif method == "brute":
         vals, wit = _transform_brute(f.grid.axes(), f.values, dual.axes())
     else:
@@ -387,10 +424,11 @@ def _convex_fill(grid: Grid, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def slope_regions(fs, dual: Grid, tol: float | None = None):
-    """Yield (mask, witness) for each function of ``fs`` (one primal grid):
-    the node mask of its slope region, as ``subgradient_range``, and the
-    witnesses of its full conjugate on ``dual``.
+def slope_regions(fs, dual: Grid, tol: float | None = None, witness: bool = False):
+    """Yield (mask, star, wit) for each function of ``fs`` (one primal grid):
+    the node mask of its slope region, as ``subgradient_range``, its full
+    conjugate on ``dual``, and with ``witness`` the witnesses of that
+    conjugate (None without).
 
     The conjugates are taken in groups of ``_chunks`` items, and a group's
     regions are yielded before the next group is conjugated.
@@ -405,13 +443,15 @@ def slope_regions(fs, dual: Grid, tol: float | None = None):
     sl = (slice(None),) + tuple(slice(1, -1) for _ in axes)
     for g in _chunks(len(fs), dual.num_nodes):
         V = np.stack([f.values for f in fs[g]])
-        full, wit = conjugate(axes, V, dual.axes())
+        full, wit = conjugate(axes, V, dual.axes(), witness)
         interior, _ = conjugate(inner, V[sl], dual.axes())
+        if wit is None:
+            wit = [None] * len(V)
         for f, a, b, w in zip(fs[g], full, interior, wit):
             t = tol
             if t is None:
                 t = 1e-8 * max(1.0, f.value_range(), float(np.abs(a).max()))
-            yield _convex_fill(dual, b >= a - t), w
+            yield _convex_fill(dual, b >= a - t), a, w
 
 
 def subgradient_range(
@@ -425,7 +465,7 @@ def subgradient_range(
     largest |conjugate|) are kept, and the set is closed under the discrete
     convex hull.
     """
-    mask, _ = next(slope_regions([f], dual, tol))
+    mask, _, _ = next(slope_regions([f], dual, tol))
     return SlopeRegion(dual, mask)
 
 

@@ -92,7 +92,7 @@ def region_measures(fs, dual: Grid):
     """
     for f in fs:
         _require_finite(f)
-    for f, (mask, wit) in zip(fs, slope_regions(fs, dual)):
+    for f, (mask, _, wit) in zip(fs, slope_regions(fs, dual, witness=True)):
         yield mask, _deposit(f, wit, dual, mask)
 
 
@@ -101,7 +101,7 @@ def region_mass(f: ConvexGridFunction, dual: Grid) -> DiscreteMeasure:
     region node deposits its weight times the dual-cell volume at its
     witness, so the total is the trapezoid area of the region."""
     _require_finite(f)
-    mask, wit = next(slope_regions([f], dual))
+    mask, _, wit = next(slope_regions([f], dual, witness=True))
     return DiscreteMeasure(f.grid, _deposit(f, wit, dual, trapezoid_weights(mask)))
 
 
@@ -152,7 +152,8 @@ def energy_quadrature(
     shape = (-1,) + (1,) * f0.grid.dim
     for g in _chunks(t_samples, dual.num_nodes):
         t = ts[g].reshape(shape)
-        _, wits = conjugate(f0.grid.axes(), (1.0 - t) * f0.values + t * f1.values, dual.axes())
+        path = (1.0 - t) * f0.values + t * f1.values
+        _, wits = conjugate(f0.grid.axes(), path, dual.axes(), witness=True)
         for wt, wit in zip(w[g], wits):
             total += wt * float((diff * _deposit(f0, wit, dual, region.mask)).sum())
     return total
@@ -162,8 +163,9 @@ def dual_energies(fs, f: ConvexGridFunction, dual: Grid | None = None) -> np.nda
     """E(f_t, f) = int over Delta_f of (f* - f_t*) dy for each f_t of ``fs``.
 
     The integral is the trapezoid rule on the nodes of the slope region of
-    f (``trapezoid_weights``).  The region and conjugate of f are taken
-    once, and the f_t are conjugated in groups of ``_chunks`` items.
+    f (``trapezoid_weights``).  The region and conjugate of f come from one
+    ``slope_regions`` step, and the f_t are conjugated in groups of
+    ``_chunks`` items; no witness is computed.
     """
     for ft in fs:
         _require_equivalent(ft, f)
@@ -171,9 +173,11 @@ def dual_energies(fs, f: ConvexGridFunction, dual: Grid | None = None) -> np.nda
         dual = _energy_dual_grid(f)
     else:
         check_dual_contains_slopes(f, dual)
-    mask = subgradient_range(f, dual).mask
+    mask, fstar, _ = next(slope_regions([f], dual))
+    _require_finite(f)
     w = trapezoid_weights(mask)[mask]
-    fstar = legendre(f, dual).values[mask]
+    # the value cap of a grid function, as for any Legendre transform
+    fstar = GridFunction(dual, fstar).values[mask]
     out = np.empty(len(fs))
     for g in _chunks(len(fs), dual.num_nodes):
         stars, _ = conjugate(f.grid.axes(), np.stack([ft.values for ft in fs[g]]), dual.axes())

@@ -59,20 +59,25 @@ def default_t_grid() -> np.ndarray:
 
 
 def ray_from_curve(tc: TestCurve, t_grid=None) -> Ray:
-    """frame(t) = node-wise max over stored lambda of (phi_lambda + t lambda)."""
+    """frame(t) = node-wise max over stored lambda of (phi_lambda + t lambda).
+
+    The finite samples are stacked, and each t takes one max over a group of
+    ``_chunks`` samples at a time.
+    """
     if t_grid is None:
         t_grid = default_t_grid()
     ts = np.asarray(t_grid, dtype=float).ravel()
     if tc.head.is_identically_neg_inf:
         raise DomainError("test curve head is identically -inf")
+    live = [j for j, s in enumerate(tc.samples) if not s.is_identically_neg_inf]
+    values = np.stack([tc.samples[j].values.ravel() for j in live])
+    lam = tc.lambdas[live, None]
     frames = []
     for t in ts:
-        acc = np.full(tc.grid.shape, NEG_INF)
-        for lam, s in zip(tc.lambdas, tc.samples):
-            if s.is_identically_neg_inf:
-                continue
-            np.maximum(acc, s.values + t * lam, out=acc)
-        frames.append(GridFunction(tc.grid, acc))
+        acc = np.full(tc.grid.num_nodes, NEG_INF)
+        for g in _chunks(len(live), tc.grid.num_nodes):
+            np.maximum(acc, (values[g] + t * lam[g]).max(axis=0), out=acc)
+        frames.append(GridFunction(tc.grid, acc.reshape(tc.grid.shape)))
     return Ray(ts, tuple(frames), curve=tc)
 
 

@@ -23,6 +23,8 @@ Weight-data file::
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .curves import TestCurve
@@ -123,8 +125,10 @@ def load_test_curve(text: str) -> TestCurve:
 
 
 def _coord_fields(grid: Grid) -> list[str]:
-    """Each node's coordinates as comma-separated Python float reprs."""
-    return [",".join(repr(x) for x in c) for c in grid.coords().tolist()]
+    """Each node's coordinates as comma-separated Python float reprs, in
+    row-major order; each axis node's repr is taken once."""
+    axes = [[repr(x) for x in a.tolist()] for a in grid.axes()]
+    return [",".join(c) for c in itertools.product(*axes)]
 
 
 def dump_ray_csv(ray) -> str:

@@ -3,8 +3,9 @@
 Each reference below is the loop the library ran before its items were
 conjugated in groups: one ``subgradient_range``, ``ma_measure``,
 ``energy_dual`` or ``conjugate`` call per lambda sample, path node, frame
-or t.  Results must be equal, not close, and stay so when a small
-``_BLOCK`` splits the items into many groups.
+or t, and one ``np.maximum`` per lambda sample and t.  Results must be
+equal, not close, and stay so when a small ``_BLOCK`` splits the items into
+many groups.
 """
 
 import itertools
@@ -15,13 +16,13 @@ import pytest
 
 import georay.legendre as LEGENDRE
 from georay.checks import check_contact_concentration
-from georay.curves import concave_transform, contact_set, envelope_from_u
-from georay.grids import ConvexGridFunction
+from georay.curves import TestCurve as Curve, concave_transform, contact_set, envelope_from_u
+from georay.grids import Box, ConvexGridFunction, Grid, GridFunction
 from georay.instances import huber_instance
 from georay.legendre import conjugate, legendre, subgradient_range
 from georay.monge_ampere import _energy_dual_grid, energy_dual, energy_quadrature, ma_measure
 from georay.rays import LinearityReport, energy_linearity, ray_dual, ray_from_curve
-from test_legendre import bowl_instance_2d
+from test_legendre import bowl_instance_2d, same_bits
 
 
 def energy_quadrature_ref(f1, f0, t_samples, dual):
@@ -103,6 +104,17 @@ def ray_dual_ref(phi, u, ts):
     return frames
 
 
+def ray_from_curve_ref(tc, ts):
+    frames = []
+    for t in ts:
+        acc = np.full(tc.grid.shape, -np.inf)
+        for lam, s in zip(tc.lambdas, tc.samples):
+            if not s.is_identically_neg_inf:
+                np.maximum(acc, s.values + t * lam, out=acc)
+        frames.append(acc)
+    return frames
+
+
 @pytest.fixture(scope="module", params=["1d", "2d"])
 def case(request):
     """(phi, dual, u, curve, ray) on a 1-D Huber bowl (129 nodes, 33
@@ -162,6 +174,33 @@ def test_ray_dual(case, block):
     got = ray_dual(phi, u, ray.t_grid)
     for fr, want in zip(got.frames, ray_dual_ref(phi, u, ray.t_grid)):
         assert np.array_equal(fr.values, want)
+
+
+def test_ray_from_curve(case, block):
+    _, _, _, curve, ray = case
+    got = ray_from_curve(curve, ray.t_grid)
+    for fr, want in zip(got.frames, ray_from_curve_ref(curve, ray.t_grid)):
+        assert same_bits(fr.values, want)
+
+
+@pytest.mark.parametrize("block", [LEGENDRE._BLOCK, 63, 150])
+def test_ray_from_curve_signed_zeros(rng, monkeypatch, block):
+    # at t = 0, t * lambda is -0.0 for lambda < 0: samples of 0.0 and -0.0
+    # tie, and the frame keeps the sign the per-lambda loop gave it
+    monkeypatch.setattr(LEGENDRE, "_BLOCK", block)
+    g = Grid(Box((-1.0, 0.0), (1.0, 2.0)), (9, 7))
+    lambdas = np.array([-2.0, -1.0, -0.5, 0.0, 1.0, 3.0])
+    samples = [
+        ConvexGridFunction.trusted(GridFunction(g, rng.choice([0.0, -0.0, -1.0], g.shape)))
+        for _ in lambdas[:-1]
+    ] + [ConvexGridFunction.trusted(GridFunction.neg_inf(g))]
+    tc = Curve(lambdas, tuple(samples), lambda_head=-2.0, lambda_c=1.0)
+    ts = np.array([0.0, 0.5, 1.0])
+    got = ray_from_curve(tc, ts)
+    want = ray_from_curve_ref(tc, ts)
+    assert np.signbit(want[0]).any() and not np.signbit(want[0]).all()
+    for fr, w in zip(got.frames, want):
+        assert same_bits(fr.values, w)
 
 
 def test_contact_concentration(block):

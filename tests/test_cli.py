@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -68,6 +69,13 @@ def specdir(tmp_path_factory):
     return d
 
 
+BOWL2_SHA256 = {
+    "ray.csv": "77e49ebcb6b833284fc1bf97166ba0cb3da12226b64c76f5efbda4e8574a0587",
+    "energy.json": "ab54aef782fa641c6092f37b1ea0643a8f17ad3a8b07630f60ec8255e79fcc5d",
+    "linearity.json": "bf449ae1014e66046ce17632eff8f25040b81bd0feacd39f99fe1c62184853db",
+}
+
+
 class TestRayCommand:
     def test_dual_u_spec(self, specdir, tmp_path):
         out = tmp_path / "out"
@@ -96,6 +104,38 @@ class TestRayCommand:
             ["ray", "--spec", str(specdir / "notjson.spec"), "--out", str(tmp_path / "o")]
         )
         assert rc == 2
+
+    # each count times its grid's nodes is over the cap, so the command must
+    # stop before it allocates the grid
+    @pytest.mark.parametrize(
+        "spec, update, what",
+        [
+            ("huber.spec", {"lambda": {"min": -1.0, "max": 0.0, "spacing": 1e-13}},
+             "lambda grid of 10000000000001 x 65 nodes"),
+            ("huber.spec", {"t_nodes": 10**13}, "t grid of 10000000000000 x 65 nodes"),
+            ("curve.spec", {"t_nodes": 10**13}, "t grid of 10000000000000 x 65 nodes"),
+        ],
+        ids=["lambda", "t", "t-curve"],
+    )
+    def test_grid_over_cap_exit_4(self, specdir, tmp_path, capsys, spec, update, what):
+        doc = json.loads((specdir / spec).read_text())
+        for key in ("phi", "u", "curve"):
+            if key in doc:
+                doc[key] = str(specdir / doc[key])
+        doc.update(update)
+        path = tmp_path / "big.spec"
+        path.write_text(json.dumps(doc))
+        assert main(["ray", "--spec", str(path), "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert f"{what} exceeds the size cap {SIZE_CAP}" in err
+
+    def test_2d_output_bytes(self, specdir, tmp_path):
+        # SHA-256 of every output of the 2-D fixture: conjugating without
+        # witnesses where no caller reads them keeps these bytes
+        out = tmp_path / "out"
+        assert main(["ray", "--spec", str(specdir / "bowl2.spec"), "--out", str(out)]) == 0
+        got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in BOWL2_SHA256}
+        assert got == BOWL2_SHA256
 
     def test_missing_file_exit_3(self, specdir, tmp_path):
         spec = specdir / "missing_payload.spec"
