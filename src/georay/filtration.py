@@ -17,8 +17,10 @@ import numpy as np
 
 from .curves import TestCurve, maximal_envelope
 from .errors import DomainError, ResourceError
-from .grids import ConvexGridFunction, Grid, GridFunction, NEG_INF, SIZE_CAP, lower_convex_envelope
-from .legendre import _concave_envelope_on_points, check_dual_contains_slopes, conjugate
+from .grids import (
+    ConvexGridFunction, Grid, GridFunction, NEG_INF, SIZE_CAP, lower_convex_envelope, lower_envelope
+)
+from .legendre import check_dual_contains_slopes, conjugate
 from .rays import Ray, compare_rays, default_t_grid, ray_from_curve
 
 
@@ -254,7 +256,13 @@ def limit_curve(
 
 @dataclass(frozen=True, eq=False)
 class ConcaveTransformG:
-    """Piecewise-linear concave envelope of normalized weight data."""
+    """Piecewise-linear concave envelope of normalized weight data.
+
+    Called on points (M, n) of the polytope, it evaluates the envelope: in
+    1-D by linear interpolation through all nodes, in 2-D as the min of the
+    planes of the envelope's upper facets (``grids.lower_envelope`` of the
+    negated values).
+    """
 
     nodes: np.ndarray  # (R, n) normalized lattice points
     values: np.ndarray  # (R,) concave-envelope values at the nodes
@@ -264,17 +272,14 @@ class ConcaveTransformG:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.nodes.shape[1] == 1:
             return np.interp(pts[:, 0], self.nodes[:, 0], self.values)
-        from scipy.interpolate import LinearNDInterpolator
-
-        interp = LinearNDInterpolator(self.nodes, self.values)
-        return interp(pts)
+        return -lower_envelope(self.nodes, -self.values, pts)
 
 
 def concave_transform_g(data: WeightedLatticeData, k: int) -> ConcaveTransformG:
     """Concave envelope of {(alpha/k, weight(alpha)/k)} on the polytope."""
     pts, w = data.reachable(k)
     x = pts.astype(float) / k
-    env = _concave_envelope_on_points(x, w.astype(float) / k)
+    env = -lower_envelope(x, -w / k)
     if data.dim == 1:
         # row-major points ascend in 1-D, as np.interp in __call__ needs
         return ConcaveTransformG(x, env, None)
@@ -283,9 +288,10 @@ def concave_transform_g(data: WeightedLatticeData, k: int) -> ConcaveTransformG:
     return ConcaveTransformG(x, env, ConvexHull(x).equations)
 
 
-def moment_check(
-    g: ConcaveTransformG, data: WeightedLatticeData, k: int, p: int, mesh: int = 4097
-):
+_MOMENT_MESH = 4097  # quadrature nodes of moment_check in 1-D; isqrt of it per axis in 2-D
+
+
+def moment_check(g: ConcaveTransformG, data: WeightedLatticeData, k: int, p: int):
     """((1/k^n) sum of normalized weights^p, integral of g^p over the polytope)."""
     if p not in (1, 2):
         raise DomainError("only moments p in {1, 2} are supported")
@@ -294,12 +300,12 @@ def moment_check(
     lhs = float(((w / k) ** p).sum()) / k**n
     if n == 1:
         a, b = float(g.nodes.min()), float(g.nodes.max())
-        xs = np.linspace(a, b, mesh)
+        xs = np.linspace(a, b, _MOMENT_MESH)
         rhs = float(np.trapezoid(g(xs[:, None]) ** p, xs))
     else:
         lo = g.nodes.min(axis=0)
         hi = g.nodes.max(axis=0)
-        m = int(math.isqrt(mesh))
+        m = math.isqrt(_MOMENT_MESH)
         xs = np.linspace(lo[0], hi[0], m)
         ys = np.linspace(lo[1], hi[1], m)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -310,7 +316,7 @@ def moment_check(
         vals = np.zeros(pts.shape[0])
         vals[inside] = g(pts[inside]) ** p
         cell = (xs[1] - xs[0]) * (ys[1] - ys[0])
-        rhs = float(np.nansum(vals)) * cell
+        rhs = float(vals.sum()) * cell
     return lhs, rhs
 
 

@@ -215,40 +215,40 @@ def _lower_hull_1d(x: np.ndarray, v: np.ndarray):
     return hull
 
 
-def _envelope_1d(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    hull = _lower_hull_1d(x, v)
-    return np.interp(x, x[hull], v[hull])
+def lower_envelope(pts: np.ndarray, vals: np.ndarray, at: np.ndarray | None = None):
+    """Lower convex envelope of scattered data (pts (N, d), vals (N,)),
+    evaluated at ``at`` (default: the data points, where it is clipped to
+    the data).  The upper concave envelope is minus the lower envelope of
+    the negated data.
 
-
-def _envelope_2d(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """Lower convex envelope on a 2-D grid via the lower hull of the epigraph.
-
-    Each downward-facing facet of the hull of (x, y, f) supports the point
-    cloud from below, so the envelope is the max of the facet planes.
+    In 1-D it interpolates the lower hull of the sorted points.  In 2-D it is
+    the max of the planes of the downward-facing facets of the hull of
+    (pts, vals), each of which supports the cloud from below; a flat cloud,
+    which qhull rejects, is its own least-squares plane.
     """
-    from scipy.spatial import ConvexHull, QhullError
+    q = pts if at is None else at
+    if pts.shape[1] == 1:
+        order = np.argsort(pts[:, 0], kind="stable")
+        x, v = pts[order, 0], vals[order]
+        hull = _lower_hull_1d(x, v)
+        out = np.interp(q[:, 0], x[hull], v[hull])
+    else:
+        from scipy.spatial import ConvexHull, QhullError
 
-    pts = np.column_stack([grid.coords(), v.ravel()])
-    # affine data has a flat epigraph; it is its own envelope
-    try:
-        hull = ConvexHull(pts)
-    except QhullError:
-        return v.copy()
-    eq = hull.equations  # n . p + off <= 0 inside
-    lower = eq[:, 2] < -1e-12
-    eq = eq[lower]
-    if eq.shape[0] == 0:
-        return v.copy()
-    nxy, nz, off = eq[:, :2], eq[:, 2], eq[:, 3]
-    coords = grid.coords()
-    out = np.empty(coords.shape[0])
-    chunk = 4096
-    for s in range(0, coords.shape[0], chunk):
-        block = coords[s : s + chunk]
-        planes = -(block @ nxy.T + off) / nz  # (B, F)
-        out[s : s + chunk] = planes.max(axis=1)
-    # the hull surface interpolates the data; guard fp drift above f
-    return np.minimum(out.reshape(grid.shape), v)
+        try:
+            eq = ConvexHull(np.column_stack([pts, vals])).equations  # n.p + off <= 0
+            eq = eq[eq[:, 2] < -1e-12]
+        except QhullError:
+            # the plane z = c0 p1 + c1 p2 + c2, as a downward facet equation
+            c = np.linalg.lstsq(np.column_stack([pts, np.ones(len(pts))]), vals, rcond=None)[0]
+            eq = np.array([[c[0], c[1], -1.0, c[2]]])
+        nxy, nz, off = eq[:, :2], eq[:, 2], eq[:, 3]
+        out = np.empty(q.shape[0])
+        chunk = 4096
+        for s in range(0, q.shape[0], chunk):
+            out[s : s + chunk] = (-(q[s : s + chunk] @ nxy.T + off) / nz).max(axis=1)
+    # the hull surface interpolates the data; guard fp drift above it
+    return np.minimum(out, vals) if at is None else out
 
 
 def lower_convex_envelope(f: GridFunction) -> ConvexGridFunction:
@@ -259,10 +259,7 @@ def lower_convex_envelope(f: GridFunction) -> ConvexGridFunction:
     """
     if not np.all(f.finite_mask):
         return ConvexGridFunction.trusted(GridFunction.neg_inf(f.grid))
-    if f.grid.dim == 1:
-        env = _envelope_1d(f.grid.axis(0), f.values)
-    else:
-        env = _envelope_2d(f.grid, f.values)
+    env = lower_envelope(f.grid.coords(), f.values.ravel())
     return ConvexGridFunction(f.grid, env)
 
 

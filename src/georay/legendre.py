@@ -467,27 +467,3 @@ def subgradient_range(
     """
     mask, _, _ = next(slope_regions([f], dual, tol))
     return SlopeRegion(dual, mask)
-
-
-def _concave_envelope_on_points(pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Upper concave envelope of scattered data, evaluated at the data points."""
-    if pts.shape[1] == 1:
-        order = np.argsort(pts[:, 0], kind="stable")
-        x, v = pts[order, 0], vals[order]
-        hull = _lower_hull_1d(x, -v)
-        env = np.empty_like(vals)
-        env[order] = -np.interp(x, x[hull], -v[hull])
-        return env
-    from scipy.spatial import ConvexHull, QhullError
-
-    cloud = np.column_stack([pts, vals])
-    try:
-        hull = ConvexHull(cloud)
-    except QhullError:
-        return vals.copy()
-    eq = hull.equations[hull.equations[:, 2] > 1e-12]
-    if eq.shape[0] == 0:
-        return vals.copy()
-    planes = -(pts @ eq[:, :2].T + eq[:, 3]) / eq[:, 2]
-    return planes.min(axis=1)
-

@@ -196,7 +196,6 @@ def cocycle_residual(
     f0: ConvexGridFunction,
     f1: ConvexGridFunction,
     f2: ConvexGridFunction,
-    t_samples: int = 11,
 ) -> float:
     """|E(f2,f0) - E(f2,f1) - E(f1,f0)| by quadrature, relative to the
     largest of the three energies.
@@ -205,7 +204,7 @@ def cocycle_residual(
     share one slope set).
     """
     dual = _energy_dual_grid(f0)
-    e20 = energy_quadrature(f2, f0, t_samples, dual=dual)
-    e21 = energy_quadrature(f2, f1, t_samples, dual=dual)
-    e10 = energy_quadrature(f1, f0, t_samples, dual=dual)
+    e20 = energy_quadrature(f2, f0, dual=dual)
+    e21 = energy_quadrature(f2, f1, dual=dual)
+    e10 = energy_quadrature(f1, f0, dual=dual)
     return abs(e20 - e21 - e10) / max(abs(e20), abs(e21), abs(e10), 1e-30)

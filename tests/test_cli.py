@@ -143,7 +143,23 @@ class TestRayCommand:
         assert main(["ray", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 3
 
 
+W01_SHA256 = {
+    "gap.csv": "b3cac4638ea1bf08b10bc6c590d5d2c771fb386495658ddde02c8174f0a7dfad",
+    "ray.csv": "22f4401c3ea207b8ed2355c50f8df0c3c9acf46918696cf5f671e1681654b799",
+    "histogram.csv": "f68f25a1a01eadd983117959c332499c38d5ac26a1ab6bae06a8296a9d4152dc",
+}
+
+
 class TestFiltrationCommand:
+    def test_output_bytes(self, specdir, tmp_path):
+        # SHA-256 of every output of the 1-D fixture at the default degrees:
+        # pins the 1-D convex envelope of the limit curve
+        out = tmp_path / "out"
+        spec = str(specdir / "weights01.spec")
+        assert main(["filtration", "--spec", spec, "--out", str(out)]) == 0
+        got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in W01_SHA256}
+        assert got == W01_SHA256
+
     def test_outputs(self, specdir, tmp_path):
         out = tmp_path / "out"
         rc = main(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from georay.checks import check_moments
 from georay.curves import maximal_envelope
 from georay.errors import DomainError, ResourceError
 from georay.filtration import (
@@ -237,6 +238,10 @@ class TestConcaveTransformG:
         assert rhs2 == pytest.approx(1 / 3, abs=1e-6)
         assert abs(lhs1 - rhs1) <= 1 / k
         assert abs(lhs2 - rhs2) <= 2 / k
+
+    def test_check_moments_measured(self):
+        # the gate's figure, through the 1-D envelope and interpolation
+        assert check_moments()["measured"] == 0.5
 
     def test_rejects_high_moment(self, w01):
         g = concave_transform_g(w01, 8)
