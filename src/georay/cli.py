@@ -15,9 +15,14 @@ Problem files are JSON documents::
 validation and the linearity verdict) and the bounds of ``check``;
 ``filtration`` has none to scale.
 
+``check`` runs its checks in forked worker processes, one per available
+CPU; the ``timings`` of its report are measured inside each worker, and
+its memory is spread over the processes.  The suite and the process pool
+are imported only by ``check``.
+
 Exit codes: 0 success, 2 parse error, 3 validation failure, 4 resource
 limit.  Output is deterministic: identical inputs give byte-identical
-files.
+files (apart from the ``timings`` of ``check``).
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from pathlib import Path
 import numpy as np
 
 from . import serialization as ser
-from .checks import SUITES, run_suite
 from .curves import ConcaveTransform, envelope_from_u, validate
 from .errors import DomainError, ParseError, ResourceError
 from .filtration import BergmanInstance, equivalence_check, weight_histogram
@@ -189,6 +193,8 @@ def cmd_filtration(spec_path: str, out_dir: str, k_list=(4, 8, 16, 32)) -> int:
 
 
 def cmd_check(suite: str, json_path: str | None, tol_scale: float = 1.0) -> int:
+    from .checks import SUITES, run_suite
+
     if suite not in SUITES:
         print(f"unknown suite {suite!r}; choose from {sorted(SUITES)}", file=sys.stderr)
         return 2

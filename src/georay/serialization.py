@@ -29,7 +29,6 @@ import numpy as np
 
 from .curves import TestCurve
 from .errors import ParseError
-from .filtration import WeightedLatticeData
 from .grids import Box, ConvexGridFunction, Grid, GridFunction, NEG_INF
 
 
@@ -151,6 +150,8 @@ def dump_weight_data(data: WeightedLatticeData) -> str:
 
 
 def load_weight_data(text: str) -> WeightedLatticeData:
+    from .filtration import WeightedLatticeData
+
     cur = _Cursor(text.splitlines())
     cur.expect("weightdata")
     dim = int(cur.expect("dim")[0])

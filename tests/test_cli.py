@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -10,9 +11,10 @@ import numpy as np
 import pytest
 
 import georay
-from georay import filtration
+from georay import checks, filtration
 from georay import serialization as ser
 from georay.cli import main
+from georay.errors import DomainError
 from georay.filtration import WeightedLatticeData
 from georay.grids import SIZE_CAP, Box, ConvexGridFunction, Grid, GridFunction
 from georay.instances import filtration_base, huber_instance
@@ -305,6 +307,55 @@ class TestCheckCommand:
             return re.sub(rb'"timings": \{.*?\}', b'"timings": {}', raw, flags=re.S)
 
         assert strip_timings(a.read_bytes()) == strip_timings(b.read_bytes())
+
+    def test_pool_report_matches_in_process(self, monkeypatch):
+        """Records from the forked workers equal the checks called here,
+        apart from their timings."""
+        monkeypatch.setattr(checks, "_worker_count", lambda n: n)
+
+        def untimed(records):
+            return [{k: v for k, v in r.items() if k != "seconds"} for r in records]
+
+        pooled = checks.run_suite("core")["checks"]
+        direct = [checks.check_involution(), checks.check_fast_vs_brute()]
+        assert untimed(pooled) == untimed(direct)
+
+    def test_worker_failure_exit_3_and_no_process_left(self, monkeypatch, capsys):
+        parent = os.getpid()
+
+        def failing(tol_scale):
+            where = "worker" if os.getpid() != parent else "parent"
+            raise DomainError(f"boom in the {where}")
+
+        monkeypatch.setattr(checks, "_worker_count", lambda n: n)
+        monkeypatch.setitem(checks._CHECKS, "fast_vs_brute", failing)
+        with pytest.raises(DomainError, match="boom in the worker"):
+            checks.run_suite("core")
+        assert multiprocessing.active_children() == []
+        assert main(["check", "--suite", "core"]) == 3
+        assert "validation failure: boom in the worker" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+
+def test_import_cli_loads_no_check_machinery():
+    """``georay ray`` and ``georay filtration`` do not pay for the check
+    suite, its instances or the process pool; ``georay check`` loads them.
+    ``georay.filtration`` stays loaded: the benchmark's tracer
+    (``perfbench/tracer.py``) looks it up in ``sys.modules`` right after
+    this import."""
+    script = (
+        "import sys\n"
+        "import georay.cli\n"
+        "heavy = ('georay.checks', 'georay.instances', 'concurrent.futures',\n"
+        "         'multiprocessing')\n"
+        "print(sorted(m for m in sys.modules if m.startswith(heavy)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(georay.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize(
