@@ -9,10 +9,6 @@ it against a fixed bound (scaled by ``tol_scale``).  The record format is::
 Suites group the checks: ``core`` (transform correctness), ``envelopes``
 (measures, energies, contact), ``rays`` (duality and linearity),
 ``filtration`` (Bergman metrics and moments), ``all``.
-
-``run_suite`` runs a suite's checks in forked worker processes, one per
-available CPU; each check seeds its own RNG and times itself, so the
-records do not depend on which worker ran them.
 """
 
 from __future__ import annotations
@@ -374,9 +370,11 @@ def _worker_count(checks: int) -> int:
 def run_suite(suite: str, tol_scale: float = 1.0) -> dict:
     """Run one named suite and return {"suite", "checks", "passed"}.
 
-    The checks are mapped over forked workers, which inherit the imported
-    package; the records come back in suite order, and every worker has
-    exited when this returns.  A check's exception is re-raised here.
+    The checks are mapped over forked workers, one per available CPU,
+    which inherit the imported package.  Each check seeds its own RNG and
+    times itself, so the records do not depend on which worker ran them;
+    they come back in suite order, and every worker has exited when this
+    returns.  A check's exception is re-raised here.
     """
     if suite not in SUITES:
         raise KeyError(suite)
