@@ -38,7 +38,7 @@ from . import serialization as ser
 from .curves import ConcaveTransform, envelope_from_u, validate
 from .errors import DomainError, ParseError, ResourceError
 from .filtration import BergmanInstance, equivalence_check, weight_histogram
-from .grids import SIZE_CAP, Box, ConvexGridFunction, Grid
+from .grids import Box, ConvexGridFunction, Grid, require_within_cap
 from .legendre import SlopeRegion, default_dual_grid, slope_regions
 from .rays import energy_linearity, ray_from_curve
 
@@ -76,22 +76,13 @@ def _grid_from_block(block) -> Grid:
         raise ParseError(f"malformed grid block: {exc}") from exc
 
 
-def _require_within_cap(what: str, count: float, nodes: int):
-    """count samples of a grid of ``nodes`` nodes fit under the size cap;
-    checked before the samples are allocated."""
-    if count * nodes > SIZE_CAP:
-        raise ResourceError(
-            f"{what} of {count:.0f} x {nodes} nodes exceeds the size cap {SIZE_CAP}"
-        )
-
-
 def _t_grid(doc, grid: Grid) -> np.ndarray:
     """The spec's t grid; a frame per t on ``grid``."""
     n = int(doc.get("t_nodes", 11))
     tmax = float(doc.get("t_max", 1.0))
     if n < 2 or tmax <= 0:
         raise ParseError("t grid needs t_nodes >= 2 and t_max > 0")
-    _require_within_cap("t grid", n, grid.num_nodes)
+    require_within_cap("t grid", n, grid.num_nodes)
     return np.linspace(0.0, tmax, n)
 
 
@@ -144,7 +135,7 @@ def cmd_ray(spec_path: str, out_dir: str, tol_scale: float = 1.0) -> int:
             raise ParseError("lambda spacing must be positive")
         # a selection on the dual grid and a sample on the primal grid per lambda
         count = np.ceil((hi + sp / 2 - lo) / sp)
-        _require_within_cap("lambda grid", count, max(dual.num_nodes, phi.grid.num_nodes))
+        require_within_cap("lambda grid", count, max(dual.num_nodes, phi.grid.num_nodes))
         lambdas = np.arange(lo, hi + sp / 2, sp)
         tc = envelope_from_u(phi, u, lambdas, dual, lambda_head=lo, phistar=phistar)
 

@@ -18,7 +18,7 @@ import numpy as np
 from .curves import TestCurve, maximal_envelope
 from .errors import DomainError, ResourceError
 from .grids import (
-    ConvexGridFunction, Grid, GridFunction, NEG_INF, SIZE_CAP, lower_convex_envelope, lower_envelope
+    ConvexGridFunction, Grid, GridFunction, NEG_INF, SIZE_CAP, lower_envelope, require_within_cap
 )
 from .legendre import check_dual_contains_slopes, conjugate
 from .rays import Ray, compare_rays, default_t_grid, ray_from_curve
@@ -171,11 +171,12 @@ class BergmanInstance:
         """e_i(x) = <alpha_i/k, x> - phi*(alpha_i/k) for reachable alpha_i.
 
         Returns read-only (E (num_nodes, R), weights (R,)) in row-major
-        point order, cached per (data, k).
+        point order, cached per (data, k).  E must fit under the size cap.
         """
         key = (id(data), k)
         if key not in self._sections:
             pts, w = data.reachable(k)
+            require_within_cap(f"degree-{k} section matrix", w.size, self.phi.grid.num_nodes)
             slopes = pts.astype(float) / k
             E = self._coords @ slopes.T - self.conj_at(slopes)
             E.setflags(write=False)
@@ -186,15 +187,25 @@ class BergmanInstance:
 
 
 def extremal_metric(
-    inst: BergmanInstance, data: WeightedLatticeData, k: int, lam: float
-) -> GridFunction:
-    """max of e_i over sections with weight >= k*lam (sup-norm extremal)."""
+    inst: BergmanInstance, data: WeightedLatticeData, k: int, lambdas
+) -> np.ndarray:
+    """Sup-norm extremal metrics of degree k, one row per lambda.
+
+    Row i is the max of e_i over the sections with weight >= k*lambdas[i]
+    (-inf where there is none), shape (len(lambdas), num_nodes).  The
+    sections are ordered by decreasing weight and their running max taken
+    once; each lambda reads it at its last selected section.
+    """
     E, w = inst.section_values(data, k)
-    sel = w >= k * lam - 1e-9
-    grid = inst.phi.grid
-    if not sel.any():
-        return GridFunction.neg_inf(grid)
-    return GridFunction(grid, E[:, sel].max(axis=1).reshape(grid.shape))
+    order = np.argsort(-w, kind="stable")
+    running = np.maximum.accumulate(E.T[order], axis=0)
+    lam = np.asarray(lambdas, dtype=float).ravel()
+    # selected sections: w >= k*lam - 1e-9, counted on the ascending weights
+    count = w.size - np.searchsorted(w[order[::-1]], k * lam - 1e-9, side="left")
+    hit = count > 0
+    out = np.full((lam.size, E.shape[0]), NEG_INF)
+    out[hit] = running[count[hit] - 1]
+    return out
 
 
 def phong_sturm_ray(
@@ -216,10 +227,12 @@ def phong_sturm_ray(
 def limit_curve(
     inst: BergmanInstance, data: WeightedLatticeData, k_list
 ) -> TestCurve:
-    """Fekete supremum of extremal metrics over k, convexified per lambda.
+    """Fekete supremum of extremal metrics over k, one row per lambda.
 
     The lambda grid is {j / k_max} over the normalized weight range; the
-    critical value is the largest normalized weight.
+    critical value is the largest normalized weight.  Each finite sample is
+    a max of the affine e_i, so it is convex by construction and is not
+    re-hulled.
     """
     k_list = sorted(set(int(k) for k in k_list))
     if not k_list:
@@ -233,24 +246,21 @@ def limit_curve(
         norm_max = max(norm_max, float(w.max()) / k)
     j_lo = math.floor(norm_min * k_max + 1e-9)
     j_hi = math.ceil(norm_max * k_max - 1e-9)
-    lambdas = np.arange(j_lo, j_hi + 1) / k_max
     grid = inst.phi.grid
-    samples = []
-    lambda_c = None
-    for lam in lambdas:
-        acc = np.full(grid.shape, NEG_INF)
-        for k in k_list:
-            ext = extremal_metric(inst, data, k, lam)
-            np.maximum(acc, ext.values, out=acc)
-        if np.all(acc == NEG_INF):
-            samples.append(ConvexGridFunction.trusted(GridFunction.neg_inf(grid)))
-            continue
-        lambda_c = float(lam)
-        samples.append(lower_convex_envelope(GridFunction(grid, acc)))
-    if lambda_c is None:
+    require_within_cap("limit-curve table", j_hi - j_lo + 1, grid.num_nodes)
+    lambdas = np.arange(j_lo, j_hi + 1) / k_max
+    table = np.full((lambdas.size, grid.num_nodes), NEG_INF)
+    for k in k_list:
+        np.maximum(table, extremal_metric(inst, data, k, lambdas), out=table)
+    # a row is -inf everywhere or nowhere: each e_i is finite
+    live = np.flatnonzero(np.isfinite(table[:, 0]))
+    if not live.size:
         raise DomainError("limit curve has no finite samples")
+    samples = [ConvexGridFunction.trusted(GridFunction.neg_inf(grid))] * lambdas.size
+    for j in live:
+        samples[j] = ConvexGridFunction(grid, table[j])
     return TestCurve(
-        lambdas, tuple(samples), lambda_head=float(lambdas[0]), lambda_c=lambda_c
+        lambdas, tuple(samples), lambda_head=float(lambdas[0]), lambda_c=float(lambdas[live[-1]])
     )
 
 

@@ -28,6 +28,15 @@ TOL_CONVEX_REL = 1e-9
 SIZE_CAP = 10**6
 
 
+def require_within_cap(what: str, count: float, nodes: int):
+    """count samples of a grid of ``nodes`` nodes fit under the size cap;
+    checked before the samples are allocated."""
+    if count * nodes > SIZE_CAP:
+        raise ResourceError(
+            f"{what} of {count:.0f} x {nodes} nodes exceeds the size cap {SIZE_CAP}"
+        )
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box in R^n, n in {1, 2}."""

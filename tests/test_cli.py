@@ -5,13 +5,14 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import georay
-from georay import checks, filtration
+from georay import checks, filtration, grids
 from georay import serialization as ser
 from georay.cli import main
 from georay.errors import DomainError
@@ -22,7 +23,7 @@ from georay.legendre import default_dual_grid
 
 
 @pytest.fixture(scope="module")
-def specdir(tmp_path_factory):
+def specdir(tmp_path_factory, simplex_2d):
     d = tmp_path_factory.mktemp("specs")
     inst = huber_instance(nodes=65, dual_nodes=65, lambda_spacing=0.125)
     (d / "phi.gf").write_text(ser.dump_grid_function(inst.phi))
@@ -55,6 +56,19 @@ def specdir(tmp_path_factory):
     (d / "weights01.spec").write_text(
         json.dumps({"kind": "filtration", "phi": "base.gf", "weights": "w01.wd"})
     )
+    base129 = filtration_base(129)
+    base012 = GridFunction(base129.grid, 2.0 * base129.values)
+    (d / "base012.gf").write_text(ser.dump_grid_function(base012))
+    data012 = WeightedLatticeData(np.array([[0], [1], [2]]), np.array([1, 0, 2]))
+    (d / "p012.wd").write_text(ser.dump_weight_data(data012))
+    (d / "p012.spec").write_text(
+        json.dumps({"kind": "filtration", "phi": "base012.gf", "weights": "p012.wd"})
+    )
+    wide = WeightedLatticeData(np.array([[0], [1]]), np.array([0, 100]))
+    (d / "w0100.wd").write_text(ser.dump_weight_data(wide))
+    (d / "weights0100.spec").write_text(
+        json.dumps({"kind": "filtration", "phi": "base.gf", "weights": "w0100.wd"})
+    )
     g2 = Grid(Box((-3.0, -3.0), (3.0, 3.0)), (17, 17))
     bowl = GridFunction.from_callable(g2, lambda x, y: np.hypot(x, y) ** 2 / 4 + x / 8)
     dual2 = default_dual_grid(bowl, 17)
@@ -63,6 +77,14 @@ def specdir(tmp_path_factory):
     (d / "u2.gf").write_text(ser.dump_grid_function(u2))
     (d / "bowl2.spec").write_text(
         json.dumps({"kind": "dual_u", "phi": "bowl2.gf", "u": "u2.gf", "t_nodes": 3})
+    )
+    inst2, data2 = simplex_2d
+    (d / "simplex2.gf").write_text(ser.dump_grid_function(inst2.phi))
+    (d / "p2d.wd").write_text(ser.dump_weight_data(data2))
+    dual2d = {"lower": list(inst2.dual.box.lower), "upper": list(inst2.dual.box.upper),
+              "nodes": list(inst2.dual.nodes_per_axis)}
+    (d / "weights2d.spec").write_text(
+        json.dumps({"kind": "filtration", "phi": "simplex2.gf", "weights": "p2d.wd", "dual": dual2d})
     )
     (d / "malformed.spec").write_text(
         json.dumps({"kind": "dual_u", "phi": "phi.gf", "u": "u.gf", "dual": {"lower": [0.0]}})
@@ -145,6 +167,12 @@ class TestRayCommand:
         assert main(["ray", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 3
 
 
+P012_SHA256 = {
+    "gap.csv": "94ce537e0ec6f813f9f2a78dad304bc79b23b1d2c68caf56df2a2ed9fe26857d",
+    "ray.csv": "ab10832cce31fc1d3cdbcb614e443b1526033981a51d8f4b15b1e85744165945",
+    "histogram.csv": "dcfb0eddc773728f760ad6d5efa3b032376bd5be7ac09899dc357ceab08f23c0",
+}
+
 W01_SHA256 = {
     "gap.csv": "b3cac4638ea1bf08b10bc6c590d5d2c771fb386495658ddde02c8174f0a7dfad",
     "ray.csv": "22f4401c3ea207b8ed2355c50f8df0c3c9acf46918696cf5f671e1681654b799",
@@ -161,6 +189,15 @@ class TestFiltrationCommand:
         assert main(["filtration", "--spec", spec, "--out", str(out)]) == 0
         got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in W01_SHA256}
         assert got == W01_SHA256
+
+    def test_three_point_output_bytes(self, specdir, tmp_path):
+        # P1 = {0, 1, 2}, weights (1, 0, 2): tied weights, lambdas that select
+        # only part of the lattice and a limit curve whose rows are not re-hulled
+        out = tmp_path / "out"
+        spec = str(specdir / "p012.spec")
+        assert main(["filtration", "--spec", spec, "--out", str(out), "--k", "4,8,16"]) == 0
+        got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in P012_SHA256}
+        assert got == P012_SHA256
 
     def test_outputs(self, specdir, tmp_path):
         out = tmp_path / "out"
@@ -236,6 +273,45 @@ class TestFiltrationCommand:
         data = ser.load_weight_data((specdir / "w01.wd").read_text())
         expected = ser.dump_ray_csv(ps(inst, data, 16, np.linspace(0.0, 1.0, 11)))
         assert (tmp_path / "out" / "ray.csv").read_text() == expected
+
+    def test_extremal_table_once_per_degree_and_no_hull(self, specdir, tmp_path, monkeypatch):
+        degrees, hulls = [], []
+        ext, hull = filtration.extremal_metric, grids.lower_convex_envelope
+
+        def counted_ext(inst, data, k, *args, **kwargs):
+            degrees.append(k)
+            return ext(inst, data, k, *args, **kwargs)
+
+        def counted_hull(*args, **kwargs):
+            hulls.append(args)
+            return hull(*args, **kwargs)
+
+        monkeypatch.setattr(filtration, "extremal_metric", counted_ext)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("georay.") and getattr(module, "lower_convex_envelope", None) is hull:
+                monkeypatch.setattr(module, "lower_convex_envelope", counted_hull)
+        argv = ["filtration", "--spec", str(specdir / "p012.spec"), "--k", "8,4,16,8"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert degrees == [4, 8, 16]
+        assert hulls == []
+
+    # each degree passes the lattice cap; the section matrix (num_nodes x
+    # reachable points) or the limit-curve table (lambdas x num_nodes) does
+    # not, so the command must stop before it allocates either
+    @pytest.mark.parametrize(
+        "spec, k, what",
+        [
+            ("p012.spec", 4000, "degree-4000 section matrix of 8001 x 129 nodes"),
+            ("weights0100.spec", 200, "limit-curve table of 20001 x 65 nodes"),
+        ],
+        ids=["sections", "lambda-table"],
+    )
+    def test_table_over_cap_exit_4(self, specdir, tmp_path, capsys, spec, k, what):
+        argv = ["filtration", "--spec", str(specdir / spec), "--out", str(tmp_path / "o")]
+        start = time.perf_counter()
+        assert main(argv + ["--k", str(k)]) == 4
+        assert time.perf_counter() - start < 5.0
+        assert f"{what} exceeds the size cap {SIZE_CAP}" in capsys.readouterr().err
 
     def test_cap_exit_4(self, specdir, tmp_path):
         rc = main(
@@ -360,11 +436,11 @@ def test_import_cli_loads_no_check_machinery():
 
 @pytest.mark.parametrize(
     "command, spec",
-    [("ray", "bowl2.spec"), ("filtration", "weights01.spec")],
-    ids=["ray", "filtration"],
+    [("ray", "bowl2.spec"), ("filtration", "weights01.spec"), ("filtration", "weights2d.spec")],
+    ids=["ray", "filtration", "filtration-2d"],
 )
 def test_command_never_imports_scipy(specdir, tmp_path, command, spec):
-    """scipy and ``numpy.ma`` cost start-up time; neither 2-D ``ray`` nor 1-D
+    """scipy and ``numpy.ma`` cost start-up time; neither 2-D ``ray`` nor
     ``filtration`` may load them (plain ``np.unique`` imports ``numpy.ma``)."""
     script = (
         "import sys\n"

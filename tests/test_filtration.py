@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from georay.filtration import (
     _logsumexp,
     concave_transform_g,
     equivalence_check,
+    extremal_metric,
     limit_curve,
     log_sum_exp_sandwich_gap,
     moment_check,
@@ -19,7 +21,7 @@ from georay.filtration import (
     phong_sturm_ray,
     weight_histogram,
 )
-from georay.grids import NEG_INF
+from georay.grids import NEG_INF, ConvexGridFunction, GridFunction
 from georay.instances import filtration_base
 from georay.legendre import default_dual_grid
 from georay.rays import compare_rays, ray_from_curve
@@ -35,6 +37,16 @@ def w01():
 def base_inst():
     phi = filtration_base(129)
     return BergmanInstance(phi, default_dual_grid(phi, 129))
+
+
+@pytest.fixture(scope="module")
+def three_point():
+    """P1 = {0, 1, 2} with weights (1, 0, 2) over 2 filtration_base(129),
+    whose slope set is conv(P1) = [0, 2]."""
+    base = filtration_base(129)
+    phi = ConvexGridFunction.trusted(GridFunction(base.grid, 2.0 * base.values))
+    data = WeightedLatticeData(np.array([[0], [1], [2]]), np.array([1, 0, 2]))
+    return BergmanInstance(phi, default_dual_grid(phi, 129)), data
 
 
 def closure_oracle(points, weights, k):
@@ -214,6 +226,48 @@ class TestLimitCurveAndRay:
         base = ray.frames[0].values
         for t, fr in zip(ray.t_grid, ray.frames):
             assert np.abs(fr.values - (base + 2 * t)).max() <= 1e-10
+
+
+class TestExtremalTable:
+    """extremal_metric's running-max table against the per-lambda definition."""
+
+    @pytest.mark.parametrize("case", ["three_point", "simplex_2d"])
+    def test_rows_match_masked_max(self, request, case):
+        inst, data = request.getfixturevalue(case)
+        for k in (4, 8):
+            E, w = inst.section_values(data, k)
+            assert np.unique(w).size < w.size  # tied weights
+            lo, hi = float(w.min()) / k, float(w.max()) / k
+            # below every weight, every weight and the half-steps, above every weight
+            lambdas = np.concatenate([[lo - 1.0], np.arange(2 * lo * k, 2 * hi * k + 1) / (2 * k), [hi + 0.5]])
+            table = extremal_metric(inst, data, k, lambdas)
+            assert table.shape == (lambdas.size, E.shape[0])
+            for lam, row in zip(lambdas, table):
+                sel = w >= k * lam - 1e-9
+                want = E[:, sel].max(axis=1) if sel.any() else np.full(E.shape[0], NEG_INF)
+                assert np.array_equal(row, want)
+                assert np.array_equal(np.signbit(row), np.signbit(want))
+            assert np.array_equal(table[0], E.max(axis=1))
+            assert np.all(table[-1] == NEG_INF)
+
+    @pytest.mark.parametrize("case", ["three_point", "simplex_2d"])
+    def test_limit_curve_samples_certify_convex(self, request, case):
+        inst, data = request.getfixturevalue(case)
+        curve = limit_curve(inst, data, [4, 8])
+        live = [s for s in curve.samples if not s.is_identically_neg_inf]
+        assert live
+        for sample in live:
+            ConvexGridFunction.certify(sample)
+
+    def test_2d_equivalence_bytes(self, simplex_2d):
+        """SHA-256 of the 2-D gaps and Phong-Sturm rays at k = 4 and 8: pins the
+        2-D limit curve, whose samples are not re-hulled."""
+        gaps, rays = equivalence_check(*simplex_2d, np.linspace(0.0, 1.0, 5), [4, 8])
+        h = hashlib.sha256(gaps.tobytes())
+        for ray in rays:
+            for frame in ray.frames:
+                h.update(frame.values.tobytes())
+        assert h.hexdigest() == "d93eacf857ca7c4823c3d238d8c8e5b795e602d32938979e2acc08f1feb1d8e8"
 
 
 class TestConcaveTransformG:
