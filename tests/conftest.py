@@ -19,6 +19,20 @@ def quad_17():
 
 
 @pytest.fixture(scope="session")
+def three_point():
+    """P1 = {0, 1, 2} with weights (1, 0, 2) over 2 filtration_base(129),
+    whose slope set is conv(P1) = [0, 2]."""
+    from georay.filtration import BergmanInstance, WeightedLatticeData
+    from georay.instances import filtration_base
+    from georay.legendre import default_dual_grid
+
+    base = filtration_base(129)
+    phi = ConvexGridFunction.trusted(GridFunction(base.grid, 2.0 * base.values))
+    data = WeightedLatticeData(np.array([[0], [1], [2]]), np.array([1, 0, 2]))
+    return BergmanInstance(phi, default_dual_grid(phi, 129)), data
+
+
+@pytest.fixture(scope="session")
 def simplex_2d():
     """The 2-D Phong-Sturm case at 17^2: phi is the conjugate of |y|^2/2 on
     the standard simplex (65^2 samples of [0, 1]^2) on [-3, 3]^2, the dual

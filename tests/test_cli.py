@@ -23,7 +23,7 @@ from georay.legendre import default_dual_grid
 
 
 @pytest.fixture(scope="module")
-def specdir(tmp_path_factory, simplex_2d):
+def specdir(tmp_path_factory, three_point, simplex_2d):
     d = tmp_path_factory.mktemp("specs")
     inst = huber_instance(nodes=65, dual_nodes=65, lambda_spacing=0.125)
     (d / "phi.gf").write_text(ser.dump_grid_function(inst.phi))
@@ -56,10 +56,8 @@ def specdir(tmp_path_factory, simplex_2d):
     (d / "weights01.spec").write_text(
         json.dumps({"kind": "filtration", "phi": "base.gf", "weights": "w01.wd"})
     )
-    base129 = filtration_base(129)
-    base012 = GridFunction(base129.grid, 2.0 * base129.values)
-    (d / "base012.gf").write_text(ser.dump_grid_function(base012))
-    data012 = WeightedLatticeData(np.array([[0], [1], [2]]), np.array([1, 0, 2]))
+    inst012, data012 = three_point
+    (d / "base012.gf").write_text(ser.dump_grid_function(inst012.phi))
     (d / "p012.wd").write_text(ser.dump_weight_data(data012))
     (d / "p012.spec").write_text(
         json.dumps({"kind": "filtration", "phi": "base012.gf", "weights": "p012.wd"})

@@ -21,7 +21,7 @@ from georay.filtration import (
     phong_sturm_ray,
     weight_histogram,
 )
-from georay.grids import NEG_INF, ConvexGridFunction, GridFunction
+from georay.grids import NEG_INF, ConvexGridFunction
 from georay.instances import filtration_base
 from georay.legendre import default_dual_grid
 from georay.rays import compare_rays, ray_from_curve
@@ -37,16 +37,6 @@ def w01():
 def base_inst():
     phi = filtration_base(129)
     return BergmanInstance(phi, default_dual_grid(phi, 129))
-
-
-@pytest.fixture(scope="module")
-def three_point():
-    """P1 = {0, 1, 2} with weights (1, 0, 2) over 2 filtration_base(129),
-    whose slope set is conv(P1) = [0, 2]."""
-    base = filtration_base(129)
-    phi = ConvexGridFunction.trusted(GridFunction(base.grid, 2.0 * base.values))
-    data = WeightedLatticeData(np.array([[0], [1], [2]]), np.array([1, 0, 2]))
-    return BergmanInstance(phi, default_dual_grid(phi, 129)), data
 
 
 def closure_oracle(points, weights, k):
