@@ -9,11 +9,11 @@ Problem files are JSON documents::
      "weights": "<weight-data file>",       (kind filtration)
      "dual": {"lower": [..], "upper": [..], "nodes": [..]},   (optional)
      "lambda": {"min": .., "max": .., "spacing": ..},         (dual_u only)
-     "t_nodes": 11, "t_max": 1.0, "tol_scale": 1.0}
+     "t_nodes": 11, "t_max": 1.0}
 
-``--tol-scale`` multiplies the tolerances of ``ray`` (the test-curve
-validation and the linearity verdict) and the bounds of ``check``;
-``filtration`` has none to scale.
+``--tol-scale`` (finite and positive) multiplies the tolerances of ``ray``
+(the test-curve validation and the linearity verdict) and the bounds of
+``check``; ``filtration`` has none to scale.
 
 ``check`` runs its checks in forked worker processes, one per available
 CPU; the ``timings`` of its report are measured inside each worker, and
@@ -241,6 +241,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if not 0.0 < args.tol_scale < np.inf:
+            raise ParseError(f"--tol-scale must be finite and positive, not {args.tol_scale!r}")
         if args.command == "ray":
             return cmd_ray(args.spec, args.out, args.tol_scale)
         if args.command == "filtration":

@@ -70,11 +70,7 @@ class CurveDiagnostics:
     witness: tuple | None  # (lambda, node multi-index) of first violation
 
 
-def validate(
-    tc: TestCurve,
-    tol_concave: float = 1e-9,
-    tol_monotone: float = 1e-12,
-) -> CurveDiagnostics:
+def validate(tc: TestCurve, tol_concave: float = 1e-9) -> CurveDiagnostics:
     """Check all TestCurve invariants; reports the first violating node."""
     issues: list[str] = []
     witness = None
@@ -117,7 +113,7 @@ def validate(
             continue
         dev = b.values - a.values
         j = int(np.argmax(dev))
-        if dev.ravel()[j] > tol_monotone:
+        if dev.ravel()[j] > 1e-12:
             note(
                 f"curve increases in lambda between {tc.lambdas[i]:g} and "
                 f"{tc.lambdas[i + 1]:g}",

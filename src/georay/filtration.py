@@ -238,6 +238,14 @@ def limit_curve(
     if not k_list:
         raise DomainError("empty degree list")
     k_max = k_list[-1]
+    grid = inst.phi.grid
+    # two distinct degree-1 points reach at least k + 1 points at degree k,
+    # so this section matrix is over the cap before any closure is built
+    if (data.points != data.points[0]).any() and (k_max + 1) * grid.num_nodes > SIZE_CAP:
+        raise ResourceError(
+            f"degree-{k_max} section matrix of at least {k_max + 1} x {grid.num_nodes} "
+            f"nodes exceeds the size cap {SIZE_CAP}"
+        )
     norm_min = math.inf
     norm_max = -math.inf
     for k in k_list:
@@ -246,7 +254,6 @@ def limit_curve(
         norm_max = max(norm_max, float(w.max()) / k)
     j_lo = math.floor(norm_min * k_max + 1e-9)
     j_hi = math.ceil(norm_max * k_max - 1e-9)
-    grid = inst.phi.grid
     require_within_cap("limit-curve table", j_hi - j_lo + 1, grid.num_nodes)
     lambdas = np.arange(j_lo, j_hi + 1) / k_max
     table = np.full((lambdas.size, grid.num_nodes), NEG_INF)

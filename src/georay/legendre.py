@@ -51,10 +51,10 @@ skips the witness gather and the tie redo.  The values come from the same
 float expressions, so they are the same bits.  Dense pairs still take the
 value at the first maximizer, as the brute force does: a plain max may
 return the other sign of a zero.  Witnesses are asked for by
-``legendre(..., return_witness=True)`` (``fast_vs_brute``,
-``ma_measure``), ``slope_regions(..., witness=True)`` (``region_measures``,
-``region_mass``) and ``energy_quadrature``; every other caller conjugates
-values only.
+``legendre(..., return_witness=True)`` (``fast_vs_brute``),
+``slope_regions(..., witness=True)`` (the Monge-Ampere deposit of
+``region_masses``) and ``energy_quadrature``; every other caller
+conjugates values only.
 
 ``conjugate`` takes one function or a stack of them along a leading batch
 axis; one function is the batch of one.  In 1-D the stacked rows go to the
@@ -424,7 +424,7 @@ def _convex_fill(grid: Grid, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def slope_regions(fs, dual: Grid, tol: float | None = None, witness: bool = False):
+def slope_regions(fs, dual: Grid, witness: bool = False):
     """Yield (mask, star, wit) for each function of ``fs`` (one primal grid):
     the node mask of its slope region, as ``subgradient_range``, its full
     conjugate on ``dual``, and with ``witness`` the witnesses of that
@@ -448,22 +448,18 @@ def slope_regions(fs, dual: Grid, tol: float | None = None, witness: bool = Fals
         if wit is None:
             wit = [None] * len(V)
         for f, a, b, w in zip(fs[g], full, interior, wit):
-            t = tol
-            if t is None:
-                t = 1e-8 * max(1.0, f.value_range(), float(np.abs(a).max()))
+            t = 1e-8 * max(1.0, f.value_range(), float(np.abs(a).max()))
             yield _convex_fill(dual, b >= a - t), a, w
 
 
-def subgradient_range(
-    f: ConvexGridFunction, dual: Grid, tol: float | None = None
-) -> SlopeRegion:
+def subgradient_range(f: ConvexGridFunction, dual: Grid) -> SlopeRegion:
     """Dual nodes whose conjugate max is attained at an interior primal node.
 
     Attainment is tested by comparing the full conjugate against the
     conjugate restricted to interior primal nodes; nodes passing within
-    ``tol`` (default 1e-8 times the larger of 1, the value range and the
-    largest |conjugate|) are kept, and the set is closed under the discrete
-    convex hull.
+    1e-8 times the largest of 1, the value range and the largest
+    |conjugate| are kept, and the set is closed under the discrete convex
+    hull.
     """
-    mask, _, _ = next(slope_regions([f], dual, tol))
+    mask, _, _ = next(slope_regions([f], dual))
     return SlopeRegion(dual, mask)

@@ -1,19 +1,19 @@
 """Discrete real Monge-Ampère measures and the relative energy functional.
 
 The MA measure of a convex grid function is the pullback of dual-grid
-Lebesgue measure under the (discrete) gradient map: every dual node sends
-one dual-cell volume to the primal node where its conjugate max is
-attained; ``region_mass`` weighs the nodes of the slope region by the
-trapezoid rule instead.  Energy comes in two independent forms -- Simpson
-quadrature in t of MA deposits along the affine path, and the dual formula
+Lebesgue measure under the (discrete) gradient map: every node of the slope
+region sends one dual-cell volume, times a weight, to the primal node where
+its conjugate max is attained.  ``_deposit`` is that one step;
+``region_masses`` takes it over the slope regions of a group of functions
+under a weight rule (the region mask, or its trapezoid weights).  Energy
+comes in two independent forms -- Simpson quadrature in t of MA deposits
+on the base's slope region along the affine path, and the dual formula
 E(f_t, f) = int over Delta_f of (f* - f_t*) dy under trapezoid weights,
 taken for many f_t at once -- whose agreement is one of the identities the
 verification suite checks.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,84 +25,38 @@ from .legendre import (
     check_dual_contains_slopes,
     conjugate,
     default_dual_grid,
-    legendre,
     slope_regions,
     subgradient_range,
     trapezoid_weights,
 )
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteMeasure:
-    """Nonnegative masses on primal grid nodes."""
-
-    grid: Grid
-    masses: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.masses, dtype=float).reshape(self.grid.shape)
-        if np.any(m < 0) or not np.all(np.isfinite(m)):
-            raise DomainError("masses must be finite and nonnegative")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "masses", m)
-
-    @property
-    def total(self) -> float:
-        return float(self.masses.sum())
+def _deposit(grid: Grid, wit: np.ndarray, dual: Grid, weights: np.ndarray) -> np.ndarray:
+    """The MA deposit: each dual node sends its weight times the dual-cell
+    volume to the primal node of ``grid`` at its witness; a mask weighs its
+    nodes 1.  Accumulation runs in row-major dual order, so it is
+    deterministic."""
+    w = np.asarray(weights, dtype=float)
+    on = w != 0
+    masses = np.zeros(grid.num_nodes)
+    np.add.at(masses, wit[on], dual.cell_volume * w[on])
+    return masses.reshape(grid.shape)
 
 
-def _deposit(f: GridFunction, wit: np.ndarray, dual: Grid, weights=1.0) -> np.ndarray:
-    """The dual-cell volume times each dual node's weight (a mask weighs its
-    nodes 1) at the primal node of its witness, in row-major order."""
-    w = np.broadcast_to(np.asarray(weights, dtype=float), wit.shape)
-    masses = np.zeros(f.grid.num_nodes)
-    np.add.at(masses, wit[w != 0], dual.cell_volume * w[w != 0])
-    return masses.reshape(f.grid.shape)
-
-
-def ma_measure(
-    f: ConvexGridFunction, dual: Grid | None = None, region=None
-) -> DiscreteMeasure:
-    """Alexandrov MA measure of f via dual-node pullback.
-
-    Each dual node deposits one dual-cell volume at the (first, row-major)
-    primal maximizer of <x,y> - f(x).  When ``region`` (a SlopeRegion) is
-    given, only dual nodes inside it deposit; this realizes the pullback of
-    Lebesgue measure restricted to a fixed slope set.  Accumulation order
-    is fixed, so the result is deterministic.
-    """
-    if f.is_identically_neg_inf:
-        raise DomainError("MA measure of the identically -inf function")
-    if dual is None:
-        dual = default_dual_grid(f)
-    _, wit = legendre(f, dual, return_witness=True)
-    if region is not None and region.grid != dual:
-        raise DomainError("region grid does not match dual grid")
-    return DiscreteMeasure(f.grid, _deposit(f, wit, dual, 1.0 if region is None else region.mask))
-
-
-def region_measures(fs, dual: Grid):
+def region_masses(fs, dual: Grid, weigh):
     """Yield (mask, masses) for each function f of ``fs`` (one primal grid,
     none identically -inf): the node mask of ``subgradient_range(f, dual)``
-    and the masses of ``ma_measure(f, dual, region=...)`` on it.
+    and the MA deposit of that region, each node weighted by ``weigh(mask)``
+    (the mask itself, or ``trapezoid_weights`` for a total that is the
+    trapezoid area of the region).
 
-    Both come from ``slope_regions``, which conjugates the functions in
-    groups; the deposit reuses the witnesses of its full conjugate.
+    The masks and witnesses come from one ``slope_regions`` pass, which
+    conjugates the functions in groups.
     """
     for f in fs:
         _require_finite(f)
     for f, (mask, _, wit) in zip(fs, slope_regions(fs, dual, witness=True)):
-        yield mask, _deposit(f, wit, dual, mask)
-
-
-def region_mass(f: ConvexGridFunction, dual: Grid) -> DiscreteMeasure:
-    """MA measure of f on its slope region under trapezoid weights: each
-    region node deposits its weight times the dual-cell volume at its
-    witness, so the total is the trapezoid area of the region."""
-    _require_finite(f)
-    mask, _, wit = next(slope_regions([f], dual, witness=True))
-    return DiscreteMeasure(f.grid, _deposit(f, wit, dual, trapezoid_weights(mask)))
+        yield mask, _deposit(f.grid, wit, dual, weigh(mask))
 
 
 def _require_equivalent(f1: GridFunction, f0: GridFunction):
@@ -155,7 +109,7 @@ def energy_quadrature(
         path = (1.0 - t) * f0.values + t * f1.values
         _, wits = conjugate(f0.grid.axes(), path, dual.axes(), witness=True)
         for wt, wit in zip(w[g], wits):
-            total += wt * float((diff * _deposit(f0, wit, dual, region.mask)).sum())
+            total += wt * float((diff * _deposit(f0.grid, wit, dual, region.mask)).sum())
     return total
 
 

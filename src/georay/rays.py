@@ -1,5 +1,5 @@
 """Geodesic rays: Legendre transform in lambda, the dual construction,
-energy linearity, and the inverse (infimum) transform.
+and energy linearity.
 
 A ray is a t-indexed family of grid functions.  Two constructions are
 implemented and compared: the lambda-supremum of a test curve,
@@ -135,41 +135,4 @@ def energy_linearity(
         intercept=float(intercept),
         max_abs_residual=resid,
         predicted_slope=float("nan") if u is None else u.integral(),
-    )
-
-
-def inverse_transform(ray: Ray, lambdas=None) -> TestCurve:
-    """psi_lambda = node-wise min over the t grid of frame(t) - t lambda.
-
-    Lambdas whose infimum is still decreasing at the largest t (by more
-    than one primal spacing per unit t) cannot be certified on a finite t
-    grid and are flagged -inf.
-    """
-    if lambdas is None:
-        if ray.curve is None:
-            raise DomainError("no lambda grid: pass lambdas or use a curve-built ray")
-        lambdas = ray.curve.lambdas
-    lam = np.asarray(lambdas, dtype=float).ravel()
-    stack = np.stack([fr.values for fr in ray.frames])  # (T, *shape)
-    ts = ray.t_grid
-    h = max(ray.grid.spacing)
-    samples = []
-    lambda_c = None
-    for l in lam:
-        shifted = stack - ts.reshape((-1,) + (1,) * ray.grid.dim) * l
-        vals = shifted.min(axis=0)
-        argmin = shifted.argmin(axis=0)
-        degenerate = False
-        if ts.size >= 2:
-            tail_rate = (shifted[-1] - shifted[-2]) / (ts[-1] - ts[-2])
-            degenerate = bool(np.any((argmin == ts.size - 1) & (tail_rate < -h)))
-        if degenerate:
-            samples.append(ConvexGridFunction.trusted(GridFunction.neg_inf(ray.grid)))
-        else:
-            lambda_c = l
-            samples.append(ConvexGridFunction(ray.grid, vals))
-    if lambda_c is None:
-        raise DomainError("every lambda degenerates on this t grid")
-    return TestCurve(
-        lam, tuple(samples), lambda_head=float(lam[0]), lambda_c=lambda_c
     )

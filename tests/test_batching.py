@@ -1,7 +1,7 @@
 """The grouped callers of ``conjugate`` against per-item references.
 
 Each reference below is the loop the library ran before its items were
-conjugated in groups: one ``subgradient_range``, ``ma_measure``,
+conjugated in groups: one ``subgradient_range``, witnessed ``legendre``,
 ``energy_dual`` or ``conjugate`` call per lambda sample, path node, frame
 or t, and one ``np.maximum`` per lambda sample and t.  Results must be
 equal, not close, and stay so when a small ``_BLOCK`` splits the items into
@@ -19,15 +19,25 @@ from georay.checks import check_contact_concentration
 from georay.curves import TestCurve as Curve, concave_transform, contact_set, envelope_from_u
 from georay.grids import Box, ConvexGridFunction, Grid, GridFunction
 from georay.instances import huber_instance
-from georay.legendre import conjugate, legendre, subgradient_range
-from georay.monge_ampere import _energy_dual_grid, energy_dual, energy_quadrature, ma_measure
+from georay.legendre import conjugate, legendre, subgradient_range, trapezoid_weights
+from georay.monge_ampere import _energy_dual_grid, energy_dual, energy_quadrature, region_masses
 from georay.rays import LinearityReport, energy_linearity, ray_dual, ray_from_curve
 from test_legendre import bowl_instance_2d, same_bits
 
 
+def deposit_ref(f, dual, weights):
+    """MA masses of f: each dual node sends its weight times the dual-cell
+    volume to the primal node of its witness."""
+    _, wit = legendre(f, dual, return_witness=True)
+    masses = np.zeros(f.grid.num_nodes)
+    on = weights != 0
+    np.add.at(masses, wit[on], dual.cell_volume * weights[on])
+    return masses.reshape(f.grid.shape)
+
+
 def energy_quadrature_ref(f1, f0, t_samples, dual):
     region = subgradient_range(f0, dual)
-    mu0 = ma_measure(f0, dual, region=region)
+    mu0 = deposit_ref(f0, dual, region.mask)
     diff = np.where(f1.finite_mask, f1.values - f0.values, 0.0)
     ts = np.linspace(0.0, 1.0, t_samples)
     w = np.ones(t_samples)
@@ -37,8 +47,8 @@ def energy_quadrature_ref(f1, f0, t_samples, dual):
     total = 0.0
     for t, wt in zip(ts, w):
         vt = np.where(f1.finite_mask, (1.0 - t) * f0.values + t * f1.values, -np.inf)
-        mu = mu0 if t == 0.0 else ma_measure(ConvexGridFunction(f1.grid, vt), dual, region=region)
-        total += wt * float((diff * mu.masses).sum())
+        mu = mu0 if t == 0.0 else deposit_ref(ConvexGridFunction(f1.grid, vt), dual, region.mask)
+        total += wt * float((diff * mu).sum())
     return total
 
 
@@ -203,14 +213,26 @@ def test_ray_from_curve_signed_zeros(rng, monkeypatch, block):
         assert same_bits(fr.values, w)
 
 
+@pytest.mark.parametrize("weigh", [lambda m: m, trapezoid_weights], ids=["mask", "trapezoid"])
+def test_region_masses(case, block, weigh):
+    _, dual, _, curve, _ = case
+    live = [s for s in curve.samples if not s.is_identically_neg_inf]
+    got = list(region_masses(live, dual, weigh))
+    assert len(got) == len(live) and any(masses.any() for _, masses in got)
+    for s, (mask, masses) in zip(live, got):
+        region = subgradient_range(s, dual).mask
+        assert np.array_equal(mask, region)
+        assert same_bits(masses, deposit_ref(s, dual, weigh(region)))
+
+
 def test_contact_concentration(block):
     inst = huber_instance()
     worst = 0.0
     for lam, s in zip(inst.curve.lambdas, inst.curve.samples):
         if lam >= inst.curve.lambda_c or s.is_identically_neg_inf:
             continue
-        mu = ma_measure(s, inst.dual, region=subgradient_range(s, inst.dual))
-        outside = float(mu.masses[~contact_set(inst.phi, s)].sum())
+        mu = deposit_ref(s, inst.dual, subgradient_range(s, inst.dual).mask)
+        outside = float(mu[~contact_set(inst.phi, s)].sum())
         worst = max(worst, outside / (3.0 * inst.dual.cell_volume))
     assert check_contact_concentration()["measured"] == worst
 

@@ -177,6 +177,10 @@ W01_SHA256 = {
     "histogram.csv": "f68f25a1a01eadd983117959c332499c38d5ac26a1ab6bae06a8296a9d4152dc",
 }
 
+# SHA-256 of the `check --suite all` report without its timings, written as
+# json.dumps(report, indent=1, sort_keys=True)
+CHECK_ALL_SHA256 = "ad6cf447fa8ca8ed4fb49b3282e4429de8e7cc4e36b3909520483e195e51aa09"
+
 
 class TestFiltrationCommand:
     def test_output_bytes(self, specdir, tmp_path):
@@ -311,6 +315,18 @@ class TestFiltrationCommand:
         assert time.perf_counter() - start < 5.0
         assert f"{what} exceeds the size cap {SIZE_CAP}" in capsys.readouterr().err
 
+    def test_section_cap_before_any_closure(self, specdir, tmp_path, capsys, monkeypatch):
+        # P1 = {0, 1, 2} reaches at least k + 1 points at degree k, so the
+        # section matrix is over the cap before the max-plus closure runs
+        def fail(data, k):
+            raise AssertionError(f"degree-{k} closure built")
+
+        monkeypatch.setattr(filtration, "multiplicative_closure", fail)
+        argv = ["filtration", "--spec", str(specdir / "p012.spec"), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--k", "100000"]) == 4
+        what = "degree-100000 section matrix of at least 100001 x 129 nodes"
+        assert f"{what} exceeds the size cap {SIZE_CAP}" in capsys.readouterr().err
+
     def test_cap_exit_4(self, specdir, tmp_path):
         rc = main(
             [
@@ -371,6 +387,21 @@ class TestCheckCommand:
         assert set(rep["timings"]) == set(names)
         for c in rep["checks"]:
             assert "seconds" not in c
+
+    def test_all_suite_report_bytes(self, tmp_path):
+        out = tmp_path / "rep.json"
+        assert main(["check", "--suite", "all", "--json", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        del rep["timings"]
+        text = json.dumps(rep, indent=1, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == CHECK_ALL_SHA256
+
+    # inf passed every gate, nan wrote an invalid JSON bound, and 0 or a
+    # negative scale failed gates that hold
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+    def test_bad_tol_scale_exit_2(self, capsys, scale):
+        assert main([f"--tol-scale={scale}", "check", "--suite", "core"]) == 2
+        assert "--tol-scale must be finite and positive" in capsys.readouterr().err
 
     def test_repeat_run_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

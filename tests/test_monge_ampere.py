@@ -9,52 +9,59 @@ from georay.grids import (
     GridFunction,
 )
 from georay.instances import abs_1d, quadratic_1d, random_convex_1d
-from georay.legendre import default_dual_grid, subgradient_range
+from georay.legendre import default_dual_grid, trapezoid_weights
 from georay.monge_ampere import (
     _energy_dual_grid,
     cocycle_residual,
     energy_dual,
     energy_quadrature,
-    ma_measure,
+    region_masses,
 )
+
+
+def whole_cells(mask):
+    return mask
+
+
+def masses(f, dual, weigh=whole_cells):
+    """The slope-region mask of f and its MA deposit under ``weigh``."""
+    return next(region_masses([f], dual, weigh))
 
 
 class TestMeasure:
     def test_abs_concentrates_at_kink(self):
         f = abs_1d(257)
         dual = default_dual_grid(f, 257)
-        mu = ma_measure(f, dual)
+        _, mu = masses(f, dual)
         center = 128  # x = 0
         # all interior slopes [-1, 1] map to the kink
-        assert mu.masses[center] >= 2.0 - 2 * dual.cell_volume
-        off = np.delete(mu.masses, center)
+        assert mu[center] >= 2.0 - 2 * dual.cell_volume
+        off = np.delete(mu, center)
         assert off.sum() <= 4 * dual.cell_volume
 
     def test_shift_invariance(self, rng):
         f = random_convex_1d(rng, nodes=65)
         dual = default_dual_grid(f)
         g = ConvexGridFunction.trusted(GridFunction(f.grid, f.values + 3.7))
-        assert np.array_equal(
-            ma_measure(f, dual).masses, ma_measure(g, dual).masses
-        )
-
-    def test_total_is_dual_box_volume_unrestricted(self):
-        f = quadratic_1d(65)
-        dual = default_dual_grid(f, 65)
-        mu = ma_measure(f, dual)
-        assert mu.total == pytest.approx(dual.num_nodes * dual.cell_volume)
+        for weigh in (whole_cells, trapezoid_weights):
+            (mf, muf), (mg, mug) = masses(f, dual, weigh), masses(g, dual, weigh)
+            assert np.array_equal(mf, mg)
+            assert np.array_equal(muf, mug)
 
     def test_region_restriction_reduces_mass(self):
         f = quadratic_1d(65)
         dual = default_dual_grid(f, 65)
-        region = subgradient_range(f, dual)
-        mu = ma_measure(f, dual, region=region)
-        assert mu.total == pytest.approx(region.mask.sum() * dual.cell_volume)
+        mask, mu = masses(f, dual)
+        assert mask.sum() < dual.num_nodes
+        assert mu.sum() == pytest.approx(mask.sum() * dual.cell_volume)
+        # the trapezoid rule weighs each end of the region 1/2
+        _, mu = masses(f, dual, trapezoid_weights)
+        assert mu.sum() == pytest.approx((mask.sum() - 1) * dual.cell_volume)
 
     def test_rejects_neg_inf(self):
         g = Grid(Box((0.0,), (1.0,)), 3)
         with pytest.raises(DomainError):
-            ma_measure(ConvexGridFunction.trusted(GridFunction.neg_inf(g)))
+            masses(ConvexGridFunction.trusted(GridFunction.neg_inf(g)), g)
 
 
 class TestEnergy:
@@ -64,7 +71,7 @@ class TestEnergy:
         g = ConvexGridFunction.trusted(GridFunction(f.grid, f.values + 0.75))
         dual = _energy_dual_grid(f)
         e_quad = energy_quadrature(g, f)
-        mass = ma_measure(f, dual, region=subgradient_range(f, dual)).total
+        mass = masses(f, dual)[1].sum()
         assert e_quad == pytest.approx(0.75 * mass, rel=1e-12)
         # the dual route integrates over the slope set [-1 + h/2, 1 - h/2]
         # of the discrete quadratic under trapezoid weights

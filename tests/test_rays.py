@@ -10,13 +10,7 @@ from georay.instances import (
     quadratic_1d,
 )
 from georay.legendre import default_dual_grid, subgradient_range, trapezoid_weights
-from georay.rays import (
-    compare_rays,
-    energy_linearity,
-    inverse_transform,
-    ray_dual,
-    ray_from_curve,
-)
+from georay.rays import compare_rays, energy_linearity, ray_dual, ray_from_curve
 
 
 @pytest.fixture(scope="module")
@@ -111,24 +105,3 @@ class TestEnergyLinearity:
         assert rep.max_abs_residual <= 1e-2 * abs(rep.slope)
         assert rep.slope == pytest.approx(rep.predicted_slope, rel=0.05)
 
-
-class TestInverseTransform:
-    def test_round_trip(self, huber):
-        ray = ray_from_curve(huber.curve)
-        back = inverse_transform(ray)
-        h = huber.phi.grid.spacing[0]
-        hd = huber.dual.spacing[0]
-        tol = 2 * (h + hd + huber.lambda_spacing)
-        for a, b in zip(huber.curve.samples, back.samples):
-            if a.is_identically_neg_inf or b.is_identically_neg_inf:
-                continue
-            assert np.abs(a.values - b.values).max() <= tol
-
-    def test_degenerate_lambda_flagged(self, huber):
-        # far above lambda_c the infimum keeps falling at the end of the
-        # t grid and the sample is reported as -inf
-        ray = ray_from_curve(huber.curve)
-        back = inverse_transform(ray, lambdas=np.array([-1.0, 2.0]))
-        assert not back.samples[0].is_identically_neg_inf
-        assert back.samples[1].is_identically_neg_inf
-        assert back.lambda_c == pytest.approx(-1.0)
