@@ -157,7 +157,7 @@ def cmd_ray(spec_path: str, out_dir: str, tol_scale: float = 1.0) -> int:
     return 0
 
 
-def cmd_filtration(spec_path: str, out_dir: str, k_list=(4, 8, 16, 32)) -> int:
+def cmd_filtration(spec_path: str, out_dir: str, k_list) -> int:
     doc = _load_spec(spec_path)
     if doc["kind"] != "filtration":
         raise ParseError("filtration command needs kind filtration")

@@ -18,7 +18,8 @@ import numpy as np
 from .curves import TestCurve, maximal_envelope
 from .errors import DomainError, ResourceError
 from .grids import (
-    ConvexGridFunction, Grid, GridFunction, NEG_INF, SIZE_CAP, lower_envelope, require_within_cap
+    ConvexGridFunction, Grid, GridFunction, NEG_INF, SIZE_CAP, lower_envelope, require_within_cap,
+    _lower_envelope_facets,
 )
 from .legendre import check_dual_contains_slopes, conjugate
 from .rays import Ray, compare_rays, default_t_grid, ray_from_curve
@@ -275,20 +276,18 @@ def limit_curve(
 class ConcaveTransformG:
     """Piecewise-linear concave envelope of normalized weight data.
 
-    Called on points (M, n) of the polytope, it evaluates the envelope: in
-    1-D by linear interpolation through all nodes, in 2-D as the min of the
-    planes of the envelope's upper facets (``grids.lower_envelope`` of the
-    negated values).
+    It is linear on each of its facets: segments (1-D) or triangles (2-D)
+    of node indices that tile the polytope.  Called on points (M, n) of the
+    polytope, it evaluates the envelope as minus ``grids.lower_envelope`` of
+    the negated values.
     """
 
     nodes: np.ndarray  # (R, n) normalized lattice points
     values: np.ndarray  # (R,) concave-envelope values at the nodes
-    hull_equations: np.ndarray | None  # 2-D domain hull; None in 1-D
+    facets: np.ndarray  # (F, n + 1) node indices of the simplices g is linear on
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.nodes.shape[1] == 1:
-            return np.interp(pts[:, 0], self.nodes[:, 0], self.values)
         return -lower_envelope(self.nodes, -self.values, pts)
 
 
@@ -296,45 +295,28 @@ def concave_transform_g(data: WeightedLatticeData, k: int) -> ConcaveTransformG:
     """Concave envelope of {(alpha/k, weight(alpha)/k)} on the polytope."""
     pts, w = data.reachable(k)
     x = pts.astype(float) / k
-    env = -lower_envelope(x, -w / k)
-    if data.dim == 1:
-        # row-major points ascend in 1-D, as np.interp in __call__ needs
-        return ConcaveTransformG(x, env, None)
-    from scipy.spatial import ConvexHull
-
-    return ConcaveTransformG(x, env, ConvexHull(x).equations)
-
-
-_MOMENT_MESH = 4097  # quadrature nodes of moment_check in 1-D; isqrt of it per axis in 2-D
+    env, facets = _lower_envelope_facets(x, -w / k)
+    return ConcaveTransformG(x, -env, facets)
 
 
 def moment_check(g: ConcaveTransformG, data: WeightedLatticeData, k: int, p: int):
-    """((1/k^n) sum of normalized weights^p, integral of g^p over the polytope)."""
+    """((1/k^n) sum of normalized weights^p, integral of g^p over the polytope).
+
+    g is linear on each facet, an n-simplex S with vertex values a, so the
+    integral is exact: |S| sum(a) / (n+1) for p = 1 and
+    |S| ((sum a)^2 + sum a^2) / ((n+1)(n+2)) for p = 2.
+    """
     if p not in (1, 2):
         raise DomainError("only moments p in {1, 2} are supported")
     _, w = data.reachable(k)
     n = data.dim
     lhs = float(((w / k) ** p).sum()) / k**n
-    if n == 1:
-        a, b = float(g.nodes.min()), float(g.nodes.max())
-        xs = np.linspace(a, b, _MOMENT_MESH)
-        rhs = float(np.trapezoid(g(xs[:, None]) ** p, xs))
-    else:
-        lo = g.nodes.min(axis=0)
-        hi = g.nodes.max(axis=0)
-        m = math.isqrt(_MOMENT_MESH)
-        xs = np.linspace(lo[0], hi[0], m)
-        ys = np.linspace(lo[1], hi[1], m)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        pts = np.column_stack([X.ravel(), Y.ravel()])
-        inside = np.all(
-            pts @ g.hull_equations[:, :2].T + g.hull_equations[:, 2] <= 1e-12, axis=1
-        )
-        vals = np.zeros(pts.shape[0])
-        vals[inside] = g(pts[inside]) ** p
-        cell = (xs[1] - xs[0]) * (ys[1] - ys[0])
-        rhs = float(vals.sum()) * cell
-    return lhs, rhs
+    corners = g.nodes[g.facets]
+    vol = np.abs(np.linalg.det(corners[:, 1:] - corners[:, :1])) / math.factorial(n)
+    a = g.values[g.facets]
+    s = a.sum(axis=1)
+    mean = s / (n + 1) if p == 1 else (s * s + (a * a).sum(axis=1)) / ((n + 1) * (n + 2))
+    return lhs, float((vol * mean).sum())
 
 
 def log_sum_exp_sandwich_gap(

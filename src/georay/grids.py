@@ -233,31 +233,46 @@ def lower_envelope(pts: np.ndarray, vals: np.ndarray, at: np.ndarray | None = No
     In 1-D it interpolates the lower hull of the sorted points.  In 2-D it is
     the max of the planes of the downward-facing facets of the hull of
     (pts, vals), each of which supports the cloud from below; a flat cloud,
-    which qhull rejects, is its own least-squares plane.
+    which qhull rejects, is its own least-squares plane.  Collinear 2-D
+    points raise ``DomainError``.
+    """
+    return _lower_envelope_facets(pts, vals, at)[0]
+
+
+def _lower_envelope_facets(pts: np.ndarray, vals: np.ndarray, at: np.ndarray | None = None):
+    """(lower_envelope, facets): the point indices (F, d + 1) of the lifted
+    hull's segments or triangles, which tile the hull of pts and on each of
+    which the envelope is linear.  A flat cloud's are a fan over that hull.
     """
     q = pts if at is None else at
     if pts.shape[1] == 1:
         order = np.argsort(pts[:, 0], kind="stable")
-        x, v = pts[order, 0], vals[order]
-        hull = _lower_hull_1d(x, v)
-        out = np.interp(q[:, 0], x[hull], v[hull])
+        hull = order[_lower_hull_1d(pts[order, 0], vals[order])]
+        out = np.interp(q[:, 0], pts[hull, 0], vals[hull])
+        facets = np.column_stack([hull[:-1], hull[1:]])
     else:
         from scipy.spatial import ConvexHull, QhullError
 
         try:
-            eq = ConvexHull(np.column_stack([pts, vals])).equations  # n.p + off <= 0
-            eq = eq[eq[:, 2] < -1e-12]
+            hull = ConvexHull(np.column_stack([pts, vals]))
+            down = hull.equations[:, 2] < -1e-12  # n.p + off <= 0 inside
+            eq, facets = hull.equations[down], hull.simplices[down]
         except QhullError:
-            # the plane z = c0 p1 + c1 p2 + c2, as a downward facet equation
-            c = np.linalg.lstsq(np.column_stack([pts, np.ones(len(pts))]), vals, rcond=None)[0]
+            # the plane z = c0 p1 + c1 p2 + c2, as one downward facet equation
+            lift = np.column_stack([pts, np.ones(len(pts))])
+            c, _, rank, _ = np.linalg.lstsq(lift, vals, rcond=None)
+            if rank < 3:
+                raise DomainError(f"2-D points {pts.tolist()} are collinear: they span no triangle")
             eq = np.array([[c[0], c[1], -1.0, c[2]]])
+            ring = ConvexHull(pts).vertices
+            facets = np.column_stack([np.full(ring.size - 2, ring[0]), ring[1:-1], ring[2:]])
         nxy, nz, off = eq[:, :2], eq[:, 2], eq[:, 3]
         out = np.empty(q.shape[0])
         chunk = 4096
         for s in range(0, q.shape[0], chunk):
             out[s : s + chunk] = (-(q[s : s + chunk] @ nxy.T + off) / nz).max(axis=1)
     # the hull surface interpolates the data; guard fp drift above it
-    return np.minimum(out, vals) if at is None else out
+    return (np.minimum(out, vals) if at is None else out), facets
 
 
 def lower_convex_envelope(f: GridFunction) -> ConvexGridFunction:

@@ -95,6 +95,12 @@ _BLOCK = 1 << 14
 _EPS = np.finfo(float).eps
 
 
+def _finite_slopes(f: GridFunction) -> list[np.ndarray]:
+    """Per axis, the finite forward-difference slopes of f's values."""
+    slopes = (np.diff(f.values, axis=ax) / h for ax, h in enumerate(f.grid.spacing))
+    return [d[np.isfinite(d)] for d in slopes]
+
+
 def default_dual_grid(f: GridFunction, nodes_per_axis=None) -> Grid:
     """Dual grid covering the slope range of f, padded by one dual spacing.
 
@@ -109,11 +115,7 @@ def default_dual_grid(f: GridFunction, nodes_per_axis=None) -> Grid:
     counts = np.broadcast_to(np.atleast_1d(nodes_per_axis), (f.grid.dim,))
     nodes = tuple(max(int(m), 5) for m in counts)
     lo, hi = [], []
-    v = f.values
-    for ax in range(f.grid.dim):
-        h = f.grid.spacing[ax]
-        d = np.diff(v, axis=ax) / h
-        d = d[np.isfinite(d)]
+    for ax, d in enumerate(_finite_slopes(f)):
         if d.size == 0 or d.max() - d.min() < 1e-12:
             center = float(d[0]) if d.size else 0.0
             mn, mx = center - 0.5, center + 0.5
@@ -127,10 +129,7 @@ def default_dual_grid(f: GridFunction, nodes_per_axis=None) -> Grid:
 
 def check_dual_contains_slopes(f: GridFunction, dual: Grid):
     """The slope range of f lies inside the box of the dual grid."""
-    v = f.values
-    for ax in range(f.grid.dim):
-        d = np.diff(v, axis=ax) / f.grid.spacing[ax]
-        d = d[np.isfinite(d)]
+    for ax, d in enumerate(_finite_slopes(f)):
         if d.size == 0:
             continue
         if d.min() < dual.box.lower[ax] - 1e-12 or d.max() > dual.box.upper[ax] + 1e-12:

@@ -260,6 +260,10 @@ class TestExtremalTable:
         assert h.hexdigest() == "d93eacf857ca7c4823c3d238d8c8e5b795e602d32938979e2acc08f1feb1d8e8"
 
 
+SQUARE = [[0, 0], [1, 0], [0, 1], [1, 1]]
+SIMPLEX = [[0, 0], [1, 0], [0, 1]]
+
+
 class TestConcaveTransformG:
     def test_w01_is_identity_on_01(self, w01):
         g = concave_transform_g(w01, 16)
@@ -276,15 +280,53 @@ class TestConcaveTransformG:
         lhs1, rhs1 = moment_check(g, w01, k, 1)
         # sum_{j=0}^{k} (j/k) / k = (k+1)/(2k)
         assert lhs1 == pytest.approx((k + 1) / (2 * k))
-        assert rhs1 == pytest.approx(0.5, abs=1e-6)
+        assert rhs1 == 0.5
         lhs2, rhs2 = moment_check(g, w01, k, 2)
         assert lhs2 == pytest.approx((k + 1) * (2 * k + 1) / (6 * k * k))
-        assert rhs2 == pytest.approx(1 / 3, abs=1e-6)
+        assert rhs2 == pytest.approx(1 / 3, abs=1e-12)
         assert abs(lhs1 - rhs1) <= 1 / k
         assert abs(lhs2 - rhs2) <= 2 / k
 
+    @pytest.mark.parametrize(
+        "points, weights, exact",
+        [
+            # constant 3 on the unit square and on the standard simplex
+            (SQUARE, (3, 3, 3, 3), (3.0, 9.0)),
+            (SIMPLEX, (3, 3, 3), (1.5, 4.5)),
+            # min(x + y, 2 - x - y) on the unit square
+            (SQUARE, (0, 1, 1, 0), (2 / 3, 1 / 2)),
+            # 1 + x/2 on [0, 2], the concave envelope of (1, 0, 2)
+            ([[0], [1], [2]], (1, 0, 2), (3.0, 14 / 3)),
+        ],
+    )
+    def test_exact_moments(self, points, weights, exact):
+        data = WeightedLatticeData(np.array(points), np.array(weights))
+        for k in (1, 4):
+            g = concave_transform_g(data, k)
+            for p, want in zip((1, 2), exact):
+                assert moment_check(g, data, k, p)[1] == pytest.approx(want, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "points, weights", [(SQUARE, (0, 1, 1, 0)), (SIMPLEX, (0, 1, 0))]
+    )
+    def test_2d_limit_identity_first_order(self, points, weights):
+        # (1/k^2) sum (w/k)^p - integral of g^p halves with each doubling of k
+        data = WeightedLatticeData(np.array(points), np.array(weights))
+        for p in (1, 2):
+            gaps = []
+            for k in (8, 16, 32):
+                lhs, rhs = moment_check(concave_transform_g(data, k), data, k, p)
+                gaps.append(lhs - rhs)
+            for coarse, fine in zip(gaps, gaps[1:]):
+                assert 0.45 <= fine / coarse <= 0.55
+
+    def test_collinear_2d_points_raise(self):
+        data = WeightedLatticeData(np.array([[0, 0], [1, 1], [2, 2]]), np.array([0, 2, 1]))
+        with pytest.raises(DomainError, match=r"\[\[0\.0, 0\.0\], \[1\.0, 1\.0\], \[2\.0, 2\.0\]\]"):
+            concave_transform_g(data, 1)
+
     def test_check_moments_measured(self):
-        # the gate's figure, through the 1-D envelope and interpolation
+        # the gate's figure, from the exact integral over the 1-D facets
         assert check_moments()["measured"] == 0.5
 
     def test_rejects_high_moment(self, w01):

@@ -12,6 +12,7 @@ from georay.grids import (
     NEG_INF,
     is_convex,
     lower_convex_envelope,
+    lower_envelope,
 )
 
 
@@ -123,6 +124,13 @@ class TestEnvelope2D:
         f = GridFunction.from_callable(g, lambda x, y: x * x + y * y)
         env = lower_convex_envelope(f)
         assert np.abs(env.values - f.values).max() < 1e-10
+
+    def test_collinear_points_raise(self):
+        # a plane fitted through a line is not determined: the fallback gave
+        # [0, 1, 1] here, not the envelope [0, 0.5, 1] along the line
+        pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+        with pytest.raises(DomainError, match="collinear"):
+            lower_envelope(pts, np.array([0.0, 2.0, 1.0]))
 
 
 class TestIsConvex:
