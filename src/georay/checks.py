@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
@@ -32,7 +31,7 @@ from .filtration import (
     moment_check,
     phong_sturm_ray,
 )
-from .grids import Box, ConvexGridFunction, Grid, GridFunction, lower_convex_envelope
+from .grids import Box, ConvexGridFunction, Grid, GridFunction, fork_cpus, lower_convex_envelope
 from .instances import (
     abs_1d,
     constant_u_instance,
@@ -357,15 +356,6 @@ def _run_check(name: str, tol_scale: float) -> dict:
     return _CHECKS[name](tol_scale)
 
 
-def _worker_count(checks: int) -> int:
-    """One worker per CPU this process may run on, at most one per check;
-    one (in-process) where processes cannot be forked."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(checks, cpus or 1)
-
-
 def run_suite(suite: str, tol_scale: float = 1.0) -> dict:
     """Run one named suite and return {"suite", "checks", "passed"}.
 
@@ -378,7 +368,7 @@ def run_suite(suite: str, tol_scale: float = 1.0) -> dict:
     if suite not in SUITES:
         raise KeyError(suite)
     names = SUITES[suite]
-    workers = _worker_count(len(names))
+    workers = min(len(names), fork_cpus())
     if workers == 1:
         records = list(map(_run_check, names, repeat(tol_scale)))
     else:

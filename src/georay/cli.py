@@ -18,7 +18,13 @@ Problem files are JSON documents::
 ``check`` runs its checks in forked worker processes, one per available
 CPU; the ``timings`` of its report are measured inside each worker, and
 its memory is spread over the processes.  The suite and the process pool
-are imported only by ``check``.
+are imported only by ``check``.  ``ray`` writes ``ray.csv`` from a forked
+process while it computes the energies, on 2 or more CPUs and for a ray
+of at least ``_FORK_MIN_VALUES`` values (frames times nodes); otherwise
+it writes ``ray.csv`` first, in-process.  The outputs are byte-identical
+either way; a forked write builds the CSV text in the child, whose memory
+the command's own peak RSS does not count.  Both commands count CPUs by
+``grids.fork_cpus``, which honours the process's CPU affinity.
 
 Exit codes: 0 success, 2 parse error, 3 validation failure, 4 resource
 limit.  Output is deterministic: identical inputs give byte-identical
@@ -29,7 +35,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +46,7 @@ from . import serialization as ser
 from .curves import ConcaveTransform, envelope_from_u, validate
 from .errors import DomainError, ParseError, ResourceError
 from .filtration import BergmanInstance, equivalence_check, weight_histogram
-from .grids import Box, ConvexGridFunction, Grid, require_within_cap
+from .grids import Box, ConvexGridFunction, Grid, fork_cpus, require_within_cap
 from .legendre import SlopeRegion, default_dual_grid, slope_regions
 from .rays import energy_linearity, ray_from_curve
 
@@ -84,6 +92,58 @@ def _t_grid(doc, grid: Grid) -> np.ndarray:
         raise ParseError("t grid needs t_nodes >= 2 and t_max > 0")
     require_within_cap("t grid", n, grid.num_nodes)
     return np.linspace(0.0, tmax, n)
+
+
+# the smallest ray (frames x nodes) whose CSV a forked child writes: the
+# fork, the reap and the copy-on-write faults cost a few ms, which smaller
+# rays do not reliably win back (break-even measured on 2 CPUs, CHANGES.md)
+_FORK_MIN_VALUES = 8192
+
+
+@contextmanager
+def _ray_csv_written(path: Path, ray):
+    """Write ``ray``'s CSV to ``path`` before the body runs or, for a ray of
+    at least ``_FORK_MIN_VALUES`` values where ``fork_cpus`` allows, from a
+    forked child while it runs.  The child is reaped when the body ends, on
+    every path, so ``path`` is complete when this exits; a failed write
+    raises ``OSError`` with the child's message once the body is done."""
+    pid = None
+    if ray.grid.num_nodes * len(ray.frames) >= _FORK_MIN_VALUES and fork_cpus() >= 2:
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+    if pid is None:
+        path.write_text(ser.dump_ray_csv(ray))
+        yield
+        return
+    if pid == 0:
+        _write_and_exit(path, ray, r, w)
+    os.close(w)
+    try:
+        yield
+    finally:
+        with os.fdopen(r, "rb") as pipe:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            message = pipe.read().decode()
+    if status:
+        raise OSError(message or f"cannot write {path}: writer exit status {status}")
+
+
+def _write_and_exit(path: Path, ray, r: int, w: int):
+    """The forked child: write the CSV, send an error's message down the
+    pipe, and leave without running the parent's exit handlers."""
+    status = 1
+    try:
+        os.close(r)
+        path.write_text(ser.dump_ray_csv(ray))
+        status = 0
+    except Exception as exc:
+        os.write(w, str(exc).encode()[:4096])
+    finally:
+        os._exit(status)
 
 
 def cmd_ray(spec_path: str, out_dir: str, tol_scale: float = 1.0) -> int:
@@ -140,8 +200,8 @@ def cmd_ray(spec_path: str, out_dir: str, tol_scale: float = 1.0) -> int:
         tc = envelope_from_u(phi, u, lambdas, dual, lambda_head=lo, phistar=phistar)
 
     ray = ray_from_curve(tc, ts)
-    (out / "ray.csv").write_text(ser.dump_ray_csv(ray))
-    rep = energy_linearity(ray, phi, u)
+    with _ray_csv_written(out / "ray.csv", ray):
+        rep = energy_linearity(ray, phi, u)
     energy = {
         "slope": rep.slope,
         "intercept": rep.intercept,

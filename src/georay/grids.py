@@ -10,6 +10,7 @@ that exp/log-sum-exp further down the pipeline cannot overflow.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,16 @@ def require_within_cap(what: str, count: float, nodes: int):
         raise ResourceError(
             f"{what} of {count:.0f} x {nodes} nodes exceeds the size cap {SIZE_CAP}"
         )
+
+
+def fork_cpus() -> int:
+    """The CPUs this process may run on (its affinity, where the platform
+    reports one), or 1 where it cannot fork: the one rule for whether georay
+    spreads work over forked processes, which pays only when this is 2 or more."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cpus or 1
 
 
 @dataclass(frozen=True)

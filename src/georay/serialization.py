@@ -90,10 +90,24 @@ def _parse_grid_function(cur: _Cursor) -> GridFunction:
         raise ParseError("header lengths disagree with dim", line=cur.pos)
     cur.expect("values")
     grid = Grid(Box(lower, upper), nodes)
-    vals = np.empty(grid.num_nodes)
-    for i in range(grid.num_nodes):
-        vals[i] = _parse_float(cur.next(), cur.pos)
-    return GridFunction(grid, vals.reshape(grid.shape))
+    return GridFunction(grid, np.array(_parse_values(cur, grid.num_nodes)).reshape(grid.shape))
+
+
+def _parse_values(cur: _Cursor, n: int) -> list[float]:
+    """The next n values, one per line.  ``float`` reads ``-inf`` as
+    ``_parse_float`` does, so the next n lines go through one map; a blank,
+    bad or missing line sends the block back to the line-by-line parse,
+    which skips blanks and reports the line of the first bad token."""
+    block = cur.lines[cur.pos : cur.pos + n]
+    if len(block) == n:
+        try:
+            vals = list(map(float, block))
+        except ValueError:
+            pass
+        else:
+            cur.pos += n
+            return vals
+    return [_parse_float(cur.next(), cur.pos) for _ in range(n)]
 
 
 def load_grid_function(text: str) -> GridFunction:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import georay
-from georay import checks, filtration, grids
+from georay import checks, cli, filtration, grids
 from georay import serialization as ser
 from georay.cli import main
 from georay.errors import DomainError
@@ -163,6 +163,99 @@ class TestRayCommand:
         spec = specdir / "missing_payload.spec"
         spec.write_text(json.dumps({"kind": "curve", "curve": "nope.tc"}))
         assert main(["ray", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 3
+
+
+def _force_writer(monkeypatch, fork: bool) -> list:
+    """Send every ray's CSV through the forked writer, or keep it in-process,
+    whatever the ray's size and the machine's CPUs; returns the list of the
+    pids that ``os.fork`` gave this process."""
+    monkeypatch.setattr(cli, "fork_cpus", lambda: 2 if fork else 1)
+    monkeypatch.setattr(cli, "_FORK_MIN_VALUES", 0)
+    forks, real_fork = [], os.fork
+
+    def counted():
+        pid = real_fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedRayWrite:
+    OUTPUTS = ("ray.csv", "energy.json", "linearity.json")
+
+    @pytest.mark.parametrize("spec", ["bowl2.spec", "huber.spec"])
+    def test_fork_and_in_process_bytes_agree(self, specdir, tmp_path, monkeypatch, spec):
+        got = {}
+        for fork in (False, True):
+            with monkeypatch.context() as patch:
+                forks = _force_writer(patch, fork)
+                out = tmp_path / f"fork{fork}"
+                assert main(["ray", "--spec", str(specdir / spec), "--out", str(out)]) == 0
+            assert len(forks) == fork
+            _assert_no_child_left()
+            got[fork] = {f: (out / f).read_bytes() for f in self.OUTPUTS}
+        assert got[True] == got[False]
+
+    @pytest.mark.parametrize("fork", [False, True], ids=["in-process", "forked"])
+    def test_write_failure_exit_3_without_energy(
+        self, specdir, tmp_path, monkeypatch, capsys, fork
+    ):
+        forks = _force_writer(monkeypatch, fork)
+        out = tmp_path / "out"
+        (out / "ray.csv").mkdir(parents=True)
+        assert main(["ray", "--spec", str(specdir / "bowl2.spec"), "--out", str(out)]) == 3
+        assert len(forks) == fork
+        _assert_no_child_left()
+        err = capsys.readouterr().err
+        assert err.startswith("validation failure: [Errno 21] Is a directory: ")
+        assert str(out / "ray.csv") in err
+        assert not (out / "energy.json").exists()
+
+    @pytest.mark.parametrize("fork", [False, True], ids=["in-process", "forked"])
+    def test_energy_failure_exit_3_with_ray_complete(
+        self, specdir, tmp_path, monkeypatch, capsys, fork
+    ):
+        def failing(ray, phi, u):
+            raise DomainError("energy failed")
+
+        forks = _force_writer(monkeypatch, fork)
+        monkeypatch.setattr(cli, "energy_linearity", failing)
+        out = tmp_path / "out"
+        assert main(["ray", "--spec", str(specdir / "bowl2.spec"), "--out", str(out)]) == 3
+        assert len(forks) == fork
+        _assert_no_child_left()
+        assert capsys.readouterr().err == "validation failure: energy failed\n"
+        digest = hashlib.sha256((out / "ray.csv").read_bytes()).hexdigest()
+        assert digest == BOWL2_SHA256["ray.csv"]
+        assert not (out / "energy.json").exists()
+
+    def test_fork_error_writes_in_process(self, specdir, tmp_path, monkeypatch):
+        def no_fork():
+            raise OSError("fork refused")
+
+        _force_writer(monkeypatch, True)
+        monkeypatch.setattr(os, "fork", no_fork)
+        out = tmp_path / "out"
+        assert main(["ray", "--spec", str(specdir / "bowl2.spec"), "--out", str(out)]) == 0
+        _assert_no_child_left()
+        got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in BOWL2_SHA256}
+        assert got == BOWL2_SHA256
+
+    def test_one_cpu_stays_in_process(self, specdir, tmp_path, monkeypatch):
+        # the real rule, in a process pinned to one CPU
+        forks = _force_writer(monkeypatch, True)
+        monkeypatch.setattr(cli, "fork_cpus", grids.fork_cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        out = tmp_path / "out"
+        assert main(["ray", "--spec", str(specdir / "bowl2.spec"), "--out", str(out)]) == 0
+        assert forks == []
 
 
 P012_SHA256 = {
@@ -416,7 +509,8 @@ class TestCheckCommand:
     def test_pool_report_matches_in_process(self, monkeypatch):
         """Records from the forked workers equal the checks called here,
         apart from their timings."""
-        monkeypatch.setattr(checks, "_worker_count", lambda n: n)
+        # one forked worker per core check, on any machine
+        monkeypatch.setattr(checks, "fork_cpus", lambda: len(checks.SUITES["core"]))
 
         def untimed(records):
             return [{k: v for k, v in r.items() if k != "seconds"} for r in records]
@@ -432,7 +526,7 @@ class TestCheckCommand:
             where = "worker" if os.getpid() != parent else "parent"
             raise DomainError(f"boom in the {where}")
 
-        monkeypatch.setattr(checks, "_worker_count", lambda n: n)
+        monkeypatch.setattr(checks, "fork_cpus", lambda: len(checks.SUITES["core"]))
         monkeypatch.setitem(checks._CHECKS, "fast_vs_brute", failing)
         with pytest.raises(DomainError, match="boom in the worker"):
             checks.run_suite("core")
@@ -491,3 +585,34 @@ def test_command_never_imports_scipy(specdir, tmp_path, command, spec):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "o" / "ray.csv").exists()
+
+
+def test_forked_ray_loads_no_pool(specdir, tmp_path):
+    """The ray writer forks with ``os.fork`` alone: a ``ray`` run that takes
+    the fork loads neither ``multiprocessing`` nor ``concurrent.futures``."""
+    script = (
+        "import os, sys\n"
+        "import georay.cli\n"
+        "georay.cli.fork_cpus = lambda: 2\n"
+        "georay.cli._FORK_MIN_VALUES = 0\n"
+        "forks, real_fork = [], os.fork\n"
+        "def counted():\n"
+        "    forks.append(real_fork())\n"
+        "    return forks[-1]\n"
+        "os.fork = counted\n"
+        "rc = georay.cli.main(['ray', '--spec', sys.argv[1], '--out', sys.argv[2]])\n"
+        "assert rc == 0 and len(forks) == 1, (rc, forks)\n"
+        "pool = ('multiprocessing', 'concurrent.futures')\n"
+        "print(sorted(m for m in sys.modules if m.startswith(pool)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(georay.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(specdir / "bowl2.spec"), str(tmp_path / "o")],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    got = {f: hashlib.sha256((tmp_path / "o" / f).read_bytes()).hexdigest() for f in BOWL2_SHA256}
+    assert got == BOWL2_SHA256

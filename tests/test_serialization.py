@@ -51,6 +51,22 @@ class TestGridFunctionRoundTrip:
             ser.load_grid_function(text)
         assert exc.value.line is not None
 
+    def test_value_lines_keep_their_rules(self):
+        g = Grid(Box((0.0,), (1.0,)), 3)
+        vals = np.array([1.5, NEG_INF, -2.0])
+        lines = ser.dump_grid_function(GridFunction(g, vals)).splitlines()
+        # blank lines among the values are skipped
+        spaced = lines[:7] + ["", "  "] + lines[7:]
+        back = ser.load_grid_function("\n".join(spaced))
+        assert np.array_equal(back.values, vals)
+        # a bad value token reports its own 1-based line
+        bad = spaced[:-1] + ["oops"]
+        with pytest.raises(ParseError, match="bad float 'oops'") as exc:
+            ser.load_grid_function("\n".join(bad))
+        assert exc.value.line == len(bad)
+        with pytest.raises(ParseError, match="unexpected end of input"):
+            ser.load_grid_function("\n".join(spaced[:-1]))
+
 
 class TestCurveRoundTrip:
     def test_huber_curve(self):
