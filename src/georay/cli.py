@@ -8,8 +8,13 @@ Problem files are JSON documents::
      "u": "<grid-function file on dual>",   (kind dual_u)
      "weights": "<weight-data file>",       (kind filtration)
      "dual": {"lower": [..], "upper": [..], "nodes": [..]},   (optional)
-     "lambda": {"min": .., "max": .., "spacing": ..},         (dual_u only)
      "t_nodes": 11, "t_max": 1.0}
+
+Unknown keys, such as an old ``lambda`` block, are ignored.  The ray of kind
+``dual_u`` is the conjugate of phi* - t u on the base (the dual nodes where u
+is finite and phi has slopes), and its ``lambda_c`` the max of u there.  In
+1-D, ``ray`` certifies phi convex and u concave (``_require_convex_1d``); 2-D
+inputs are trusted, as the exact test is a hull that would load scipy.
 
 ``--tol-scale`` (finite and positive) multiplies the tolerances of ``ray``
 (the test-curve validation and the linearity verdict) and the bounds of
@@ -43,12 +48,16 @@ from pathlib import Path
 import numpy as np
 
 from . import serialization as ser
-from .curves import ConcaveTransform, envelope_from_u, validate
+from .curves import ConcaveTransform, validate
 from .errors import DomainError, ParseError, ResourceError
 from .filtration import BergmanInstance, equivalence_check, weight_histogram
-from .grids import Box, ConvexGridFunction, Grid, fork_cpus, require_within_cap
-from .legendre import SlopeRegion, default_dual_grid, slope_regions
-from .rays import energy_linearity, ray_from_curve
+from .grids import (
+    TOL_CONVEX_REL, Box, ConvexGridFunction, Grid, GridFunction, fork_cpus, require_within_cap,
+)
+from .legendre import (
+    SlopeRegion, _require_finite, check_dual_contains_slopes, default_dual_grid, slope_regions,
+)
+from .rays import energy_linearity, ray_dual, ray_from_curve
 
 
 def _load_spec(path: str) -> dict:
@@ -146,6 +155,29 @@ def _write_and_exit(path: Path, ray, r: int, w: int):
         os._exit(status)
 
 
+def _require_convex_1d(name: str, f: GridFunction, concave: bool = False):
+    """A 1-D f must be convex (concave) on its finite nodes, which form one
+    run: no node more than ``TOL_CONVEX_REL`` times the value range above
+    (below) the chord of its neighbours, a second-difference test in O(n).
+    Otherwise ``DomainError`` names the node and the deviation."""
+    fin = np.flatnonzero(f.finite_mask)
+    if f.grid.dim != 1 or fin.size == 0:
+        return
+    v = f.values[fin[0] : fin[-1] + 1] * (-1.0 if concave else 1.0)
+    if fin.size < v.size:
+        node = fin[0] + np.argmin(np.isfinite(v))
+        raise DomainError(f"{name} is -inf at node {node}, inside its finite run")
+    dev = np.zeros(v.size)
+    dev[1:-1] = v[1:-1] - (v[:-2] + v[2:]) / 2
+    i, tol = int(np.argmax(dev)), TOL_CONVEX_REL * f.value_range()
+    if dev[i] > tol:
+        node = fin[0] + i
+        raise DomainError(
+            f"{name} is not {'concave' if concave else 'convex'} at node {node} "
+            f"(x = {f.grid.axis(0)[node]:g}): deviation {dev[i]:g} > {tol:g}"
+        )
+
+
 def cmd_ray(spec_path: str, out_dir: str, tol_scale: float = 1.0) -> int:
     doc = _load_spec(spec_path)
     if doc["kind"] not in ("curve", "dual_u"):
@@ -158,9 +190,8 @@ def cmd_ray(spec_path: str, out_dir: str, tol_scale: float = 1.0) -> int:
     if doc["kind"] == "curve":
         tc = ser.load_test_curve((specdir / doc["curve"]).read_text())
         ts = _t_grid(doc, tc.grid)
-        phi = (
-            _load_grid_function_file(specdir, doc["phi"]) if "phi" in doc else tc.head
-        )
+        phi = _load_grid_function_file(specdir, doc["phi"]) if "phi" in doc else tc.head
+        _require_convex_1d("phi", phi)
         # discrete envelopes are lambda-concave only up to one grid cell
         h = max(tc.grid.spacing)
         dlam = float(np.diff(tc.lambdas).min()) if tc.lambdas.size > 1 else 0.0
@@ -172,34 +203,26 @@ def cmd_ray(spec_path: str, out_dir: str, tol_scale: float = 1.0) -> int:
                 file=sys.stderr,
             )
             return 3
+        ray = ray_from_curve(tc, ts)
+        lambda_c = tc.lambda_c
     else:
         phi = _load_grid_function_file(specdir, doc["phi"])
         ts = _t_grid(doc, phi.grid)
-        dual = (
-            _grid_from_block(doc["dual"]) if "dual" in doc else default_dual_grid(phi)
-        )
+        dual = _grid_from_block(doc["dual"]) if "dual" in doc else default_dual_grid(phi)
         uf = ser.load_grid_function((specdir / doc["u"]).read_text())
         if uf.grid != dual:
             raise DomainError("u is not sampled on the dual grid")
-        # phi is conjugated on the dual grid once: its slope region and
-        # phi*, which the envelopes reuse
+        _require_finite(phi)
+        check_dual_contains_slopes(phi, dual)
+        _require_convex_1d("phi", phi)
+        _require_convex_1d("u", uf, concave=True)
+        # phi is conjugated on the dual grid once: its slope region and phi*,
+        # from which the ray is the conjugate of phi* - t u
         mask, phistar, _ = next(slope_regions([phi], dual))
-        base = SlopeRegion(dual, uf.finite_mask & mask)
-        u = ConcaveTransform(uf, base)
-        lb = doc.get("lambda", {})
-        finite_u = uf.values[base.mask]
-        lo = float(lb.get("min", finite_u.min()))
-        hi = float(lb.get("max", finite_u.max()))
-        sp = float(lb.get("spacing", (hi - lo) / 32 if hi > lo else 1.0))
-        if sp <= 0:
-            raise ParseError("lambda spacing must be positive")
-        # a selection on the dual grid and a sample on the primal grid per lambda
-        count = np.ceil((hi + sp / 2 - lo) / sp)
-        require_within_cap("lambda grid", count, max(dual.num_nodes, phi.grid.num_nodes))
-        lambdas = np.arange(lo, hi + sp / 2, sp)
-        tc = envelope_from_u(phi, u, lambdas, dual, lambda_head=lo, phistar=phistar)
+        u = ConcaveTransform(uf, SlopeRegion(dual, uf.finite_mask & mask))
+        ray = ray_dual(GridFunction(dual, phistar), u, phi.grid, ts)
+        lambda_c = float(uf.values[u.base.mask].max())
 
-    ray = ray_from_curve(tc, ts)
     with _ray_csv_written(out / "ray.csv", ray):
         rep = energy_linearity(ray, phi, u)
     energy = {
@@ -207,7 +230,7 @@ def cmd_ray(spec_path: str, out_dir: str, tol_scale: float = 1.0) -> int:
         "intercept": rep.intercept,
         "max_abs_residual": rep.max_abs_residual,
         "predicted_slope": rep.predicted_slope,
-        "lambda_c": tc.lambda_c,
+        "lambda_c": lambda_c,
     }
     (out / "energy.json").write_text(json.dumps(energy, indent=1, sort_keys=True) + "\n")
     linear = rep.max_abs_residual <= 1e-2 * tol_scale * max(abs(rep.slope), 1e-30)

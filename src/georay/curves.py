@@ -21,9 +21,9 @@ from .grids import ConvexGridFunction, Grid, GridFunction, NEG_INF
 from .legendre import (
     SlopeRegion,
     _chunks,
-    _require_finite,
     check_dual_contains_slopes,
     conjugate,
+    legendre,
     slope_regions,
     subgradient_range,
     trapezoid_weights,
@@ -59,9 +59,6 @@ class TestCurve:
     def head(self) -> ConvexGridFunction:
         return self.samples[0]
 
-    def finite_flags(self) -> np.ndarray:
-        return np.array([not s.is_identically_neg_inf for s in self.samples])
-
 
 @dataclass(frozen=True)
 class CurveDiagnostics:
@@ -87,7 +84,7 @@ def validate(tc: TestCurve, tol_concave: float = 1e-9) -> CurveDiagnostics:
             note("samples live on different grids")
             return CurveDiagnostics(False, tuple(issues), witness)
 
-    finite = tc.finite_flags()
+    finite = [not s.is_identically_neg_inf for s in tc.samples]
     # finite exactly for lambda <= lambda_c
     for lam, fin in zip(tc.lambdas, finite):
         if fin and lam > tc.lambda_c + 1e-12:
@@ -179,20 +176,14 @@ def envelope_from_u(
     lambdas,
     dual: Grid,
     lambda_head: float | None = None,
-    phistar: np.ndarray | None = None,
 ) -> TestCurve:
     """Maximal-envelope curve of phi with slopes confined to {u >= lambda}.
 
     phi_lambda(x) = max over dual nodes y with u(y) >= lambda of
-    <x,y> - phi*(y); empty selections give -inf samples.  ``phistar`` is
-    phi* on ``dual`` when the caller has already conjugated phi there.
+    <x,y> - phi*(y); empty selections give -inf samples.
     """
     check_dual_contains_slopes(phi, dual)
-    _require_finite(phi)
-    if phistar is None:
-        phistar, _ = conjugate(phi.grid.axes(), phi.values, dual.axes())
-    # the value cap of a grid function, as for any Legendre transform
-    phistar = GridFunction(dual, phistar)
+    phistar = legendre(phi, dual)
     lam = np.asarray(lambdas, dtype=float).ravel()
     usable = u.base.mask & np.isfinite(u.u.values)
     sels = [usable & (u.u.values >= l - 1e-12) for l in lam]

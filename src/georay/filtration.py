@@ -19,9 +19,8 @@ from .curves import TestCurve, maximal_envelope
 from .errors import DomainError, ResourceError
 from .grids import (
     ConvexGridFunction, Grid, GridFunction, NEG_INF, SIZE_CAP, lower_envelope, require_within_cap,
-    _lower_envelope_facets,
 )
-from .legendre import check_dual_contains_slopes, conjugate
+from .legendre import _chunks, check_dual_contains_slopes, conjugate
 from .rays import Ray, compare_rays, default_t_grid, ray_from_curve
 
 
@@ -278,8 +277,8 @@ class ConcaveTransformG:
 
     It is linear on each of its facets: segments (1-D) or triangles (2-D)
     of node indices that tile the polytope.  Called on points (M, n) of the
-    polytope, it evaluates the envelope as minus ``grids.lower_envelope`` of
-    the negated values.
+    polytope, it evaluates the envelope as the min of its facets' affine
+    pieces, each of which lies above a concave function on the polytope.
     """
 
     nodes: np.ndarray  # (R, n) normalized lattice points
@@ -288,14 +287,22 @@ class ConcaveTransformG:
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return -lower_envelope(self.nodes, -self.values, pts)
+        corners, vals = self.nodes[self.facets], self.values[self.facets]
+        # the piece of a facet is vals[0] + <grad, p - corners[0]>
+        edges = corners[:, 1:] - corners[:, :1]
+        grad = np.linalg.solve(edges, (vals[:, 1:] - vals[:, :1])[..., None])[..., 0]
+        off = vals[:, 0] - (grad * corners[:, 0]).sum(axis=1)
+        out = np.empty(len(pts))
+        for s in _chunks(len(pts), len(off)):
+            out[s] = (pts[s] @ grad.T + off).min(axis=1)
+        return out
 
 
 def concave_transform_g(data: WeightedLatticeData, k: int) -> ConcaveTransformG:
     """Concave envelope of {(alpha/k, weight(alpha)/k)} on the polytope."""
     pts, w = data.reachable(k)
     x = pts.astype(float) / k
-    env, facets = _lower_envelope_facets(x, -w / k)
+    env, facets = lower_envelope(x, -w / k)
     return ConcaveTransformG(x, -env, facets)
 
 

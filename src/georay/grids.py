@@ -73,12 +73,8 @@ class Box:
         return len(self.lower)
 
     @property
-    def widths(self) -> tuple[float, ...]:
-        return tuple(b - a for a, b in zip(self.lower, self.upper))
-
-    @property
     def diameter(self) -> float:
-        return float(np.sqrt(sum(w * w for w in self.widths)))
+        return float(np.sqrt(sum((b - a) * (b - a) for a, b in zip(self.lower, self.upper))))
 
 
 @dataclass(frozen=True)
@@ -199,11 +195,10 @@ class ConvexGridFunction(GridFunction):
     """
 
     @staticmethod
-    def certify(f: GridFunction, tol: float | None = None) -> "ConvexGridFunction":
+    def certify(f: GridFunction) -> "ConvexGridFunction":
         if f.is_identically_neg_inf:
             return ConvexGridFunction(f.grid, f.values)
-        if tol is None:
-            tol = max(TOL_CONVEX_REL * f.value_range(), 1e-12)
+        tol = max(TOL_CONVEX_REL * f.value_range(), 1e-12)
         ok, _, dev = is_convex(f, tol)
         if not ok:
             raise DomainError(f"function is not convex: max deviation {dev:g} > {tol:g}")
@@ -235,31 +230,24 @@ def _lower_hull_1d(x: np.ndarray, v: np.ndarray):
     return hull
 
 
-def lower_envelope(pts: np.ndarray, vals: np.ndarray, at: np.ndarray | None = None):
-    """Lower convex envelope of scattered data (pts (N, d), vals (N,)),
-    evaluated at ``at`` (default: the data points, where it is clipped to
-    the data).  The upper concave envelope is minus the lower envelope of
-    the negated data.
+def lower_envelope(pts: np.ndarray, vals: np.ndarray):
+    """(env, facets): the lower convex envelope of scattered data (pts (N, d),
+    vals (N,)) at the data points, where it is clipped to the data, and the
+    point indices (F, d + 1) of the lifted hull's segments or triangles,
+    which tile the hull of pts and on each of which the envelope is linear.
+    The upper concave envelope is minus the lower envelope of the negated
+    data.
 
     In 1-D it interpolates the lower hull of the sorted points.  In 2-D it is
     the max of the planes of the downward-facing facets of the hull of
     (pts, vals), each of which supports the cloud from below; a flat cloud,
-    which qhull rejects, is its own least-squares plane.  Collinear 2-D
-    points raise ``DomainError``.
+    which qhull rejects, is its own least-squares plane, and its facets are
+    a fan over the hull of pts.  Collinear 2-D points raise ``DomainError``.
     """
-    return _lower_envelope_facets(pts, vals, at)[0]
-
-
-def _lower_envelope_facets(pts: np.ndarray, vals: np.ndarray, at: np.ndarray | None = None):
-    """(lower_envelope, facets): the point indices (F, d + 1) of the lifted
-    hull's segments or triangles, which tile the hull of pts and on each of
-    which the envelope is linear.  A flat cloud's are a fan over that hull.
-    """
-    q = pts if at is None else at
     if pts.shape[1] == 1:
         order = np.argsort(pts[:, 0], kind="stable")
         hull = order[_lower_hull_1d(pts[order, 0], vals[order])]
-        out = np.interp(q[:, 0], pts[hull, 0], vals[hull])
+        out = np.interp(pts[:, 0], pts[hull, 0], vals[hull])
         facets = np.column_stack([hull[:-1], hull[1:]])
     else:
         from scipy.spatial import ConvexHull, QhullError
@@ -278,12 +266,12 @@ def _lower_envelope_facets(pts: np.ndarray, vals: np.ndarray, at: np.ndarray | N
             ring = ConvexHull(pts).vertices
             facets = np.column_stack([np.full(ring.size - 2, ring[0]), ring[1:-1], ring[2:]])
         nxy, nz, off = eq[:, :2], eq[:, 2], eq[:, 3]
-        out = np.empty(q.shape[0])
+        out = np.empty(len(pts))
         chunk = 4096
-        for s in range(0, q.shape[0], chunk):
-            out[s : s + chunk] = (-(q[s : s + chunk] @ nxy.T + off) / nz).max(axis=1)
+        for s in range(0, len(pts), chunk):
+            out[s : s + chunk] = (-(pts[s : s + chunk] @ nxy.T + off) / nz).max(axis=1)
     # the hull surface interpolates the data; guard fp drift above it
-    return (np.minimum(out, vals) if at is None else out), facets
+    return np.minimum(out, vals), facets
 
 
 def lower_convex_envelope(f: GridFunction) -> ConvexGridFunction:
@@ -294,7 +282,7 @@ def lower_convex_envelope(f: GridFunction) -> ConvexGridFunction:
     """
     if not np.all(f.finite_mask):
         return ConvexGridFunction.trusted(GridFunction.neg_inf(f.grid))
-    env = lower_envelope(f.grid.coords(), f.values.ravel())
+    env, _ = lower_envelope(f.grid.coords(), f.values.ravel())
     return ConvexGridFunction(f.grid, env)
 
 

@@ -102,11 +102,11 @@ def huber_instance(
     """phi with slope set [-1, 1], u(y) = -|y|; envelopes are Huber functions."""
     phi = linear_growth_bowl(nodes, box_half)
     dual = default_dual_grid(phi, dual_nodes)
-    mask, phistar, _ = next(slope_regions([phi], dual))
+    mask, _, _ = next(slope_regions([phi], dual))
     uvals = np.where(mask, -np.abs(dual.axis(0)), -np.inf)
     u = ConcaveTransform(GridFunction(dual, uvals), SlopeRegion(dual, mask))
     lambdas = np.arange(-1.0, 1e-12, lambda_spacing)
-    curve = envelope_from_u(phi, u, lambdas, dual, lambda_head=-1.0, phistar=phistar)
+    curve = envelope_from_u(phi, u, lambdas, dual, lambda_head=-1.0)
     return RayInstance(phi, dual, u, curve, lambda_spacing)
 
 
@@ -116,9 +116,9 @@ def constant_u_instance(
     """u identically ``level`` on the slope set: pure-translation dynamics."""
     phi = linear_growth_bowl(nodes, box_half)
     dual = default_dual_grid(phi, dual_nodes)
-    mask, phistar, _ = next(slope_regions([phi], dual))
+    mask, _, _ = next(slope_regions([phi], dual))
     uvals = np.where(mask, level, -np.inf)
     u = ConcaveTransform(GridFunction(dual, uvals), SlopeRegion(dual, mask))
     lambdas = np.array([level - 1.0, level])
-    curve = envelope_from_u(phi, u, lambdas, dual, lambda_head=level, phistar=phistar)
+    curve = envelope_from_u(phi, u, lambdas, dual, lambda_head=level)
     return RayInstance(phi, dual, u, curve, 1.0)

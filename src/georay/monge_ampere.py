@@ -22,7 +22,6 @@ from .grids import ConvexGridFunction, Grid, GridFunction
 from .legendre import (
     _chunks,
     _require_finite,
-    check_dual_contains_slopes,
     conjugate,
     default_dual_grid,
     slope_regions,
@@ -113,20 +112,17 @@ def energy_quadrature(
     return total
 
 
-def dual_energies(fs, f: ConvexGridFunction, dual: Grid | None = None) -> np.ndarray:
+def dual_energies(fs, f: ConvexGridFunction) -> np.ndarray:
     """E(f_t, f) = int over Delta_f of (f* - f_t*) dy for each f_t of ``fs``.
 
     The integral is the trapezoid rule on the nodes of the slope region of
-    f (``trapezoid_weights``).  The region and conjugate of f come from one
-    ``slope_regions`` step, and the f_t are conjugated in groups of
-    ``_chunks`` items; no witness is computed.
+    f (``trapezoid_weights``) on ``_energy_dual_grid(f)``.  The region and
+    conjugate of f come from one ``slope_regions`` step, and the f_t are
+    conjugated in groups of ``_chunks`` items; no witness is computed.
     """
     for ft in fs:
         _require_equivalent(ft, f)
-    if dual is None:
-        dual = _energy_dual_grid(f)
-    else:
-        check_dual_contains_slopes(f, dual)
+    dual = _energy_dual_grid(f)
     mask, fstar, _ = next(slope_regions([f], dual))
     _require_finite(f)
     w = trapezoid_weights(mask)[mask]
@@ -139,11 +135,9 @@ def dual_energies(fs, f: ConvexGridFunction, dual: Grid | None = None) -> np.nda
     return out * dual.cell_volume
 
 
-def energy_dual(
-    f_t: ConvexGridFunction, f: ConvexGridFunction, dual: Grid | None = None
-) -> float:
+def energy_dual(f_t: ConvexGridFunction, f: ConvexGridFunction) -> float:
     """E(f_t, f) by the dual formula: ``dual_energies`` of the one function."""
-    return float(dual_energies([f_t], f, dual)[0])
+    return float(dual_energies([f_t], f)[0])
 
 
 def cocycle_residual(

@@ -19,7 +19,7 @@ import numpy as np
 from .curves import ConcaveTransform, TestCurve, concave_transform
 from .errors import DomainError
 from .grids import ConvexGridFunction, Grid, GridFunction, NEG_INF
-from .legendre import _chunks, conjugate, legendre
+from .legendre import _chunks, conjugate
 from .monge_ampere import _energy_dual_grid, dual_energies
 
 
@@ -81,25 +81,23 @@ def ray_from_curve(tc: TestCurve, t_grid=None) -> Ray:
     return Ray(ts, tuple(frames), curve=tc)
 
 
-def ray_dual(
-    phi: ConvexGridFunction, u: ConcaveTransform, t_grid=None
-) -> Ray:
-    """frame(t) = conjugate (dual -> primal) of phi* - t u on the u-region."""
-    if t_grid is None:
-        t_grid = default_t_grid()
+def ray_dual(phistar: GridFunction, u: ConcaveTransform, grid: Grid, t_grid) -> Ray:
+    """frame(t) = conjugate (dual -> primal ``grid``) of phi* - t u on the
+    u-region, from phi* on u's dual grid."""
     ts = np.asarray(t_grid, dtype=float).ravel()
     dual = u.u.grid
+    if phistar.grid != dual:
+        raise DomainError("phi* and u live on different dual grids")
     sel = u.base.mask & np.isfinite(u.u.values)
     if not sel.any():
         raise DomainError("empty slope region for the dual ray")
-    star = legendre(phi, dual).values[sel]
-    uv = u.u.values[sel]
+    star, uv = phistar.values[sel], u.u.values[sel]
     frames = []
-    for g in _chunks(ts.size, phi.grid.num_nodes):
+    for g in _chunks(ts.size, grid.num_nodes):
         mod = np.full((ts[g].size,) + dual.shape, np.inf)
         mod[:, sel] = star - ts[g, None] * uv
-        vals, _ = conjugate(dual.axes(), mod, phi.grid.axes())
-        frames += [GridFunction(phi.grid, v) for v in vals]
+        vals, _ = conjugate(dual.axes(), mod, grid.axes())
+        frames += [GridFunction(grid, v) for v in vals]
     return Ray(ts, tuple(frames))
 
 

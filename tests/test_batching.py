@@ -180,8 +180,8 @@ def test_concave_transform(case, block):
 
 
 def test_ray_dual(case, block):
-    phi, _, u, _, ray = case
-    got = ray_dual(phi, u, ray.t_grid)
+    phi, dual, u, _, ray = case
+    got = ray_dual(legendre(phi, dual), u, phi.grid, ray.t_grid)
     for fr, want in zip(got.frames, ray_dual_ref(phi, u, ray.t_grid)):
         assert np.array_equal(fr.values, want)
 

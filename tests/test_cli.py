@@ -18,8 +18,8 @@ from georay.cli import main
 from georay.errors import DomainError
 from georay.filtration import WeightedLatticeData
 from georay.grids import SIZE_CAP, Box, ConvexGridFunction, Grid, GridFunction
-from georay.instances import filtration_base, huber_instance
-from georay.legendre import default_dual_grid
+from georay.instances import filtration_base, huber_instance, linear_growth_bowl
+from georay.legendre import default_dual_grid, subgradient_range
 
 
 @pytest.fixture(scope="module")
@@ -92,10 +92,43 @@ def specdir(tmp_path_factory, three_point, simplex_2d):
 
 
 BOWL2_SHA256 = {
-    "ray.csv": "77e49ebcb6b833284fc1bf97166ba0cb3da12226b64c76f5efbda4e8574a0587",
-    "energy.json": "ab54aef782fa641c6092f37b1ea0643a8f17ad3a8b07630f60ec8255e79fcc5d",
+    "ray.csv": "c926fd2050ae57c4058fdd3149cf6850a9125e85b06ce62159bb2bbbce1df99b",
+    "energy.json": "8d9c8c41be2df59ff16cddb0f5e74f16e8c2ef95a9e6cd7d44382649b38be5e0",
     "linearity.json": "bf449ae1014e66046ce17632eff8f25040b81bd0feacd39f99fe1c62184853db",
 }
+
+# kind curve keeps the lambda route: these bytes must not move
+CURVE_SHA256 = {
+    "ray.csv": "68028c036a8c7f613321f41c738324016f60a19454511a337bc031b092b193e5",
+    "energy.json": "0394f47c309af131ddcda252f52d0500ea5db4f300df7e08d2aad6e70b5b00fa",
+    "linearity.json": "bf449ae1014e66046ce17632eff8f25040b81bd0feacd39f99fe1c62184853db",
+}
+
+
+def _spec_elsewhere(specdir, spec, path, **update):
+    """Copy a fixture spec to ``path`` with absolute payload paths, update its
+    keys and drop those updated to None; returns ``path`` as a string."""
+    doc = json.loads((specdir / spec).read_text())
+    for key in ("phi", "u", "curve"):
+        if key in doc:
+            doc[key] = str(specdir / doc[key])
+    doc.update(update)
+    path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+    return str(path)
+
+
+def _run_1d_dual_u(tmp_path, phi_values, u_of_y):
+    """``ray`` on a dual_u spec over a 513-node Huber bowl with the given
+    values and u(y) on its default dual grid; returns the exit code."""
+    phi = linear_growth_bowl(513)
+    phi = GridFunction(phi.grid, phi_values(phi.values))
+    dual = default_dual_grid(phi)
+    (tmp_path / "phi.gf").write_text(ser.dump_grid_function(phi))
+    u = GridFunction.from_callable(dual, u_of_y)
+    (tmp_path / "u.gf").write_text(ser.dump_grid_function(u))
+    spec = tmp_path / "p.spec"
+    spec.write_text(json.dumps({"kind": "dual_u", "phi": "phi.gf", "u": "u.gf"}))
+    return main(["ray", "--spec", str(spec), "--out", str(tmp_path / "o")])
 
 
 class TestRayCommand:
@@ -132,28 +165,65 @@ class TestRayCommand:
     @pytest.mark.parametrize(
         "spec, update, what",
         [
-            ("huber.spec", {"lambda": {"min": -1.0, "max": 0.0, "spacing": 1e-13}},
-             "lambda grid of 10000000000001 x 65 nodes"),
             ("huber.spec", {"t_nodes": 10**13}, "t grid of 10000000000000 x 65 nodes"),
             ("curve.spec", {"t_nodes": 10**13}, "t grid of 10000000000000 x 65 nodes"),
         ],
-        ids=["lambda", "t", "t-curve"],
+        ids=["t", "t-curve"],
     )
     def test_grid_over_cap_exit_4(self, specdir, tmp_path, capsys, spec, update, what):
-        doc = json.loads((specdir / spec).read_text())
-        for key in ("phi", "u", "curve"):
-            if key in doc:
-                doc[key] = str(specdir / doc[key])
-        doc.update(update)
-        path = tmp_path / "big.spec"
-        path.write_text(json.dumps(doc))
-        assert main(["ray", "--spec", str(path), "--out", str(tmp_path / "o")]) == 4
+        path = _spec_elsewhere(specdir, spec, tmp_path / "big.spec", **update)
+        assert main(["ray", "--spec", path, "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err
         assert f"{what} exceeds the size cap {SIZE_CAP}" in err
 
+    def test_lambda_block_is_ignored(self, specdir, tmp_path):
+        # no lambda grid builds a dual_u ray: a spec's lambda block, which
+        # older specs carry, changes no byte of the outputs
+        got = []
+        for name, lam in (("with", {"min": -1.0, "max": 0.0, "spacing": 1e-13}), ("without", None)):
+            path = _spec_elsewhere(specdir, "huber.spec", tmp_path / f"{name}.spec", **{"lambda": lam})
+            assert main(["ray", "--spec", path, "--out", str(tmp_path / name)]) == 0
+            got.append({f: (tmp_path / name / f).read_bytes() for f in BOWL2_SHA256})
+        assert got[0] == got[1]
+
+    def test_curve_output_bytes(self, specdir, tmp_path):
+        out = tmp_path / "out"
+        assert main(["ray", "--spec", str(specdir / "curve.spec"), "--out", str(out)]) == 0
+        got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in CURVE_SHA256}
+        assert got == CURVE_SHA256
+
+    def test_dual_u_lambda_c_is_max_of_u(self, specdir, tmp_path):
+        out = tmp_path / "out"
+        assert main(["ray", "--spec", str(specdir / "bowl2.spec"), "--out", str(out)]) == 0
+        u = ser.load_grid_function((specdir / "u2.gf").read_text())
+        phi = ser.load_grid_function((specdir / "bowl2.gf").read_text())
+        base = subgradient_range(phi, u.grid).mask
+        assert json.loads((out / "energy.json").read_text())["lambda_c"] == u.values[base].max()
+
+    # a 2e-3 bump at the bottom of the bowl stands 2e-3 - h^2/2 above its chord
+    @pytest.mark.parametrize(
+        "phi_values, u_of_y, message",
+        [
+            (lambda v: v + 2e-3 * (np.arange(v.size) == 256), lambda y: -np.abs(y),
+             "phi is not convex at node 256 (x = 0): deviation 0.00193134 > 2.49993e-09"),
+            (lambda v: v, lambda y: np.abs(np.abs(y) - 0.5) - 1.0,
+             "u is not concave at node 128 (x = -0.501961): deviation 0.00196078 > 5.01961e-10"),
+            (lambda v: v, lambda y: np.where(np.abs(y) < 0.01, -np.inf, -np.abs(y)),
+             "u is -inf at node 254, inside its finite run"),
+        ],
+        ids=["phi-bump", "u-W", "u-hole"],
+    )
+    def test_1d_input_not_convex_exit_3(self, tmp_path, capsys, phi_values, u_of_y, message):
+        assert _run_1d_dual_u(tmp_path, phi_values, u_of_y) == 3
+        assert capsys.readouterr().err == f"validation failure: {message}\n"
+        assert not (tmp_path / "o" / "ray.csv").exists()
+
+    def test_1d_convex_inputs_pass(self, tmp_path):
+        assert _run_1d_dual_u(tmp_path, lambda v: v, lambda y: -np.abs(y)) == 0
+
     def test_2d_output_bytes(self, specdir, tmp_path):
-        # SHA-256 of every output of the 2-D fixture: conjugating without
-        # witnesses where no caller reads them keeps these bytes
+        # SHA-256 of every output of the 2-D fixture, whose ray is the
+        # conjugate of phi* - t u
         out = tmp_path / "out"
         assert main(["ray", "--spec", str(specdir / "bowl2.spec"), "--out", str(out)]) == 0
         got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in BOWL2_SHA256}

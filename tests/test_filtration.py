@@ -1,9 +1,14 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import georay
 from georay.checks import check_moments
 from georay.curves import maximal_envelope
 from georay.errors import DomainError, ResourceError
@@ -328,6 +333,38 @@ class TestConcaveTransformG:
     def test_check_moments_measured(self):
         # the gate's figure, from the exact integral over the 1-D facets
         assert check_moments()["measured"] == 0.5
+
+    @pytest.mark.parametrize(
+        "points, weights, exact",
+        [
+            ([[0], [1], [2]], (1, 0, 2), lambda x: 1 + x[:, 0] / 2),
+            (SQUARE, (0, 1, 1, 0), lambda x: np.minimum(x.sum(axis=1), 2 - x.sum(axis=1))),
+            (SIMPLEX, (0, 1, 0), lambda x: x[:, 0]),
+        ],
+        ids=["1d", "square", "simplex"],
+    )
+    def test_call_is_min_of_facet_pieces(self, rng, points, weights, exact):
+        data = WeightedLatticeData(np.array(points), np.array(weights))
+        g = concave_transform_g(data, 1)
+        corners = g.nodes[g.facets[rng.integers(0, len(g.facets), 200)]]
+        bary = rng.dirichlet(np.ones(corners.shape[1]), size=200)
+        pts = np.vstack([g.nodes, np.einsum("qi,qij->qj", bary, corners)])
+        assert np.abs(g(pts) - exact(pts)).max() <= 1e-15
+
+    def test_call_loads_no_scipy(self):
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from georay.filtration import ConcaveTransformG\n"
+            "nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])\n"
+            "g = ConcaveTransformG(nodes, np.array([0.0, 1.0, 1.0, 0.0]), np.array([[0, 1, 2], [1, 2, 3]]))\n"
+            "assert g((0.5, 0.5))[0] == 1.0 and g((0.25, 0.25))[0] == 0.5\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(georay.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_rejects_high_moment(self, w01):
         g = concave_transform_g(w01, 8)

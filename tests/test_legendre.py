@@ -562,7 +562,7 @@ class TestOneDimensionalCallers:
 
         inst = huber_instance(nodes=129, dual_nodes=129, lambda_spacing=0.125)
         ts = np.linspace(0.0, 1.0, 5)
-        ray = ray_dual(inst.phi, inst.u, ts)
+        ray = ray_dual(legendre(inst.phi, inst.dual), inst.u, inst.phi.grid, ts)
         x, y = inst.phi.grid.axis(0), inst.dual.axis(0)
         sel = inst.u.base.mask & np.isfinite(inst.u.u.values)
         star = legendre(inst.phi, inst.dual).values[sel]

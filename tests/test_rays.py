@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from georay.curves import ConcaveTransform, envelope_from_u
+from georay.errors import DomainError
 from georay.grids import Box, ConvexGridFunction, Grid, GridFunction
 from georay.instances import (
     constant_u_instance,
@@ -9,7 +10,13 @@ from georay.instances import (
     linear_growth_bowl,
     quadratic_1d,
 )
-from georay.legendre import default_dual_grid, subgradient_range, trapezoid_weights
+from georay.legendre import (
+    SlopeRegion,
+    default_dual_grid,
+    legendre,
+    subgradient_range,
+    trapezoid_weights,
+)
 from georay.rays import compare_rays, energy_linearity, ray_dual, ray_from_curve
 
 
@@ -50,7 +57,7 @@ class TestRayConstruction:
             GridFunction(dual, np.where(base.mask, 1 - ys**2 / 2, -np.inf)), base
         )
         ts = np.linspace(0.0, 1.0, 6)
-        ray = ray_dual(phi, u, ts)
+        ray = ray_dual(legendre(phi, dual), u, phi.grid, ts)
         xs = phi.grid.axis(0)
         h = phi.grid.spacing[0]
         hd = dual.spacing[0]
@@ -60,10 +67,16 @@ class TestRayConstruction:
             assert np.abs(fr.values[interior] - exact[interior]).max() <= 2 * (h + hd)
 
 
+    def test_dual_ray_needs_phistar_on_the_dual_grid_of_u(self, huber):
+        other = default_dual_grid(huber.phi, 65)
+        with pytest.raises(DomainError, match="different dual grids"):
+            ray_dual(legendre(huber.phi, other), huber.u, huber.phi.grid, [0.0, 1.0])
+
+
 class TestRayEquality:
     def test_hat_equals_dual(self, huber):
         hat = ray_from_curve(huber.curve)
-        tilde = ray_dual(huber.phi, huber.u, hat.t_grid)
+        tilde = ray_dual(legendre(huber.phi, huber.dual), huber.u, huber.phi.grid, hat.t_grid)
         gaps = compare_rays(hat, tilde)
         h = huber.phi.grid.spacing[0]
         hd = huber.dual.spacing[0]
@@ -73,7 +86,7 @@ class TestRayEquality:
     def test_gap_scales_with_resolution(self):
         def worst_ratio(inst):
             hat = ray_from_curve(inst.curve)
-            tilde = ray_dual(inst.phi, inst.u, hat.t_grid)
+            tilde = ray_dual(legendre(inst.phi, inst.dual), inst.u, inst.phi.grid, hat.t_grid)
             gaps = compare_rays(hat, tilde)
             h = inst.phi.grid.spacing[0]
             hd = inst.dual.spacing[0]
@@ -105,3 +118,43 @@ class TestEnergyLinearity:
         assert rep.max_abs_residual <= 1e-2 * abs(rep.slope)
         assert rep.slope == pytest.approx(rep.predicted_slope, rel=0.05)
 
+
+
+def _bowl2():
+    """The 17 x 17 bowl of the CLI's 2-D fixture, with u = -(|y1| + |y2|)/2."""
+    g = Grid(Box((-3.0, -3.0), (3.0, 3.0)), (17, 17))
+    phi = ConvexGridFunction.trusted(
+        GridFunction.from_callable(g, lambda x, y: np.hypot(x, y) ** 2 / 4 + x / 8)
+    )
+    dual = default_dual_grid(phi, 17)
+    u = GridFunction.from_callable(dual, lambda y1, y2: -(abs(y1) + abs(y2)) / 2)
+    base = subgradient_range(phi, dual)
+    return phi, dual, ConcaveTransform(u, SlopeRegion(dual, base.mask & u.finite_mask))
+
+
+@pytest.mark.parametrize("case", ["huber-1d", "bowl2-2d"])
+def test_lambda_route_is_dual_route_of_floored_u(case):
+    """max over lambda in a grid L of (phi_lambda + t lambda) is the conjugate
+    of phi* - t floor_L(u), u rounded down to L (-inf below its first point),
+    to a few ulps: the lambda route of kind curve and of the filtration is
+    the dual route of ``georay ray`` on a quantised u."""
+    if case == "huber-1d":
+        inst = huber_instance(nodes=129, dual_nodes=129, lambda_spacing=2.0**-5)
+        phi, dual, u, lambdas = inst.phi, inst.dual, inst.u, inst.curve.lambdas
+    else:
+        phi, dual, u = _bowl2()
+        finite = u.u.values[u.base.mask]
+        lambdas = np.arange(finite.min(), finite.max() + 1 / 64, (finite.max() - finite.min()) / 32)
+    ts = np.linspace(0.0, 1.0, 11)
+    hat = ray_from_curve(envelope_from_u(phi, u, lambdas, dual), ts)
+    # envelope_from_u selects the nodes with u >= lambda - 1e-12
+    below = np.searchsorted(lambdas - 1e-12, u.u.values, side="right")
+    floor = np.where(below > 0, lambdas[np.maximum(below - 1, 0)], -np.inf)
+    floored = ConcaveTransform(GridFunction(dual, floor), u.base)
+    dual_ray = ray_dual(legendre(phi, dual), floored, phi.grid, ts)
+    assert np.any(floor[u.base.mask] < u.u.values[u.base.mask])  # the floor bites
+    for a, b in zip(hat.frames, dual_ray.frames):
+        assert np.array_equal(a.finite_mask, b.finite_mask)
+        fin = a.finite_mask
+        ulp = np.spacing(np.maximum(np.abs(a.values[fin]), 1.0))
+        assert np.abs(a.values[fin] - b.values[fin]).max() <= 4 * ulp.max()
