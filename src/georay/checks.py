@@ -8,7 +8,8 @@ it against a fixed bound (scaled by ``tol_scale``).  The record format is::
 
 Suites group the checks: ``core`` (transform correctness), ``envelopes``
 (measures, energies, contact), ``rays`` (duality and linearity),
-``filtration`` (Bergman metrics and moments), ``all``.
+``filtration`` (Bergman metrics, moments and the paper's route to the
+Phong-Sturm limit), ``all``.
 """
 
 from __future__ import annotations
@@ -21,15 +22,17 @@ from itertools import repeat
 
 import numpy as np
 
-from .curves import contact_set
+from .curves import contact_set, maximal_envelope
 from .filtration import (
     BergmanInstance,
     WeightedLatticeData,
     concave_transform_g,
     equivalence_check,
+    limit_curve,
     log_sum_exp_sandwich_gap,
     moment_check,
     phong_sturm_ray,
+    toric_ray,
 )
 from .grids import Box, ConvexGridFunction, Grid, GridFunction, fork_cpus, lower_convex_envelope
 from .instances import (
@@ -273,6 +276,43 @@ def check_phong_sturm(tol_scale: float = 1.0) -> dict:
     )
 
 
+# the constant of the bound C (h_d + 1/k_max) on the limit-curve gap: fitted
+# C runs 0.081 to 0.101 from (65 nodes, k_max 8) to (1025, 128), a 2.5x margin
+_LIMIT_CURVE_C = 0.25
+
+
+def limit_curve_constant(nodes: int, k_max: int) -> float:
+    """Sup gap over t in [0, 1] between the paper's ray, built from the
+    filtration through the Fekete limit curve of the degrees k_max/8 ..
+    k_max, its maximal envelope and the lambda-transform, and the closed
+    form (phi* - t g-hat)*, divided by h_d + 1/k_max; P1 = {0, 1} with
+    weights (0, 1) over ``filtration_base(nodes)``."""
+    phi = filtration_base(nodes)
+    inst = BergmanInstance(phi, default_dual_grid(phi, nodes))
+    data = _standard_filtration()
+    t_grid = np.linspace(0.0, 1.0, 11)
+    curve = limit_curve(inst, data, [k_max // 8, k_max // 4, k_max // 2, k_max])
+    paper = ray_from_curve(maximal_envelope(phi, curve, inst.dual), t_grid)
+    gap = float(compare_rays(paper, toric_ray(inst, data, t_grid)).max())
+    return gap / (inst.dual.spacing[0] + 1.0 / k_max)
+
+
+def check_limit_curve_convergence(tol_scale: float = 1.0) -> dict:
+    """The paper's route to the Phong-Sturm limit converges to the closed
+    form at first order in h_d + 1/k_max; the constant holds as both halve."""
+    t0 = time.perf_counter()
+    # coarse levels: the suite's other worker finishes before the one that
+    # runs fast_vs_brute; tests/test_filtration.py fits C up to 513 nodes
+    c_coarse = limit_curve_constant(65, 8)
+    c_fine = limit_curve_constant(129, 16)
+    ratio = c_fine / max(c_coarse, 1e-30)
+    # worst of: C <= _LIMIT_CURVE_C and the halving ratio inside [0.7, 1.3]
+    measured = max(c_coarse / _LIMIT_CURVE_C, c_fine / _LIMIT_CURVE_C, abs(ratio - 1.0) / 0.3)
+    return _record(
+        "limit_curve_convergence", measured, 1.0 * tol_scale, time.perf_counter() - t0, 5.0
+    )
+
+
 def check_trivial_configuration(tol_scale: float = 1.0) -> dict:
     """Constant weights give the translated base metric back."""
     t0 = time.perf_counter()
@@ -328,6 +368,7 @@ _CHECKS = {
     "phong_sturm_equivalence": check_phong_sturm,
     "trivial_configuration": check_trivial_configuration,
     "concave_transform_moments": check_moments,
+    "limit_curve_convergence": check_limit_curve_convergence,
 }
 
 SUITES = {
@@ -344,6 +385,7 @@ SUITES = {
         "phong_sturm_equivalence",
         "trivial_configuration",
         "concave_transform_moments",
+        "limit_curve_convergence",
     ],
 }
 SUITES["all"] = sum((SUITES[s] for s in ("core", "envelopes", "rays", "filtration")), [])

@@ -12,9 +12,17 @@ Problem files are JSON documents::
 
 Unknown keys, such as an old ``lambda`` block, are ignored.  The ray of kind
 ``dual_u`` is the conjugate of phi* - t u on the base (the dual nodes where u
-is finite and phi has slopes), and its ``lambda_c`` the max of u there.  In
+is finite and phi has slopes), and its ``lambda_c`` the max of u there (a
+max of -0.0 is written as 0.0).  In
 1-D, ``ray`` certifies phi convex and u concave (``_require_convex_1d``); 2-D
 inputs are trusted, as the exact test is a hull that would load scipy.
+
+``filtration`` writes ``gap.csv``, the per-t sup distance from the
+Phong-Sturm ray of each degree to the closed-form toric ray
+(phi* - t g-hat)*, where g-hat is the concave envelope of the degree-1
+weights over their polytope; ``ray.csv``, the Phong-Sturm ray of the largest
+degree; and ``histogram.csv``.  A degree whose section matrix is over the
+size cap exits 4 before any max-plus closure is built.
 
 ``--tol-scale`` (finite and positive) multiplies the tolerances of ``ray``
 (the test-curve validation and the linearity verdict) and the bounds of
@@ -230,7 +238,8 @@ def cmd_ray(spec_path: str, out_dir: str, tol_scale: float = 1.0) -> int:
         "intercept": rep.intercept,
         "max_abs_residual": rep.max_abs_residual,
         "predicted_slope": rep.predicted_slope,
-        "lambda_c": lambda_c,
+        # + 0.0 turns a max of -0.0 (u = -|y| at y = 0) into 0.0
+        "lambda_c": lambda_c + 0.0,
     }
     (out / "energy.json").write_text(json.dumps(energy, indent=1, sort_keys=True) + "\n")
     linear = rep.max_abs_residual <= 1e-2 * tol_scale * max(abs(rep.slope), 1e-30)

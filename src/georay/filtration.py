@@ -5,23 +5,28 @@ through a tropical (max-plus) convolution; the resulting weight arrays
 model a multiplicative filtration.  From them we build sup-norm Bergman
 metrics, their log-sum-exp sandwich, the concave transform of the
 weights on the polytope, the Fekete limit curve, and the Phong-Sturm ray,
-together with the equivalence check against the envelope-built ray.
+together with the equivalence check against the closed-form toric ray
+(phi* - t g-hat)*, where g-hat is the concave envelope of the degree-1
+weights over the polytope (Song-Zelditch, Adv. Math. 229, 2012).  The
+paper's route to that ray (limit curve, maximal envelope, lambda-transform)
+stays in the library, as the check that it converges to the closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .curves import TestCurve, maximal_envelope
+from .curves import ConcaveTransform, TestCurve
 from .errors import DomainError, ResourceError
 from .grids import (
     ConvexGridFunction, Grid, GridFunction, NEG_INF, SIZE_CAP, lower_envelope, require_within_cap,
 )
-from .legendre import _chunks, check_dual_contains_slopes, conjugate
-from .rays import Ray, compare_rays, default_t_grid, ray_from_curve
+from .legendre import SlopeRegion, _chunks, check_dual_contains_slopes, conjugate
+from .rays import Ray, compare_rays, default_t_grid, ray_dual
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -224,6 +229,18 @@ def phong_sturm_ray(
     return Ray(ts, tuple(frames))
 
 
+def _require_sections_within_cap(inst: BergmanInstance, data: WeightedLatticeData, k: int):
+    """Two distinct degree-1 points reach at least k + 1 points at degree k,
+    so the degree-k section matrix can be over the cap before any closure
+    is built (whose cost is quadratic in k): ``ResourceError`` then."""
+    nodes = inst.phi.grid.num_nodes
+    if (data.points != data.points[0]).any() and (k + 1) * nodes > SIZE_CAP:
+        raise ResourceError(
+            f"degree-{k} section matrix of at least {k + 1} x {nodes} "
+            f"nodes exceeds the size cap {SIZE_CAP}"
+        )
+
+
 def limit_curve(
     inst: BergmanInstance, data: WeightedLatticeData, k_list
 ) -> TestCurve:
@@ -239,13 +256,7 @@ def limit_curve(
         raise DomainError("empty degree list")
     k_max = k_list[-1]
     grid = inst.phi.grid
-    # two distinct degree-1 points reach at least k + 1 points at degree k,
-    # so this section matrix is over the cap before any closure is built
-    if (data.points != data.points[0]).any() and (k_max + 1) * grid.num_nodes > SIZE_CAP:
-        raise ResourceError(
-            f"degree-{k_max} section matrix of at least {k_max + 1} x {grid.num_nodes} "
-            f"nodes exceeds the size cap {SIZE_CAP}"
-        )
+    _require_sections_within_cap(inst, data, k_max)
     norm_min = math.inf
     norm_max = -math.inf
     for k in k_list:
@@ -346,22 +357,72 @@ def log_sum_exp_sandwich_gap(
     return low, high
 
 
+def weight_envelope(data: WeightedLatticeData, pts: np.ndarray) -> np.ndarray:
+    """g-hat at points (M, n): the concave envelope of the degree-1 weights
+    over the polytope conv(P1), -inf off it.
+
+    By Caratheodory, g-hat(y) is the max of a linear program over convex
+    combinations of P1 whose optimum uses at most n + 1 affinely independent
+    points, which zero weights extend to an n-simplex of P1.  So g-hat(y) is
+    the max, over the n-simplices of P1 that contain y (barycentric
+    coordinates >= -1e-9), of the barycentric interpolation of their
+    weights: exact, and without a hull.  The simplices times the points are
+    size-capped; a P1 that spans no n-simplex raises ``DomainError``.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    p, n = data.points, data.dim
+    require_within_cap(f"{n}-simplex table of P1", math.comb(len(p), n + 1), len(pts))
+    simplices = np.array(list(combinations(range(len(p)), n + 1)), dtype=np.int64).reshape(-1, n + 1)
+    corner = p[simplices[:, 0]].astype(float)
+    edges = p[simplices[:, 1:]] - corner[:, None]
+    # integer edges: a nonzero determinant is at least 1 in magnitude
+    keep = np.abs(np.linalg.det(edges)) > 0.5
+    if not keep.any():
+        raise DomainError(f"{n}-D points {p.tolist()} span no {n}-simplex")
+    corner, inv = corner[keep], np.linalg.inv(edges[keep])
+    w = data.weights[simplices[keep]].astype(float)
+    out = np.full(len(pts), NEG_INF)
+    for g in _chunks(len(corner), len(pts) * n):
+        # barycentric coordinates of every point in each simplex of the group
+        bary = (pts - corner[g, None]) @ inv[g]
+        inside = (bary >= -1e-9).all(axis=2) & (bary.sum(axis=2) <= 1.0 + 1e-9)
+        vals = w[g, :1] + (bary @ (w[g, 1:] - w[g, :1])[..., None])[..., 0]
+        np.maximum(out, np.where(inside, vals, NEG_INF).max(axis=0), out=out)
+    return out
+
+
+def toric_ray(inst: BergmanInstance, data: WeightedLatticeData, t_grid) -> Ray:
+    """The closed-form limit of the Phong-Sturm rays: frame(t) is the
+    conjugate of phi* - t g-hat over the dual nodes of the polytope, onto
+    phi's grid, with g-hat from ``weight_envelope`` and phi* from
+    ``conj_at``."""
+    dual = inst.dual
+    g = weight_envelope(data, dual.coords()).reshape(dual.shape)
+    on = np.isfinite(g)
+    if not on.any():
+        raise DomainError("no dual node lies in the polytope of the weights")
+    star = inst.conj_at(dual.coords()).reshape(dual.shape)
+    u = ConcaveTransform(GridFunction(dual, g), SlopeRegion(dual, on))
+    return ray_dual(GridFunction(dual, star), u, inst.phi.grid, t_grid)
+
+
 def equivalence_check(
     inst: BergmanInstance,
     data: WeightedLatticeData,
     t_grid,
     k_list,
 ) -> tuple[np.ndarray, list[Ray]]:
-    """Per-t sup-norm gaps between the Phong-Sturm rays and the
-    envelope-built ray of the limit curve built from the degrees k_list.
+    """Per-t sup-norm gaps between the Phong-Sturm rays of the degrees k_list
+    and their limit, the closed-form ``toric_ray``.
 
-    The envelope ray does not depend on the degree, so it is built once.
-    Returns (gaps, rays): row i of the (degrees, t) table ``gaps`` is the
-    gap at the i-th distinct degree of k_list in ascending order, and
-    ``rays[i]`` is the Phong-Sturm ray it was measured against.
+    The degree cap is checked before any closure is built, and the target
+    is built before any Phong-Sturm ray.  Returns (gaps, rays): row i of the
+    (degrees, t) table ``gaps`` is the gap at the i-th distinct degree of
+    k_list in ascending order, and ``rays[i]`` is the Phong-Sturm ray it was
+    measured against.
     """
     ks = sorted(set(int(k) for k in k_list))
-    curve = limit_curve(inst, data, ks)
-    hat = ray_from_curve(maximal_envelope(inst.phi, curve, inst.dual), t_grid)
+    _require_sections_within_cap(inst, data, ks[-1])
+    target = toric_ray(inst, data, t_grid)
     rays = [phong_sturm_ray(inst, data, k, t_grid) for k in ks]
-    return np.array([compare_rays(hat, ray) for ray in rays]), rays
+    return np.array([compare_rays(target, ray) for ray in rays]), rays

@@ -18,6 +18,7 @@ from georay.checks import (
     check_energy_linearity,
     check_fast_vs_brute,
     check_involution,
+    check_limit_curve_convergence,
     check_lse_sandwich,
     check_moments,
     check_phong_sturm,
@@ -105,5 +106,9 @@ def test_13_determinism(tmp_path):
     assert blobs[0] == blobs[2], "third run is not byte-identical"
     # sanity: the stripped reports still carry every criterion
     rep = json.loads(blobs[0])
-    assert len(rep["checks"]) == 12
+    assert len(rep["checks"]) == 13
     assert elapsed < 60.0
+
+
+def test_14_limit_curve_convergence():
+    _assert_pass(check_limit_curve_convergence())

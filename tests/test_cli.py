@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import georay
-from georay import checks, cli, filtration, grids
+from georay import checks, cli, curves, filtration, grids, rays
 from georay import serialization as ser
 from georay.cli import main
 from georay.errors import DomainError
@@ -62,11 +62,6 @@ def specdir(tmp_path_factory, three_point, simplex_2d):
     (d / "p012.spec").write_text(
         json.dumps({"kind": "filtration", "phi": "base012.gf", "weights": "p012.wd"})
     )
-    wide = WeightedLatticeData(np.array([[0], [1]]), np.array([0, 100]))
-    (d / "w0100.wd").write_text(ser.dump_weight_data(wide))
-    (d / "weights0100.spec").write_text(
-        json.dumps({"kind": "filtration", "phi": "base.gf", "weights": "w0100.wd"})
-    )
     g2 = Grid(Box((-3.0, -3.0), (3.0, 3.0)), (17, 17))
     bowl = GridFunction.from_callable(g2, lambda x, y: np.hypot(x, y) ** 2 / 4 + x / 8)
     dual2 = default_dual_grid(bowl, 17)
@@ -94,6 +89,13 @@ def specdir(tmp_path_factory, three_point, simplex_2d):
 BOWL2_SHA256 = {
     "ray.csv": "c926fd2050ae57c4058fdd3149cf6850a9125e85b06ce62159bb2bbbce1df99b",
     "energy.json": "8d9c8c41be2df59ff16cddb0f5e74f16e8c2ef95a9e6cd7d44382649b38be5e0",
+    "linearity.json": "bf449ae1014e66046ce17632eff8f25040b81bd0feacd39f99fe1c62184853db",
+}
+
+# the 1-D dual_u fixture, whose u = -|y| peaks at -0.0 on the node y = 0
+HUBER_SHA256 = {
+    "ray.csv": "7479dd211cc7a6c89f72b549b05bde5dca738f9e7364134153fb489bb4c4673e",
+    "energy.json": "c17de3f27256eba468f67780f1ca00e05f62c50716f38aaf7f9430f972374b30",
     "linearity.json": "bf449ae1014e66046ce17632eff8f25040b81bd0feacd39f99fe1c62184853db",
 }
 
@@ -229,6 +231,19 @@ class TestRayCommand:
         got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in BOWL2_SHA256}
         assert got == BOWL2_SHA256
 
+    def test_huber_output_bytes(self, specdir, tmp_path):
+        out = tmp_path / "out"
+        assert main(["ray", "--spec", str(specdir / "huber.spec"), "--out", str(out)]) == 0
+        got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in HUBER_SHA256}
+        assert got == HUBER_SHA256
+
+    def test_lambda_c_negative_zero_written_as_zero(self, specdir, tmp_path):
+        u = ser.load_grid_function((specdir / "u.gf").read_text())
+        assert np.signbit(u.values.max())  # the max of u is -0.0
+        out = tmp_path / "out"
+        assert main(["ray", "--spec", str(specdir / "huber.spec"), "--out", str(out)]) == 0
+        assert '"lambda_c": 0.0,' in (out / "energy.json").read_text()
+
     def test_missing_file_exit_3(self, specdir, tmp_path):
         spec = specdir / "missing_payload.spec"
         spec.write_text(json.dumps({"kind": "curve", "curve": "nope.tc"}))
@@ -329,20 +344,20 @@ class TestForkedRayWrite:
 
 
 P012_SHA256 = {
-    "gap.csv": "94ce537e0ec6f813f9f2a78dad304bc79b23b1d2c68caf56df2a2ed9fe26857d",
+    "gap.csv": "1c8ee7e7b0971b7e8a2d33f4e74caf5358680edb436d4f7108a21e716d1e1378",
     "ray.csv": "ab10832cce31fc1d3cdbcb614e443b1526033981a51d8f4b15b1e85744165945",
     "histogram.csv": "dcfb0eddc773728f760ad6d5efa3b032376bd5be7ac09899dc357ceab08f23c0",
 }
 
 W01_SHA256 = {
-    "gap.csv": "b3cac4638ea1bf08b10bc6c590d5d2c771fb386495658ddde02c8174f0a7dfad",
+    "gap.csv": "f927ff2902c30a48fad6ff90f23d7d4bc4c7fa6083f4dcbdf271ce1c77aacdfd",
     "ray.csv": "22f4401c3ea207b8ed2355c50f8df0c3c9acf46918696cf5f671e1681654b799",
     "histogram.csv": "f68f25a1a01eadd983117959c332499c38d5ac26a1ab6bae06a8296a9d4152dc",
 }
 
 # SHA-256 of the `check --suite all` report without its timings, written as
 # json.dumps(report, indent=1, sort_keys=True)
-CHECK_ALL_SHA256 = "ad6cf447fa8ca8ed4fb49b3282e4429de8e7cc4e36b3909520483e195e51aa09"
+CHECK_ALL_SHA256 = "71e1370fabdf5ffc3fdded80d9e8ddd29a4d58b465cccddee58475839675db3b"
 
 
 class TestFiltrationCommand:
@@ -402,23 +417,32 @@ class TestFiltrationCommand:
             by_k.setdefault(int(k), []).append(float(gap))
         assert max(by_k[16]) < max(by_k[4])
 
-    def test_envelope_ray_built_once(self, specdir, tmp_path, monkeypatch):
-        calls = {"limit_curve": 0, "maximal_envelope": 0}
+    @pytest.mark.parametrize("spec", ["p012.spec", "weights2d.spec"], ids=["1d", "2d"])
+    def test_skips_limit_curve_route(self, specdir, tmp_path, monkeypatch, spec):
+        # the gaps are measured against the closed form (phi* - t g-hat)*:
+        # no limit curve, extremal table, maximal envelope or hull is built
+        route = (
+            filtration.limit_curve, filtration.extremal_metric, curves.maximal_envelope,
+            rays.ray_from_curve, grids.lower_envelope, grids.lower_convex_envelope,
+        )
+        calls = []
 
-        def counted(name):
-            fn = getattr(filtration, name)
-
+        def counted(fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls.append(fn.__name__)
                 return fn(*args, **kwargs)
 
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(filtration, name, counted(name))
-        argv = ["filtration", "--spec", str(specdir / "weights01.spec"), "--k", "4,8,16"]
+        # wherever a georay module binds one of them
+        for name, module in list(sys.modules.items()):
+            if name.startswith("georay."):
+                for attr, value in list(vars(module).items()):
+                    if callable(value) and value in route:
+                        monkeypatch.setattr(module, attr, counted(value))
+        argv = ["filtration", "--spec", str(specdir / spec), "--k", "8,4,16,8"]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 0
-        assert calls == {"limit_curve": 1, "maximal_envelope": 1}
+        assert calls == []
 
     def test_phong_sturm_ray_once_per_degree(self, specdir, tmp_path, monkeypatch):
         degrees = []
@@ -439,37 +463,13 @@ class TestFiltrationCommand:
         expected = ser.dump_ray_csv(ps(inst, data, 16, np.linspace(0.0, 1.0, 11)))
         assert (tmp_path / "out" / "ray.csv").read_text() == expected
 
-    def test_extremal_table_once_per_degree_and_no_hull(self, specdir, tmp_path, monkeypatch):
-        degrees, hulls = [], []
-        ext, hull = filtration.extremal_metric, grids.lower_convex_envelope
-
-        def counted_ext(inst, data, k, *args, **kwargs):
-            degrees.append(k)
-            return ext(inst, data, k, *args, **kwargs)
-
-        def counted_hull(*args, **kwargs):
-            hulls.append(args)
-            return hull(*args, **kwargs)
-
-        monkeypatch.setattr(filtration, "extremal_metric", counted_ext)
-        for name, module in list(sys.modules.items()):
-            if name.startswith("georay.") and getattr(module, "lower_convex_envelope", None) is hull:
-                monkeypatch.setattr(module, "lower_convex_envelope", counted_hull)
-        argv = ["filtration", "--spec", str(specdir / "p012.spec"), "--k", "8,4,16,8"]
-        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
-        assert degrees == [4, 8, 16]
-        assert hulls == []
-
-    # each degree passes the lattice cap; the section matrix (num_nodes x
-    # reachable points) or the limit-curve table (lambdas x num_nodes) does
-    # not, so the command must stop before it allocates either
+    # the degree passes the lattice cap but the section matrix (num_nodes x
+    # reachable points) does not, so the command must stop before it
+    # allocates it
     @pytest.mark.parametrize(
         "spec, k, what",
-        [
-            ("p012.spec", 4000, "degree-4000 section matrix of 8001 x 129 nodes"),
-            ("weights0100.spec", 200, "limit-curve table of 20001 x 65 nodes"),
-        ],
-        ids=["sections", "lambda-table"],
+        [("p012.spec", 4000, "degree-4000 section matrix of 8001 x 129 nodes")],
+        ids=["sections"],
     )
     def test_table_over_cap_exit_4(self, specdir, tmp_path, capsys, spec, k, what):
         argv = ["filtration", "--spec", str(specdir / spec), "--out", str(tmp_path / "o")]
@@ -516,6 +516,15 @@ class TestFiltrationCommand:
         assert rc == 4
         err = capsys.readouterr().err
         assert f"grid of {' x '.join(map(str, nodes))} nodes" in err and str(SIZE_CAP) in err
+
+    def test_polytope_without_interior_exit_3(self, specdir, tmp_path, capsys):
+        # g-hat is the concave envelope over conv(P1); a single point spans
+        # no segment, so there is no closed-form target to measure against
+        (specdir / "w0.wd").write_text(ser.dump_weight_data(WeightedLatticeData(np.array([[0]]), np.array([3]))))
+        spec = specdir / "weights0.spec"
+        spec.write_text(json.dumps({"kind": "filtration", "phi": "base.gf", "weights": "w0.wd"}))
+        assert main(["filtration", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == "validation failure: 1-D points [[0]] span no 1-simplex\n"
 
     def test_point_outside_dual_box_exit_3(self, specdir, tmp_path, capsys):
         # P1 = {0, 1, 2} reaches slopes up to 2, but the default dual box

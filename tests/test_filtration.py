@@ -3,14 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import georay
-from georay.checks import check_moments
-from georay.curves import maximal_envelope
+from georay.checks import _LIMIT_CURVE_C, check_moments, limit_curve_constant
 from georay.errors import DomainError, ResourceError
 from georay.filtration import (
     BergmanInstance,
@@ -24,12 +24,14 @@ from georay.filtration import (
     moment_check,
     multiplicative_closure,
     phong_sturm_ray,
+    toric_ray,
+    weight_envelope,
     weight_histogram,
 )
-from georay.grids import NEG_INF, ConvexGridFunction
+from georay.grids import NEG_INF, SIZE_CAP, ConvexGridFunction
 from georay.instances import filtration_base
-from georay.legendre import default_dual_grid
-from georay.rays import compare_rays, ray_from_curve
+from georay.legendre import default_dual_grid, legendre
+from georay.rays import compare_rays
 
 
 @pytest.fixture(scope="module")
@@ -190,13 +192,23 @@ class TestLimitCurveAndRay:
         ts = np.linspace(0.0, 1.0, 6)
         k_list = [16, 4, 8]
         gaps, rays = equivalence_check(base_inst, w01, ts, k_list)
-        curve = limit_curve(base_inst, w01, k_list)
-        hat = ray_from_curve(maximal_envelope(base_inst.phi, curve, base_inst.dual), ts)
+        target = toric_ray(base_inst, w01, ts)
         assert len(rays) == len(k_list)
         for k, row, ray in zip(sorted(k_list), gaps, rays):
             ps = phong_sturm_ray(base_inst, w01, k, ts)
-            assert np.array_equal(row, compare_rays(hat, ps))
+            assert np.array_equal(row, compare_rays(target, ps))
             assert all(np.array_equal(a.values, b.values) for a, b in zip(ray.frames, ps.frames))
+
+    def test_limit_curve_table_over_cap(self):
+        # every degree passes the lattice and section caps, but weights
+        # (0, 100) need 20001 lambdas of 1/200: the table must not be built
+        phi = filtration_base(65)
+        inst = BergmanInstance(phi, default_dual_grid(phi))
+        data = WeightedLatticeData(np.array([[0], [1]]), np.array([0, 100]))
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match="limit-curve table of 20001 x 65 nodes exceeds"):
+            limit_curve(inst, data, [200])
+        assert time.perf_counter() - start < 5.0
 
     def test_gap_independent_of_closure_cache(self, base_inst):
         ts = np.linspace(0.0, 1.0, 6)
@@ -256,7 +268,7 @@ class TestExtremalTable:
 
     def test_2d_equivalence_bytes(self, simplex_2d):
         """SHA-256 of the 2-D gaps and Phong-Sturm rays at k = 4 and 8: pins the
-        2-D limit curve, whose samples are not re-hulled."""
+        2-D closed-form target, whose g-hat is built without a hull."""
         gaps, rays = equivalence_check(*simplex_2d, np.linspace(0.0, 1.0, 5), [4, 8])
         h = hashlib.sha256(gaps.tobytes())
         for ray in rays:
@@ -267,6 +279,77 @@ class TestExtremalTable:
 
 SQUARE = [[0, 0], [1, 0], [0, 1], [1, 1]]
 SIMPLEX = [[0, 0], [1, 0], [0, 1]]
+
+
+class TestToricRay:
+    """The closed-form target (phi* - t g-hat)* and its g-hat."""
+
+    @pytest.mark.parametrize(
+        "points, weights",
+        [([[0], [1], [2]], (1, 0, 2)), ([[0], [3], [1], [5]], (2, 7, -1, 0)),
+         (SQUARE, (0, 1, 1, 0)), (SIMPLEX, (0, 1, 0)),
+         ([[0, 0], [2, 0], [0, 2], [1, 1], [2, 1]], (0, 1, 2, 5, -3))],
+        ids=["three-point", "unsorted", "square", "simplex", "interior-point"],
+    )
+    def test_weight_envelope_is_concave_transform_g(self, rng, points, weights):
+        data = WeightedLatticeData(np.array(points), np.array(weights))
+        g = concave_transform_g(data, 1)
+        corners = g.nodes[g.facets[rng.integers(0, len(g.facets), 300)]]
+        bary = rng.dirichlet(np.ones(corners.shape[1]), size=300)
+        inside = np.vstack([g.nodes, np.einsum("qi,qij->qj", bary, corners)])
+        at = weight_envelope(data, inside)
+        assert np.abs(at - g(inside)).max() <= 1e-14
+        # enough points for one simplex per group, after the degenerate ones
+        # are dropped
+        assert np.array_equal(weight_envelope(data, np.tile(inside, (30, 1))), np.tile(at, 30))
+        lo, hi = g.nodes.min(axis=0), g.nodes.max(axis=0)
+        outside = np.vstack([lo - 1e-6, hi + 1e-6, lo - 0.5])
+        assert np.all(weight_envelope(data, outside) == NEG_INF)
+
+    @pytest.mark.parametrize(
+        "points", [[[0], [0]], [[0, 0], [1, 1], [2, 2]]], ids=["point", "collinear"]
+    )
+    def test_weight_envelope_needs_a_simplex(self, points):
+        data = WeightedLatticeData(np.array(points), np.zeros(len(points)))
+        with pytest.raises(DomainError, match=r"span no \d-simplex"):
+            weight_envelope(data, np.zeros((1, data.dim)))
+
+    def test_weight_envelope_size_cap(self):
+        # C(2000, 2) simplices: capped before any is listed
+        data = WeightedLatticeData(np.arange(2000)[:, None], np.zeros(2000))
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match=f"1-simplex table of P1 of 1999000 x 1 nodes exceeds the size cap {SIZE_CAP}"):
+            weight_envelope(data, np.zeros((1, 1)))
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "case, g_hat",
+        [
+            # 1 + y/2 on [0, 2], and y1 on the standard simplex
+            ("three_point", lambda y: np.where((y[:, 0] >= 0) & (y[:, 0] <= 2), 1 + y[:, 0] / 2, NEG_INF)),
+            ("simplex_2d", lambda y: np.where((y >= 0).all(axis=1) & (y.sum(axis=1) <= 1), y[:, 0], NEG_INF)),
+        ],
+        ids=["1d", "2d"],
+    )
+    def test_toric_ray_is_brute_closed_form(self, request, case, g_hat):
+        inst, data = request.getfixturevalue(case)
+        ts = np.linspace(0.0, 1.0, 5)
+        ray = toric_ray(inst, data, ts)
+        y = inst.dual.coords()
+        on = np.isfinite(g_hat(y))
+        star = legendre(inst.phi, inst.dual, method="brute").values.ravel()
+        x = inst.phi.grid.coords()
+        for t, frame in zip(ts, ray.frames):
+            want = (x @ y[on].T - (star[on] - t * g_hat(y)[on])).max(axis=1)
+            assert np.abs(frame.values.ravel() - want).max() <= 1e-12
+
+    def test_limit_curve_constant_fit(self):
+        # C = gap / (h_d + 1/k_max) on four levels that halve both terms:
+        # each keeps a 2x margin to the gate's C, and it holds as they halve
+        cs = [limit_curve_constant(n, k) for n, k in ((65, 8), (129, 16), (257, 32), (513, 64))]
+        assert max(cs) <= _LIMIT_CURVE_C / 2
+        for coarse, fine in zip(cs, cs[1:]):
+            assert 0.7 <= fine / coarse <= 1.3
 
 
 class TestConcaveTransformG:
