@@ -417,6 +417,62 @@ class TestFiltrationCommand:
             by_k.setdefault(int(k), []).append(float(gap))
         assert max(by_k[16]) < max(by_k[4])
 
+    def test_envelope_ray_built_once(self, specdir, tmp_path, monkeypatch):
+        # the target ray (phi* - t g-hat)* and the concave envelope g-hat it
+        # is built from do not depend on the degree; the paper's route to
+        # that ray (limit curve, maximal envelope) is not taken
+        fns = (filtration.toric_ray, filtration.weight_envelope, filtration.limit_curve, curves.maximal_envelope)
+        calls = {fn.__name__: 0 for fn in fns}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        # wherever a georay module binds one of them
+        for name, module in list(sys.modules.items()):
+            if name.startswith("georay."):
+                for attr, value in list(vars(module).items()):
+                    if callable(value) and value in fns:
+                        monkeypatch.setattr(module, attr, counted(value))
+        argv = ["filtration", "--spec", str(specdir / "weights01.spec"), "--k", "4,8,16"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert calls == {"toric_ray": 1, "weight_envelope": 1, "limit_curve": 0, "maximal_envelope": 0}
+
+    def test_extremal_table_once_per_degree_and_no_hull(self, specdir, tmp_path, monkeypatch):
+        # the per-degree table is the section matrix the Phong-Sturm ray
+        # reads, built once per distinct degree; the extremal table (read
+        # only by the limit curve) and the hull are never built
+        tables, extremal, hulls = {}, [], []
+        sections, ext = filtration.BergmanInstance.section_values, filtration.extremal_metric
+        hull = grids.lower_convex_envelope
+
+        def counted_sections(self, data, k):
+            E, w = sections(self, data, k)
+            tables.setdefault(k, set()).add(id(E))
+            return E, w
+
+        def counted_ext(inst, data, k, *args, **kwargs):
+            extremal.append(k)
+            return ext(inst, data, k, *args, **kwargs)
+
+        def counted_hull(*args, **kwargs):
+            hulls.append(args)
+            return hull(*args, **kwargs)
+
+        monkeypatch.setattr(filtration.BergmanInstance, "section_values", counted_sections)
+        monkeypatch.setattr(filtration, "extremal_metric", counted_ext)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("georay.") and getattr(module, "lower_convex_envelope", None) is hull:
+                monkeypatch.setattr(module, "lower_convex_envelope", counted_hull)
+        argv = ["filtration", "--spec", str(specdir / "p012.spec"), "--k", "8,4,16,8"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert {k: len(ids) for k, ids in tables.items()} == {4: 1, 8: 1, 16: 1}
+        assert extremal == []
+        assert hulls == []
+
     @pytest.mark.parametrize("spec", ["p012.spec", "weights2d.spec"], ids=["1d", "2d"])
     def test_skips_limit_curve_route(self, specdir, tmp_path, monkeypatch, spec):
         # the gaps are measured against the closed form (phi* - t g-hat)*:
