@@ -34,7 +34,7 @@ from .filtration import (
     phong_sturm_ray,
     toric_ray,
 )
-from .grids import Box, ConvexGridFunction, Grid, GridFunction, fork_cpus, lower_convex_envelope
+from .grids import Box, Grid, GridFunction, fork_cpus, lower_convex_envelope
 from .instances import (
     abs_1d,
     constant_u_instance,
@@ -132,9 +132,7 @@ def check_energy_dual(tol_scale: float = 1.0) -> dict:
     """Quadrature energy agrees with the dual-side formula."""
     t0 = time.perf_counter()
     f0 = quadratic_1d(257)
-    f1 = ConvexGridFunction.trusted(
-        GridFunction(f0.grid, f0.values + 0.25 * (1.0 - f0.grid.axis(0) ** 2))
-    )
+    f1 = GridFunction(f0.grid, f0.values + 0.25 * (1.0 - f0.grid.axis(0) ** 2))
     eq = energy_quadrature(f1, f0, t_samples=11)
     ed = energy_dual(f1, f0)
     rel = abs(eq - ed) / max(abs(eq), abs(ed), 1e-30)

@@ -13,9 +13,15 @@ Problem files are JSON documents::
 Unknown keys, such as an old ``lambda`` block, are ignored.  The ray of kind
 ``dual_u`` is the conjugate of phi* - t u on the base (the dual nodes where u
 is finite and phi has slopes), and its ``lambda_c`` the max of u there (a
-max of -0.0 is written as 0.0).  In
-1-D, ``ray`` certifies phi convex and u concave (``_require_convex_1d``); 2-D
-inputs are trusted, as the exact test is a hull that would load scipy.
+max of -0.0 is written as 0.0).
+
+In 1-D, every input is certified by ``grids.require_convex`` before any
+conjugate: phi and each finite test-curve sample convex, u concave on its
+finite run, each within ``TOL_CONVEX_REL`` times its value range of its
+convex (concave) envelope; a failure exits 3 and names the node, x, the
+deviation and the tolerance.  A bound on the second differences settles
+most inputs in O(n), without a hull.  2-D inputs are trusted, as their test
+is a hull that would load scipy.
 
 ``filtration`` writes ``gap.csv``, the per-t sup distance from the
 Phong-Sturm ray of each degree to the closed-form toric ray
@@ -59,9 +65,7 @@ from . import serialization as ser
 from .curves import ConcaveTransform, validate
 from .errors import DomainError, ParseError, ResourceError
 from .filtration import BergmanInstance, equivalence_check, weight_histogram
-from .grids import (
-    TOL_CONVEX_REL, Box, ConvexGridFunction, Grid, GridFunction, fork_cpus, require_within_cap,
-)
+from .grids import Box, Grid, GridFunction, fork_cpus, require_convex, require_within_cap
 from .legendre import (
     SlopeRegion, _require_finite, check_dual_contains_slopes, default_dual_grid, slope_regions,
 )
@@ -84,11 +88,10 @@ def _load_spec(path: str) -> dict:
     return doc
 
 
-def _load_grid_function_file(specdir: Path, name) -> "ConvexGridFunction":
+def _load_grid_function_file(specdir: Path, name) -> GridFunction:
     if not isinstance(name, str):
         raise ParseError("expected a file path string")
-    f = ser.load_grid_function((specdir / name).read_text())
-    return ConvexGridFunction.trusted(f)
+    return ser.load_grid_function((specdir / name).read_text())
 
 
 def _grid_from_block(block) -> Grid:
@@ -163,29 +166,6 @@ def _write_and_exit(path: Path, ray, r: int, w: int):
         os._exit(status)
 
 
-def _require_convex_1d(name: str, f: GridFunction, concave: bool = False):
-    """A 1-D f must be convex (concave) on its finite nodes, which form one
-    run: no node more than ``TOL_CONVEX_REL`` times the value range above
-    (below) the chord of its neighbours, a second-difference test in O(n).
-    Otherwise ``DomainError`` names the node and the deviation."""
-    fin = np.flatnonzero(f.finite_mask)
-    if f.grid.dim != 1 or fin.size == 0:
-        return
-    v = f.values[fin[0] : fin[-1] + 1] * (-1.0 if concave else 1.0)
-    if fin.size < v.size:
-        node = fin[0] + np.argmin(np.isfinite(v))
-        raise DomainError(f"{name} is -inf at node {node}, inside its finite run")
-    dev = np.zeros(v.size)
-    dev[1:-1] = v[1:-1] - (v[:-2] + v[2:]) / 2
-    i, tol = int(np.argmax(dev)), TOL_CONVEX_REL * f.value_range()
-    if dev[i] > tol:
-        node = fin[0] + i
-        raise DomainError(
-            f"{name} is not {'concave' if concave else 'convex'} at node {node} "
-            f"(x = {f.grid.axis(0)[node]:g}): deviation {dev[i]:g} > {tol:g}"
-        )
-
-
 def cmd_ray(spec_path: str, out_dir: str, tol_scale: float = 1.0) -> int:
     doc = _load_spec(spec_path)
     if doc["kind"] not in ("curve", "dual_u"):
@@ -199,7 +179,6 @@ def cmd_ray(spec_path: str, out_dir: str, tol_scale: float = 1.0) -> int:
         tc = ser.load_test_curve((specdir / doc["curve"]).read_text())
         ts = _t_grid(doc, tc.grid)
         phi = _load_grid_function_file(specdir, doc["phi"]) if "phi" in doc else tc.head
-        _require_convex_1d("phi", phi)
         # discrete envelopes are lambda-concave only up to one grid cell
         h = max(tc.grid.spacing)
         dlam = float(np.diff(tc.lambdas).min()) if tc.lambdas.size > 1 else 0.0
@@ -211,6 +190,10 @@ def cmd_ray(spec_path: str, out_dir: str, tol_scale: float = 1.0) -> int:
                 file=sys.stderr,
             )
             return 3
+        if tc.grid.dim == 1:
+            require_convex("phi", phi)
+            for lam, sample in zip(tc.lambdas, tc.samples):
+                require_convex(f"curve sample at lambda={lam:g}", sample)
         ray = ray_from_curve(tc, ts)
         lambda_c = tc.lambda_c
     else:
@@ -222,8 +205,9 @@ def cmd_ray(spec_path: str, out_dir: str, tol_scale: float = 1.0) -> int:
             raise DomainError("u is not sampled on the dual grid")
         _require_finite(phi)
         check_dual_contains_slopes(phi, dual)
-        _require_convex_1d("phi", phi)
-        _require_convex_1d("u", uf, concave=True)
+        if phi.grid.dim == 1:
+            require_convex("phi", phi)
+            require_convex("u", uf, concave=True)
         # phi is conjugated on the dual grid once: its slope region and phi*,
         # from which the ray is the conjugate of phi* - t u
         mask, phistar, _ = next(slope_regions([phi], dual))
@@ -257,6 +241,8 @@ def cmd_filtration(spec_path: str, out_dir: str, k_list) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     phi = _load_grid_function_file(specdir, doc["phi"])
+    if phi.grid.dim == 1:
+        require_convex("phi", phi)
     dual = _grid_from_block(doc["dual"]) if "dual" in doc else default_dual_grid(phi)
     data = ser.load_weight_data((specdir / doc["weights"]).read_text())
     inst = BergmanInstance(phi, dual)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .grids import ConvexGridFunction, Grid, GridFunction, NEG_INF
+from .grids import Grid, GridFunction, NEG_INF
 from .legendre import (
     SlopeRegion,
     _chunks,
@@ -35,7 +35,7 @@ class TestCurve:
     """Sorted lambda samples with one convex grid function each."""
 
     lambdas: np.ndarray
-    samples: tuple[ConvexGridFunction, ...]
+    samples: tuple[GridFunction, ...]
     lambda_head: float
     lambda_c: float
 
@@ -56,7 +56,7 @@ class TestCurve:
         return self.samples[0].grid
 
     @property
-    def head(self) -> ConvexGridFunction:
+    def head(self) -> GridFunction:
         return self.samples[0]
 
 
@@ -171,7 +171,7 @@ def concave_transform(tc: TestCurve, dual: Grid) -> ConcaveTransform:
 
 
 def envelope_from_u(
-    phi: ConvexGridFunction,
+    phi: GridFunction,
     u: ConcaveTransform,
     lambdas,
     dual: Grid,
@@ -191,26 +191,26 @@ def envelope_from_u(
     if not live:
         raise DomainError("every lambda selection is empty")
     lambda_c = lam[live[-1]]
-    samples = [ConvexGridFunction.trusted(GridFunction.neg_inf(phi.grid))] * lam.size
+    samples = [GridFunction.neg_inf(phi.grid)] * lam.size
     for g in _chunks(len(live), phi.grid.num_nodes):
         stack = np.stack([np.where(sels[j], phistar.values, np.inf) for j in live[g]])
         vals, _ = conjugate(dual.axes(), stack, phi.grid.axes())
         for j, v in zip(live[g], vals):
-            samples[j] = ConvexGridFunction(phi.grid, v)
+            samples[j] = GridFunction(phi.grid, v)
     if lambda_head is None:
         lambda_head = float(lam[0])
     return TestCurve(lam, tuple(samples), lambda_head=lambda_head, lambda_c=lambda_c)
 
 
 def maximal_envelope(
-    phi: ConvexGridFunction, tc: TestCurve, dual: Grid
+    phi: GridFunction, tc: TestCurve, dual: Grid
 ) -> TestCurve:
     """Envelope curve of phi driven by the concave transform of tc."""
     u = concave_transform(tc, dual)
     return envelope_from_u(phi, u, tc.lambdas, dual, lambda_head=tc.lambda_head)
 
 
-def default_contact_tol(phi: ConvexGridFunction) -> float:
+def default_contact_tol(phi: GridFunction) -> float:
     """10 h (slope bound): the contact set needs a band on grids."""
     h = max(phi.grid.spacing)
     slope = max(
@@ -221,7 +221,7 @@ def default_contact_tol(phi: ConvexGridFunction) -> float:
 
 
 def contact_set(
-    phi: ConvexGridFunction,
+    phi: GridFunction,
     phi_lambda: GridFunction,
     tol: float | None = None,
 ) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 from .curves import ConcaveTransform, TestCurve
 from .errors import DomainError, ResourceError
 from .grids import (
-    ConvexGridFunction, Grid, GridFunction, NEG_INF, SIZE_CAP, lower_envelope, require_within_cap,
+    Grid, GridFunction, NEG_INF, SIZE_CAP, lower_envelope, require_within_cap,
 )
 from .legendre import SlopeRegion, _chunks, check_dual_contains_slopes, conjugate
 from .rays import Ray, compare_rays, default_t_grid, ray_dual
@@ -148,7 +148,7 @@ def weight_histogram(data: WeightedLatticeData, k: int):
 class BergmanInstance:
     """Base metric phi plus cached conjugate values at normalized points."""
 
-    phi: ConvexGridFunction
+    phi: GridFunction
     dual: Grid
 
     def __post_init__(self):
@@ -221,10 +221,11 @@ def phong_sturm_ray(
         t_grid = default_t_grid()
     ts = np.asarray(t_grid, dtype=float).ravel()
     E, w = inst.section_values(data, k)
+    kE = k * E
     grid = inst.phi.grid
     frames = []
     for t in ts:
-        vals = _logsumexp(k * E + t * w[None, :]) / k
+        vals = _logsumexp(kE + t * w[None, :]) / k
         frames.append(GridFunction(grid, vals.reshape(grid.shape)))
     return Ray(ts, tuple(frames))
 
@@ -274,9 +275,9 @@ def limit_curve(
     live = np.flatnonzero(np.isfinite(table[:, 0]))
     if not live.size:
         raise DomainError("limit curve has no finite samples")
-    samples = [ConvexGridFunction.trusted(GridFunction.neg_inf(grid))] * lambdas.size
+    samples = [GridFunction.neg_inf(grid)] * lambdas.size
     for j in live:
-        samples[j] = ConvexGridFunction(grid, table[j])
+        samples[j] = GridFunction(grid, table[j])
     return TestCurve(
         lambdas, tuple(samples), lambda_head=float(lambdas[0]), lambda_c=float(lambdas[live[-1]])
     )

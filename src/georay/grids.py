@@ -1,10 +1,17 @@
-"""Uniform grids on boxes, extended-real grid functions, and convex envelopes.
+"""Uniform grids on boxes, extended-real grid functions, convex envelopes,
+and the one convexity certificate.
 
 Values are stored as float64 arrays shaped like the grid.  The only
 extended value allowed is -inf (the sentinel for the "identically minus
 infinity" convention and for cut-off samples of test curves); +inf and NaN
 are rejected at construction.  Finite entries are capped in magnitude so
 that exp/log-sum-exp further down the pipeline cannot overflow.
+
+A grid function carries no convexity flag.  ``require_convex`` certifies
+one: its height above the lower convex envelope must be within
+``TOL_CONVEX_REL`` times its value range (at least 1e-12).  In 1-D a bound
+on the second differences settles most inputs in O(n); only the others
+cost a hull, through ``lower_envelope``.
 """
 
 from __future__ import annotations
@@ -185,31 +192,6 @@ class GridFunction:
         return GridFunction(grid, fn(*mesh))
 
 
-@dataclass(frozen=True, eq=False)
-class ConvexGridFunction(GridFunction):
-    """GridFunction certified (or trusted by construction) convex.
-
-    Functions built as maxima of affine functions or as lower hulls are
-    convex by construction and are created with ``certify`` left to the
-    caller.
-    """
-
-    @staticmethod
-    def certify(f: GridFunction) -> "ConvexGridFunction":
-        if f.is_identically_neg_inf:
-            return ConvexGridFunction(f.grid, f.values)
-        tol = max(TOL_CONVEX_REL * f.value_range(), 1e-12)
-        ok, _, dev = is_convex(f, tol)
-        if not ok:
-            raise DomainError(f"function is not convex: max deviation {dev:g} > {tol:g}")
-        return ConvexGridFunction(f.grid, f.values)
-
-    @staticmethod
-    def trusted(f: GridFunction) -> "ConvexGridFunction":
-        """Wrap without re-certifying; for outputs convex by construction."""
-        return ConvexGridFunction(f.grid, f.values)
-
-
 def _lower_hull_1d(x: np.ndarray, v: np.ndarray):
     """Indices of the lower convex hull vertices of points (x, v) sorted by
     (x, v): Andrew's monotone chain.  Points in reverse order give the
@@ -274,35 +256,62 @@ def lower_envelope(pts: np.ndarray, vals: np.ndarray):
     return np.minimum(out, vals), facets
 
 
-def lower_convex_envelope(f: GridFunction) -> ConvexGridFunction:
+def lower_convex_envelope(f: GridFunction) -> GridFunction:
     """Pointwise-largest convex minorant of f, sampled at the nodes.
 
     A convex function that is -inf anywhere is -inf everywhere, so any
     -inf entry collapses the envelope to the identically -inf function.
     """
     if not np.all(f.finite_mask):
-        return ConvexGridFunction.trusted(GridFunction.neg_inf(f.grid))
+        return GridFunction.neg_inf(f.grid)
     env, _ = lower_envelope(f.grid.coords(), f.values.ravel())
-    return ConvexGridFunction(f.grid, env)
+    return GridFunction(f.grid, env)
 
 
-def is_convex(f: GridFunction, tol: float):
-    """Check f == lower_convex_envelope(f) within tol at every finite node.
+def require_convex(name: str, f: GridFunction, concave: bool = False) -> GridFunction:
+    """f, certified convex (``concave``: concave), or ``DomainError`` naming
+    the node, x, the deviation and the tolerance.
 
-    Returns (ok, witness_index, max_deviation); witness_index is the
-    multi-index of the worst violation (None when convex or identically
-    -inf).
+    The deviation is the height of f above its lower convex envelope (below
+    its upper concave one); the tolerance is ``TOL_CONVEX_REL`` times the
+    value range, at least 1e-12.  An identically -inf f passes.  A convex f
+    must be finite everywhere; a concave f is tested on its finite nodes,
+    which in 1-D must form one run.
+
+    In 1-D, when no node exceeds the mean of its neighbours by more than D,
+    a run of m nodes stands at most D (m - 1)^2 / 4 above its envelope (it
+    minus D i (m - 1 - i) is convex), so a run within the tolerance by that
+    bound passes in O(n) without a hull.
     """
     if f.is_identically_neg_inf:
-        return True, None, 0.0
-    if not np.all(f.finite_mask):
-        # a partially -inf function is never convex on the whole box
-        idx = np.unravel_index(int(np.argmin(f.finite_mask.ravel())), f.grid.shape)
-        return False, idx, np.inf
-    env = lower_convex_envelope(f)
-    dev = f.values - env.values
-    worst = int(np.argmax(dev.ravel()))
-    max_dev = float(dev.ravel()[worst])
-    if max_dev <= tol:
-        return True, None, max_dev
-    return False, np.unravel_index(worst, f.grid.shape), max_dev
+        return f
+    v = -f.values.ravel() if concave else f.values.ravel()
+    fin = np.flatnonzero(f.finite_mask.ravel())
+    if f.grid.dim == 1 or not concave:
+        run = np.arange(fin[0], fin[-1] + 1) if concave else np.arange(v.size)
+        if fin.size < run.size:
+            node = run[np.argmin(np.isfinite(v[run]))]
+            where = ", inside its finite run" if concave else ""
+            raise DomainError(f"{name} is -inf at node {_node(f.grid, node)}{where}")
+    w = v[fin]
+    tol = max(TOL_CONVEX_REL * f.value_range(), 1e-12)
+    if f.grid.dim == 1:
+        excess = (w[1:-1] - (w[:-2] + w[2:]) / 2).max() if w.size >= 3 else 0.0
+        if excess * (w.size - 1) ** 2 / 4 <= tol:
+            return f
+    env, _ = lower_envelope(f.grid.coords()[fin], w)
+    dev = w - env
+    i = int(np.argmax(dev))
+    if dev[i] > tol:
+        node, x = _node(f.grid, fin[i]), ", ".join(f"{c:g}" for c in f.grid.coords()[fin[i]])
+        raise DomainError(
+            f"{name} is not {'concave' if concave else 'convex'} at node {node} "
+            f"(x = {x}): deviation {dev[i]:g} > {tol:g}"
+        )
+    return f
+
+
+def _node(grid: Grid, flat: int):
+    """A node's index in the grid: an int in 1-D, a tuple in 2-D."""
+    idx = tuple(int(i) for i in np.unravel_index(flat, grid.shape))
+    return idx[0] if grid.dim == 1 else idx

@@ -13,40 +13,38 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import ConcaveTransform, TestCurve, envelope_from_u
-from .grids import Box, ConvexGridFunction, Grid, GridFunction
+from .grids import Box, Grid, GridFunction, require_convex
 from .legendre import SlopeRegion, default_dual_grid, slope_regions
 
 
-def quadratic_1d(nodes: int = 257, half_width: float = 1.0) -> ConvexGridFunction:
+def quadratic_1d(nodes: int = 257, half_width: float = 1.0) -> GridFunction:
     """x^2/2 on [-half_width, half_width]."""
     g = Grid(Box((-half_width,), (half_width,)), nodes)
-    return ConvexGridFunction.certify(GridFunction.from_callable(g, lambda x: x * x / 2))
+    return require_convex("quadratic_1d", GridFunction.from_callable(g, lambda x: x * x / 2))
 
 
-def abs_1d(nodes: int = 257) -> ConvexGridFunction:
+def abs_1d(nodes: int = 257) -> GridFunction:
     g = Grid(Box((-1.0,), (1.0,)), nodes)
-    return ConvexGridFunction.certify(GridFunction.from_callable(g, np.abs))
+    return require_convex("abs_1d", GridFunction.from_callable(g, np.abs))
 
 
-def quadratic_2d(nodes: int = 65) -> ConvexGridFunction:
+def quadratic_2d(nodes: int = 65) -> GridFunction:
     g = Grid(Box((-1.0, -1.0), (1.0, 1.0)), (nodes, nodes))
     # convex by construction; certification at large 2-D sizes costs a hull
-    return ConvexGridFunction.trusted(
-        GridFunction.from_callable(g, lambda x, y: (x * x + y * y) / 2)
-    )
+    return GridFunction.from_callable(g, lambda x, y: (x * x + y * y) / 2)
 
 
-def linear_growth_bowl(nodes: int = 129, box_half: float = 3.0) -> ConvexGridFunction:
+def linear_growth_bowl(nodes: int = 129, box_half: float = 3.0) -> GridFunction:
     """x^2/2 for |x| <= 1, |x| - 1/2 beyond; slope set exactly [-1, 1]."""
     g = Grid(Box((-box_half,), (box_half,)), nodes)
 
     def fn(x):
         return np.where(np.abs(x) <= 1.0, x * x / 2, np.abs(x) - 0.5)
 
-    return ConvexGridFunction.certify(GridFunction.from_callable(g, fn))
+    return require_convex("linear_growth_bowl", GridFunction.from_callable(g, fn))
 
 
-def filtration_base(nodes: int = 257) -> ConvexGridFunction:
+def filtration_base(nodes: int = 257) -> GridFunction:
     """Base metric with slope set exactly [0, 1] = conv(P1) for P1 = {0, 1}.
 
     0 for x <= 0, x^2/2 on [0, 1], x - 1/2 beyond, on the box [-2, 3].
@@ -56,7 +54,7 @@ def filtration_base(nodes: int = 257) -> ConvexGridFunction:
     def fn(x):
         return np.where(x <= 0.0, 0.0, np.where(x <= 1.0, x * x / 2, x - 0.5))
 
-    return ConvexGridFunction.certify(GridFunction.from_callable(g, fn))
+    return require_convex("filtration_base", GridFunction.from_callable(g, fn))
 
 
 def random_convex_1d(
@@ -64,7 +62,7 @@ def random_convex_1d(
     nodes: int = 257,
     slope_bound: float = 1.0,
     pin_end_slopes: bool = True,
-) -> ConvexGridFunction:
+) -> GridFunction:
     """Random convex function; pinned end slopes give a shared slope set."""
     g = Grid(Box((-1.0,), (1.0,)), nodes)
     s = np.sort(rng.uniform(-slope_bound, slope_bound, nodes - 1 - (2 if pin_end_slopes else 0)))
@@ -72,7 +70,7 @@ def random_convex_1d(
         s = np.concatenate([[-slope_bound], s, [slope_bound]])
     v = np.concatenate([[0.0], np.cumsum(s * g.spacing[0])])
     v -= v.mean()
-    return ConvexGridFunction.certify(GridFunction(g, v))
+    return require_convex("random_convex_1d", GridFunction(g, v))
 
 
 def random_nonconvex_1d(rng: np.random.Generator, nodes: int = 257) -> GridFunction:
@@ -86,7 +84,7 @@ def random_nonconvex_1d(rng: np.random.Generator, nodes: int = 257) -> GridFunct
 class RayInstance:
     """Base obstacle, dual grid, concave dual data, and the envelope curve."""
 
-    phi: ConvexGridFunction
+    phi: GridFunction
     dual: Grid
     u: ConcaveTransform
     curve: TestCurve

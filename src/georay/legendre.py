@@ -80,13 +80,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError
-from .grids import (
-    Box,
-    ConvexGridFunction,
-    Grid,
-    GridFunction,
-    _lower_hull_1d,
-)
+from .grids import Box, Grid, GridFunction, _lower_hull_1d
 
 # elements per temporary: small blocks stay in cache.  The row kernel keeps
 # a few dozen temporaries of a block alive, so the block also bounds the
@@ -346,13 +340,13 @@ def legendre(
         vals, wit = _transform_brute(f.grid.axes(), f.values, dual.axes())
     else:
         raise ValueError(f"unknown method {method!r}")
-    out = ConvexGridFunction(dual, vals.reshape(dual.shape))
+    out = GridFunction(dual, vals.reshape(dual.shape))
     if return_witness:
         return out, wit.reshape(dual.shape)
     return out
 
 
-def biconjugate(f: GridFunction, dual: Grid) -> ConvexGridFunction:
+def biconjugate(f: GridFunction, dual: Grid) -> GridFunction:
     """Legendre transform applied twice; lands back on the primal grid."""
     g = legendre(f, dual)
     return legendre(g, f.grid)
@@ -451,7 +445,7 @@ def slope_regions(fs, dual: Grid, witness: bool = False):
             yield _convex_fill(dual, b >= a - t), a, w
 
 
-def subgradient_range(f: ConvexGridFunction, dual: Grid) -> SlopeRegion:
+def subgradient_range(f: GridFunction, dual: Grid) -> SlopeRegion:
     """Dual nodes whose conjugate max is attained at an interior primal node.
 
     Attainment is tested by comparing the full conjugate against the

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .grids import ConvexGridFunction, Grid, GridFunction
+from .grids import Grid, GridFunction
 from .legendre import (
     _chunks,
     _require_finite,
@@ -75,8 +75,8 @@ def _energy_dual_grid(f: GridFunction) -> Grid:
 
 
 def energy_quadrature(
-    f1: ConvexGridFunction,
-    f0: ConvexGridFunction,
+    f1: GridFunction,
+    f0: GridFunction,
     t_samples: int = 11,
     dual: Grid | None = None,
 ) -> float:
@@ -112,7 +112,7 @@ def energy_quadrature(
     return total
 
 
-def dual_energies(fs, f: ConvexGridFunction) -> np.ndarray:
+def dual_energies(fs, f: GridFunction) -> np.ndarray:
     """E(f_t, f) = int over Delta_f of (f* - f_t*) dy for each f_t of ``fs``.
 
     The integral is the trapezoid rule on the nodes of the slope region of
@@ -135,15 +135,15 @@ def dual_energies(fs, f: ConvexGridFunction) -> np.ndarray:
     return out * dual.cell_volume
 
 
-def energy_dual(f_t: ConvexGridFunction, f: ConvexGridFunction) -> float:
+def energy_dual(f_t: GridFunction, f: GridFunction) -> float:
     """E(f_t, f) by the dual formula: ``dual_energies`` of the one function."""
     return float(dual_energies([f_t], f)[0])
 
 
 def cocycle_residual(
-    f0: ConvexGridFunction,
-    f1: ConvexGridFunction,
-    f2: ConvexGridFunction,
+    f0: GridFunction,
+    f1: GridFunction,
+    f2: GridFunction,
 ) -> float:
     """|E(f2,f0) - E(f2,f1) - E(f1,f0)| by quadrature, relative to the
     largest of the three energies.

@@ -18,7 +18,7 @@ import numpy as np
 
 from .curves import ConcaveTransform, TestCurve, concave_transform
 from .errors import DomainError
-from .grids import ConvexGridFunction, Grid, GridFunction, NEG_INF
+from .grids import Grid, GridFunction, NEG_INF
 from .legendre import _chunks, conjugate
 from .monge_ampere import _energy_dual_grid, dual_energies
 
@@ -115,7 +115,7 @@ def compare_rays(r1: Ray, r2: Ray) -> np.ndarray:
 
 
 def energy_linearity(
-    ray: Ray, f0: ConvexGridFunction, u: ConcaveTransform | None = None
+    ray: Ray, f0: GridFunction, u: ConcaveTransform | None = None
 ) -> LinearityReport:
     """Least-squares line through (t, E(frame(t), f0)), the ``dual_energies``
     of the frames, with predicted slope ``u.integral()``.

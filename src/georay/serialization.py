@@ -29,7 +29,7 @@ import numpy as np
 
 from .curves import TestCurve
 from .errors import ParseError
-from .grids import Box, ConvexGridFunction, Grid, GridFunction, NEG_INF
+from .grids import Box, Grid, GridFunction, NEG_INF
 
 
 def _fmt(x: float) -> str:
@@ -132,7 +132,7 @@ def load_test_curve(text: str) -> TestCurve:
     head = _parse_float(cur.expect("lambda_head")[0], cur.pos)
     lc = _parse_float(cur.expect("lambda_c")[0], cur.pos)
     samples = tuple(
-        ConvexGridFunction.trusted(_parse_grid_function(cur)) for _ in lambdas
+        _parse_grid_function(cur) for _ in lambdas
     )
     return TestCurve(lambdas, samples, lambda_head=head, lambda_c=lc)
 

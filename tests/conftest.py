@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from georay.grids import Box, ConvexGridFunction, Grid, GridFunction
+from georay.grids import Box, Grid, GridFunction, require_convex
 
 
 @pytest.fixture
@@ -13,9 +13,7 @@ def rng():
 def quad_17():
     """x^2/2 on [-1, 1], 17 nodes."""
     g = Grid(Box((-1.0,), (1.0,)), 17)
-    return ConvexGridFunction.certify(
-        GridFunction.from_callable(g, lambda x: x * x / 2)
-    )
+    return require_convex("quad_17", GridFunction.from_callable(g, lambda x: x * x / 2))
 
 
 @pytest.fixture(scope="session")
@@ -27,7 +25,7 @@ def three_point():
     from georay.legendre import default_dual_grid
 
     base = filtration_base(129)
-    phi = ConvexGridFunction.trusted(GridFunction(base.grid, 2.0 * base.values))
+    phi = GridFunction(base.grid, 2.0 * base.values)
     data = WeightedLatticeData(np.array([[0], [1], [2]]), np.array([1, 0, 2]))
     return BergmanInstance(phi, default_dual_grid(phi, 129)), data
 
@@ -43,9 +41,7 @@ def simplex_2d():
     ys = np.linspace(0.0, 1.0, 65)
     y = np.stack(np.meshgrid(ys, ys, indexing="ij"), -1).reshape(-1, 2)
     y = y[y.sum(axis=1) <= 1.0 + 1e-12]
-    phi = ConvexGridFunction.trusted(
-        GridFunction(g, (g.coords() @ y.T - (y * y).sum(axis=1) / 2).max(axis=1))
-    )
+    phi = GridFunction(g, (g.coords() @ y.T - (y * y).sum(axis=1) / 2).max(axis=1))
     inst = BergmanInstance(phi, Grid(Box((-0.5, -0.5), (1.5, 1.5)), (17, 17)))
     data = WeightedLatticeData(np.array([[0, 0], [1, 0], [0, 1]]), np.array([0, 1, 0]))
     return inst, data

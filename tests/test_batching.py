@@ -17,7 +17,7 @@ import pytest
 import georay.legendre as LEGENDRE
 from georay.checks import check_contact_concentration
 from georay.curves import TestCurve as Curve, concave_transform, contact_set, envelope_from_u
-from georay.grids import Box, ConvexGridFunction, Grid, GridFunction
+from georay.grids import Box, Grid, GridFunction
 from georay.instances import huber_instance
 from georay.legendre import conjugate, legendre, subgradient_range, trapezoid_weights
 from georay.monge_ampere import _energy_dual_grid, energy_dual, energy_quadrature, region_masses
@@ -47,7 +47,7 @@ def energy_quadrature_ref(f1, f0, t_samples, dual):
     total = 0.0
     for t, wt in zip(ts, w):
         vt = np.where(f1.finite_mask, (1.0 - t) * f0.values + t * f1.values, -np.inf)
-        mu = mu0 if t == 0.0 else deposit_ref(ConvexGridFunction(f1.grid, vt), dual, region.mask)
+        mu = mu0 if t == 0.0 else deposit_ref(GridFunction(f1.grid, vt), dual, region.mask)
         total += wt * float((diff * mu).sum())
     return total
 
@@ -68,7 +68,7 @@ def integral_ref(u):
 
 def energy_linearity_ref(ray, f0, u=None):
     energies = np.array(
-        [energy_dual(ConvexGridFunction.trusted(fr), f0) for fr in ray.frames]
+        [energy_dual(fr, f0) for fr in ray.frames]
     )
     slope, intercept = np.polyfit(ray.t_grid, energies, 1)
     resid = float(np.abs(energies - (slope * ray.t_grid + intercept)).max())
@@ -149,7 +149,7 @@ def block(request, monkeypatch):
 def test_energy_quadrature(case, block):
     phi, _, _, _, ray = case
     dual = _energy_dual_grid(phi)
-    f1 = ConvexGridFunction.trusted(ray.frames[-1])
+    f1 = ray.frames[-1]
     for t_samples in (3, 11):
         got = energy_quadrature(f1, phi, t_samples, dual=dual)
         assert got == energy_quadrature_ref(f1, phi, t_samples, dual)
@@ -201,9 +201,9 @@ def test_ray_from_curve_signed_zeros(rng, monkeypatch, block):
     g = Grid(Box((-1.0, 0.0), (1.0, 2.0)), (9, 7))
     lambdas = np.array([-2.0, -1.0, -0.5, 0.0, 1.0, 3.0])
     samples = [
-        ConvexGridFunction.trusted(GridFunction(g, rng.choice([0.0, -0.0, -1.0], g.shape)))
+        GridFunction(g, rng.choice([0.0, -0.0, -1.0], g.shape))
         for _ in lambdas[:-1]
-    ] + [ConvexGridFunction.trusted(GridFunction.neg_inf(g))]
+    ] + [GridFunction.neg_inf(g)]
     tc = Curve(lambdas, tuple(samples), lambda_head=-2.0, lambda_c=1.0)
     ts = np.array([0.0, 0.5, 1.0])
     got = ray_from_curve(tc, ts)

@@ -17,7 +17,7 @@ from georay import serialization as ser
 from georay.cli import main
 from georay.errors import DomainError
 from georay.filtration import WeightedLatticeData
-from georay.grids import SIZE_CAP, Box, ConvexGridFunction, Grid, GridFunction
+from georay.grids import SIZE_CAP, Box, Grid, GridFunction
 from georay.instances import filtration_base, huber_instance, linear_growth_bowl
 from georay.legendre import default_dual_grid, subgradient_range
 
@@ -111,12 +111,24 @@ def _spec_elsewhere(specdir, spec, path, **update):
     """Copy a fixture spec to ``path`` with absolute payload paths, update its
     keys and drop those updated to None; returns ``path`` as a string."""
     doc = json.loads((specdir / spec).read_text())
-    for key in ("phi", "u", "curve"):
+    for key in ("phi", "u", "curve", "weights"):
         if key in doc:
             doc[key] = str(specdir / doc[key])
     doc.update(update)
     path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
     return str(path)
+
+
+def _dent(x):
+    """A smooth dent 5e-6 cos^2(pi (x - 2) / 2) on |x - 2| < 1.  Where a
+    function is linear, the dent stands about 2000 times the convexity
+    tolerance above its envelope, while on 513 nodes of [-3, 3] its second
+    differences stay within the tolerance."""
+    return np.where(np.abs(x - 2.0) < 1.0, 5e-6 * np.cos(np.pi * (x - 2.0) / 2) ** 2, 0.0)
+
+
+def _dented(f: GridFunction) -> GridFunction:
+    return GridFunction(f.grid, f.values - _dent(f.grid.axis(0)))
 
 
 def _run_1d_dual_u(tmp_path, phi_values, u_of_y):
@@ -202,14 +214,15 @@ class TestRayCommand:
         base = subgradient_range(phi, u.grid).mask
         assert json.loads((out / "energy.json").read_text())["lambda_c"] == u.values[base].max()
 
-    # a 2e-3 bump at the bottom of the bowl stands 2e-3 - h^2/2 above its chord
+    # a 2e-3 bump at the bottom of the bowl stands 2e-3 - h^2/2 above its
+    # chord; the W's peaks stand about 0.5 above its concave envelope
     @pytest.mark.parametrize(
         "phi_values, u_of_y, message",
         [
             (lambda v: v + 2e-3 * (np.arange(v.size) == 256), lambda y: -np.abs(y),
              "phi is not convex at node 256 (x = 0): deviation 0.00193134 > 2.49993e-09"),
             (lambda v: v, lambda y: np.abs(np.abs(y) - 0.5) - 1.0,
-             "u is not concave at node 128 (x = -0.501961): deviation 0.00196078 > 5.01961e-10"),
+             "u is not concave at node 128 (x = -0.501961): deviation 0.501961 > 5.01961e-10"),
             (lambda v: v, lambda y: np.where(np.abs(y) < 0.01, -np.inf, -np.abs(y)),
              "u is -inf at node 254, inside its finite run"),
         ],
@@ -222,6 +235,43 @@ class TestRayCommand:
 
     def test_1d_convex_inputs_pass(self, tmp_path):
         assert _run_1d_dual_u(tmp_path, lambda v: v, lambda y: -np.abs(y)) == 0
+
+    def test_dented_phi_exit_3(self, tmp_path, capsys):
+        # every second difference of the dent is within the tolerance
+        dented = lambda v: v - _dent(np.linspace(-3.0, 3.0, v.size))
+        assert _run_1d_dual_u(tmp_path, dented, lambda y: -np.abs(y)) == 3
+        assert "validation failure: phi is not convex at node" in capsys.readouterr().err
+        assert not any((tmp_path / "o").iterdir())
+
+    def test_dented_curve_sample_exit_3(self, specdir, tmp_path, capsys):
+        tc = ser.load_test_curve((specdir / "curve.tc").read_text())
+        samples = list(tc.samples)
+        samples[4] = _dented(samples[4])
+        assert tc.lambdas[4] == -0.5
+        (tmp_path / "c.tc").write_text(
+            ser.dump_test_curve(curves.TestCurve(tc.lambdas, samples, tc.lambda_head, tc.lambda_c))
+        )
+        spec = _spec_elsewhere(specdir, "curve.spec", tmp_path / "p.spec", curve=str(tmp_path / "c.tc"))
+        assert main(["ray", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("validation failure: curve sample at lambda=-0.5 is not convex at node ")
+        assert not any((tmp_path / "o").iterdir())
+
+    @pytest.mark.parametrize("spec", ["huber.spec", "curve.spec"])
+    def test_certifies_1d_inputs_without_hull(self, specdir, tmp_path, monkeypatch, spec):
+        # the second-difference bound certifies the fixtures' phi, u and curve
+        # samples in O(n): no hull is built
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return grids.lower_envelope(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("georay.") and getattr(module, "lower_envelope", None) is grids.lower_envelope:
+                monkeypatch.setattr(module, "lower_envelope", counted)
+        assert main(["ray", "--spec", str(specdir / spec), "--out", str(tmp_path / "o")]) == 0
+        assert calls == []
 
     def test_2d_output_bytes(self, specdir, tmp_path):
         # SHA-256 of every output of the 2-D fixture, whose ray is the
@@ -513,7 +563,7 @@ class TestFiltrationCommand:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 0
         assert degrees == [4, 8, 16]
         # ray.csv is the largest degree's ray, the one the gap table used
-        phi = ConvexGridFunction.trusted(ser.load_grid_function((specdir / "base.gf").read_text()))
+        phi = ser.load_grid_function((specdir / "base.gf").read_text())
         inst = filtration.BergmanInstance(phi, default_dual_grid(phi))
         data = ser.load_weight_data((specdir / "w01.wd").read_text())
         expected = ser.dump_ray_csv(ps(inst, data, 16, np.linspace(0.0, 1.0, 11)))
@@ -545,6 +595,14 @@ class TestFiltrationCommand:
         assert main(argv + ["--k", "100000"]) == 4
         what = "degree-100000 section matrix of at least 100001 x 129 nodes"
         assert f"{what} exceeds the size cap {SIZE_CAP}" in capsys.readouterr().err
+
+    def test_dented_phi_exit_3(self, specdir, tmp_path, capsys):
+        phi = ser.load_grid_function((specdir / "base.gf").read_text())
+        (tmp_path / "phi.gf").write_text(ser.dump_grid_function(_dented(phi)))
+        spec = _spec_elsewhere(specdir, "weights01.spec", tmp_path / "p.spec", phi=str(tmp_path / "phi.gf"))
+        assert main(["filtration", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
+        assert "validation failure: phi is not convex at node" in capsys.readouterr().err
+        assert not any((tmp_path / "o").iterdir())
 
     def test_cap_exit_4(self, specdir, tmp_path):
         rc = main(
@@ -694,12 +752,16 @@ def test_import_cli_loads_no_check_machinery():
 
 @pytest.mark.parametrize(
     "command, spec",
-    [("ray", "bowl2.spec"), ("filtration", "weights01.spec"), ("filtration", "weights2d.spec")],
-    ids=["ray", "filtration", "filtration-2d"],
+    [
+        ("ray", "bowl2.spec"), ("filtration", "weights01.spec"), ("filtration", "weights2d.spec"),
+        ("ray", "huber.spec"), ("ray", "curve.spec"),
+    ],
+    ids=["ray", "filtration", "filtration-2d", "ray-1d", "ray-curve"],
 )
 def test_command_never_imports_scipy(specdir, tmp_path, command, spec):
-    """scipy and ``numpy.ma`` cost start-up time; neither 2-D ``ray`` nor
-    ``filtration`` may load them (plain ``np.unique`` imports ``numpy.ma``)."""
+    """scipy and ``numpy.ma`` cost start-up time; neither ``ray`` nor
+    ``filtration`` may load them, in either dimension, certification
+    included (plain ``np.unique`` imports ``numpy.ma``)."""
     script = (
         "import sys\n"
         "import georay.cli\n"

@@ -12,7 +12,7 @@ from georay.curves import (
     validate,
 )
 from georay.errors import DomainError
-from georay.grids import ConvexGridFunction, GridFunction
+from georay.grids import GridFunction
 from georay.instances import huber_instance, linear_growth_bowl
 from georay.legendre import default_dual_grid
 
@@ -71,7 +71,7 @@ class TestValidate:
 
     def test_detects_increasing_family(self, huber):
         phi = huber.phi
-        bigger = ConvexGridFunction.trusted(GridFunction(phi.grid, phi.values + 1.0))
+        bigger = GridFunction(phi.grid, phi.values + 1.0)
         tc = Curve(
             np.array([-1.0, 0.0]),
             (phi, bigger),

@@ -28,7 +28,7 @@ from georay.filtration import (
     weight_envelope,
     weight_histogram,
 )
-from georay.grids import NEG_INF, SIZE_CAP, ConvexGridFunction
+from georay.grids import NEG_INF, SIZE_CAP, require_convex
 from georay.instances import filtration_base
 from georay.legendre import default_dual_grid, legendre
 from georay.rays import compare_rays
@@ -264,7 +264,7 @@ class TestExtremalTable:
         live = [s for s in curve.samples if not s.is_identically_neg_inf]
         assert live
         for sample in live:
-            ConvexGridFunction.certify(sample)
+            require_convex("sample", sample)
 
     def test_2d_equivalence_bytes(self, simplex_2d):
         """SHA-256 of the 2-D gaps and Phong-Sturm rays at k = 4 and 8: pins the

@@ -3,16 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from georay import grids
 from georay.errors import DomainError
 from georay.grids import (
     Box,
-    ConvexGridFunction,
+    GridFunction,
     Grid,
     GridFunction,
     NEG_INF,
-    is_convex,
     lower_convex_envelope,
     lower_envelope,
+    require_convex,
 )
 
 
@@ -80,7 +81,7 @@ class TestGridFunction:
         g = Grid(Box((-1.0,), (1.0,)), 5)
         f = GridFunction.from_callable(g, lambda x: -x * x)
         with pytest.raises(DomainError):
-            ConvexGridFunction.certify(f)
+            require_convex("f", f)
 
 
 class TestEnvelope1D:
@@ -133,18 +134,74 @@ class TestEnvelope2D:
             lower_envelope(pts, np.array([0.0, 2.0, 1.0]))
 
 
-class TestIsConvex:
+class TestRequireConvex:
     def test_witness_location(self):
         g = Grid(Box((0.0,), (4.0,)), 5)
         f = GridFunction(g, np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
-        ok, witness, dev = is_convex(f, tol=1e-9)
-        assert not ok
-        assert witness == (2,)
-        assert dev == pytest.approx(1.0)
+        message = r"^f is not convex at node 2 \(x = 2\): deviation 1 > 1e-09$"
+        with pytest.raises(DomainError, match=message):
+            require_convex("f", f)
 
     def test_convex_passes(self, quad_17):
-        ok, witness, dev = is_convex(quad_17, tol=1e-9)
-        assert ok and witness is None
+        assert require_convex("f", quad_17) is quad_17
+
+    def test_concave_parabola_rejected_at_65537_nodes(self):
+        # each node stands h^2 / 2 = 4.7e-10 above its neighbours' mean, under
+        # the tolerance 5e-10, but the middle of the run stands 0.5 above the chord
+        g = Grid(Box((-1.0,), (1.0,)), 65537)
+        f = GridFunction.from_callable(g, lambda x: -x * x / 2)
+        with pytest.raises(DomainError, match=r"at node 32768 \(x = 0\): deviation 0.5 > 5e-10"):
+            require_convex("f", f)
+
+    def test_identically_neg_inf_passes(self):
+        f = GridFunction.neg_inf(Grid(Box((0.0, 0.0), (1.0, 1.0)), (3, 3)))
+        assert require_convex("f", f) is f
+        assert require_convex("f", f, concave=True) is f
+
+    def test_partly_neg_inf(self):
+        g = Grid(Box((0.0,), (4.0,)), 5)
+        f = GridFunction(g, np.array([NEG_INF, -1.0, 0.0, -1.0, NEG_INF]))
+        assert require_convex("u", f, concave=True) is f
+        with pytest.raises(DomainError, match=r"^f is -inf at node 0$"):
+            require_convex("f", f)
+        hole = GridFunction(g, np.array([-1.0, NEG_INF, 0.0, -1.0, NEG_INF]))
+        with pytest.raises(DomainError, match=r"^u is -inf at node 1, inside its finite run$"):
+            require_convex("u", hole, concave=True)
+
+    def test_2d_names_the_node(self):
+        g = Grid(Box((-1.0, -1.0), (1.0, 1.0)), (3, 3))
+        vals = np.zeros((3, 3))
+        vals[1, 2] = 1.0
+        with pytest.raises(DomainError, match=r"at node \(1, 2\) \(x = 0, 1\): deviation 1 > 1e-09"):
+            require_convex("f", GridFunction(g, vals))
+
+    def test_no_hull_when_the_bound_holds(self, monkeypatch, rng):
+        # a Huber bowl, whose linear runs have second differences of
+        # rounding size, plus noise of a few ulps: the second-difference bound
+        # certifies it, and the hull is never built
+        calls = []
+        monkeypatch.setattr(grids, "lower_envelope", lambda *a: calls.append(a))
+        g = Grid(Box((-3.0,), (3.0,)), 513)
+        f = GridFunction.from_callable(g, lambda x: np.where(np.abs(x) <= 1, x * x / 2, np.abs(x) - 0.5))
+        noisy = GridFunction(g, f.values * (1.0 + 1e-15 * rng.standard_normal(513)))
+        require_convex("f", noisy)
+        require_convex("u", GridFunction(g, -noisy.values), concave=True)
+        assert calls == []
+
+    @pytest.mark.parametrize("scale", [1e-13, 1e-11, 1e-9, 1e-7])
+    def test_verdict_is_the_hull_height(self, rng, scale):
+        # noise around the tolerance: the fast bound and the hull give one verdict
+        g = Grid(Box((-1.0,), (1.0,)), 257)
+        for _ in range(20):
+            x = g.axis(0)
+            f = GridFunction(g, x * x / 2 + scale * rng.standard_normal(x.size))
+            height = float((f.values - lower_convex_envelope(f).values).max())
+            tol = max(grids.TOL_CONVEX_REL * f.value_range(), 1e-12)
+            if height > tol:
+                with pytest.raises(DomainError):
+                    require_convex("f", f)
+            else:
+                assert require_convex("f", f) is f
 
 
 @settings(max_examples=50, deadline=None)
@@ -157,9 +214,6 @@ def test_envelope_properties(vals):
     scale = max(1.0, np.abs(vals).max())
     # below the data
     assert (env.values <= vals + 1e-9 * scale).all()
-    # convex
-    ok, _, _ = is_convex(env, tol=1e-8 * scale)
-    assert ok
     # idempotent
     env2 = lower_convex_envelope(env)
     assert np.abs(env2.values - env.values).max() <= 1e-9 * scale

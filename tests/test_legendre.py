@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import georay.legendre as LEGENDRE
 from georay.curves import ConcaveTransform, envelope_from_u
 from georay.errors import DomainError
-from georay.grids import Box, ConvexGridFunction, Grid, GridFunction, NEG_INF, _lower_hull_1d
+from georay.grids import Box, Grid, GridFunction, NEG_INF, _lower_hull_1d, require_convex
 from georay.instances import (
     linear_growth_bowl,
     quadratic_1d,
@@ -240,8 +240,8 @@ def huber_bowl_2d(n):
     g = Grid(Box((-3.0, -3.0), (3.0, 3.0)), (n, n))
     x1, x2 = np.meshgrid(g.axis(0), g.axis(1), indexing="ij")
     hub = lambda x: np.where(np.abs(x) <= 1.0, x * x / 2, np.abs(x) - 0.5)
-    return ConvexGridFunction.certify(
-        GridFunction(g, hub(x1) + hub(x2) + 0.13 * x1 - 0.27 * x2)
+    return require_convex(
+        "huber_bowl_2d", GridFunction(g, hub(x1) + hub(x2) + 0.13 * x1 - 0.27 * x2)
     )
 
 
@@ -713,9 +713,7 @@ class TestTrapezoidWeights:
         g = Grid(Box((-3.0, -3.0), (3.0, 3.0)), (65, 65))
         x1, x2 = np.meshgrid(*g.axes(), indexing="ij")
         hub = lambda x: np.where(np.abs(x) <= 1.0, x * x / 2, np.abs(x) - 0.5)
-        phi = ConvexGridFunction.trusted(
-            GridFunction(g, hub(x1) + hub(x2) + a1 * x1 + a2 * x2 + b)
-        )
+        phi = GridFunction(g, hub(x1) + hub(x2) + a1 * x1 + a2 * x2 + b)
         dual = default_dual_grid(phi)
         base = subgradient_range(phi, dual)
         y1, y2 = np.meshgrid(*dual.axes(), indexing="ij")

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from georay.errors import DomainError
-from georay.grids import (
-    Box,
-    ConvexGridFunction,
-    Grid,
-    GridFunction,
-)
+from georay.grids import Box, Grid, GridFunction
 from georay.instances import abs_1d, quadratic_1d, random_convex_1d
 from georay.legendre import default_dual_grid, trapezoid_weights
 from georay.monge_ampere import (
@@ -42,7 +37,7 @@ class TestMeasure:
     def test_shift_invariance(self, rng):
         f = random_convex_1d(rng, nodes=65)
         dual = default_dual_grid(f)
-        g = ConvexGridFunction.trusted(GridFunction(f.grid, f.values + 3.7))
+        g = GridFunction(f.grid, f.values + 3.7)
         for weigh in (whole_cells, trapezoid_weights):
             (mf, muf), (mg, mug) = masses(f, dual, weigh), masses(g, dual, weigh)
             assert np.array_equal(mf, mg)
@@ -61,14 +56,14 @@ class TestMeasure:
     def test_rejects_neg_inf(self):
         g = Grid(Box((0.0,), (1.0,)), 3)
         with pytest.raises(DomainError):
-            masses(ConvexGridFunction.trusted(GridFunction.neg_inf(g)), g)
+            masses(GridFunction.neg_inf(g), g)
 
 
 class TestEnergy:
     def test_constant_shift_exact(self):
         # E(f + c, f) = c * total MA mass, exactly linear path
         f = quadratic_1d(129)
-        g = ConvexGridFunction.trusted(GridFunction(f.grid, f.values + 0.75))
+        g = GridFunction(f.grid, f.values + 0.75)
         dual = _energy_dual_grid(f)
         e_quad = energy_quadrature(g, f)
         mass = masses(f, dual)[1].sum()
@@ -85,9 +80,7 @@ class TestEnergy:
 
     def test_quadrature_matches_dual_quadratic_pair(self):
         f0 = quadratic_1d(257)
-        f1 = ConvexGridFunction.trusted(
-            GridFunction(f0.grid, f0.values + 0.25 * (1 - f0.grid.axis(0) ** 2))
-        )
+        f1 = GridFunction(f0.grid, f0.values + 0.25 * (1 - f0.grid.axis(0) ** 2))
         eq = energy_quadrature(f1, f0)
         ed = energy_dual(f1, f0)
         assert eq == pytest.approx(ed, rel=1e-2)
@@ -106,10 +99,10 @@ class TestEnergy:
 
     def test_rejects_mismatched_support(self):
         g = Grid(Box((0.0,), (1.0,)), 5)
-        a = ConvexGridFunction.trusted(GridFunction(g, np.zeros(5)))
+        a = GridFunction(g, np.zeros(5))
         vals = np.zeros(5)
         vals[0] = -np.inf
-        b = ConvexGridFunction.trusted(GridFunction(g, vals))
+        b = GridFunction(g, vals)
         with pytest.raises(DomainError):
             energy_quadrature(a, b)
 

@@ -3,7 +3,7 @@ import pytest
 
 from georay.curves import ConcaveTransform, envelope_from_u
 from georay.errors import DomainError
-from georay.grids import Box, ConvexGridFunction, Grid, GridFunction
+from georay.grids import Box, Grid, GridFunction
 from georay.instances import (
     constant_u_instance,
     huber_instance,
@@ -123,9 +123,7 @@ class TestEnergyLinearity:
 def _bowl2():
     """The 17 x 17 bowl of the CLI's 2-D fixture, with u = -(|y1| + |y2|)/2."""
     g = Grid(Box((-3.0, -3.0), (3.0, 3.0)), (17, 17))
-    phi = ConvexGridFunction.trusted(
-        GridFunction.from_callable(g, lambda x, y: np.hypot(x, y) ** 2 / 4 + x / 8)
-    )
+    phi = GridFunction.from_callable(g, lambda x, y: np.hypot(x, y) ** 2 / 4 + x / 8)
     dual = default_dual_grid(phi, 17)
     u = GridFunction.from_callable(dual, lambda y1, y2: -(abs(y1) + abs(y2)) / 2)
     base = subgradient_range(phi, dual)
