@@ -62,13 +62,14 @@ from pathlib import Path
 import numpy as np
 
 from . import serialization as ser
-from .curves import ConcaveTransform, validate
+from .curves import ConcaveTransform, concave_transform, validate
 from .errors import DomainError, ParseError, ResourceError
 from .filtration import BergmanInstance, equivalence_check, weight_histogram
 from .grids import Box, Grid, GridFunction, fork_cpus, require_convex, require_within_cap
 from .legendre import (
     SlopeRegion, _require_finite, check_dual_contains_slopes, default_dual_grid, slope_regions,
 )
+from .monge_ampere import _energy_dual_grid
 from .rays import energy_linearity, ray_dual, ray_from_curve
 
 
@@ -128,7 +129,7 @@ def _ray_csv_written(path: Path, ray):
     every path, so ``path`` is complete when this exits; a failed write
     raises ``OSError`` with the child's message once the body is done."""
     pid = None
-    if ray.grid.num_nodes * len(ray.frames) >= _FORK_MIN_VALUES and fork_cpus() >= 2:
+    if ray.values.size >= _FORK_MIN_VALUES and fork_cpus() >= 2:
         r, w = os.pipe()
         try:
             pid = os.fork()
@@ -174,7 +175,6 @@ def cmd_ray(spec_path: str, out_dir: str, tol_scale: float = 1.0) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    u = None
     if doc["kind"] == "curve":
         tc = ser.load_test_curve((specdir / doc["curve"]).read_text())
         ts = _t_grid(doc, tc.grid)
@@ -192,9 +192,11 @@ def cmd_ray(spec_path: str, out_dir: str, tol_scale: float = 1.0) -> int:
             return 3
         if tc.grid.dim == 1:
             require_convex("phi", phi)
-            for lam, sample in zip(tc.lambdas, tc.samples):
-                require_convex(f"curve sample at lambda={lam:g}", sample)
+            for lam, sample in zip(tc.lambdas, tc.values):
+                require_convex(f"curve sample at lambda={lam:g}", GridFunction(tc.grid, sample))
         ray = ray_from_curve(tc, ts)
+        # the predicted energy slope: u of the curve on phi's energy grid
+        u = concave_transform(tc, _energy_dual_grid(phi))
         lambda_c = tc.lambda_c
     else:
         phi = _load_grid_function_file(specdir, doc["phi"])

@@ -1,8 +1,8 @@
 """Test curves, their concave transform on the dual, and maximal envelopes.
 
-A test curve is a lambda-indexed family of convex grid functions: constant
-below ``lambda_head``, node-wise decreasing and concave in lambda, and
-identically -inf past the critical value ``lambda_c``.  Its concave
+A test curve is a lambda-indexed family of convex functions, one array on
+one grid: constant below ``lambda_head``, decreasing and concave in lambda,
+and identically -inf past the critical value ``lambda_c``.  Its concave
 transform u(y) is the largest lambda whose member still has y among its
 subgradients.  The maximal envelope runs the other way: from an obstacle
 phi and superlevel regions {u >= lambda} it rebuilds the curve as a
@@ -12,12 +12,12 @@ confined to the region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .grids import Grid, GridFunction, NEG_INF
+from .grids import Grid, GridFunction, NEG_INF, grid_values
 from .legendre import (
     SlopeRegion,
     _chunks,
@@ -32,10 +32,12 @@ from .legendre import (
 
 @dataclass(frozen=True, eq=False)
 class TestCurve:
-    """Sorted lambda samples with one convex grid function each."""
+    """Sorted lambda samples on one grid: values[i], a convex function (or
+    identically -inf), is the sample at lambdas[i]."""
 
     lambdas: np.ndarray
-    samples: tuple[GridFunction, ...]
+    grid: Grid
+    values: np.ndarray = field(repr=False)
     lambda_head: float
     lambda_c: float
 
@@ -43,21 +45,20 @@ class TestCurve:
         lam = np.asarray(self.lambdas, dtype=float).ravel()
         lam.setflags(write=False)
         object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if len(self.samples) != lam.size:
-            raise DomainError("one sample per lambda required")
+        object.__setattr__(self, "values", grid_values(self.grid, self.values, lam.size))
         if lam.size == 0:
             raise DomainError("empty test curve")
         if np.any(np.diff(lam) <= 0):
             raise DomainError("lambda grid must be strictly increasing")
 
     @property
-    def grid(self) -> Grid:
-        return self.samples[0].grid
+    def live(self) -> np.ndarray:
+        """Per sample, whether it is finite somewhere."""
+        return (self.values > NEG_INF).any(axis=tuple(range(1, self.values.ndim)))
 
     @property
     def head(self) -> GridFunction:
-        return self.samples[0]
+        return GridFunction(self.grid, self.values[0])
 
 
 @dataclass(frozen=True)
@@ -78,61 +79,53 @@ def validate(tc: TestCurve, tol_concave: float = 1e-9) -> CurveDiagnostics:
         if witness is None and lam is not None:
             witness = (lam, node)
 
-    grid = tc.grid
-    for s in tc.samples:
-        if s.grid != grid:
-            note("samples live on different grids")
-            return CurveDiagnostics(False, tuple(issues), witness)
+    lam, live = tc.lambdas, tc.live
+    V = tc.values.reshape(len(lam), -1)
 
-    finite = [not s.is_identically_neg_inf for s in tc.samples]
+    def worst(dev):
+        """Per row: its first node of largest deviation, and that deviation."""
+        j = np.argmax(dev, axis=1)
+        return j, dev[np.arange(len(dev)), j]
+
     # finite exactly for lambda <= lambda_c
-    for lam, fin in zip(tc.lambdas, finite):
-        if fin and lam > tc.lambda_c + 1e-12:
-            note(f"finite sample past lambda_c at lambda={lam:g}", lam)
-        if not fin and lam <= tc.lambda_c - 1e-12:
-            note(f"-inf sample at lambda={lam:g} <= lambda_c", lam)
+    for l, fin in zip(lam, live):
+        if fin and l > tc.lambda_c + 1e-12:
+            note(f"finite sample past lambda_c at lambda={l:g}", l)
+        if not fin and l <= tc.lambda_c - 1e-12:
+            note(f"-inf sample at lambda={l:g} <= lambda_c", l)
 
     # mixed supports are not allowed within a sample
-    for lam, s in zip(tc.lambdas, tc.samples):
-        if not s.is_identically_neg_inf and not s.finite_mask.all():
-            note(f"partially -inf sample at lambda={lam:g}", lam)
+    for l in lam[live & (V == NEG_INF).any(axis=1)]:
+        note(f"partially -inf sample at lambda={l:g}", l)
 
     # constant head
-    head_idx = np.nonzero(tc.lambdas <= tc.lambda_head + 1e-12)[0]
-    for i in head_idx:
-        if not np.array_equal(tc.samples[i].values, tc.head.values):
-            note(f"sample at lambda={tc.lambdas[i]:g} differs from head", tc.lambdas[i])
+    head = np.flatnonzero(lam <= tc.lambda_head + 1e-12)
+    for l in lam[head[~(V[head] == V[0]).all(axis=1)]]:
+        note(f"sample at lambda={l:g} differs from head", l)
 
-    # node-wise decreasing in lambda
-    for i in range(len(tc.samples) - 1):
-        a, b = tc.samples[i], tc.samples[i + 1]
-        if b.is_identically_neg_inf:
-            continue
-        dev = b.values - a.values
-        j = int(np.argmax(dev))
-        if dev.ravel()[j] > 1e-12:
-            note(
-                f"curve increases in lambda between {tc.lambdas[i]:g} and "
-                f"{tc.lambdas[i + 1]:g}",
-                tc.lambdas[i + 1],
-                np.unravel_index(j, grid.shape),
-            )
+    # node-wise decreasing in lambda, up to each finite sample
+    prev = np.flatnonzero(live[1:])
+    at, dev = worst(V[prev + 1] - V[prev])
+    bad = dev > 1e-12
+    for i, j in zip(prev[bad], at[bad]):
+        note(
+            f"curve increases in lambda between {lam[i]:g} and {lam[i + 1]:g}",
+            lam[i + 1],
+            np.unravel_index(j, tc.grid.shape),
+        )
 
     # concavity in lambda: interior samples above the chord of their neighbors
-    fin_idx = np.nonzero(finite)[0]
-    for a, b, c in zip(fin_idx, fin_idx[1:], fin_idx[2:]):
-        la, lb, lc = tc.lambdas[a], tc.lambdas[b], tc.lambdas[c]
-        w = (lb - la) / (lc - la)
-        chord = (1 - w) * tc.samples[a].values + w * tc.samples[c].values
-        dev = chord - tc.samples[b].values
-        j = int(np.argmax(dev))
-        if dev.ravel()[j] > tol_concave:
-            note(
-                f"concavity in lambda fails at lambda={lb:g} "
-                f"(deviation {dev.ravel()[j]:g})",
-                lb,
-                np.unravel_index(j, grid.shape),
-            )
+    fin = np.flatnonzero(live)
+    a, b, c = fin[:-2], fin[1:-1], fin[2:]
+    w = ((lam[b] - lam[a]) / (lam[c] - lam[a]))[:, None]
+    at, dev = worst((1 - w) * V[a] + w * V[c] - V[b])
+    bad = dev > tol_concave
+    for lb, j, d in zip(lam[b][bad], at[bad], dev[bad]):
+        note(
+            f"concavity in lambda fails at lambda={lb:g} (deviation {d:g})",
+            lb,
+            np.unravel_index(j, tc.grid.shape),
+        )
 
     return CurveDiagnostics(len(issues) == 0, tuple(issues), witness)
 
@@ -157,15 +150,15 @@ class ConcaveTransform:
 
 def concave_transform(tc: TestCurve, dual: Grid) -> ConcaveTransform:
     """Largest sample lambda whose slope region still contains each dual node."""
-    live = [j for j, s in enumerate(tc.samples) if not s.is_identically_neg_inf]
-    if not live:
+    live = np.flatnonzero(tc.live)
+    if not live.size:
         raise DomainError("test curve has no finite samples")
+    samples = [GridFunction(tc.grid, tc.values[j]) for j in live]
     # the first finite sample's slope region is the base
-    base = subgradient_range(tc.samples[live[0]], dual)
+    base = subgradient_range(samples[0], dual)
     u = np.full(dual.shape, NEG_INF)
     u[base.mask] = tc.lambdas[live[0]]
-    regions = slope_regions([tc.samples[j] for j in live[1:]], dual)
-    for j, (mask, _, _) in zip(live[1:], regions):
+    for j, (mask, _, _) in zip(live[1:], slope_regions(samples[1:], dual)):
         u[mask] = tc.lambdas[j]
     return ConcaveTransform(GridFunction(dual, u), base)
 
@@ -191,15 +184,13 @@ def envelope_from_u(
     if not live:
         raise DomainError("every lambda selection is empty")
     lambda_c = lam[live[-1]]
-    samples = [GridFunction.neg_inf(phi.grid)] * lam.size
+    values = np.full((lam.size,) + phi.grid.shape, NEG_INF)
     for g in _chunks(len(live), phi.grid.num_nodes):
         stack = np.stack([np.where(sels[j], phistar.values, np.inf) for j in live[g]])
-        vals, _ = conjugate(dual.axes(), stack, phi.grid.axes())
-        for j, v in zip(live[g], vals):
-            samples[j] = GridFunction(phi.grid, v)
+        values[live[g]] = conjugate(dual.axes(), stack, phi.grid.axes())[0]
     if lambda_head is None:
         lambda_head = float(lam[0])
-    return TestCurve(lam, tuple(samples), lambda_head=lambda_head, lambda_c=lambda_c)
+    return TestCurve(lam, phi.grid, values, lambda_head=lambda_head, lambda_c=lambda_c)
 
 
 def maximal_envelope(

@@ -222,12 +222,8 @@ def phong_sturm_ray(
     ts = np.asarray(t_grid, dtype=float).ravel()
     E, w = inst.section_values(data, k)
     kE = k * E
-    grid = inst.phi.grid
-    frames = []
-    for t in ts:
-        vals = _logsumexp(kE + t * w[None, :]) / k
-        frames.append(GridFunction(grid, vals.reshape(grid.shape)))
-    return Ray(ts, tuple(frames))
+    frames = np.array([_logsumexp(kE + t * w[None, :]) / k for t in ts])
+    return Ray(ts, inst.phi.grid, frames)
 
 
 def _require_sections_within_cap(inst: BergmanInstance, data: WeightedLatticeData, k: int):
@@ -275,39 +271,19 @@ def limit_curve(
     live = np.flatnonzero(np.isfinite(table[:, 0]))
     if not live.size:
         raise DomainError("limit curve has no finite samples")
-    samples = [GridFunction.neg_inf(grid)] * lambdas.size
-    for j in live:
-        samples[j] = GridFunction(grid, table[j])
-    return TestCurve(
-        lambdas, tuple(samples), lambda_head=float(lambdas[0]), lambda_c=float(lambdas[live[-1]])
-    )
+    return TestCurve(lambdas, grid, table, float(lambdas[0]), float(lambdas[live[-1]]))
 
 
 @dataclass(frozen=True, eq=False)
 class ConcaveTransformG:
     """Piecewise-linear concave envelope of normalized weight data.
 
-    It is linear on each of its facets: segments (1-D) or triangles (2-D)
-    of node indices that tile the polytope.  Called on points (M, n) of the
-    polytope, it evaluates the envelope as the min of its facets' affine
-    pieces, each of which lies above a concave function on the polytope.
-    """
+    It is linear on each of its facets, segments (1-D) or triangles (2-D)
+    of node indices that tile the polytope; ``weight_envelope`` evaluates g-hat."""
 
     nodes: np.ndarray  # (R, n) normalized lattice points
     values: np.ndarray  # (R,) concave-envelope values at the nodes
     facets: np.ndarray  # (F, n + 1) node indices of the simplices g is linear on
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        corners, vals = self.nodes[self.facets], self.values[self.facets]
-        # the piece of a facet is vals[0] + <grad, p - corners[0]>
-        edges = corners[:, 1:] - corners[:, :1]
-        grad = np.linalg.solve(edges, (vals[:, 1:] - vals[:, :1])[..., None])[..., 0]
-        off = vals[:, 0] - (grad * corners[:, 0]).sum(axis=1)
-        out = np.empty(len(pts))
-        for s in _chunks(len(pts), len(off)):
-            out[s] = (pts[s] @ grad.T + off).min(axis=1)
-        return out
 
 
 def concave_transform_g(data: WeightedLatticeData, k: int) -> ConcaveTransformG:

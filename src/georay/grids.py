@@ -4,8 +4,9 @@ and the one convexity certificate.
 Values are stored as float64 arrays shaped like the grid.  The only
 extended value allowed is -inf (the sentinel for the "identically minus
 infinity" convention and for cut-off samples of test curves); +inf and NaN
-are rejected at construction.  Finite entries are capped in magnitude so
-that exp/log-sum-exp further down the pipeline cannot overflow.
+are rejected at construction, by ``grid_values``, for one function and for
+the stacks of rays and test curves alike.  Finite entries are capped in
+magnitude so that exp/log-sum-exp further down the pipeline cannot overflow.
 
 A grid function carries no convexity flag.  ``require_convex`` certifies
 one: its height above the lower convex envelope must be within
@@ -145,6 +146,24 @@ class Grid:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+def grid_values(grid: Grid, values, count: int | None = None) -> np.ndarray:
+    """values as a read-only float64 copy shaped like ``grid``, or for a
+    family of ``count`` functions (k, *grid.shape); ``DomainError`` for a
+    wrong count, NaN, +inf or a finite value over ``VALUE_CAP``."""
+    shape = grid.shape if count is None else (count,) + grid.shape
+    v = np.asarray(values, dtype=float)
+    if v.size != math.prod(shape):
+        raise DomainError(f"expected {math.prod(shape)} values, got {v.size}")
+    v = v.reshape(shape)
+    if np.any(np.isnan(v)) or np.any(v == np.inf):
+        raise DomainError("grid function values must be finite or -inf")
+    if np.any(np.abs(v[np.isfinite(v)]) > VALUE_CAP):
+        raise DomainError(f"finite values exceed the cap {VALUE_CAP:g}")
+    v = v.copy()
+    v.setflags(write=False)
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """Extended-real values on a grid (-inf allowed, +inf and NaN rejected)."""
@@ -153,20 +172,7 @@ class GridFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.size != self.grid.num_nodes:
-            raise DomainError(
-                f"expected {self.grid.num_nodes} values, got {v.size}"
-            )
-        v = v.reshape(self.grid.shape)
-        if np.any(np.isnan(v)) or np.any(v == np.inf):
-            raise DomainError("grid function values must be finite or -inf")
-        finite = np.isfinite(v)
-        if np.any(np.abs(v[finite]) > VALUE_CAP):
-            raise DomainError(f"finite values exceed the cap {VALUE_CAP:g}")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", grid_values(self.grid, self.values))
 
     @property
     def is_identically_neg_inf(self) -> bool:

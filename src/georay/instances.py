@@ -17,9 +17,9 @@ from .grids import Box, Grid, GridFunction, require_convex
 from .legendre import SlopeRegion, default_dual_grid, slope_regions
 
 
-def quadratic_1d(nodes: int = 257, half_width: float = 1.0) -> GridFunction:
-    """x^2/2 on [-half_width, half_width]."""
-    g = Grid(Box((-half_width,), (half_width,)), nodes)
+def quadratic_1d(nodes: int = 257) -> GridFunction:
+    """x^2/2 on [-1, 1]."""
+    g = Grid(Box((-1.0,), (1.0,)), nodes)
     return require_convex("quadratic_1d", GridFunction.from_callable(g, lambda x: x * x / 2))
 
 
@@ -34,9 +34,9 @@ def quadratic_2d(nodes: int = 65) -> GridFunction:
     return GridFunction.from_callable(g, lambda x, y: (x * x + y * y) / 2)
 
 
-def linear_growth_bowl(nodes: int = 129, box_half: float = 3.0) -> GridFunction:
-    """x^2/2 for |x| <= 1, |x| - 1/2 beyond; slope set exactly [-1, 1]."""
-    g = Grid(Box((-box_half,), (box_half,)), nodes)
+def linear_growth_bowl(nodes: int = 129) -> GridFunction:
+    """x^2/2 for |x| <= 1, |x| - 1/2 beyond, on [-3, 3]; slope set exactly [-1, 1]."""
+    g = Grid(Box((-3.0,), (3.0,)), nodes)
 
     def fn(x):
         return np.where(np.abs(x) <= 1.0, x * x / 2, np.abs(x) - 0.5)
@@ -57,17 +57,11 @@ def filtration_base(nodes: int = 257) -> GridFunction:
     return require_convex("filtration_base", GridFunction.from_callable(g, fn))
 
 
-def random_convex_1d(
-    rng: np.random.Generator,
-    nodes: int = 257,
-    slope_bound: float = 1.0,
-    pin_end_slopes: bool = True,
-) -> GridFunction:
-    """Random convex function; pinned end slopes give a shared slope set."""
+def random_convex_1d(rng: np.random.Generator, nodes: int = 257) -> GridFunction:
+    """Random convex function on [-1, 1] with slopes in [-1, 1]; the end
+    slopes are pinned to -1 and 1, so all share the slope set."""
     g = Grid(Box((-1.0,), (1.0,)), nodes)
-    s = np.sort(rng.uniform(-slope_bound, slope_bound, nodes - 1 - (2 if pin_end_slopes else 0)))
-    if pin_end_slopes:
-        s = np.concatenate([[-slope_bound], s, [slope_bound]])
+    s = np.concatenate([[-1.0], np.sort(rng.uniform(-1.0, 1.0, nodes - 3)), [1.0]])
     v = np.concatenate([[0.0], np.cumsum(s * g.spacing[0])])
     v -= v.mean()
     return require_convex("random_convex_1d", GridFunction(g, v))
@@ -95,10 +89,9 @@ def huber_instance(
     nodes: int = 129,
     dual_nodes: int = 129,
     lambda_spacing: float = 2.0**-5,
-    box_half: float = 3.0,
 ) -> RayInstance:
     """phi with slope set [-1, 1], u(y) = -|y|; envelopes are Huber functions."""
-    phi = linear_growth_bowl(nodes, box_half)
+    phi = linear_growth_bowl(nodes)
     dual = default_dual_grid(phi, dual_nodes)
     mask, _, _ = next(slope_regions([phi], dual))
     uvals = np.where(mask, -np.abs(dual.axis(0)), -np.inf)
@@ -108,15 +101,12 @@ def huber_instance(
     return RayInstance(phi, dual, u, curve, lambda_spacing)
 
 
-def constant_u_instance(
-    nodes: int = 129, dual_nodes: int = 129, level: float = 1.0, box_half: float = 3.0
-) -> RayInstance:
-    """u identically ``level`` on the slope set: pure-translation dynamics."""
-    phi = linear_growth_bowl(nodes, box_half)
+def constant_u_instance(nodes: int = 129, dual_nodes: int = 129) -> RayInstance:
+    """u identically 1 on the slope set: pure-translation dynamics."""
+    phi = linear_growth_bowl(nodes)
     dual = default_dual_grid(phi, dual_nodes)
     mask, _, _ = next(slope_regions([phi], dual))
-    uvals = np.where(mask, level, -np.inf)
+    uvals = np.where(mask, 1.0, -np.inf)
     u = ConcaveTransform(GridFunction(dual, uvals), SlopeRegion(dual, mask))
-    lambdas = np.array([level - 1.0, level])
-    curve = envelope_from_u(phi, u, lambdas, dual, lambda_head=level)
+    curve = envelope_from_u(phi, u, np.array([0.0, 1.0]), dual, lambda_head=1.0)
     return RayInstance(phi, dual, u, curve, 1.0)

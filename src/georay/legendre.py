@@ -1,8 +1,10 @@
 """Discrete Legendre-Fenchel transform, biconjugation, and slope regions.
 
 phi*(y) = max_x <x,y> - phi(x) is computed by brute force and by
-``conjugate``, the one kernel for every max of affine functions in georay.
-Both evaluate each candidate with the *same* float expression
+``conjugate``, the one kernel for every max of affine functions indexed by
+grid nodes in georay, the lambda-transform of a test curve included: that
+is a conjugate in lambda.  Both evaluate each candidate with the *same*
+float expression
 
     x1*y1 + (x2*y2 - f(x1, x2))        (1-D: x*y - f(x))
 

@@ -58,12 +58,13 @@ def region_masses(fs, dual: Grid, weigh):
         yield mask, _deposit(f.grid, wit, dual, weigh(mask))
 
 
-def _require_equivalent(f1: GridFunction, f0: GridFunction):
-    if f1.grid != f0.grid:
+def _require_equivalent(grid: Grid, values: np.ndarray, f0: GridFunction):
+    """``values`` on ``grid``, one function or a stack, has f0's grid and finite support."""
+    if grid != f0.grid:
         raise DomainError("grid mismatch")
-    if not np.array_equal(f1.finite_mask, f0.finite_mask):
+    if not (np.isfinite(values) == f0.finite_mask).all():
         raise DomainError("non-equivalent inputs: finite supports differ")
-    if not f1.finite_mask.any():
+    if not f0.finite_mask.any():
         raise DomainError("both functions are identically -inf")
 
 
@@ -86,7 +87,7 @@ def energy_quadrature(
     f0: equivalent functions share one slope set, and on a box that shared
     set is realized by fixing the base's dual box for the whole path.
     """
-    _require_equivalent(f1, f0)
+    _require_equivalent(f1.grid, f1.values, f0)
     _require_finite(f0)
     if t_samples < 3 or t_samples % 2 == 0:
         raise DomainError("t_samples must be odd and >= 3")
@@ -112,32 +113,33 @@ def energy_quadrature(
     return total
 
 
-def dual_energies(fs, f: GridFunction) -> np.ndarray:
-    """E(f_t, f) = int over Delta_f of (f* - f_t*) dy for each f_t of ``fs``.
+def dual_energies(values: np.ndarray, f: GridFunction) -> np.ndarray:
+    """E(f_t, f) = int over Delta_f of (f* - f_t*) dy for each f_t of the
+    stack ``values`` (k, *f.grid.shape), which the caller has checked with
+    ``_require_equivalent``.
 
     The integral is the trapezoid rule on the nodes of the slope region of
     f (``trapezoid_weights``) on ``_energy_dual_grid(f)``.  The region and
     conjugate of f come from one ``slope_regions`` step, and the f_t are
     conjugated in groups of ``_chunks`` items; no witness is computed.
     """
-    for ft in fs:
-        _require_equivalent(ft, f)
     dual = _energy_dual_grid(f)
     mask, fstar, _ = next(slope_regions([f], dual))
     _require_finite(f)
     w = trapezoid_weights(mask)[mask]
     # the value cap of a grid function, as for any Legendre transform
     fstar = GridFunction(dual, fstar).values[mask]
-    out = np.empty(len(fs))
-    for g in _chunks(len(fs), dual.num_nodes):
-        stars, _ = conjugate(f.grid.axes(), np.stack([ft.values for ft in fs[g]]), dual.axes())
+    out = np.empty(len(values))
+    for g in _chunks(len(values), dual.num_nodes):
+        stars, _ = conjugate(f.grid.axes(), values[g], dual.axes())
         out[g] = [(w * (fstar - s[mask])).sum() for s in stars]
     return out * dual.cell_volume
 
 
 def energy_dual(f_t: GridFunction, f: GridFunction) -> float:
     """E(f_t, f) by the dual formula: ``dual_energies`` of the one function."""
-    return float(dual_energies([f_t], f)[0])
+    _require_equivalent(f_t.grid, f_t.values, f)
+    return float(dual_energies(f_t.values[None], f)[0])
 
 
 def cocycle_residual(

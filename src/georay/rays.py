@@ -1,10 +1,10 @@
 """Geodesic rays: Legendre transform in lambda, the dual construction,
 and energy linearity.
 
-A ray is a t-indexed family of grid functions.  Two constructions are
-implemented and compared: the lambda-supremum of a test curve,
-frame(t) = max over lambda of (phi_lambda + t lambda), and the dual route
-frame(t) = conjugate of (phi* - t u) on the finite-u region.  Their
+A ray is one array of frames on one grid, indexed by t.  Two constructions
+are compared: the lambda-supremum of a test curve, frame(t) = max over
+lambda of (phi_lambda + t lambda), a conjugate in lambda, and the dual
+route frame(t) = conjugate of (phi* - t u) on the finite-u region.  Their
 agreement, and the energy E(frame(t), phi) = int of (phi* - frame(t)*) over
 the slope set being t times the integral of u there, are the model
 identities the acceptance suite pins down.
@@ -12,38 +12,39 @@ identities the acceptance suite pins down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import ConcaveTransform, TestCurve, concave_transform
+from .curves import ConcaveTransform, TestCurve
 from .errors import DomainError
-from .grids import Grid, GridFunction, NEG_INF
+from .grids import Grid, GridFunction, grid_values
 from .legendre import _chunks, conjugate
-from .monge_ampere import _energy_dual_grid, dual_energies
+from .monge_ampere import _require_equivalent, dual_energies
+
+
+def _t_values(t_grid) -> np.ndarray:
+    """A t grid, read-only; ``DomainError`` unless it starts at 0 and increases strictly."""
+    ts = np.asarray(t_grid, dtype=float).ravel()
+    if ts.size == 0 or ts[0] != 0.0 or np.any(np.diff(ts) <= 0):
+        raise DomainError("t grid must start at 0 and increase strictly")
+    ts.setflags(write=False)
+    return ts
 
 
 @dataclass(frozen=True, eq=False)
 class Ray:
-    """Frames of grid functions indexed by a sorted t grid starting at 0."""
+    """Frames on one grid indexed by a sorted t grid starting at 0:
+    values[i] is the frame at t_grid[i]."""
 
     t_grid: np.ndarray
-    frames: tuple[GridFunction, ...]
-    curve: TestCurve | None = None
+    grid: Grid
+    values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        ts = np.asarray(self.t_grid, dtype=float).ravel()
-        ts.setflags(write=False)
+        ts = _t_values(self.t_grid)
         object.__setattr__(self, "t_grid", ts)
-        object.__setattr__(self, "frames", tuple(self.frames))
-        if ts.size == 0 or ts[0] != 0.0 or np.any(np.diff(ts) <= 0):
-            raise DomainError("t grid must start at 0 and increase strictly")
-        if len(self.frames) != ts.size:
-            raise DomainError("one frame per t required")
-
-    @property
-    def grid(self) -> Grid:
-        return self.frames[0].grid
+        object.__setattr__(self, "values", grid_values(self.grid, self.values, ts.size))
 
 
 @dataclass(frozen=True)
@@ -59,26 +60,23 @@ def default_t_grid() -> np.ndarray:
 
 
 def ray_from_curve(tc: TestCurve, t_grid=None) -> Ray:
-    """frame(t) = node-wise max over stored lambda of (phi_lambda + t lambda).
-
-    The finite samples are stacked, and each t takes one max over a group of
-    ``_chunks`` samples at a time.
-    """
-    if t_grid is None:
-        t_grid = default_t_grid()
-    ts = np.asarray(t_grid, dtype=float).ravel()
-    if tc.head.is_identically_neg_inf:
+    """frame(t) = node-wise max over stored lambda of (phi_lambda + t lambda):
+    one ``conjugate`` from the finite samples' lambdas to the t grid, a row
+    per node, whose candidate lambda t - (-phi_lambda) is that bit for bit."""
+    live = tc.live
+    if not live[0]:
         raise DomainError("test curve head is identically -inf")
-    live = [j for j, s in enumerate(tc.samples) if not s.is_identically_neg_inf]
-    values = np.stack([tc.samples[j].values.ravel() for j in live])
-    lam = tc.lambdas[live, None]
-    frames = []
-    for t in ts:
-        acc = np.full(tc.grid.num_nodes, NEG_INF)
-        for g in _chunks(len(live), tc.grid.num_nodes):
-            np.maximum(acc, (values[g] + t * lam[g]).max(axis=0), out=acc)
-        frames.append(GridFunction(tc.grid, acc.reshape(tc.grid.shape)))
-    return Ray(ts, tuple(frames), curve=tc)
+    ts = _t_values(default_t_grid() if t_grid is None else t_grid)
+    lam, rows = tc.lambdas[live], tc.values[live].reshape(live.sum(), -1)
+    vals, _ = conjugate([lam], -rows.T, [ts])
+    # of tied candidates 0.0 and -0.0 the kernel may keep either; a frame
+    # keeps the last lambda's, as np.maximum over increasing lambdas does
+    node, k = np.nonzero(vals == 0)
+    for g in _chunks(node.size, lam.size):
+        cand = rows[:, node[g]] + ts[k[g]] * lam[:, None]
+        last = lam.size - 1 - np.argmax(cand[::-1] == 0, axis=0)
+        vals[node[g], k[g]] = cand[last, np.arange(last.size)]
+    return Ray(ts, tc.grid, vals.T)
 
 
 def ray_dual(phistar: GridFunction, u: ConcaveTransform, grid: Grid, t_grid) -> Ray:
@@ -92,45 +90,30 @@ def ray_dual(phistar: GridFunction, u: ConcaveTransform, grid: Grid, t_grid) -> 
     if not sel.any():
         raise DomainError("empty slope region for the dual ray")
     star, uv = phistar.values[sel], u.u.values[sel]
-    frames = []
+    frames = np.empty((ts.size,) + grid.shape)
     for g in _chunks(ts.size, grid.num_nodes):
         mod = np.full((ts[g].size,) + dual.shape, np.inf)
         mod[:, sel] = star - ts[g, None] * uv
-        vals, _ = conjugate(dual.axes(), mod, grid.axes())
-        frames += [GridFunction(grid, v) for v in vals]
-    return Ray(ts, tuple(frames))
+        frames[g] = conjugate(dual.axes(), mod, grid.axes())[0]
+    return Ray(ts, grid, frames)
 
 
 def compare_rays(r1: Ray, r2: Ray) -> np.ndarray:
-    """Per-t sup-norm over nodes where both frames are finite."""
+    """Per-t sup-norm over nodes where both frames are finite, 0 where none are."""
     if not np.array_equal(r1.t_grid, r2.t_grid):
         raise DomainError("mismatched t grids")
     if r1.grid != r2.grid:
         raise DomainError("mismatched primal grids")
-    out = np.empty(r1.t_grid.size)
-    for i, (a, b) in enumerate(zip(r1.frames, r2.frames)):
-        both = a.finite_mask & b.finite_mask
-        out[i] = float(np.abs(a.values[both] - b.values[both]).max()) if both.any() else 0.0
-    return out
+    both = np.isfinite(r1.values) & np.isfinite(r2.values)
+    gap = np.subtract(r1.values, r2.values, out=np.zeros(both.shape), where=both)
+    return np.abs(gap).reshape(len(gap), -1).max(axis=1)
 
 
-def energy_linearity(
-    ray: Ray, f0: GridFunction, u: ConcaveTransform | None = None
-) -> LinearityReport:
+def energy_linearity(ray: Ray, f0: GridFunction, u: ConcaveTransform) -> LinearityReport:
     """Least-squares line through (t, E(frame(t), f0)), the ``dual_energies``
-    of the frames, with predicted slope ``u.integral()``.
-
-    Without u, the concave transform of ray.curve on the energy grid of f0
-    is integrated; rays with neither get predicted_slope = NaN.
-    """
-    energies = dual_energies(ray.frames, f0)
+    of the frames, with predicted slope ``u.integral()``."""
+    _require_equivalent(ray.grid, ray.values, f0)
+    energies = dual_energies(ray.values, f0)
     slope, intercept = np.polyfit(ray.t_grid, energies, 1)
     resid = float(np.abs(energies - (slope * ray.t_grid + intercept)).max())
-    if u is None and ray.curve is not None:
-        u = concave_transform(ray.curve, _energy_dual_grid(f0))
-    return LinearityReport(
-        slope=float(slope),
-        intercept=float(intercept),
-        max_abs_residual=resid,
-        predicted_slope=float("nan") if u is None else u.integral(),
-    )
+    return LinearityReport(float(slope), float(intercept), resid, u.integral())

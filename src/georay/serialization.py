@@ -28,7 +28,7 @@ import itertools
 import numpy as np
 
 from .curves import TestCurve
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .grids import Box, Grid, GridFunction, NEG_INF
 
 
@@ -80,7 +80,8 @@ class _Cursor:
         return parts[1:]
 
 
-def _parse_grid_function(cur: _Cursor) -> GridFunction:
+def _parse_record(cur: _Cursor):
+    """(grid, values) of the next GridFunction record, unchecked."""
     cur.expect("gridfunction")
     dim = int(cur.expect("dim")[0])
     lower = tuple(_parse_float(t, cur.pos) for t in cur.expect("lower"))
@@ -90,7 +91,7 @@ def _parse_grid_function(cur: _Cursor) -> GridFunction:
         raise ParseError("header lengths disagree with dim", line=cur.pos)
     cur.expect("values")
     grid = Grid(Box(lower, upper), nodes)
-    return GridFunction(grid, np.array(_parse_values(cur, grid.num_nodes)).reshape(grid.shape))
+    return grid, _parse_values(cur, grid.num_nodes)
 
 
 def _parse_values(cur: _Cursor, n: int) -> list[float]:
@@ -111,7 +112,7 @@ def _parse_values(cur: _Cursor, n: int) -> list[float]:
 
 
 def load_grid_function(text: str) -> GridFunction:
-    return _parse_grid_function(_Cursor(text.splitlines()))
+    return GridFunction(*_parse_record(_Cursor(text.splitlines())))
 
 
 def dump_test_curve(tc: TestCurve) -> str:
@@ -121,7 +122,7 @@ def dump_test_curve(tc: TestCurve) -> str:
         f"lambda_head {repr(float(tc.lambda_head))}",
         f"lambda_c {repr(float(tc.lambda_c))}",
     ]
-    body = "".join(dump_grid_function(s) for s in tc.samples)
+    body = "".join(dump_grid_function(GridFunction(tc.grid, v)) for v in tc.values)
     return "\n".join(lines) + "\n" + body
 
 
@@ -131,10 +132,13 @@ def load_test_curve(text: str) -> TestCurve:
     lambdas = np.array([_parse_float(t, cur.pos) for t in cur.expect("lambdas")])
     head = _parse_float(cur.expect("lambda_head")[0], cur.pos)
     lc = _parse_float(cur.expect("lambda_c")[0], cur.pos)
-    samples = tuple(
-        _parse_grid_function(cur) for _ in lambdas
-    )
-    return TestCurve(lambdas, samples, lambda_head=head, lambda_c=lc)
+    records = [_parse_record(cur) for _ in lambdas]
+    if not records:
+        raise DomainError("empty test curve")
+    for lam, (g, _) in zip(lambdas, records):
+        if g != records[0][0]:
+            raise DomainError(f"test curve samples on different grids (first at lambda={lam:g})")
+    return TestCurve(lambdas, records[0][0], [v for _, v in records], head, lc)
 
 
 def _coord_fields(grid: Grid) -> list[str]:
@@ -147,11 +151,11 @@ def _coord_fields(grid: Grid) -> list[str]:
 def dump_ray_csv(ray) -> str:
     lead = [c + "," for c in _coord_fields(ray.grid)]
     blocks = ["t," + ",".join(f"x{i}" for i in range(ray.grid.dim)) + ",value"]
-    for t, fr in zip(ray.t_grid.tolist(), ray.frames):
+    for t, fr in zip(ray.t_grid.tolist(), ray.values):
         head = f"{t!r},"
         # repr of a Python float is _fmt's token, -inf included; joining
         # per frame keeps one frame's row strings alive, not every row's
-        vals = map(repr, fr.values.ravel().tolist())
+        vals = map(repr, fr.ravel().tolist())
         blocks.append("\n".join([head + c + v for c, v in zip(lead, vals)]))
     return "\n".join(blocks) + "\n"
 

@@ -245,16 +245,33 @@ class TestRayCommand:
 
     def test_dented_curve_sample_exit_3(self, specdir, tmp_path, capsys):
         tc = ser.load_test_curve((specdir / "curve.tc").read_text())
-        samples = list(tc.samples)
-        samples[4] = _dented(samples[4])
+        samples = tc.values.copy()
+        samples[4] = _dented(GridFunction(tc.grid, samples[4])).values
         assert tc.lambdas[4] == -0.5
         (tmp_path / "c.tc").write_text(
-            ser.dump_test_curve(curves.TestCurve(tc.lambdas, samples, tc.lambda_head, tc.lambda_c))
+            ser.dump_test_curve(curves.TestCurve(tc.lambdas, tc.grid, samples, tc.lambda_head, tc.lambda_c))
         )
         spec = _spec_elsewhere(specdir, "curve.spec", tmp_path / "p.spec", curve=str(tmp_path / "c.tc"))
         assert main(["ray", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("validation failure: curve sample at lambda=-0.5 is not convex at node ")
+        assert not any((tmp_path / "o").iterdir())
+
+    def test_curve_samples_on_two_grids_exit_3(self, specdir, tmp_path, capsys):
+        tc = ser.load_test_curve((specdir / "curve.tc").read_text())
+        head = GridFunction(tc.grid, tc.values[0])
+        moved = GridFunction(Grid(Box((-2.0,), (2.0,)), tc.grid.shape), tc.values[1])
+        lam = " ".join(repr(float(v)) for v in tc.lambdas[:2])
+        (tmp_path / "c.tc").write_text(
+            f"testcurve 1\nlambdas {lam}\nlambda_head {lam.split()[0]}\nlambda_c {lam.split()[1]}\n"
+            + ser.dump_grid_function(head) + ser.dump_grid_function(moved)
+        )
+        spec = _spec_elsewhere(specdir, "curve.spec", tmp_path / "p.spec", curve=str(tmp_path / "c.tc"))
+        assert main(["ray", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "validation failure: test curve samples on different grids "
+            "(first at lambda=-0.875)\n"
+        )
         assert not any((tmp_path / "o").iterdir())
 
     @pytest.mark.parametrize("spec", ["huber.spec", "curve.spec"])

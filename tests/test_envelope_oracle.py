@@ -35,21 +35,24 @@ def caratheodory_envelopes(pts, vals, qs):
     return lower, upper
 
 
-def points_inside(pts, rng, count):
-    """Random convex combinations of three random nodes."""
-    idx = rng.integers(0, len(pts), size=(count, 3))
-    lam = rng.dirichlet(np.ones(3), size=count)
-    return np.einsum("qi,qij->qj", lam, pts[idx])
+def sample_g(g, rng, count):
+    """g's nodes and ``count`` random points of its facets, with the values
+    of g there: on a facet, g is the barycentric interpolation of its
+    corner values."""
+    facets = g.facets[rng.integers(0, len(g.facets), count)]
+    lam = rng.dirichlet(np.ones(facets.shape[1]), size=count)
+    qs = np.vstack([g.nodes, np.einsum("qi,qij->qj", lam, g.nodes[facets])])
+    return qs, np.concatenate([g.values, (lam * g.values[facets]).sum(axis=1)])
 
 
 def assert_concave_transform_matches(data, k, rng):
     g = concave_transform_g(data, k)
     pts, w = data.reachable(k)
     x, v = pts / k, w / k
-    qs = np.vstack([x, points_inside(x, rng, 40)])
+    qs, at = sample_g(g, rng, 40)
     _, upper = caratheodory_envelopes(x, v, qs)
     scale = max(1.0, float(np.abs(v).max()))
-    assert np.abs(g(qs) - upper).max() <= 1e-12 * scale
+    assert np.abs(at - upper).max() <= 1e-12 * scale
 
 
 RIDGE = WeightedLatticeData(np.array([[0, 0], [1, 0], [0, 1], [1, 1]]), np.array([0, 1, 1, 0]))
@@ -57,9 +60,9 @@ SIMPLEX = np.array([[0, 0], [1, 0], [0, 1]])
 
 
 def test_ridge_concave_transform():
-    # the envelope is min(x + y, 2 - x - y), which is 1 at the centre
-    g = concave_transform_g(RIDGE, 1)
-    assert g((0.5, 0.5))[0] == pytest.approx(1.0, abs=1e-12)
+    # the envelope is min(x + y, 2 - x - y), which is 1 on the ridge
+    qs, at = sample_g(concave_transform_g(RIDGE, 1), np.random.default_rng(1), 40)
+    assert np.abs(at - np.minimum(qs.sum(axis=1), 2 - qs.sum(axis=1))).max() <= 1e-12
     assert_concave_transform_matches(RIDGE, 1, np.random.default_rng(0))
 
 
@@ -80,10 +83,9 @@ def test_random_concave_transform(seed):
 def test_flat_concave_transform(weights, plane, k):
     # affine weights on the standard simplex: g is the plane c + a.q
     data = WeightedLatticeData(SIMPLEX, np.array(weights))
-    g = concave_transform_g(data, k)
-    qs = np.vstack([g.nodes, points_inside(g.nodes, np.random.default_rng(k), 20)])
+    qs, at = sample_g(concave_transform_g(data, k), np.random.default_rng(k), 20)
     c, a1, a2 = plane
-    assert np.abs(g(qs) - (c + a1 * qs[:, 0] + a2 * qs[:, 1])).max() <= 1e-12 * 3
+    assert np.abs(at - (c + a1 * qs[:, 0] + a2 * qs[:, 1])).max() <= 1e-12 * 3
     assert_concave_transform_matches(data, k, np.random.default_rng(k))
 
 

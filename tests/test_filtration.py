@@ -28,7 +28,7 @@ from georay.filtration import (
     weight_envelope,
     weight_histogram,
 )
-from georay.grids import NEG_INF, SIZE_CAP, require_convex
+from georay.grids import NEG_INF, SIZE_CAP, GridFunction, require_convex
 from georay.instances import filtration_base
 from georay.legendre import default_dual_grid, legendre
 from georay.rays import compare_rays
@@ -197,7 +197,7 @@ class TestLimitCurveAndRay:
         for k, row, ray in zip(sorted(k_list), gaps, rays):
             ps = phong_sturm_ray(base_inst, w01, k, ts)
             assert np.array_equal(row, compare_rays(target, ps))
-            assert all(np.array_equal(a.values, b.values) for a, b in zip(ray.frames, ps.frames))
+            assert np.array_equal(ray.values, ps.values)
 
     def test_limit_curve_table_over_cap(self):
         # every degree passes the lattice and section caps, but weights
@@ -222,17 +222,17 @@ class TestLimitCurveAndRay:
     def test_trivial_weights_constant_in_t(self, base_inst):
         data = WeightedLatticeData(np.array([[0], [1]]), np.array([0, 0]))
         ray = phong_sturm_ray(base_inst, data, 8)
-        first = ray.frames[0].values
-        for fr in ray.frames[1:]:
-            assert np.array_equal(fr.values, first)
+        first = ray.values[0]
+        for fr in ray.values[1:]:
+            assert np.array_equal(fr, first)
 
     def test_uniform_weights_translate(self, base_inst):
         # weights identically c*k shift the ray by c*t
         data = WeightedLatticeData(np.array([[0], [1]]), np.array([2, 2]))
         ray = phong_sturm_ray(base_inst, data, 8)
-        base = ray.frames[0].values
-        for t, fr in zip(ray.t_grid, ray.frames):
-            assert np.abs(fr.values - (base + 2 * t)).max() <= 1e-10
+        base = ray.values[0]
+        for t, fr in zip(ray.t_grid, ray.values):
+            assert np.abs(fr - (base + 2 * t)).max() <= 1e-10
 
 
 class TestExtremalTable:
@@ -261,10 +261,10 @@ class TestExtremalTable:
     def test_limit_curve_samples_certify_convex(self, request, case):
         inst, data = request.getfixturevalue(case)
         curve = limit_curve(inst, data, [4, 8])
-        live = [s for s in curve.samples if not s.is_identically_neg_inf]
-        assert live
+        live = curve.values[curve.live]
+        assert live.size
         for sample in live:
-            require_convex("sample", sample)
+            require_convex("sample", GridFunction(curve.grid, sample))
 
     def test_2d_equivalence_bytes(self, simplex_2d):
         """SHA-256 of the 2-D gaps and Phong-Sturm rays at k = 4 and 8: pins the
@@ -272,8 +272,8 @@ class TestExtremalTable:
         gaps, rays = equivalence_check(*simplex_2d, np.linspace(0.0, 1.0, 5), [4, 8])
         h = hashlib.sha256(gaps.tobytes())
         for ray in rays:
-            for frame in ray.frames:
-                h.update(frame.values.tobytes())
+            for frame in ray.values:
+                h.update(frame.tobytes())
         assert h.hexdigest() == "d93eacf857ca7c4823c3d238d8c8e5b795e602d32938979e2acc08f1feb1d8e8"
 
 
@@ -294,11 +294,13 @@ class TestToricRay:
     def test_weight_envelope_is_concave_transform_g(self, rng, points, weights):
         data = WeightedLatticeData(np.array(points), np.array(weights))
         g = concave_transform_g(data, 1)
-        corners = g.nodes[g.facets[rng.integers(0, len(g.facets), 300)]]
-        bary = rng.dirichlet(np.ones(corners.shape[1]), size=300)
-        inside = np.vstack([g.nodes, np.einsum("qi,qij->qj", bary, corners)])
+        facets = g.facets[rng.integers(0, len(g.facets), 300)]
+        bary = rng.dirichlet(np.ones(facets.shape[1]), size=300)
+        inside = np.vstack([g.nodes, np.einsum("qi,qij->qj", bary, g.nodes[facets])])
         at = weight_envelope(data, inside)
-        assert np.abs(at - g(inside)).max() <= 1e-14
+        # g is linear on each facet: the barycentric mean of its corner values
+        want = np.concatenate([g.values, (bary * g.values[facets]).sum(axis=1)])
+        assert np.abs(at - want).max() <= 1e-14
         # enough points for one simplex per group, after the degenerate ones
         # are dropped
         assert np.array_equal(weight_envelope(data, np.tile(inside, (30, 1))), np.tile(at, 30))
@@ -339,9 +341,9 @@ class TestToricRay:
         on = np.isfinite(g_hat(y))
         star = legendre(inst.phi, inst.dual, method="brute").values.ravel()
         x = inst.phi.grid.coords()
-        for t, frame in zip(ts, ray.frames):
+        for t, frame in zip(ts, ray.values):
             want = (x @ y[on].T - (star[on] - t * g_hat(y)[on])).max(axis=1)
-            assert np.abs(frame.values.ravel() - want).max() <= 1e-12
+            assert np.abs(frame.ravel() - want).max() <= 1e-12
 
     def test_limit_curve_constant_fit(self):
         # C = gap / (h_d + 1/k_max) on four levels that halve both terms:
@@ -353,10 +355,10 @@ class TestToricRay:
 
 
 class TestConcaveTransformG:
+    # weight_envelope is the evaluator of g-hat, the degree-1 envelope
     def test_w01_is_identity_on_01(self, w01):
-        g = concave_transform_g(w01, 16)
         xs = np.linspace(0.0, 1.0, 11)
-        assert np.abs(g(xs[:, None]) - xs).max() <= 1e-9
+        assert np.abs(weight_envelope(w01, xs[:, None]) - xs).max() <= 1e-9
 
     def test_max_value(self, w01):
         g = concave_transform_g(w01, 8)
@@ -432,16 +434,15 @@ class TestConcaveTransformG:
         corners = g.nodes[g.facets[rng.integers(0, len(g.facets), 200)]]
         bary = rng.dirichlet(np.ones(corners.shape[1]), size=200)
         pts = np.vstack([g.nodes, np.einsum("qi,qij->qj", bary, corners)])
-        assert np.abs(g(pts) - exact(pts)).max() <= 1e-15
+        assert np.abs(weight_envelope(data, pts) - exact(pts)).max() <= 1e-15
 
     def test_call_loads_no_scipy(self):
         script = (
             "import sys\n"
             "import numpy as np\n"
-            "from georay.filtration import ConcaveTransformG\n"
-            "nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])\n"
-            "g = ConcaveTransformG(nodes, np.array([0.0, 1.0, 1.0, 0.0]), np.array([[0, 1, 2], [1, 2, 3]]))\n"
-            "assert g((0.5, 0.5))[0] == 1.0 and g((0.25, 0.25))[0] == 0.5\n"
+            "from georay.filtration import WeightedLatticeData, weight_envelope\n"
+            "data = WeightedLatticeData(np.array([[0, 0], [1, 0], [0, 1], [1, 1]]), np.array([0, 1, 1, 0]))\n"
+            "assert weight_envelope(data, [(0.5, 0.5), (0.25, 0.25)]).tolist() == [1.0, 0.5]\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(georay.__file__).parents[1]))

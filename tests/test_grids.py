@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from georay import grids
+from georay.curves import TestCurve as Curve
 from georay.errors import DomainError
 from georay.grids import (
     Box,
@@ -15,6 +16,14 @@ from georay.grids import (
     lower_envelope,
     require_convex,
 )
+from georay.rays import Ray
+
+
+def _family(kind, grid, values):
+    """A ray, or a test curve, of three functions on ``grid``."""
+    if kind == "ray":
+        return Ray(np.array([0.0, 0.5, 1.0]), grid, values)
+    return Curve(np.array([-1.0, 0.0, 1.0]), grid, values, lambda_head=-1.0, lambda_c=1.0)
 
 
 def chord_envelope_1d(xs, vals):
@@ -76,6 +85,29 @@ class TestGridFunction:
         g = Grid(Box((0.0,), (1.0,)), 3)
         with pytest.raises(DomainError):
             GridFunction(g, np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e13], ids=["nan", "pos-inf", "over-cap"])
+    @pytest.mark.parametrize("family", ["ray", "curve"])
+    def test_families_reject_what_a_function_rejects(self, family, bad):
+        # a ray or a test curve checks its stack of functions, with the
+        # message GridFunction gives for the offending one
+        g = Grid(Box((0.0, 0.0), (1.0, 2.0)), (3, 4))
+        values = np.zeros((3,) + g.shape)
+        values[1, 2, 3] = bad
+        with pytest.raises(DomainError) as one:
+            GridFunction(g, values[1])
+        with pytest.raises(DomainError) as stack:
+            _family(family, g, values)
+        assert str(stack.value) == str(one.value)
+
+    @pytest.mark.parametrize("family", ["ray", "curve"])
+    def test_families_reject_wrong_counts(self, family):
+        g = Grid(Box((0.0,), (1.0,)), 3)
+        with pytest.raises(DomainError, match="^expected 9 values, got 6$"):
+            _family(family, g, np.zeros((2, 3)))
+        with pytest.raises(DomainError, match="^expected 9 values, got 8$"):
+            _family(family, g, np.zeros(8))
+        assert _family(family, g, np.arange(9.0)).values.shape == (3, 3)
 
     def test_certify_rejects_nonconvex(self):
         g = Grid(Box((-1.0,), (1.0,)), 5)

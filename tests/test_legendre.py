@@ -536,7 +536,7 @@ class TestKernel2D:
         star = legendre(phi, dual).values
         sel = u.base.mask & (u.u.values >= lam - 1e-12)
         want, _ = masked_oracle(dual.axes(), star, sel, phi.grid.axes())
-        assert np.array_equal(tc.samples[0].values, want)
+        assert np.array_equal(tc.values[0], want)
 
 
 class TestOneDimensionalCallers:
@@ -552,10 +552,10 @@ class TestOneDimensionalCallers:
         inst = huber_instance(nodes=129, dual_nodes=129, lambda_spacing=0.125)
         x, y = inst.phi.grid.axis(0), inst.dual.axis(0)
         star = legendre(inst.phi, inst.dual).values
-        for lam, s in zip(inst.curve.lambdas, inst.curve.samples):
+        for lam, s in zip(inst.curve.lambdas, inst.curve.values):
             sel = inst.u.base.mask & (inst.u.u.values >= lam - 1e-12)
             if sel.any():
-                assert np.array_equal(s.values, self.old_max(x, y[sel], star[sel]))
+                assert np.array_equal(s, self.old_max(x, y[sel], star[sel]))
 
     def test_ray_dual_bytes(self):
         from georay.instances import huber_instance
@@ -566,9 +566,9 @@ class TestOneDimensionalCallers:
         x, y = inst.phi.grid.axis(0), inst.dual.axis(0)
         sel = inst.u.base.mask & np.isfinite(inst.u.u.values)
         star = legendre(inst.phi, inst.dual).values[sel]
-        for t, fr in zip(ts, ray.frames):
+        for t, fr in zip(ts, ray.values):
             mod = star - t * inst.u.u.values[sel]
-            assert np.array_equal(fr.values, self.old_max(x, y[sel], mod))
+            assert np.array_equal(fr, self.old_max(x, y[sel], mod))
 
 
 class TestBiconjugate:

@@ -75,8 +75,8 @@ class TestCurveRoundTrip:
         back = ser.load_test_curve(text)
         assert np.array_equal(back.lambdas, inst.curve.lambdas)
         assert back.lambda_c == inst.curve.lambda_c
-        for a, b in zip(inst.curve.samples, back.samples):
-            assert np.array_equal(a.values, b.values)
+        assert back.grid == inst.curve.grid
+        assert np.array_equal(back.values, inst.curve.values)
 
 
 class TestWeightDataRoundTrip:
@@ -105,7 +105,7 @@ class TestCsvDumps:
         f2 = quadratic_2d(5)
         texts = [
             ser.dump_ray_csv(ray_from_curve(inst.curve, np.array([0.0, 1.0]))),
-            ser.dump_ray_csv(Ray(np.array([0.0, 0.5]), (f2, f2))),
+            ser.dump_ray_csv(Ray(np.array([0.0, 0.5]), f2.grid, [f2.values, f2.values])),
         ]
         for text in texts:
             for row in text.strip().splitlines()[1:]:
@@ -115,13 +115,13 @@ class TestCsvDumps:
     def test_ray_csv_bytes_match_per_field_format(self, rng):
         # the row format before frames were formatted with repr in bulk
         g = Grid(Box((-1.0, 0.0), (1.0, 2.0)), (3, 4))
-        finite = GridFunction(g, rng.standard_normal(g.shape) * 1e3)
+        finite = rng.standard_normal(g.shape) * 1e3
         partial = rng.standard_normal(g.shape)
         partial[1, 2] = partial[0, 0] = NEG_INF
-        frames = (finite, GridFunction(g, partial), GridFunction.neg_inf(g))
-        ray = Ray(np.array([0.0, 0.1, 2.0 / 3.0]), frames)
+        frames = [finite, partial, np.full(g.shape, NEG_INF)]
+        ray = Ray(np.array([0.0, 0.1, 2.0 / 3.0]), g, frames)
         coords = [",".join(repr(float(x)) for x in c) for c in g.coords()]
         rows = ["t,x0,x1,value"]
-        for t, fr in zip(ray.t_grid, ray.frames):
-            rows += [f"{float(t)!r},{c},{ser._fmt(v)}" for c, v in zip(coords, fr.values.ravel())]
+        for t, fr in zip(ray.t_grid, ray.values):
+            rows += [f"{float(t)!r},{c},{ser._fmt(v)}" for c, v in zip(coords, fr.ravel())]
         assert ser.dump_ray_csv(ray) == "\n".join(rows) + "\n"
