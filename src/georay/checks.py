@@ -1,7 +1,11 @@
 """Self-contained verification suite: each check returns a small record.
 
-Every check builds its own instances, measures one quantity, and compares
-it against a fixed bound (scaled by ``tol_scale``).  The record format is::
+A check is one function decorated with ``@_check(name, suite,
+limit_seconds)``: it builds its own instances, measures one quantity and
+returns ``(measured, bound)``.  The decorator registers it in definition
+order, in its suite and in ``all``, and gives it a ``tol_scale=1.0``
+parameter: the decorated check times itself, scales the bound by
+``tol_scale`` and returns the record::
 
     {"name": ..., "measured": float, "bound": float, "passed": bool,
      "seconds": float, "limit_seconds": float}
@@ -51,21 +55,50 @@ from .rays import compare_rays, energy_linearity, ray_dual, ray_from_curve
 
 _SEED = 20240817
 
-
-def _record(name, measured, bound, seconds, limit):
-    return {
-        "name": name,
-        "measured": float(measured),
-        "bound": float(bound),
-        "passed": bool(measured <= bound),
-        "seconds": round(float(seconds), 6),
-        "limit_seconds": float(limit),
-    }
+# name -> check and suite -> names, in definition order
+_CHECKS: dict = {}
+SUITES: dict[str, list[str]] = {}
 
 
-def check_involution(tol_scale: float = 1.0) -> dict:
+def _check(name: str, suite: str, limit_seconds: float):
+    """Register a function returning (measured, bound) as the check ``name``
+    of ``suite`` and of ``all``; see the module docstring."""
+
+    def register(measure):
+        def check(tol_scale: float = 1.0) -> dict:
+            t0 = time.perf_counter()
+            measured, bound = measure()
+            bound = bound * tol_scale
+            return {
+                "name": name,
+                "measured": float(measured),
+                "bound": float(bound),
+                "passed": bool(measured <= bound),
+                "seconds": round(float(time.perf_counter() - t0), 6),
+                "limit_seconds": float(limit_seconds),
+            }
+
+        check.__name__, check.__qualname__ = measure.__name__, measure.__qualname__
+        check.__doc__ = measure.__doc__
+        _CHECKS[name] = check
+        for s in (suite, "all"):
+            SUITES.setdefault(s, []).append(name)
+        return check
+
+    return register
+
+
+def _halving(c_coarse: float, c_fine: float, c_max: float) -> float:
+    """Worst of: the constant C of a first-order bound at most ``c_max`` on
+    a coarse level and on the level with its spacings halved, and the ratio
+    c_fine / c_coarse inside [0.7, 1.3]; at most 1 when all three hold."""
+    ratio = c_fine / max(c_coarse, 1e-30)
+    return max(c_coarse / c_max, c_fine / c_max, abs(ratio - 1.0) / 0.3)
+
+
+@_check("legendre_involution", "core", 2.0)
+def check_involution():
     """Biconjugation restores convex data and convexifies the rest."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(_SEED)
     worst = 0.0
     bound = math.inf
@@ -81,14 +114,13 @@ def check_involution(tol_scale: float = 1.0) -> dict:
         env = lower_convex_envelope(f)
         err = float(np.abs(biconjugate(f, dual).values - env.values).max())
         worst = max(worst, err)
-    return _record(
-        "legendre_involution", worst, bound * tol_scale, time.perf_counter() - t0, 2.0
-    )
+    return worst, bound
 
 
-def check_fast_vs_brute(tol_scale: float = 1.0) -> dict:
-    """Fast separable transform matches brute force exactly, witnesses too."""
-    t0 = time.perf_counter()
+@_check("fast_vs_brute", "core", 5.0)
+def check_fast_vs_brute():
+    """Fast separable transform matches brute force bit for bit, signs of
+    zero and witnesses included."""
     rng = np.random.default_rng(_SEED + 1)
     worst = 0.0
     g2 = quadratic_2d(65).grid
@@ -99,18 +131,19 @@ def check_fast_vs_brute(tol_scale: float = 1.0) -> dict:
         vf, wf = legendre(f, dual, method="fast", return_witness=True)
         vb, wb = legendre(f, dual, method="brute", return_witness=True)
         worst = max(worst, float(np.abs(vf.values - vb.values).max()))
+        worst = max(worst, float(np.count_nonzero(np.signbit(vf.values) != np.signbit(vb.values))))
         worst = max(worst, float(np.abs(wf - wb).max()))
-    return _record("fast_vs_brute", worst, 0.0, time.perf_counter() - t0, 5.0)
+    return worst, 0.0
 
 
-def check_total_mass(tol_scale: float = 1.0) -> dict:
+@_check("ma_total_mass", "envelopes", 5.0)
+def check_total_mass():
     """Weighted MA total mass equals the closed-form area of the slope set.
 
     The forward-difference slopes of x^2/2 at spacing h run from
     -1 + h/2 to 1 - h/2, those of |x| from -1 to 1.  Counting whole dual
     cells per region node instead measures 0.5 (1-D) and 0.32 (2-D).
     """
-    t0 = time.perf_counter()
 
     def total(f, dual):
         _, masses = next(region_masses([f], dual, trapezoid_weights))
@@ -123,27 +156,22 @@ def check_total_mass(tol_scale: float = 1.0) -> dict:
         ratios.append(abs(total(f, dual) - area) / (2.0 * dual.cell_volume))
     area2 = (2.0 - q2.grid.spacing[0]) ** 2
     ratios.append(abs(total(q2, default_dual_grid(q2)) - area2) / area2 / 0.05)
-    return _record(
-        "ma_total_mass", max(ratios), 0.1 * tol_scale, time.perf_counter() - t0, 5.0
-    )
+    return max(ratios), 0.1
 
 
-def check_energy_dual(tol_scale: float = 1.0) -> dict:
+@_check("energy_dual_vs_quadrature", "envelopes", 2.0)
+def check_energy_dual():
     """Quadrature energy agrees with the dual-side formula."""
-    t0 = time.perf_counter()
     f0 = quadratic_1d(257)
     f1 = GridFunction(f0.grid, f0.values + 0.25 * (1.0 - f0.grid.axis(0) ** 2))
     eq = energy_quadrature(f1, f0, t_samples=11)
     ed = energy_dual(f1, f0)
-    rel = abs(eq - ed) / max(abs(eq), abs(ed), 1e-30)
-    return _record(
-        "energy_dual_vs_quadrature", rel, 1e-2 * tol_scale, time.perf_counter() - t0, 2.0
-    )
+    return abs(eq - ed) / max(abs(eq), abs(ed), 1e-30), 1e-2
 
 
-def check_cocycle(tol_scale: float = 1.0) -> dict:
+@_check("energy_cocycle", "envelopes", 5.0)
+def check_cocycle():
     """E(f2,f0) = E(f2,f1) + E(f1,f0) on random equivalent triples."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(_SEED + 2)
     worst = 0.0
     for _ in range(10):
@@ -151,14 +179,12 @@ def check_cocycle(tol_scale: float = 1.0) -> dict:
         f1 = random_convex_1d(rng, nodes=129)
         f2 = random_convex_1d(rng, nodes=129)
         worst = max(worst, cocycle_residual(f0, f1, f2))
-    return _record(
-        "energy_cocycle", worst, 5e-2 * tol_scale, time.perf_counter() - t0, 5.0
-    )
+    return worst, 5e-2
 
 
-def check_contact_concentration(tol_scale: float = 1.0) -> dict:
+@_check("contact_concentration", "envelopes", 5.0)
+def check_contact_concentration():
     """MA mass of each envelope charges only the contact band."""
-    t0 = time.perf_counter()
     inst = huber_instance()
     budget = 3.0 * inst.dual.cell_volume
     worst = 0.0
@@ -167,9 +193,7 @@ def check_contact_concentration(tol_scale: float = 1.0) -> dict:
     for s, (_, masses) in zip(live, region_masses(live, inst.dual, lambda m: m)):
         outside = float(masses[~contact_set(inst.phi, s)].sum())
         worst = max(worst, outside / budget)
-    return _record(
-        "contact_concentration", worst, 1.0 * tol_scale, time.perf_counter() - t0, 5.0
-    )
+    return worst, 1.0
 
 
 def _hat_dual_gap(inst) -> float:
@@ -182,26 +206,19 @@ def _hat_dual_gap(inst) -> float:
     return float((gaps / denom).max())
 
 
-def check_ray_equality(tol_scale: float = 1.0) -> dict:
+@_check("ray_equality", "rays", 10.0)
+def check_ray_equality():
     """Envelope-supremum ray equals the conjugate-side ray; gap halves
     with the spacings."""
-    t0 = time.perf_counter()
     coarse = huber_instance(nodes=129, dual_nodes=129, lambda_spacing=2.0**-5)
     fine = huber_instance(nodes=257, dual_nodes=257, lambda_spacing=2.0**-6)
-    c_coarse = _hat_dual_gap(coarse)
-    c_fine = _hat_dual_gap(fine)
-    ratio = c_fine / max(c_coarse, 1e-30)
-    # worst of: C <= 10 and the halving ratio inside [0.7, 1.3] of itself
-    measured = max(c_coarse / 10.0, c_fine / 10.0, abs(ratio - 1.0) / 0.3)
-    return _record(
-        "ray_equality", measured, 1.0 * tol_scale, time.perf_counter() - t0, 10.0
-    )
+    return _halving(_hat_dual_gap(coarse), _hat_dual_gap(fine), 10.0), 1.0
 
 
-def check_energy_linearity(tol_scale: float = 1.0) -> dict:
+@_check("energy_linearity", "rays", 10.0)
+def check_energy_linearity():
     """Energy along the ray is linear in t with slope the integral of u, on
     both the lambda route and the dual route that ``georay ray`` ships."""
-    t0 = time.perf_counter()
     worst = 0.0
     for inst in (
         constant_u_instance(),
@@ -215,9 +232,7 @@ def check_energy_linearity(tol_scale: float = 1.0) -> dict:
             worst = max(
                 worst, abs(rep.slope - rep.predicted_slope) / (0.02 * abs(rep.predicted_slope))
             )
-    return _record(
-        "energy_linearity", worst, 1.0 * tol_scale, time.perf_counter() - t0, 10.0
-    )
+    return worst, 1.0
 
 
 def _standard_filtration():
@@ -230,9 +245,9 @@ def _filtration_instances():
     yield WeightedLatticeData(np.array([[0], [1], [2]]), np.array([1, 0, 2])), 6
 
 
-def check_lse_sandwich(tol_scale: float = 1.0) -> dict:
+@_check("lse_sandwich", "filtration", 1.0)
+def check_lse_sandwich():
     """max e_i <= (1/k) log-sum-exp <= max e_i + ln|I|/k, node-wise."""
-    t0 = time.perf_counter()
     phi = filtration_base(129)
     # dual box wide enough for every instance's normalized lattice points
     dual = Grid(Box((-0.5,), (2.5,)), (129,))
@@ -241,14 +256,12 @@ def check_lse_sandwich(tol_scale: float = 1.0) -> dict:
         inst = BergmanInstance(phi, dual)
         low, high = log_sum_exp_sandwich_gap(inst, data, k)
         worst = max(worst, low, high)
-    return _record(
-        "lse_sandwich", worst, 1e-12 * tol_scale, time.perf_counter() - t0, 1.0
-    )
+    return worst, 1e-12
 
 
-def check_phong_sturm(tol_scale: float = 1.0) -> dict:
+@_check("phong_sturm_equivalence", "filtration", 20.0)
+def check_phong_sturm():
     """Bergman-type ray converges to the envelope ray as k grows."""
-    t0 = time.perf_counter()
     phi = filtration_base(257)
     dual = default_dual_grid(phi, 257)
     inst = BergmanInstance(phi, dual)
@@ -265,10 +278,32 @@ def check_phong_sturm(tol_scale: float = 1.0) -> dict:
         bound = math.log(k + 1.0) / k + 10.0 * (h + hd + lam_sp) * (1.0 + t_grid)
         worst = max(worst, float((g / bound).max()))
     # the gap must actually shrink from k=4 to k=32
-    worst = max(worst, gaps[32] / gaps[4])
-    return _record(
-        "phong_sturm_equivalence", worst, 1.0 * tol_scale, time.perf_counter() - t0, 20.0
-    )
+    return max(worst, gaps[32] / gaps[4]), 1.0
+
+
+@_check("trivial_configuration", "filtration", 2.0)
+def check_trivial_configuration():
+    """Constant weights give the translated base metric back."""
+    phi = filtration_base(257)
+    inst = BergmanInstance(phi, default_dual_grid(phi, 257))
+    data = WeightedLatticeData(np.array([[0], [1]]), np.array([0, 0]))
+    k = 16
+    ray = phong_sturm_ray(inst, data, k)
+    # every frame is phi translated by t * eta, with eta = 0
+    drift = float(np.abs(ray.values - phi.values).max())
+    n_sections = data.reachable(k)[1].size
+    return drift, math.log(n_sections) / k + phi.grid.box.diameter / (2.0 * k)
+
+
+@_check("concave_transform_moments", "filtration", 1.0)
+def check_moments():
+    """Normalized weight sums match the moments of the concave transform."""
+    data = _standard_filtration()
+    k = 32
+    g = concave_transform_g(data, k)
+    lhs1, rhs1 = moment_check(g, data, k, 1)
+    lhs2, rhs2 = moment_check(g, data, k, 2)
+    return max(abs(lhs1 - rhs1) / (1.0 / k), abs(lhs2 - rhs2) / (2.0 / k)), 1.0
 
 
 # the constant of the bound C (h_d + 1/k_max) on the limit-curve gap: fitted
@@ -292,95 +327,15 @@ def limit_curve_constant(nodes: int, k_max: int) -> float:
     return gap / (inst.dual.spacing[0] + 1.0 / k_max)
 
 
-def check_limit_curve_convergence(tol_scale: float = 1.0) -> dict:
+@_check("limit_curve_convergence", "filtration", 5.0)
+def check_limit_curve_convergence():
     """The paper's route to the Phong-Sturm limit converges to the closed
     form at first order in h_d + 1/k_max; the constant holds as both halve."""
-    t0 = time.perf_counter()
     # coarse levels: the suite's other worker finishes before the one that
     # runs fast_vs_brute; tests/test_filtration.py fits C up to 513 nodes
     c_coarse = limit_curve_constant(65, 8)
     c_fine = limit_curve_constant(129, 16)
-    ratio = c_fine / max(c_coarse, 1e-30)
-    # worst of: C <= _LIMIT_CURVE_C and the halving ratio inside [0.7, 1.3]
-    measured = max(c_coarse / _LIMIT_CURVE_C, c_fine / _LIMIT_CURVE_C, abs(ratio - 1.0) / 0.3)
-    return _record(
-        "limit_curve_convergence", measured, 1.0 * tol_scale, time.perf_counter() - t0, 5.0
-    )
-
-
-def check_trivial_configuration(tol_scale: float = 1.0) -> dict:
-    """Constant weights give the translated base metric back."""
-    t0 = time.perf_counter()
-    phi = filtration_base(257)
-    inst = BergmanInstance(phi, default_dual_grid(phi, 257))
-    data = WeightedLatticeData(np.array([[0], [1]]), np.array([0, 0]))
-    k = 16
-    ray = phong_sturm_ray(inst, data, k)
-    # every frame is phi translated by t * eta, with eta = 0
-    drift = float(np.abs(ray.values - phi.values).max())
-    n_sections = data.reachable(k)[1].size
-    bound = math.log(n_sections) / k + phi.grid.box.diameter / (2.0 * k)
-    return _record(
-        "trivial_configuration",
-        drift,
-        bound * tol_scale,
-        time.perf_counter() - t0,
-        2.0,
-    )
-
-
-def check_moments(tol_scale: float = 1.0) -> dict:
-    """Normalized weight sums match the moments of the concave transform."""
-    t0 = time.perf_counter()
-    data = _standard_filtration()
-    k = 32
-    g = concave_transform_g(data, k)
-    lhs1, rhs1 = moment_check(g, data, k, 1)
-    lhs2, rhs2 = moment_check(g, data, k, 2)
-    measured = max(abs(lhs1 - rhs1) / (1.0 / k), abs(lhs2 - rhs2) / (2.0 / k))
-    return _record(
-        "concave_transform_moments",
-        measured,
-        1.0 * tol_scale,
-        time.perf_counter() - t0,
-        1.0,
-    )
-
-
-_CHECKS = {
-    "legendre_involution": check_involution,
-    "fast_vs_brute": check_fast_vs_brute,
-    "ma_total_mass": check_total_mass,
-    "energy_dual_vs_quadrature": check_energy_dual,
-    "energy_cocycle": check_cocycle,
-    "contact_concentration": check_contact_concentration,
-    "ray_equality": check_ray_equality,
-    "energy_linearity": check_energy_linearity,
-    "lse_sandwich": check_lse_sandwich,
-    "phong_sturm_equivalence": check_phong_sturm,
-    "trivial_configuration": check_trivial_configuration,
-    "concave_transform_moments": check_moments,
-    "limit_curve_convergence": check_limit_curve_convergence,
-}
-
-SUITES = {
-    "core": ["legendre_involution", "fast_vs_brute"],
-    "envelopes": [
-        "ma_total_mass",
-        "energy_dual_vs_quadrature",
-        "energy_cocycle",
-        "contact_concentration",
-    ],
-    "rays": ["ray_equality", "energy_linearity"],
-    "filtration": [
-        "lse_sandwich",
-        "phong_sturm_equivalence",
-        "trivial_configuration",
-        "concave_transform_moments",
-        "limit_curve_convergence",
-    ],
-}
-SUITES["all"] = sum((SUITES[s] for s in ("core", "envelopes", "rays", "filtration")), [])
+    return _halving(c_coarse, c_fine, _LIMIT_CURVE_C), 1.0
 
 
 def _run_check(name: str, tol_scale: float) -> dict:

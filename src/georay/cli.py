@@ -89,30 +89,34 @@ def _load_spec(path: str) -> dict:
     return doc
 
 
-def _load_grid_function_file(specdir: Path, name) -> GridFunction:
-    if not isinstance(name, str):
-        raise ParseError("expected a file path string")
-    return ser.load_grid_function((specdir / name).read_text())
+def _read_spec_file(specdir: Path, doc: dict, key: str) -> str:
+    """The text of the file named by the spec's ``key``, relative to ``specdir``."""
+    if key not in doc:
+        raise ParseError(f"spec has no {key!r} file")
+    if not isinstance(doc[key], str):
+        raise ParseError(f"{key} must be a file path string, not {doc[key]!r}")
+    return (specdir / doc[key]).read_text()
 
 
 def _grid_from_block(block) -> Grid:
     try:
-        return Grid(
-            Box(tuple(block["lower"]), tuple(block["upper"])),
-            tuple(block["nodes"]),
-        )
-    except (KeyError, TypeError) as exc:
+        nodes = tuple(block["nodes"])
+        if not all(type(m) is int for m in nodes):  # bool is no node count
+            raise TypeError(f"nodes must be integers, not {block['nodes']!r}")
+        return Grid(Box(tuple(block["lower"]), tuple(block["upper"])), nodes)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed grid block: {exc}") from exc
 
 
 def _t_grid(doc, grid: Grid) -> np.ndarray:
     """The spec's t grid; a frame per t on ``grid``."""
-    n = int(doc.get("t_nodes", 11))
-    tmax = float(doc.get("t_max", 1.0))
-    if n < 2 or tmax <= 0:
-        raise ParseError("t grid needs t_nodes >= 2 and t_max > 0")
+    n, tmax = doc.get("t_nodes", 11), doc.get("t_max", 1.0)
+    if type(n) is not int or n < 2:
+        raise ParseError(f"t_nodes must be an integer >= 2, not {n!r}")
+    if type(tmax) not in (int, float) or not 0 < tmax < np.inf:
+        raise ParseError(f"t_max must be a finite number > 0, not {tmax!r}")
     require_within_cap("t grid", n, grid.num_nodes)
-    return np.linspace(0.0, tmax, n)
+    return np.linspace(0.0, float(tmax), n)
 
 
 # the smallest ray (frames x nodes) whose CSV a forked child writes: the
@@ -176,9 +180,11 @@ def cmd_ray(spec_path: str, out_dir: str, tol_scale: float = 1.0) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     if doc["kind"] == "curve":
-        tc = ser.load_test_curve((specdir / doc["curve"]).read_text())
+        tc = ser.load_test_curve(_read_spec_file(specdir, doc, "curve"))
         ts = _t_grid(doc, tc.grid)
-        phi = _load_grid_function_file(specdir, doc["phi"]) if "phi" in doc else tc.head
+        phi = tc.head
+        if "phi" in doc:
+            phi = ser.load_grid_function(_read_spec_file(specdir, doc, "phi"))
         # discrete envelopes are lambda-concave only up to one grid cell
         h = max(tc.grid.spacing)
         dlam = float(np.diff(tc.lambdas).min()) if tc.lambdas.size > 1 else 0.0
@@ -199,10 +205,10 @@ def cmd_ray(spec_path: str, out_dir: str, tol_scale: float = 1.0) -> int:
         u = concave_transform(tc, _energy_dual_grid(phi))
         lambda_c = tc.lambda_c
     else:
-        phi = _load_grid_function_file(specdir, doc["phi"])
+        phi = ser.load_grid_function(_read_spec_file(specdir, doc, "phi"))
         ts = _t_grid(doc, phi.grid)
         dual = _grid_from_block(doc["dual"]) if "dual" in doc else default_dual_grid(phi)
-        uf = ser.load_grid_function((specdir / doc["u"]).read_text())
+        uf = ser.load_grid_function(_read_spec_file(specdir, doc, "u"))
         if uf.grid != dual:
             raise DomainError("u is not sampled on the dual grid")
         _require_finite(phi)
@@ -242,11 +248,11 @@ def cmd_filtration(spec_path: str, out_dir: str, k_list) -> int:
     specdir = Path(spec_path).parent
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    phi = _load_grid_function_file(specdir, doc["phi"])
+    phi = ser.load_grid_function(_read_spec_file(specdir, doc, "phi"))
     if phi.grid.dim == 1:
         require_convex("phi", phi)
     dual = _grid_from_block(doc["dual"]) if "dual" in doc else default_dual_grid(phi)
-    data = ser.load_weight_data((specdir / doc["weights"]).read_text())
+    data = ser.load_weight_data(_read_spec_file(specdir, doc, "weights"))
     inst = BergmanInstance(phi, dual)
     ts = _t_grid(doc, phi.grid)
     k_list = sorted(set(int(k) for k in k_list))

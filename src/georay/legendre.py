@@ -50,9 +50,9 @@ Witnesses are computed only when a caller asks for them: without, the
 window keeps only its running max v and the certificate bound < v (no
 first max, second largest or gap), dense pairs store no argmax, and 2-D
 skips the witness gather and the tie redo.  The values come from the same
-float expressions, so they are the same bits.  Dense pairs still take the
-value at the first maximizer, as the brute force does: a plain max may
-return the other sign of a zero.  Witnesses are asked for by
+float expressions, so they are the same bits.  The window and the dense
+pairs both take the value at the first maximizer, as the brute force does:
+a plain max may return the other sign of a tied zero.  Witnesses are asked for by
 ``legendre(..., return_witness=True)`` (``fast_vs_brute``),
 ``slope_regions(..., witness=True)`` (the Monge-Ampere deposit of
 ``region_masses``) and ``energy_quadrature``; every other caller
@@ -258,10 +258,11 @@ def _window(x, W, run, y, lo, hi, witness):
         w, second = s.copy(), np.full(s.shape, -np.inf)
     for d in range(1, 5):
         c = x[s + d] * y - W.take(at + d)
+        rise = c > v  # the first max's value: np.maximum keeps c of tied zeros
         if witness:
             np.maximum(second, np.minimum(v, c), out=second)
-            np.copyto(w, s + d, where=c > v)
-        np.maximum(v, c, out=v)
+            np.copyto(w, s + d, where=rise)
+        np.copyto(v, c, where=rise)
     # certificate: g = x*y - H is concave and g >= x*y - W, so g at the
     # nodes s-1 and s+5 bounds every node beyond them; H padded with +inf
     # bounds nothing where the run has no such node

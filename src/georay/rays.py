@@ -68,14 +68,11 @@ def ray_from_curve(tc: TestCurve, t_grid=None) -> Ray:
         raise DomainError("test curve head is identically -inf")
     ts = _t_values(default_t_grid() if t_grid is None else t_grid)
     lam, rows = tc.lambdas[live], tc.values[live].reshape(live.sum(), -1)
-    vals, _ = conjugate([lam], -rows.T, [ts])
-    # of tied candidates 0.0 and -0.0 the kernel may keep either; a frame
-    # keeps the last lambda's, as np.maximum over increasing lambdas does
-    node, k = np.nonzero(vals == 0)
-    for g in _chunks(node.size, lam.size):
-        cand = rows[:, node[g]] + ts[k[g]] * lam[:, None]
-        last = lam.size - 1 - np.argmax(cand[::-1] == 0, axis=0)
-        vals[node[g], k[g]] = cand[last, np.arange(last.size)]
+    # over decreasing lambda, so that of tied candidates (0.0 and -0.0) a
+    # frame keeps the last lambda's, as np.maximum over increasing lambdas
+    # does; (-lambda)(-t) is lambda t bit for bit
+    vals, _ = conjugate([-lam[::-1]], -rows[::-1].T, [-ts[::-1]])
+    vals = vals[:, ::-1]
     return Ray(ts, tc.grid, vals.T)
 
 

@@ -94,7 +94,7 @@ BOWL2_SHA256 = {
 
 # the 1-D dual_u fixture, whose u = -|y| peaks at -0.0 on the node y = 0
 HUBER_SHA256 = {
-    "ray.csv": "7479dd211cc7a6c89f72b549b05bde5dca738f9e7364134153fb489bb4c4673e",
+    "ray.csv": "5fc4efdc5172136b4f409d0a934a1e2cea0811170efeff2aa43e5ee06a700d5d",
     "energy.json": "c17de3f27256eba468f67780f1ca00e05f62c50716f38aaf7f9430f972374b30",
     "linearity.json": "bf449ae1014e66046ce17632eff8f25040b81bd0feacd39f99fe1c62184853db",
 }
@@ -310,6 +310,35 @@ class TestRayCommand:
         out = tmp_path / "out"
         assert main(["ray", "--spec", str(specdir / "huber.spec"), "--out", str(out)]) == 0
         assert '"lambda_c": 0.0,' in (out / "energy.json").read_text()
+
+    # a missing or non-string file key, a non-numeric t grid and non-integer
+    # dual nodes are parse errors, not tracebacks
+    @pytest.mark.parametrize(
+        "command, spec, update",
+        [
+            ("ray", "huber.spec", {"u": None}),
+            ("ray", "huber.spec", {"phi": None}),
+            ("ray", "curve.spec", {"curve": None}),
+            ("filtration", "weights01.spec", {"phi": None}),
+            ("filtration", "weights01.spec", {"weights": None}),
+            ("ray", "huber.spec", {"u": 3}),
+            ("ray", "curve.spec", {"curve": ["curve.tc"]}),
+            ("ray", "curve.spec", {"phi": {"file": "phi.gf"}}),
+            ("filtration", "weights01.spec", {"weights": 1.5}),
+            ("ray", "huber.spec", {"t_nodes": "eleven"}),
+            ("ray", "huber.spec", {"t_nodes": 2.5}),
+            ("ray", "curve.spec", {"t_max": "1.0"}),
+            ("filtration", "weights01.spec", {"t_max": [1.0]}),
+            ("ray", "huber.spec", {"dual": {"lower": [-2.0], "upper": [2.0], "nodes": [65.5]}}),
+            ("ray", "huber.spec", {"dual": {"lower": [-2.0], "upper": [2.0], "nodes": ["65"]}}),
+            ("filtration", "weights01.spec",
+             {"dual": {"lower": [-0.5], "upper": [1.5], "nodes": [True]}}),
+        ],
+    )
+    def test_malformed_field_exit_2(self, specdir, tmp_path, capsys, command, spec, update):
+        path = _spec_elsewhere(specdir, spec, tmp_path / "bad.spec", **update)
+        assert main([command, "--spec", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("parse error: ")
 
     def test_missing_file_exit_3(self, specdir, tmp_path):
         spec = specdir / "missing_payload.spec"
@@ -679,6 +708,25 @@ class TestFiltrationCommand:
 class TestCheckCommand:
     def test_unknown_suite_exit_2(self, capsys):
         assert main(["check", "--suite", "bogus"]) == 2
+
+    def test_suites(self):
+        # the all-suite report is pinned by its hash; this pins the others
+        core = ["legendre_involution", "fast_vs_brute"]
+        envelopes = [
+            "ma_total_mass", "energy_dual_vs_quadrature", "energy_cocycle", "contact_concentration",
+        ]
+        rays = ["ray_equality", "energy_linearity"]
+        filtration = [
+            "lse_sandwich", "phong_sturm_equivalence", "trivial_configuration",
+            "concave_transform_moments", "limit_curve_convergence",
+        ]
+        assert checks.SUITES == {
+            "core": core,
+            "envelopes": envelopes,
+            "rays": rays,
+            "filtration": filtration,
+            "all": core + envelopes + rays + filtration,
+        }
 
     def test_core_suite_report(self, tmp_path):
         out = tmp_path / "rep.json"

@@ -130,6 +130,19 @@ class TestTransform:
         _, wit = legendre(f, dual, return_witness=True)
         assert wit[1] == 0  # y = 0 ties everywhere; first node wins
 
+    def test_tied_signed_zeros_keep_the_first_maximizer(self):
+        # at y = 0, x*y - f is -0.0 - 0.0 = -0.0 at x = -4 and -0.0 - (-0.0)
+        # = 0.0 at x = -3: the window settles the pair and takes the first
+        x = np.arange(-8.0, 1.0)
+        f = np.array([16.0, 9.0, 4.0, 1.0, 0.0, -0.0, 1.0, 4.0, 9.0])
+        y = np.array([0.0])
+        vals, wit, _, dense = _transform_1d(x, f, y, True)
+        assert not dense.any()
+        assert same_bits(vals[0], np.array([-0.0])) and wit[0, 0] == 4
+        assert same_bits(values_only(conjugate, [x], f, [y]), vals[0])
+        bvals, bwit = _transform_brute([x], f, [y])
+        assert same_bits(bvals, vals[0]) and np.array_equal(bwit, wit[0])
+
     def test_partial_neg_inf_rejected(self):
         # any -inf node makes the conjugate +inf at every slope
         g = Grid(Box((0.0,), (1.0,)), 3)
