@@ -30,7 +30,6 @@ from .curves import contact_set, maximal_envelope
 from .filtration import (
     BergmanInstance,
     WeightedLatticeData,
-    concave_transform_g,
     equivalence_check,
     limit_curve,
     log_sum_exp_sandwich_gap,
@@ -300,9 +299,8 @@ def check_moments():
     """Normalized weight sums match the moments of the concave transform."""
     data = _standard_filtration()
     k = 32
-    g = concave_transform_g(data, k)
-    lhs1, rhs1 = moment_check(g, data, k, 1)
-    lhs2, rhs2 = moment_check(g, data, k, 2)
+    lhs1, rhs1 = moment_check(data, k, 1)
+    lhs2, rhs2 = moment_check(data, k, 2)
     return max(abs(lhs1 - rhs1) / (1.0 / k), abs(lhs2 - rhs2) / (2.0 / k)), 1.0
 
 

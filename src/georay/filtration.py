@@ -3,11 +3,12 @@
 Degree-1 lattice points with integer weights generate all higher degrees
 through a tropical (max-plus) convolution; the resulting weight arrays
 model a multiplicative filtration.  From them we build sup-norm Bergman
-metrics, their log-sum-exp sandwich, the concave transform of the
-weights on the polytope, the Fekete limit curve, and the Phong-Sturm ray,
-together with the equivalence check against the closed-form toric ray
-(phi* - t g-hat)*, where g-hat is the concave envelope of the degree-1
-weights over the polytope (Song-Zelditch, Adv. Math. 229, 2012).  The
+metrics, their log-sum-exp sandwich, the Fekete limit curve, and the
+Phong-Sturm ray, together with the equivalence check against the
+closed-form toric ray (phi* - t g-hat)*, where g-hat is the concave
+envelope of the degree-1 weights over the polytope (Song-Zelditch, Adv.
+Math. 229, 2012).  g-hat is evaluated, and its moments integrated, on the
+simplices of P1 it is linear on, ``weight_facets``, with no hull.  The
 paper's route to that ray (limit curve, maximal envelope, lambda-transform)
 stays in the library, as the check that it converges to the closed form.
 """
@@ -22,9 +23,7 @@ import numpy as np
 
 from .curves import ConcaveTransform, TestCurve
 from .errors import DomainError, ResourceError
-from .grids import (
-    Grid, GridFunction, NEG_INF, SIZE_CAP, lower_envelope, require_within_cap,
-)
+from .grids import Grid, GridFunction, NEG_INF, SIZE_CAP, require_within_cap
 from .legendre import SlopeRegion, _chunks, check_dual_contains_slopes, conjugate
 from .rays import Ray, compare_rays, default_t_grid, ray_dual
 
@@ -85,9 +84,8 @@ class WeightedLatticeData:
 
     def _degree_one_array(self) -> np.ndarray:
         arr = np.full(self._shape(1), NEG_INF)
-        origin = self._origin(1)
-        for p, w in zip(self.points, self.weights):
-            arr[tuple(p - origin)] = float(w)
+        # a point listed twice keeps its largest weight, as at every degree
+        np.maximum.at(arr, tuple((self.points - self._origin(1)).T), self.weights.astype(float))
         return arr
 
     def closure(self, k: int) -> np.ndarray:
@@ -227,15 +225,13 @@ def phong_sturm_ray(
 
 
 def _require_sections_within_cap(inst: BergmanInstance, data: WeightedLatticeData, k: int):
-    """Two distinct degree-1 points reach at least k + 1 points at degree k,
-    so the degree-k section matrix can be over the cap before any closure
-    is built (whose cost is quadratic in k): ``ResourceError`` then."""
-    nodes = inst.phi.grid.num_nodes
-    if (data.points != data.points[0]).any() and (k + 1) * nodes > SIZE_CAP:
-        raise ResourceError(
-            f"degree-{k} section matrix of at least {k + 1} x {nodes} "
-            f"nodes exceeds the size cap {SIZE_CAP}"
-        )
+    """A P1 of affine rank r reaches C(k + r, r) points at degree k, the sums
+    of an r-simplex, so the degree-k section matrix can be over the cap
+    before any closure is built: ``ResourceError`` then."""
+    nodes, r = inst.phi.grid.num_nodes, int(np.linalg.matrix_rank(data.points - data.points[0]))
+    if math.comb(k + r, r) * nodes > SIZE_CAP:
+        raise ResourceError(f"degree-{k} section matrix of at least {math.comb(k + r, r)} x "
+                            f"{nodes} nodes exceeds the size cap {SIZE_CAP}")
 
 
 def limit_curve(
@@ -274,41 +270,68 @@ def limit_curve(
     return TestCurve(lambdas, grid, table, float(lambdas[0]), float(lambdas[live[-1]]))
 
 
-@dataclass(frozen=True, eq=False)
-class ConcaveTransformG:
-    """Piecewise-linear concave envelope of normalized weight data.
+def weight_facets(data: WeightedLatticeData) -> np.ndarray:
+    """The n-simplices of P1 ((F, n + 1) point indices) that tile conv(P1)
+    and on each of which g-hat is linear: its regular subdivision.
 
-    It is linear on each of its facets, segments (1-D) or triangles (2-D)
-    of node indices that tile the polytope; ``weight_envelope`` evaluates g-hat."""
+    A simplex of P1 (one point per location, the first of its largest
+    weight) is kept when no lifted point (p, w) lies above its lifted plane,
+    the sign of an integer determinant, so exact.  Within a face of coplanar
+    lifted points, only the cone from its lexicographically least point over
+    each boundary cell stays: the far endpoint in 1-D, a boundary edge with
+    no face point inside it in 2-D.  The simplices times the points are
+    size-capped; a P1 that spans no n-simplex raises ``DomainError``.
+    """
+    p, w, n = data.points, data.weights, data.dim
+    # heights are at most 12 span^2 max|w|, and int64 sums wrap: only they must fit
+    if 12 * int(np.ptp(p)) ** 2 * int(np.abs(w).max()) >= 2**63:
+        raise DomainError("P1 and its weights are too large for exact int64 tests")
+    order = np.lexsort((-w, *p.T[::-1]))
+    idx = order[np.r_[True, (np.diff(p[order], axis=0) != 0).any(axis=1)]]
+    q, lift = p[idx], np.column_stack([p[idx], w[idx]])
+    require_within_cap(f"{n}-simplex table of P1", math.comb(len(q), n + 1), len(q))
+    s = np.array(list(combinations(range(len(q)), n + 1)), dtype=np.int64).reshape(-1, n + 1)
+    e = lift[s[:, 1:]] - lift[s[:, :1]]
+    # the lifted simplex's normal, whose last entry is its edges' determinant
+    normal = np.cross(e[:, 0], e[:, 1]) if n == 2 else np.column_stack([-e[:, 0, 1], e[:, 0, 0]])
+    up = normal[:, -1] != 0
+    if not up.any():
+        raise DomainError(f"{n}-D points {p.tolist()} span no {n}-simplex")
+    s, normal = s[up], normal[up] * np.sign(normal[up, -1:])
+    # height of every lifted point over each simplex's plane, times a positive
+    h = normal @ lift.T - (normal * lift[s[:, 0]]).sum(axis=1, keepdims=True)
+    s, face = s[(h <= 0).all(axis=1)], h[(h <= 0).all(axis=1)] == 0
+    # the apex s[:, 0] is the face's least point (q is sorted), and no face
+    # point lies beyond the cell s[:, 1:] from it
+    r = q - q[s[:, 1], None]
+    if n == 1:
+        side, inner = r[..., 0], False
+    else:
+        cell = q[s[:, 2]] - q[s[:, 1]]
+        side = cell[:, None, 0] * r[..., 1] - cell[:, None, 1] * r[..., 0]
+        along = (r * cell[:, None]).sum(axis=2)
+        inner = (side == 0) & (along > 0) & (along < (cell * cell).sum(axis=1)[:, None])
+    side = side * np.sign(side[np.arange(len(s)), s[:, 0]])[:, None]
+    tile = (face.argmax(axis=1) == s[:, 0]) & ~(face & ((side < 0) | inner)).any(axis=1)
+    return idx[s[tile]]
 
-    nodes: np.ndarray  # (R, n) normalized lattice points
-    values: np.ndarray  # (R,) concave-envelope values at the nodes
-    facets: np.ndarray  # (F, n + 1) node indices of the simplices g is linear on
 
+def moment_check(data: WeightedLatticeData, k: int, p: int):
+    """((1/k^n) sum of normalized degree-k weights^p, integral of g-hat^p
+    over the polytope), g-hat being their concave envelope for every k.
 
-def concave_transform_g(data: WeightedLatticeData, k: int) -> ConcaveTransformG:
-    """Concave envelope of {(alpha/k, weight(alpha)/k)} on the polytope."""
-    pts, w = data.reachable(k)
-    x = pts.astype(float) / k
-    env, facets = lower_envelope(x, -w / k)
-    return ConcaveTransformG(x, -env, facets)
-
-
-def moment_check(g: ConcaveTransformG, data: WeightedLatticeData, k: int, p: int):
-    """((1/k^n) sum of normalized weights^p, integral of g^p over the polytope).
-
-    g is linear on each facet, an n-simplex S with vertex values a, so the
-    integral is exact: |S| sum(a) / (n+1) for p = 1 and
+    g-hat is linear on each of ``weight_facets``, an n-simplex S with vertex
+    weights a, so the integral is exact: |S| sum(a) / (n+1) for p = 1 and
     |S| ((sum a)^2 + sum a^2) / ((n+1)(n+2)) for p = 2.
     """
     if p not in (1, 2):
         raise DomainError("only moments p in {1, 2} are supported")
     _, w = data.reachable(k)
-    n = data.dim
+    n, facets = data.dim, weight_facets(data)
     lhs = float(((w / k) ** p).sum()) / k**n
-    corners = g.nodes[g.facets]
+    corners = data.points[facets].astype(float)
     vol = np.abs(np.linalg.det(corners[:, 1:] - corners[:, :1])) / math.factorial(n)
-    a = g.values[g.facets]
+    a = data.weights[facets].astype(float)
     s = a.sum(axis=1)
     mean = s / (n + 1) if p == 1 else (s * s + (a * a).sum(axis=1)) / ((n + 1) * (n + 2))
     return lhs, float((vol * mean).sum())
@@ -338,29 +361,17 @@ def weight_envelope(data: WeightedLatticeData, pts: np.ndarray) -> np.ndarray:
     """g-hat at points (M, n): the concave envelope of the degree-1 weights
     over the polytope conv(P1), -inf off it.
 
-    By Caratheodory, g-hat(y) is the max of a linear program over convex
-    combinations of P1 whose optimum uses at most n + 1 affinely independent
-    points, which zero weights extend to an n-simplex of P1.  So g-hat(y) is
-    the max, over the n-simplices of P1 that contain y (barycentric
-    coordinates >= -1e-9), of the barycentric interpolation of their
-    weights: exact, and without a hull.  The simplices times the points are
-    size-capped; a P1 that spans no n-simplex raises ``DomainError``.
+    g-hat(y) is the barycentric interpolation of the weights of the facet of
+    ``weight_facets`` that contains y (barycentric coordinates >= -1e-9),
+    the max over them where facets meet: exact, and without a hull.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    p, n = data.points, data.dim
-    require_within_cap(f"{n}-simplex table of P1", math.comb(len(p), n + 1), len(pts))
-    simplices = np.array(list(combinations(range(len(p)), n + 1)), dtype=np.int64).reshape(-1, n + 1)
-    corner = p[simplices[:, 0]].astype(float)
-    edges = p[simplices[:, 1:]] - corner[:, None]
-    # integer edges: a nonzero determinant is at least 1 in magnitude
-    keep = np.abs(np.linalg.det(edges)) > 0.5
-    if not keep.any():
-        raise DomainError(f"{n}-D points {p.tolist()} span no {n}-simplex")
-    corner, inv = corner[keep], np.linalg.inv(edges[keep])
-    w = data.weights[simplices[keep]].astype(float)
+    facets, p, n = weight_facets(data), data.points, data.dim
+    corner, w = p[facets[:, 0]].astype(float), data.weights[facets].astype(float)
+    inv = np.linalg.inv(p[facets[:, 1:]] - corner[:, None])
     out = np.full(len(pts), NEG_INF)
     for g in _chunks(len(corner), len(pts) * n):
-        # barycentric coordinates of every point in each simplex of the group
+        # barycentric coordinates of every point in each facet of the group
         bary = (pts - corner[g, None]) @ inv[g]
         inside = (bary >= -1e-9).all(axis=2) & (bary.sum(axis=2) <= 1.0 + 1e-9)
         vals = w[g, :1] + (bary @ (w[g, 1:] - w[g, :1])[..., None])[..., 0]
@@ -384,21 +395,19 @@ def toric_ray(inst: BergmanInstance, data: WeightedLatticeData, t_grid) -> Ray:
 
 
 def equivalence_check(
-    inst: BergmanInstance,
-    data: WeightedLatticeData,
-    t_grid,
-    k_list,
+    inst: BergmanInstance, data: WeightedLatticeData, t_grid, k_list
 ) -> tuple[np.ndarray, list[Ray]]:
     """Per-t sup-norm gaps between the Phong-Sturm rays of the degrees k_list
     and their limit, the closed-form ``toric_ray``.
 
-    The degree cap is checked before any closure is built, and the target
-    is built before any Phong-Sturm ray.  Returns (gaps, rays): row i of the
-    (degrees, t) table ``gaps`` is the gap at the i-th distinct degree of
-    k_list in ascending order, and ``rays[i]`` is the Phong-Sturm ray it was
-    measured against.
+    A P1 that spans no n-simplex is rejected first, then the degree cap is
+    checked before any closure is built, and the target is built before any
+    Phong-Sturm ray.  Returns (gaps, rays): row i of the (degrees, t) table
+    ``gaps`` is the gap at the i-th distinct degree of k_list in ascending
+    order, and ``rays[i]`` is the Phong-Sturm ray it was measured against.
     """
     ks = sorted(set(int(k) for k in k_list))
+    weight_facets(data)
     _require_sections_within_cap(inst, data, ks[-1])
     target = toric_ray(inst, data, t_grid)
     rays = [phong_sturm_ray(inst, data, k, t_grid) for k in ks]

@@ -218,32 +218,27 @@ def _lower_hull_1d(x: np.ndarray, v: np.ndarray):
     return hull
 
 
-def lower_envelope(pts: np.ndarray, vals: np.ndarray):
-    """(env, facets): the lower convex envelope of scattered data (pts (N, d),
-    vals (N,)) at the data points, where it is clipped to the data, and the
-    point indices (F, d + 1) of the lifted hull's segments or triangles,
-    which tile the hull of pts and on each of which the envelope is linear.
-    The upper concave envelope is minus the lower envelope of the negated
-    data.
+def lower_envelope(pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The lower convex envelope of scattered data (pts (N, d), vals (N,))
+    at the data points, where it is clipped to the data.  The upper concave
+    envelope is minus the lower envelope of the negated data.
 
     In 1-D it interpolates the lower hull of the sorted points.  In 2-D it is
     the max of the planes of the downward-facing facets of the hull of
     (pts, vals), each of which supports the cloud from below; a flat cloud,
-    which qhull rejects, is its own least-squares plane, and its facets are
-    a fan over the hull of pts.  Collinear 2-D points raise ``DomainError``.
+    which qhull rejects, is its own least-squares plane.  Collinear 2-D
+    points raise ``DomainError``.
     """
     if pts.shape[1] == 1:
         order = np.argsort(pts[:, 0], kind="stable")
         hull = order[_lower_hull_1d(pts[order, 0], vals[order])]
         out = np.interp(pts[:, 0], pts[hull, 0], vals[hull])
-        facets = np.column_stack([hull[:-1], hull[1:]])
     else:
         from scipy.spatial import ConvexHull, QhullError
 
         try:
             hull = ConvexHull(np.column_stack([pts, vals]))
-            down = hull.equations[:, 2] < -1e-12  # n.p + off <= 0 inside
-            eq, facets = hull.equations[down], hull.simplices[down]
+            eq = hull.equations[hull.equations[:, 2] < -1e-12]  # n.p + off <= 0 inside
         except QhullError:
             # the plane z = c0 p1 + c1 p2 + c2, as one downward facet equation
             lift = np.column_stack([pts, np.ones(len(pts))])
@@ -251,15 +246,13 @@ def lower_envelope(pts: np.ndarray, vals: np.ndarray):
             if rank < 3:
                 raise DomainError(f"2-D points {pts.tolist()} are collinear: they span no triangle")
             eq = np.array([[c[0], c[1], -1.0, c[2]]])
-            ring = ConvexHull(pts).vertices
-            facets = np.column_stack([np.full(ring.size - 2, ring[0]), ring[1:-1], ring[2:]])
         nxy, nz, off = eq[:, :2], eq[:, 2], eq[:, 3]
         out = np.empty(len(pts))
         chunk = 4096
         for s in range(0, len(pts), chunk):
             out[s : s + chunk] = (-(pts[s : s + chunk] @ nxy.T + off) / nz).max(axis=1)
     # the hull surface interpolates the data; guard fp drift above it
-    return np.minimum(out, vals), facets
+    return np.minimum(out, vals)
 
 
 def lower_convex_envelope(f: GridFunction) -> GridFunction:
@@ -270,8 +263,7 @@ def lower_convex_envelope(f: GridFunction) -> GridFunction:
     """
     if not np.all(f.finite_mask):
         return GridFunction.neg_inf(f.grid)
-    env, _ = lower_envelope(f.grid.coords(), f.values.ravel())
-    return GridFunction(f.grid, env)
+    return GridFunction(f.grid, lower_envelope(f.grid.coords(), f.values.ravel()))
 
 
 def require_convex(name: str, f: GridFunction, concave: bool = False) -> GridFunction:
@@ -305,7 +297,7 @@ def require_convex(name: str, f: GridFunction, concave: bool = False) -> GridFun
         excess = (w[1:-1] - (w[:-2] + w[2:]) / 2).max() if w.size >= 3 else 0.0
         if excess * (w.size - 1) ** 2 / 4 <= tol:
             return f
-    env, _ = lower_envelope(f.grid.coords()[fin], w)
+    env = lower_envelope(f.grid.coords()[fin], w)
     dev = w - env
     i = int(np.argmax(dev))
     if dev[i] > tol:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,32 @@ from georay.grids import Box, Grid, GridFunction, require_convex
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def caratheodory_envelopes(pts, vals, qs):
+    """(lower convex, upper concave) envelopes of (pts (N, n), vals) at qs,
+    +inf and -inf off the hull of pts.  By Caratheodory, they are the min
+    and the max, over the n-simplices of the points with non-zero volume
+    that contain q, of the barycentric interpolation of the values."""
+    tri = np.array(list(itertools.combinations(range(len(pts)), pts.shape[1] + 1)))
+    edges = pts[tri[:, 1:]] - pts[tri[:, :1]]
+    keep = np.abs(np.linalg.det(edges)) > 1e-12
+    tri, inv = tri[keep], np.linalg.inv(edges[keep])
+    lower = np.empty(len(qs))
+    upper = np.empty(len(qs))
+    for i, q in enumerate(qs):
+        b = np.einsum("tj,tjk->tk", q - pts[tri[:, 0]], inv)
+        lam = np.column_stack([1.0 - b.sum(axis=1), b])
+        inside = (lam >= -1e-13).all(axis=1)
+        interp = (lam[inside] * vals[tri[inside]]).sum(axis=1)
+        lower[i], upper[i] = interp.min(initial=np.inf), interp.max(initial=-np.inf)
+    return lower, upper
+
+
+@pytest.fixture(scope="session")
+def caratheodory():
+    """The brute-force envelope oracle ``caratheodory_envelopes``."""
+    return caratheodory_envelopes
 
 
 @pytest.fixture

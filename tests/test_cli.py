@@ -642,6 +642,28 @@ class TestFiltrationCommand:
         what = "degree-100000 section matrix of at least 100001 x 129 nodes"
         assert f"{what} exceeds the size cap {SIZE_CAP}" in capsys.readouterr().err
 
+    def test_2d_section_cap_before_any_ray(self, specdir, tmp_path, capsys, monkeypatch):
+        # P1 = {0, e1, e2} reaches C(k + 2, 2) points at degree k: at k = 32
+        # the section matrix is over the cap on 65^2 nodes, so neither a
+        # closure nor the target nor the k = 4, 8, 16 rays are built
+        g = Grid(Box((-3.0, -3.0), (3.0, 3.0)), (65, 65))
+        ys = np.linspace(0.0, 1.0, 65)
+        y = np.stack(np.meshgrid(ys, ys, indexing="ij"), -1).reshape(-1, 2)
+        y = y[y.sum(axis=1) <= 1.0 + 1e-12]
+        phi = GridFunction(g, (g.coords() @ y.T - (y * y).sum(axis=1) / 2).max(axis=1))
+        (tmp_path / "phi65.gf").write_text(ser.dump_grid_function(phi))
+        spec = _spec_elsewhere(specdir, "weights2d.spec", tmp_path / "p.spec", phi=str(tmp_path / "phi65.gf"))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("built before the cap")
+
+        for name in ("multiplicative_closure", "toric_ray", "phong_sturm_ray"):
+            monkeypatch.setattr(filtration, name, fail)
+        argv = ["filtration", "--spec", spec, "--out", str(tmp_path / "o"), "--k", "4,8,16,32"]
+        assert main(argv) == 4
+        what = "degree-32 section matrix of at least 561 x 4225 nodes"
+        assert f"{what} exceeds the size cap {SIZE_CAP}" in capsys.readouterr().err
+
     def test_dented_phi_exit_3(self, specdir, tmp_path, capsys):
         phi = ser.load_grid_function((specdir / "base.gf").read_text())
         (tmp_path / "phi.gf").write_text(ser.dump_grid_function(_dented(phi)))

@@ -16,7 +16,6 @@ from georay.filtration import (
     BergmanInstance,
     WeightedLatticeData,
     _logsumexp,
-    concave_transform_g,
     equivalence_check,
     extremal_metric,
     limit_curve,
@@ -26,6 +25,7 @@ from georay.filtration import (
     phong_sturm_ray,
     toric_ray,
     weight_envelope,
+    weight_facets,
     weight_histogram,
 )
 from georay.grids import NEG_INF, SIZE_CAP, GridFunction, require_convex
@@ -91,6 +91,14 @@ class TestClosure:
         it = np.ndindex(arr.shape)
         for idx in it:
             assert arr[idx] == oracle.get(tuple(np.array(idx)), NEG_INF)
+
+    def test_duplicate_points_keep_the_largest_weight(self):
+        pts = np.array([[0], [0], [1]])
+        ws = np.array([5, 1, 0])
+        data = WeightedLatticeData(pts, ws)
+        for k in (1, 2, 3):
+            oracle = closure_oracle(pts, ws, k)
+            assert data.closure(k).tolist() == [oracle[(j,)] for j in range(k + 1)]
 
     def test_superadditive(self, w01):
         # lambda_{j+k}(a+b) >= lambda_j(a) + lambda_k(b)
@@ -291,20 +299,20 @@ class TestToricRay:
          ([[0, 0], [2, 0], [0, 2], [1, 1], [2, 1]], (0, 1, 2, 5, -3))],
         ids=["three-point", "unsorted", "square", "simplex", "interior-point"],
     )
-    def test_weight_envelope_is_concave_transform_g(self, rng, points, weights):
+    def test_weight_envelope_is_concave_transform_g(self, rng, caratheodory, points, weights):
         data = WeightedLatticeData(np.array(points), np.array(weights))
-        g = concave_transform_g(data, 1)
-        facets = g.facets[rng.integers(0, len(g.facets), 300)]
+        nodes, facets = data.points.astype(float), weight_facets(data)
+        facets = facets[rng.integers(0, len(facets), 300)]
         bary = rng.dirichlet(np.ones(facets.shape[1]), size=300)
-        inside = np.vstack([g.nodes, np.einsum("qi,qij->qj", bary, g.nodes[facets])])
+        inside = np.vstack([nodes, np.einsum("qi,qij->qj", bary, nodes[facets])])
         at = weight_envelope(data, inside)
-        # g is linear on each facet: the barycentric mean of its corner values
-        want = np.concatenate([g.values, (bary * g.values[facets]).sum(axis=1)])
-        assert np.abs(at - want).max() <= 1e-14
-        # enough points for one simplex per group, after the degenerate ones
-        # are dropped
+        # g is the concave envelope of the weights, and linear on each facet:
+        # the barycentric mean of its corner weights
+        assert np.abs(at - caratheodory(nodes, data.weights.astype(float), inside)[1]).max() <= 1e-13
+        assert np.abs(at[len(nodes):] - (bary * data.weights[facets]).sum(axis=1)).max() <= 1e-14
+        # enough points for one facet per group
         assert np.array_equal(weight_envelope(data, np.tile(inside, (30, 1))), np.tile(at, 30))
-        lo, hi = g.nodes.min(axis=0), g.nodes.max(axis=0)
+        lo, hi = nodes.min(axis=0), nodes.max(axis=0)
         outside = np.vstack([lo - 1e-6, hi + 1e-6, lo - 0.5])
         assert np.all(weight_envelope(data, outside) == NEG_INF)
 
@@ -317,10 +325,11 @@ class TestToricRay:
             weight_envelope(data, np.zeros((1, data.dim)))
 
     def test_weight_envelope_size_cap(self):
-        # C(2000, 2) simplices: capped before any is listed
+        # C(2000, 2) simplices, each tested against the 2000 points: capped
+        # before any is listed
         data = WeightedLatticeData(np.arange(2000)[:, None], np.zeros(2000))
         start = time.perf_counter()
-        with pytest.raises(ResourceError, match=f"1-simplex table of P1 of 1999000 x 1 nodes exceeds the size cap {SIZE_CAP}"):
+        with pytest.raises(ResourceError, match=f"1-simplex table of P1 of 1999000 x 2000 nodes exceeds the size cap {SIZE_CAP}"):
             weight_envelope(data, np.zeros((1, 1)))
         assert time.perf_counter() - start < 1.0
 
@@ -355,23 +364,23 @@ class TestToricRay:
 
 
 class TestConcaveTransformG:
-    # weight_envelope is the evaluator of g-hat, the degree-1 envelope
+    # g-hat, the concave envelope of the degree-1 weights: weight_facets
+    # tiles the polytope with the simplices it is linear on,
+    # weight_envelope evaluates it there and moment_check integrates it
     def test_w01_is_identity_on_01(self, w01):
         xs = np.linspace(0.0, 1.0, 11)
         assert np.abs(weight_envelope(w01, xs[:, None]) - xs).max() <= 1e-9
 
     def test_max_value(self, w01):
-        g = concave_transform_g(w01, 8)
-        assert g.values.max() == pytest.approx(1.0)
+        assert weight_envelope(w01, np.linspace(0.0, 1.0, 9)[:, None]).max() == 1.0
 
     def test_moment_closed_forms(self, w01):
         k = 32
-        g = concave_transform_g(w01, k)
-        lhs1, rhs1 = moment_check(g, w01, k, 1)
+        lhs1, rhs1 = moment_check(w01, k, 1)
         # sum_{j=0}^{k} (j/k) / k = (k+1)/(2k)
         assert lhs1 == pytest.approx((k + 1) / (2 * k))
         assert rhs1 == 0.5
-        lhs2, rhs2 = moment_check(g, w01, k, 2)
+        lhs2, rhs2 = moment_check(w01, k, 2)
         assert lhs2 == pytest.approx((k + 1) * (2 * k + 1) / (6 * k * k))
         assert rhs2 == pytest.approx(1 / 3, abs=1e-12)
         assert abs(lhs1 - rhs1) <= 1 / k
@@ -390,11 +399,10 @@ class TestConcaveTransformG:
         ],
     )
     def test_exact_moments(self, points, weights, exact):
+        # the integral is of g-hat, which does not depend on the degree
         data = WeightedLatticeData(np.array(points), np.array(weights))
-        for k in (1, 4):
-            g = concave_transform_g(data, k)
-            for p, want in zip((1, 2), exact):
-                assert moment_check(g, data, k, p)[1] == pytest.approx(want, rel=0, abs=1e-12)
+        for p, want in zip((1, 2), exact):
+            assert moment_check(data, 1, p)[1] == pytest.approx(want, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize(
         "points, weights", [(SQUARE, (0, 1, 1, 0)), (SIMPLEX, (0, 1, 0))]
@@ -405,15 +413,51 @@ class TestConcaveTransformG:
         for p in (1, 2):
             gaps = []
             for k in (8, 16, 32):
-                lhs, rhs = moment_check(concave_transform_g(data, k), data, k, p)
+                lhs, rhs = moment_check(data, k, p)
                 gaps.append(lhs - rhs)
             for coarse, fine in zip(gaps, gaps[1:]):
                 assert 0.45 <= fine / coarse <= 0.55
 
+    @pytest.mark.parametrize(
+        "points, weights, measure",
+        [
+            # coplanar lifted points: every simplex of P1 has the same plane
+            (SQUARE, (3, 3, 3, 3), 1.0),
+            (SIMPLEX, (3, 3, 3), 0.5),
+            ([[a, b] for a in range(3) for b in range(3)], (1,) * 9, 4.0),
+            ([[0], [3], [1], [2]], (0, 3, 1, 2), 3.0),
+            # the lower of two weights at one point lies below g-hat
+            ([[0, 0], [1, 0], [0, 1], [1, 0], [0, 0], [1, 1]], (0, 2, 1, 2, -1, 0), 1.0),
+        ],
+        ids=["square", "simplex", "3x3", "1d-collinear", "duplicates"],
+    )
+    def test_facets_tile(self, rng, points, weights, measure):
+        data = WeightedLatticeData(np.array(points), np.array(weights))
+        facets = weight_facets(data)
+        corners = data.points[facets].astype(float)
+        edges = corners[:, 1:] - corners[:, :1]
+        vol = np.abs(np.linalg.det(edges)) / math.factorial(data.dim)
+        assert vol.min() > 0.1 and vol.sum() == pytest.approx(measure, rel=0, abs=1e-12)
+        # random points of each facet lie inside no other facet
+        bary = rng.dirichlet(np.ones(data.dim + 1), size=(len(facets), 50))
+        qs = np.einsum("fqi,fij->fqj", bary, corners).reshape(-1, data.dim)
+        b = (qs - corners[:, None, 0]) @ np.linalg.inv(edges)
+        strict = (b > 1e-9).all(axis=2) & (b.sum(axis=2) < 1.0 - 1e-9)
+        assert strict.sum(axis=0).max() == 1
+
     def test_collinear_2d_points_raise(self):
         data = WeightedLatticeData(np.array([[0, 0], [1, 1], [2, 2]]), np.array([0, 2, 1]))
-        with pytest.raises(DomainError, match=r"\[\[0\.0, 0\.0\], \[1\.0, 1\.0\], \[2\.0, 2\.0\]\]"):
-            concave_transform_g(data, 1)
+        with pytest.raises(DomainError, match=r"^2-D points \[\[0, 0\], \[1, 1\], \[2, 2\]\] span no 2-simplex$"):
+            moment_check(data, 1, 1)
+
+    def test_weights_past_exact_int64_raise(self):
+        # heights up to 12 span^2 max|w| fit in int64 below 2^63: the peak at
+        # 2^57 is found, one at 2^58 is refused rather than wrapped
+        peak = WeightedLatticeData(np.array([[0], [1], [2]]), np.array([0, 2**57, 0]))
+        assert weight_facets(peak).tolist() == [[0, 1], [1, 2]]
+        over = WeightedLatticeData(np.array([[0], [1], [2]]), np.array([0, 2**58, 0]))
+        with pytest.raises(DomainError, match="too large for exact int64 tests"):
+            weight_facets(over)
 
     def test_check_moments_measured(self):
         # the gate's figure, from the exact integral over the 1-D facets
@@ -430,10 +474,10 @@ class TestConcaveTransformG:
     )
     def test_call_is_min_of_facet_pieces(self, rng, points, weights, exact):
         data = WeightedLatticeData(np.array(points), np.array(weights))
-        g = concave_transform_g(data, 1)
-        corners = g.nodes[g.facets[rng.integers(0, len(g.facets), 200)]]
+        facets = weight_facets(data)
+        corners = data.points[facets[rng.integers(0, len(facets), 200)]].astype(float)
         bary = rng.dirichlet(np.ones(corners.shape[1]), size=200)
-        pts = np.vstack([g.nodes, np.einsum("qi,qij->qj", bary, corners)])
+        pts = np.vstack([data.points, np.einsum("qi,qij->qj", bary, corners)])
         assert np.abs(weight_envelope(data, pts) - exact(pts)).max() <= 1e-15
 
     def test_call_loads_no_scipy(self):
@@ -451,6 +495,5 @@ class TestConcaveTransformG:
         assert proc.stdout == "[]\n"
 
     def test_rejects_high_moment(self, w01):
-        g = concave_transform_g(w01, 8)
         with pytest.raises(DomainError):
-            moment_check(g, w01, 8, 3)
+            moment_check(w01, 8, 3)
