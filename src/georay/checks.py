@@ -145,7 +145,7 @@ def check_total_mass():
     """
 
     def total(f, dual):
-        _, masses = next(region_masses([f], dual, trapezoid_weights))
+        _, masses = next(region_masses(f.grid, f.values[None], dual, trapezoid_weights))
         return float(masses.sum())
 
     q1, q2 = quadratic_1d(257), quadratic_2d(129)
@@ -188,8 +188,8 @@ def check_contact_concentration():
     budget = 3.0 * inst.dual.cell_volume
     worst = 0.0
     c = inst.curve
-    live = [GridFunction(c.grid, v) for v in c.values[c.live & (c.lambdas < c.lambda_c)]]
-    for s, (_, masses) in zip(live, region_masses(live, inst.dual, lambda m: m)):
+    live = c.values[c.live & (c.lambdas < c.lambda_c)]
+    for s, (_, masses) in zip(live, region_masses(c.grid, live, inst.dual, lambda m: m)):
         outside = float(masses[~contact_set(inst.phi, s)].sum())
         worst = max(worst, outside / budget)
     return worst, 1.0

@@ -65,10 +65,10 @@ from . import serialization as ser
 from .curves import ConcaveTransform, concave_transform, validate
 from .errors import DomainError, ParseError, ResourceError
 from .filtration import BergmanInstance, equivalence_check, weight_histogram
-from .grids import Box, Grid, GridFunction, fork_cpus, require_convex, require_within_cap
-from .legendre import (
-    SlopeRegion, _require_finite, check_dual_contains_slopes, default_dual_grid, slope_regions,
+from .grids import (
+    NEG_INF, Box, Grid, GridFunction, fork_cpus, require_convex, require_within_cap,
 )
+from .legendre import _require_finite, check_dual_contains_slopes, default_dual_grid, slope_regions
 from .monge_ampere import _energy_dual_grid
 from .rays import energy_linearity, ray_dual, ray_from_curve
 
@@ -211,17 +211,17 @@ def cmd_ray(spec_path: str, out_dir: str, tol_scale: float = 1.0) -> int:
         uf = ser.load_grid_function(_read_spec_file(specdir, doc, "u"))
         if uf.grid != dual:
             raise DomainError("u is not sampled on the dual grid")
-        _require_finite(phi)
+        _require_finite(phi.grid, phi.values)
         check_dual_contains_slopes(phi, dual)
         if phi.grid.dim == 1:
             require_convex("phi", phi)
             require_convex("u", uf, concave=True)
         # phi is conjugated on the dual grid once: its slope region and phi*,
         # from which the ray is the conjugate of phi* - t u
-        mask, phistar, _ = next(slope_regions([phi], dual))
-        u = ConcaveTransform(uf, SlopeRegion(dual, uf.finite_mask & mask))
+        mask, phistar, _ = next(slope_regions(phi.grid, phi.values[None], dual))
+        u = ConcaveTransform(GridFunction(dual, np.where(mask, uf.values, NEG_INF)))
         ray = ray_dual(GridFunction(dual, phistar), u, phi.grid, ts)
-        lambda_c = float(uf.values[u.base.mask].max())
+        lambda_c = float(u.u.values[u.base.mask].max())
 
     with _ray_csv_written(out / "ray.csv", ray):
         rep = energy_linearity(ray, phi, u)

@@ -4,10 +4,12 @@ A test curve is a lambda-indexed family of convex functions, one array on
 one grid: constant below ``lambda_head``, decreasing and concave in lambda,
 and identically -inf past the critical value ``lambda_c``.  Its concave
 transform u(y) is the largest lambda whose member still has y among its
-subgradients.  The maximal envelope runs the other way: from an obstacle
-phi and superlevel regions {u >= lambda} it rebuilds the curve as a
-restricted biconjugate, a supremum of affine functions with slopes
-confined to the region.
+subgradients, and -inf off its base, the first finite member's slope
+region; the regions come from one ``slope_regions`` pass over the curve's
+array.  A ``ConcaveTransform`` holds u alone: its ``base`` is u's finite
+set.  The maximal envelope runs the other way: from an obstacle phi and
+superlevel regions {u >= lambda} it rebuilds the curve as a restricted
+biconjugate, a supremum of affine functions with slopes confined to it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .legendre import (
     conjugate,
     legendre,
     slope_regions,
-    subgradient_range,
     trapezoid_weights,
 )
 
@@ -132,35 +133,35 @@ def validate(tc: TestCurve, tol_concave: float = 1e-9) -> CurveDiagnostics:
 
 @dataclass(frozen=True, eq=False)
 class ConcaveTransform:
-    """u(y) = sup{lambda : y in Delta of the lambda-sample}, -inf off base."""
+    """u(y) = sup{lambda : y in Delta of the lambda-sample}, -inf off its
+    base, which is derived as u's finite set."""
 
     u: GridFunction
-    base: SlopeRegion
+    base: SlopeRegion = field(init=False)
 
     def __post_init__(self):
-        if self.u.grid != self.base.grid:
-            raise DomainError("u and base live on different dual grids")
+        object.__setattr__(self, "base", SlopeRegion(self.u.grid, self.u.finite_mask))
 
     def integral(self) -> float:
-        """int of u over the finite part of the base, by the trapezoid rule."""
-        sel = self.base.mask & np.isfinite(self.u.values)
+        """int of u over its base, by the trapezoid rule."""
+        sel = self.base.mask
         wu = trapezoid_weights(sel)[sel] * self.u.values[sel]
         return float(wu.sum()) * self.u.grid.cell_volume
 
 
 def concave_transform(tc: TestCurve, dual: Grid) -> ConcaveTransform:
-    """Largest sample lambda whose slope region still contains each dual node."""
+    """Largest sample lambda whose slope region still contains each dual
+    node of the base, the first finite sample's region; -inf off the base.
+    One ``slope_regions`` pass takes every finite sample's region."""
     live = np.flatnonzero(tc.live)
     if not live.size:
         raise DomainError("test curve has no finite samples")
-    samples = [GridFunction(tc.grid, tc.values[j]) for j in live]
-    # the first finite sample's slope region is the base
-    base = subgradient_range(samples[0], dual)
-    u = np.full(dual.shape, NEG_INF)
-    u[base.mask] = tc.lambdas[live[0]]
-    for j, (mask, _, _) in zip(live[1:], slope_regions(samples[1:], dual)):
-        u[mask] = tc.lambdas[j]
-    return ConcaveTransform(GridFunction(dual, u), base)
+    regions = slope_regions(tc.grid, tc.values[live], dual)
+    base, _, _ = next(regions)
+    u = np.where(base, tc.lambdas[live[0]], NEG_INF)
+    for j, (mask, _, _) in zip(live[1:], regions):
+        u[mask & base] = tc.lambdas[j]
+    return ConcaveTransform(GridFunction(dual, u))
 
 
 def envelope_from_u(
@@ -178,8 +179,7 @@ def envelope_from_u(
     check_dual_contains_slopes(phi, dual)
     phistar = legendre(phi, dual)
     lam = np.asarray(lambdas, dtype=float).ravel()
-    usable = u.base.mask & np.isfinite(u.u.values)
-    sels = [usable & (u.u.values >= l - 1e-12) for l in lam]
+    sels = [u.base.mask & (u.u.values >= l - 1e-12) for l in lam]
     live = [j for j, sel in enumerate(sels) if sel.any()]
     if not live:
         raise DomainError("every lambda selection is empty")
@@ -211,17 +211,11 @@ def default_contact_tol(phi: GridFunction) -> float:
     return 10.0 * h * max(slope, 1.0)
 
 
-def contact_set(
-    phi: GridFunction,
-    phi_lambda: GridFunction,
-    tol: float | None = None,
-) -> np.ndarray:
-    """Nodes where the envelope touches the obstacle: phi_lambda >= phi - tol."""
-    if phi_lambda.grid != phi.grid:
+def contact_set(phi: GridFunction, values: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """Nodes where an envelope sample, ``values`` on phi's grid, touches the
+    obstacle: values >= phi - tol (never at a -inf node)."""
+    if np.shape(values) != phi.grid.shape:
         raise DomainError("grid mismatch")
     if tol is None:
         tol = default_contact_tol(phi)
-    if phi_lambda.is_identically_neg_inf:
-        return np.zeros(phi.grid.shape, dtype=bool)
-    return phi_lambda.values >= phi.values - tol
-
+    return values >= phi.values - tol

@@ -24,7 +24,7 @@ import numpy as np
 from .curves import ConcaveTransform, TestCurve
 from .errors import DomainError, ResourceError
 from .grids import Grid, GridFunction, NEG_INF, SIZE_CAP, require_within_cap
-from .legendre import SlopeRegion, _chunks, check_dual_contains_slopes, conjugate
+from .legendre import _chunks, check_dual_contains_slopes, conjugate
 from .rays import Ray, compare_rays, default_t_grid, ray_dual
 
 
@@ -79,8 +79,12 @@ class WeightedLatticeData:
         return k * self.points.min(axis=0)
 
     def _shape(self, k: int) -> tuple[int, ...]:
-        span = self.points.max(axis=0) - self.points.min(axis=0)
-        return tuple(int(k * s + 1) for s in span)
+        """The degree-k lattice box, under the size cap: the one check for
+        every degree, made before any array of it is built."""
+        span = (int(a) - int(b) for a, b in zip(self.points.max(axis=0), self.points.min(axis=0)))
+        shape = tuple(k * s + 1 for s in span)
+        require_within_cap(f"degree-{k} lattice box", shape[0], math.prod(shape[1:]))
+        return shape
 
     def _degree_one_array(self) -> np.ndarray:
         arr = np.full(self._shape(1), NEG_INF)
@@ -111,8 +115,7 @@ def multiplicative_closure(data: WeightedLatticeData, k: int) -> np.ndarray:
     """
     if k < 1:
         raise DomainError("degree must be >= 1")
-    if math.prod(data._shape(k)) > SIZE_CAP:
-        raise ResourceError(f"degree-{k} lattice exceeds the size cap {SIZE_CAP}")
+    data._shape(k)  # the cap, before any degree is built
     have = max(j for j in data.closures if j <= k)
     arr = data.closures[have]
     for j in range(have, k):
@@ -386,11 +389,10 @@ def toric_ray(inst: BergmanInstance, data: WeightedLatticeData, t_grid) -> Ray:
     ``conj_at``."""
     dual = inst.dual
     g = weight_envelope(data, dual.coords()).reshape(dual.shape)
-    on = np.isfinite(g)
-    if not on.any():
+    if not np.isfinite(g).any():
         raise DomainError("no dual node lies in the polytope of the weights")
     star = inst.conj_at(dual.coords()).reshape(dual.shape)
-    u = ConcaveTransform(GridFunction(dual, g), SlopeRegion(dual, on))
+    u = ConcaveTransform(GridFunction(dual, g))
     return ray_dual(GridFunction(dual, star), u, inst.phi.grid, t_grid)
 
 

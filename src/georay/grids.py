@@ -301,10 +301,9 @@ def require_convex(name: str, f: GridFunction, concave: bool = False) -> GridFun
     dev = w - env
     i = int(np.argmax(dev))
     if dev[i] > tol:
-        node, x = _node(f.grid, fin[i]), ", ".join(f"{c:g}" for c in f.grid.coords()[fin[i]])
         raise DomainError(
-            f"{name} is not {'concave' if concave else 'convex'} at node {node} "
-            f"(x = {x}): deviation {dev[i]:g} > {tol:g}"
+            f"{name} is not {'concave' if concave else 'convex'} at {_at(f.grid, fin[i])}: "
+            f"deviation {dev[i]:g} > {tol:g}"
         )
     return f
 
@@ -313,3 +312,9 @@ def _node(grid: Grid, flat: int):
     """A node's index in the grid: an int in 1-D, a tuple in 2-D."""
     idx = tuple(int(i) for i in np.unravel_index(flat, grid.shape))
     return idx[0] if grid.dim == 1 else idx
+
+
+def _at(grid: Grid, flat: int) -> str:
+    """A node named for an error message: its index and its x."""
+    x = ", ".join(f"{c:g}" for c in grid.coords()[flat])
+    return f"node {_node(grid, flat)} (x = {x})"

@@ -14,7 +14,7 @@ import numpy as np
 
 from .curves import ConcaveTransform, TestCurve, envelope_from_u
 from .grids import Box, Grid, GridFunction, require_convex
-from .legendre import SlopeRegion, default_dual_grid, slope_regions
+from .legendre import default_dual_grid, slope_regions
 
 
 def quadratic_1d(nodes: int = 257) -> GridFunction:
@@ -93,9 +93,9 @@ def huber_instance(
     """phi with slope set [-1, 1], u(y) = -|y|; envelopes are Huber functions."""
     phi = linear_growth_bowl(nodes)
     dual = default_dual_grid(phi, dual_nodes)
-    mask, _, _ = next(slope_regions([phi], dual))
+    mask, _, _ = next(slope_regions(phi.grid, phi.values[None], dual))
     uvals = np.where(mask, -np.abs(dual.axis(0)), -np.inf)
-    u = ConcaveTransform(GridFunction(dual, uvals), SlopeRegion(dual, mask))
+    u = ConcaveTransform(GridFunction(dual, uvals))
     lambdas = np.arange(-1.0, 1e-12, lambda_spacing)
     curve = envelope_from_u(phi, u, lambdas, dual, lambda_head=-1.0)
     return RayInstance(phi, dual, u, curve, lambda_spacing)
@@ -105,8 +105,8 @@ def constant_u_instance(nodes: int = 129, dual_nodes: int = 129) -> RayInstance:
     """u identically 1 on the slope set: pure-translation dynamics."""
     phi = linear_growth_bowl(nodes)
     dual = default_dual_grid(phi, dual_nodes)
-    mask, _, _ = next(slope_regions([phi], dual))
+    mask, _, _ = next(slope_regions(phi.grid, phi.values[None], dual))
     uvals = np.where(mask, 1.0, -np.inf)
-    u = ConcaveTransform(GridFunction(dual, uvals), SlopeRegion(dual, mask))
+    u = ConcaveTransform(GridFunction(dual, uvals))
     curve = envelope_from_u(phi, u, np.array([0.0, 1.0]), dual, lambda_head=1.0)
     return RayInstance(phi, dual, u, curve, 1.0)

@@ -67,11 +67,13 @@ each), and reduce each group to regions, masses or frames before the next.
 
 Slope regions (the numerical Delta_phi) keep only dual nodes whose max is
 attained at an interior primal node: boundary attainment encodes the box
-truncation, not a genuine subgradient, and is discarded.  ``slope_regions``
-returns them for a group of functions together with their full conjugates
-and, on request, the witnesses, which the Monge-Ampere deposit reuses.
-Integrals over a region use the trapezoid weights of its mask
-(``trapezoid_weights``).
+truncation, not a genuine subgradient, and is discarded.  A region is a
+boolean mask on the dual grid.  ``slope_regions`` takes one primal grid
+and a stack of functions on it, (k, *grid.shape), and returns each one's
+mask together with its full conjugate and, on request, the witnesses,
+which the Monge-Ampere deposit reuses; one function is the stack
+``f.values[None]``.  Integrals over a region use the trapezoid weights of
+its mask (``trapezoid_weights``).
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError
-from .grids import Box, Grid, GridFunction, _lower_hull_1d
+from .grids import NEG_INF, Box, Grid, GridFunction, _at, _lower_hull_1d
 
 # elements per temporary: small blocks stay in cache.  The row kernel keeps
 # a few dozen temporaries of a block alive, so the block also bounds the
@@ -318,10 +320,16 @@ def conjugate(axes, values, dual_axes, witness=False):
     return (out[0], wit[0]) if single else (out, wit)
 
 
-def _require_finite(f: GridFunction):
-    if not f.finite_mask.all():
-        # any -inf node would push the max to +inf at every slope
-        raise DomainError("conjugate of a function with -inf values is +inf everywhere")
+def _require_finite(grid: Grid, values: np.ndarray):
+    """``values`` (one function on ``grid`` or a stack) are finite; the error
+    names the first -inf node, its x and, in a stack, its row."""
+    fin = np.isfinite(values)
+    if not fin.all():
+        row, flat = divmod(int(np.argmin(fin)), grid.num_nodes)
+        of = f" (row {row} of the stack)" if values.ndim > grid.dim else ""
+        raise DomainError(
+            f"conjugate of a function that is -inf at {_at(grid, flat)}{of} is +inf everywhere"
+        )
 
 
 def legendre(
@@ -336,7 +344,7 @@ def legendre(
     two agree bit-for-bit including the argmax witness, which the fast
     method computes only for ``return_witness``.
     """
-    _require_finite(f)
+    _require_finite(f.grid, f.values)
     if method == "fast":
         vals, wit = conjugate(f.grid.axes(), f.values, dual.axes(), return_witness)
     elif method == "brute":
@@ -363,8 +371,7 @@ class SlopeRegion:
     mask: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.mask, dtype=bool).reshape(self.grid.shape)
-        m = m.copy()
+        m = np.array(self.mask, dtype=bool).reshape(self.grid.shape)
         m.setflags(write=False)
         object.__setattr__(self, "mask", m)
 
@@ -420,42 +427,31 @@ def _convex_fill(grid: Grid, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def slope_regions(fs, dual: Grid, witness: bool = False):
-    """Yield (mask, star, wit) for each function of ``fs`` (one primal grid):
-    the node mask of its slope region, as ``subgradient_range``, its full
-    conjugate on ``dual``, and with ``witness`` the witnesses of that
-    conjugate (None without).
+def slope_regions(grid: Grid, values: np.ndarray, dual: Grid, witness: bool = False):
+    """Yield (mask, star, wit) for each function of the stack ``values``
+    (k, *grid.shape), one function being ``f.values[None]``: the mask of its
+    slope region, its conjugate on ``dual``, and with ``witness`` the
+    conjugate's witnesses (None without).
 
-    The conjugates are taken in groups of ``_chunks`` items, and a group's
-    regions are yielded before the next group is conjugated.
+    The region keeps the dual nodes where the conjugate restricted to
+    interior primal nodes is within 1e-8 times the largest of 1, the finite
+    value range and the largest |conjugate| of the full one, closed under
+    the discrete convex hull.  The functions are conjugated in groups of
+    ``_chunks`` items, each group's regions yielded before the next.
     """
-    for f in fs:
-        if f.is_identically_neg_inf:
-            raise DomainError("identically -inf function has no subgradients")
-    if not fs:
-        return
-    axes = fs[0].grid.axes()
+    V = np.asarray(values, dtype=float).reshape((-1,) + grid.shape)
+    flat = V.reshape(len(V), -1)
+    top = flat.max(axis=1)
+    if (top == NEG_INF).any():
+        row = np.argmax(top == NEG_INF)
+        raise DomainError(f"row {row} of the stack is identically -inf: it has no subgradients")
+    spread = top - np.where(flat > NEG_INF, flat, np.inf).min(axis=1)
+    axes = grid.axes()
     inner = [a[1:-1] for a in axes]
     sl = (slice(None),) + tuple(slice(1, -1) for _ in axes)
-    for g in _chunks(len(fs), dual.num_nodes):
-        V = np.stack([f.values for f in fs[g]])
-        full, wit = conjugate(axes, V, dual.axes(), witness)
-        interior, _ = conjugate(inner, V[sl], dual.axes())
-        if wit is None:
-            wit = [None] * len(V)
-        for f, a, b, w in zip(fs[g], full, interior, wit):
-            t = 1e-8 * max(1.0, f.value_range(), float(np.abs(a).max()))
-            yield _convex_fill(dual, b >= a - t), a, w
-
-
-def subgradient_range(f: GridFunction, dual: Grid) -> SlopeRegion:
-    """Dual nodes whose conjugate max is attained at an interior primal node.
-
-    Attainment is tested by comparing the full conjugate against the
-    conjugate restricted to interior primal nodes; nodes passing within
-    1e-8 times the largest of 1, the value range and the largest
-    |conjugate| are kept, and the set is closed under the discrete convex
-    hull.
-    """
-    mask, _, _ = next(slope_regions([f], dual))
-    return SlopeRegion(dual, mask)
+    for g in _chunks(len(V), dual.num_nodes):
+        full, wit = conjugate(axes, V[g], dual.axes(), witness)
+        interior, _ = conjugate(inner, V[g][sl], dual.axes())
+        for i, (a, b, r) in enumerate(zip(full, interior, spread[g])):
+            t = 1e-8 * max(1.0, float(r), float(np.abs(a).max()))
+            yield _convex_fill(dual, b >= a - t), a, None if wit is None else wit[i]

@@ -4,13 +4,13 @@ The MA measure of a convex grid function is the pullback of dual-grid
 Lebesgue measure under the (discrete) gradient map: every node of the slope
 region sends one dual-cell volume, times a weight, to the primal node where
 its conjugate max is attained.  ``_deposit`` is that one step;
-``region_masses`` takes it over the slope regions of a group of functions
-under a weight rule (the region mask, or its trapezoid weights).  Energy
-comes in two independent forms -- Simpson quadrature in t of MA deposits
-on the base's slope region along the affine path, and the dual formula
-E(f_t, f) = int over Delta_f of (f* - f_t*) dy under trapezoid weights,
-taken for many f_t at once -- whose agreement is one of the identities the
-verification suite checks.
+``region_masses`` takes it over the slope regions of a stack of functions
+on one grid, (k, *grid.shape), under a weight rule (the region mask, or
+its trapezoid weights).  Energy comes in two independent forms -- Simpson
+quadrature in t of MA deposits on the base's slope region along the affine
+path, and the dual formula E(f_t, f) = int over Delta_f of (f* - f_t*) dy
+under trapezoid weights, taken for many f_t at once -- whose agreement is
+one of the identities the verification suite checks.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .legendre import (
     conjugate,
     default_dual_grid,
     slope_regions,
-    subgradient_range,
     trapezoid_weights,
 )
 
@@ -42,20 +41,19 @@ def _deposit(grid: Grid, wit: np.ndarray, dual: Grid, weights: np.ndarray) -> np
     return masses.reshape(grid.shape)
 
 
-def region_masses(fs, dual: Grid, weigh):
-    """Yield (mask, masses) for each function f of ``fs`` (one primal grid,
-    none identically -inf): the node mask of ``subgradient_range(f, dual)``
-    and the MA deposit of that region, each node weighted by ``weigh(mask)``
+def region_masses(grid: Grid, values: np.ndarray, dual: Grid, weigh):
+    """Yield (mask, masses) for each function of the stack ``values``
+    (k, *grid.shape), every one finite: the mask of its slope region and
+    the MA deposit of that region, each node weighted by ``weigh(mask)``
     (the mask itself, or ``trapezoid_weights`` for a total that is the
     trapezoid area of the region).
 
     The masks and witnesses come from one ``slope_regions`` pass, which
     conjugates the functions in groups.
     """
-    for f in fs:
-        _require_finite(f)
-    for f, (mask, _, wit) in zip(fs, slope_regions(fs, dual, witness=True)):
-        yield mask, _deposit(f.grid, wit, dual, weigh(mask))
+    _require_finite(grid, values)
+    for mask, _, wit in slope_regions(grid, values, dual, witness=True):
+        yield mask, _deposit(grid, wit, dual, weigh(mask))
 
 
 def _require_equivalent(grid: Grid, values: np.ndarray, f0: GridFunction):
@@ -88,12 +86,12 @@ def energy_quadrature(
     set is realized by fixing the base's dual box for the whole path.
     """
     _require_equivalent(f1.grid, f1.values, f0)
-    _require_finite(f0)
+    _require_finite(f0.grid, f0.values)
     if t_samples < 3 or t_samples % 2 == 0:
         raise DomainError("t_samples must be odd and >= 3")
     if dual is None:
         dual = _energy_dual_grid(f0)
-    region = subgradient_range(f0, dual)
+    region, _, _ = next(slope_regions(f0.grid, f0.values[None], dual))
     diff = f1.values - f0.values
     ts = np.linspace(0.0, 1.0, t_samples)
     w = np.ones(t_samples)
@@ -109,7 +107,7 @@ def energy_quadrature(
         path = (1.0 - t) * f0.values + t * f1.values
         _, wits = conjugate(f0.grid.axes(), path, dual.axes(), witness=True)
         for wt, wit in zip(w[g], wits):
-            total += wt * float((diff * _deposit(f0.grid, wit, dual, region.mask)).sum())
+            total += wt * float((diff * _deposit(f0.grid, wit, dual, region)).sum())
     return total
 
 
@@ -124,8 +122,8 @@ def dual_energies(values: np.ndarray, f: GridFunction) -> np.ndarray:
     conjugated in groups of ``_chunks`` items; no witness is computed.
     """
     dual = _energy_dual_grid(f)
-    mask, fstar, _ = next(slope_regions([f], dual))
-    _require_finite(f)
+    _require_finite(f.grid, f.values)
+    mask, fstar, _ = next(slope_regions(f.grid, f.values[None], dual))
     w = trapezoid_weights(mask)[mask]
     # the value cap of a grid function, as for any Legendre transform
     fstar = GridFunction(dual, fstar).values[mask]

@@ -83,7 +83,7 @@ def ray_dual(phistar: GridFunction, u: ConcaveTransform, grid: Grid, t_grid) -> 
     dual = u.u.grid
     if phistar.grid != dual:
         raise DomainError("phi* and u live on different dual grids")
-    sel = u.base.mask & np.isfinite(u.u.values)
+    sel = u.base.mask
     if not sel.any():
         raise DomainError("empty slope region for the dual ray")
     star, uv = phistar.values[sel], u.u.values[sel]

@@ -1,11 +1,11 @@
 """The grouped callers of ``conjugate`` against per-item references.
 
 Each reference below is the loop the library ran before its items were
-conjugated in groups: one ``subgradient_range``, witnessed ``legendre``,
-``energy_dual`` or ``conjugate`` call per lambda sample, path node, frame
-or t, and one ``np.maximum`` per lambda sample and t.  Results must be
-equal, not close, and stay so when a small ``_BLOCK`` splits the items into
-many groups.
+conjugated in groups: one ``slope_regions`` pass over a batch of one
+(``slope_mask``), witnessed ``legendre``, ``energy_dual`` or ``conjugate``
+call per lambda sample, path node, frame or t, and one ``np.maximum`` per
+lambda sample and t.  Results must be equal, not close, and stay so when a
+small ``_BLOCK`` splits the items into many groups.
 """
 
 import itertools
@@ -19,10 +19,10 @@ from georay.checks import check_contact_concentration
 from georay.curves import TestCurve as Curve, concave_transform, contact_set, envelope_from_u
 from georay.grids import Box, Grid, GridFunction
 from georay.instances import huber_instance
-from georay.legendre import conjugate, legendre, subgradient_range, trapezoid_weights
+from georay.legendre import conjugate, legendre, trapezoid_weights
 from georay.monge_ampere import _energy_dual_grid, energy_dual, energy_quadrature, region_masses
 from georay.rays import LinearityReport, energy_linearity, ray_dual, ray_from_curve
-from test_legendre import bowl_instance_2d, same_bits
+from test_legendre import bowl_instance_2d, same_bits, slope_mask
 
 
 def deposit_ref(f, dual, weights):
@@ -36,8 +36,8 @@ def deposit_ref(f, dual, weights):
 
 
 def energy_quadrature_ref(f1, f0, t_samples, dual):
-    region = subgradient_range(f0, dual)
-    mu0 = deposit_ref(f0, dual, region.mask)
+    region = slope_mask(f0, dual)
+    mu0 = deposit_ref(f0, dual, region)
     diff = np.where(f1.finite_mask, f1.values - f0.values, 0.0)
     ts = np.linspace(0.0, 1.0, t_samples)
     w = np.ones(t_samples)
@@ -47,7 +47,7 @@ def energy_quadrature_ref(f1, f0, t_samples, dual):
     total = 0.0
     for t, wt in zip(ts, w):
         vt = np.where(f1.finite_mask, (1.0 - t) * f0.values + t * f1.values, -np.inf)
-        mu = mu0 if t == 0.0 else deposit_ref(GridFunction(f1.grid, vt), dual, region.mask)
+        mu = mu0 if t == 0.0 else deposit_ref(GridFunction(f1.grid, vt), dual, region)
         total += wt * float((diff * mu).sum())
     return total
 
@@ -55,7 +55,7 @@ def energy_quadrature_ref(f1, f0, t_samples, dual):
 def integral_ref(u):
     """int of u with each node's trapezoid weight counted cell by cell: its
     adjacent grid cells whose corners all lie in the selection, over 2^d."""
-    sel = u.base.mask & np.isfinite(u.u.values)
+    sel = np.isfinite(u.u.values)
     w = np.zeros(sel.shape)
     for node in zip(*np.nonzero(sel)):
         for offset in itertools.product((-1, 0), repeat=sel.ndim):
@@ -77,10 +77,9 @@ def energy_linearity_ref(ray, f0, u):
 
 def envelope_ref(phi, u, lambdas, dual):
     star = legendre(phi, dual).values
-    usable = u.base.mask & np.isfinite(u.u.values)
     out = []
     for lam in lambdas:
-        sel = usable & (u.u.values >= lam - 1e-12)
+        sel = np.isfinite(u.u.values) & (u.u.values >= lam - 1e-12)
         vals = np.full(phi.grid.shape, -np.inf)
         if sel.any():
             vals, _ = conjugate(dual.axes(), np.where(sel, star, np.inf), phi.grid.axes())
@@ -89,19 +88,20 @@ def envelope_ref(phi, u, lambdas, dual):
 
 
 def concave_transform_ref(tc, dual):
+    """u written sample by sample inside the first finite sample's region."""
     u, base = np.full(dual.shape, -np.inf), None
     for lam, s in zip(tc.lambdas, tc.values):
         if np.all(s == -np.inf):
             continue
-        region = subgradient_range(GridFunction(tc.grid, s), dual)
-        base = region.mask if base is None else base
-        u[region.mask] = lam
+        region = slope_mask(GridFunction(tc.grid, s), dual)
+        base = region if base is None else base
+        u[region & base] = lam
     return u, base
 
 
 def ray_dual_ref(phi, u, ts):
     dual = u.u.grid
-    sel = u.base.mask & np.isfinite(u.u.values)
+    sel = np.isfinite(u.u.values)
     star = legendre(phi, dual).values[sel]
     frames = []
     for t in ts:
@@ -232,11 +232,12 @@ def test_ray_from_curve_zero_ties(seed):
 @pytest.mark.parametrize("weigh", [lambda m: m, trapezoid_weights], ids=["mask", "trapezoid"])
 def test_region_masses(case, block, weigh):
     _, dual, _, curve, _ = case
-    live = [GridFunction(curve.grid, s) for s in curve.values[curve.live]]
-    got = list(region_masses(live, dual, weigh))
+    live = curve.values[curve.live]
+    got = list(region_masses(curve.grid, live, dual, weigh))
     assert len(got) == len(live) and any(masses.any() for _, masses in got)
     for s, (mask, masses) in zip(live, got):
-        region = subgradient_range(s, dual).mask
+        s = GridFunction(curve.grid, s)
+        region = slope_mask(s, dual)
         assert np.array_equal(mask, region)
         assert same_bits(masses, deposit_ref(s, dual, weigh(region)))
 
@@ -248,8 +249,8 @@ def test_contact_concentration(block):
         if lam >= inst.curve.lambda_c or np.all(s == -np.inf):
             continue
         s = GridFunction(inst.curve.grid, s)
-        mu = deposit_ref(s, inst.dual, subgradient_range(s, inst.dual).mask)
-        outside = float(mu[~contact_set(inst.phi, s)].sum())
+        mu = deposit_ref(s, inst.dual, slope_mask(s, inst.dual))
+        outside = float(mu[~contact_set(inst.phi, s.values)].sum())
         worst = max(worst, outside / (3.0 * inst.dual.cell_volume))
     assert check_contact_concentration()["measured"] == worst
 

@@ -19,7 +19,8 @@ from georay.errors import DomainError
 from georay.filtration import WeightedLatticeData
 from georay.grids import SIZE_CAP, Box, Grid, GridFunction
 from georay.instances import filtration_base, huber_instance, linear_growth_bowl
-from georay.legendre import default_dual_grid, subgradient_range
+from georay.legendre import default_dual_grid
+from test_legendre import slope_mask
 
 
 @pytest.fixture(scope="module")
@@ -206,12 +207,35 @@ class TestRayCommand:
         got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in CURVE_SHA256}
         assert got == CURVE_SHA256
 
+    @pytest.mark.parametrize(
+        "spec, u_of_y, pin",
+        [
+            ("huber.spec", lambda y: -np.abs(y), HUBER_SHA256),
+            ("bowl2.spec", lambda y1, y2: -(np.abs(y1) + np.abs(y2)) / 2, BOWL2_SHA256),
+        ],
+        ids=["1d", "2d"],
+    )
+    def test_u_off_the_slope_region_changes_no_byte(self, specdir, tmp_path, spec, u_of_y, pin):
+        # the ray, its energy and lambda_c read u only on phi's slope region
+        doc = json.loads((specdir / spec).read_text())
+        phi = ser.load_grid_function((specdir / doc["phi"]).read_text())
+        dual = ser.load_grid_function((specdir / doc["u"]).read_text()).grid
+        u, region = GridFunction.from_callable(dual, u_of_y), slope_mask(phi, dual)
+        assert not region.all()
+        got = []
+        for name, vals in (("finite", u.values), ("cut", np.where(region, u.values, -np.inf))):
+            (tmp_path / f"{name}.gf").write_text(ser.dump_grid_function(GridFunction(dual, vals)))
+            path = _spec_elsewhere(specdir, spec, tmp_path / f"{name}.spec", u=str(tmp_path / f"{name}.gf"))
+            assert main(["ray", "--spec", path, "--out", str(tmp_path / name)]) == 0
+            got.append({f: hashlib.sha256((tmp_path / name / f).read_bytes()).hexdigest() for f in pin})
+        assert got[0] == got[1] == pin
+
     def test_dual_u_lambda_c_is_max_of_u(self, specdir, tmp_path):
         out = tmp_path / "out"
         assert main(["ray", "--spec", str(specdir / "bowl2.spec"), "--out", str(out)]) == 0
         u = ser.load_grid_function((specdir / "u2.gf").read_text())
         phi = ser.load_grid_function((specdir / "bowl2.gf").read_text())
-        base = subgradient_range(phi, u.grid).mask
+        base = slope_mask(phi, u.grid)
         assert json.loads((out / "energy.json").read_text())["lambda_c"] == u.values[base].max()
 
     # a 2e-3 bump at the bottom of the bowl stands 2e-3 - h^2/2 above its
@@ -457,6 +481,14 @@ CHECK_ALL_SHA256 = "71e1370fabdf5ffc3fdded80d9e8ddd29a4d58b465cccddee58475839675
 
 
 class TestFiltrationCommand:
+    def test_weight_coordinate_over_cap_exit_4(self, specdir, tmp_path, capsys):
+        # a coordinate of 10^10 asks for a degree-1 box of 10^10 + 1 nodes
+        (tmp_path / "far.wd").write_text("weightdata 1\ndim 1\npoint 0 0\npoint 10000000000 1\n")
+        spec = _spec_elsewhere(specdir, "weights01.spec", tmp_path / "p.spec", weights=str(tmp_path / "far.wd"))
+        assert main(["filtration", "--spec", spec, "--out", str(tmp_path / "o"), "--k", "4"]) == 4
+        what = "degree-1 lattice box of 10000000001 x 1 nodes"
+        assert f"{what} exceeds the size cap {SIZE_CAP}" in capsys.readouterr().err
+
     def test_output_bytes(self, specdir, tmp_path):
         # SHA-256 of every output of the 1-D fixture at the default degrees:
         # pins the 1-D convex envelope of the limit curve

@@ -4,7 +4,9 @@ import pytest
 from georay.curves import (
     TestCurve as Curve,
 )
+from georay import curves
 from georay.curves import (
+    ConcaveTransform,
     concave_transform,
     contact_set,
     envelope_from_u,
@@ -14,7 +16,7 @@ from georay.curves import (
 from georay.errors import DomainError
 from georay.grids import GridFunction
 from georay.instances import huber_instance, linear_growth_bowl
-from georay.legendre import default_dual_grid
+from georay.legendre import default_dual_grid, slope_regions
 
 
 def huber_closed_form(x, lam):
@@ -110,6 +112,26 @@ class TestConcaveTransformRoundTrip:
         assert vals.max() <= huber.curve.lambda_c + 1e-9
 
 
+    def test_base_is_the_finite_set_of_u(self, huber):
+        dual = huber.dual
+        v = np.where(np.arange(dual.num_nodes) % 3 == 0, -np.inf, dual.axis(0))
+        u = ConcaveTransform(GridFunction(dual, v))
+        assert u.base.grid == dual and np.array_equal(u.base.mask, np.isfinite(v))
+        ct = concave_transform(huber.curve, dual)
+        assert np.array_equal(ct.base.mask, np.isfinite(ct.u.values))
+
+    def test_one_slope_regions_pass(self, huber, monkeypatch):
+        passes = []
+
+        def counted(grid, values, dual, witness=False):
+            passes.append(len(values))
+            return slope_regions(grid, values, dual, witness)
+
+        monkeypatch.setattr(curves, "slope_regions", counted)
+        concave_transform(huber.curve, huber.dual)
+        assert passes == [huber.curve.live.sum()]
+
+
 class TestIdempotenceAndContact:
     def test_idempotence_zero(self, huber):
         once = maximal_envelope(huber.phi, huber.curve, huber.dual)
@@ -124,7 +146,7 @@ class TestIdempotenceAndContact:
         for lam, s in zip(huber.curve.lambdas, huber.curve.values):
             if lam >= huber.curve.lambda_c or not 4 * h < -lam < 1 - 4 * h:
                 continue
-            band = contact_set(huber.phi, GridFunction(huber.phi.grid, s), tol=h * h)
+            band = contact_set(huber.phi, s, tol=h * h)
             touched = np.abs(xs[band])
             assert touched.max() <= -lam + 2 * h
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,22 @@ class TestClosure:
     def test_size_cap(self, w01):
         with pytest.raises(ResourceError):
             multiplicative_closure(w01, 10**7)
+
+    @pytest.mark.parametrize(
+        "points, box",
+        [([[0], [2000000]], "2000001 x 1"), ([[0, 0], [1000, 1000]], "1001 x 1001")],
+        ids=["1d", "2d"],
+    )
+    def test_degree_one_size_cap(self, points, box):
+        # the degree-1 box is capped as every degree is, before it is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match=f"^degree-1 lattice box of {box} nodes exceeds"):
+                WeightedLatticeData(np.array(points), np.zeros(len(points), dtype=int))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestHistogram:

@@ -27,7 +27,7 @@ from georay.legendre import (
     conjugate,
     default_dual_grid,
     legendre,
-    subgradient_range,
+    slope_regions,
     trapezoid_weights,
 )
 from georay.monge_ampere import _energy_dual_grid
@@ -157,6 +157,15 @@ class TestTransform:
         with pytest.raises(DomainError):
             legendre(GridFunction.neg_inf(g), dual)
 
+    def test_neg_inf_error_names_the_node(self):
+        g = Grid(Box((0.0, -1.0), (1.0, 1.0)), (3, 5))
+        v = np.zeros(g.shape)
+        v[1, 3] = NEG_INF
+        dual = Grid(Box((-1.0, -1.0), (1.0, 1.0)), (3, 3))
+        want = r"^conjugate of a function that is -inf at node \(1, 3\) \(x = 0.5, 0.5\) is \+inf everywhere$"
+        with pytest.raises(DomainError, match=want):
+            legendre(GridFunction(g, v), dual)
+
 
 class TestKernel1D:
     """The certified hull-guided 1-D kernel against the dense argmax."""
@@ -258,14 +267,19 @@ def huber_bowl_2d(n):
     )
 
 
+def slope_mask(f, dual):
+    """The slope-region mask of one function: ``slope_regions`` on the batch of one."""
+    mask, _, _ = next(slope_regions(f.grid, f.values[None], dual))
+    return mask
+
+
 def bowl_instance_2d(n):
     """The 2-D bowl with u = -(|y1| + |y2|)/2 on its slope region."""
     phi = huber_bowl_2d(n)
     dual = default_dual_grid(phi)
-    base = subgradient_range(phi, dual)
     y1, y2 = np.meshgrid(*dual.axes(), indexing="ij")
-    uvals = np.where(base.mask, -(np.abs(y1) + np.abs(y2)) / 2, -np.inf)
-    return phi, dual, ConcaveTransform(GridFunction(dual, uvals), base)
+    uvals = np.where(slope_mask(phi, dual), -(np.abs(y1) + np.abs(y2)) / 2, -np.inf)
+    return phi, dual, ConcaveTransform(GridFunction(dual, uvals))
 
 
 def masked_oracle(axes, values, mask, dual_axes):
@@ -670,8 +684,7 @@ class TestSubgradientRange:
     def test_quadratic_recovers_slope_interval(self):
         f = quadratic_1d(257)
         dual = default_dual_grid(f, 257)
-        region = subgradient_range(f, dual)
-        ys = dual.axis(0)[region.mask]
+        ys = dual.axis(0)[slope_mask(f, dual)]
         hd = dual.spacing[0]
         assert ys.min() == pytest.approx(-1.0, abs=2 * hd)
         assert ys.max() == pytest.approx(1.0, abs=2 * hd)
@@ -680,8 +693,7 @@ class TestSubgradientRange:
         g = Grid(Box((-2.0,), (2.0,)), 129)
         f = GridFunction.from_callable(g, np.abs)
         dual = Grid(Box((-2.0,), (2.0,)), 129)
-        region = subgradient_range(f, dual)
-        ys = dual.axis(0)[region.mask]
+        ys = dual.axis(0)[slope_mask(f, dual)]
         hd = dual.spacing[0]
         assert ys.min() == pytest.approx(-1.0, abs=2 * hd)
         assert ys.max() == pytest.approx(1.0, abs=2 * hd)
@@ -689,8 +701,17 @@ class TestSubgradientRange:
     def test_region_is_convex_1d(self, rng):
         f = random_convex_1d(rng, nodes=65)
         dual = default_dual_grid(f)
-        idx = np.flatnonzero(subgradient_range(f, dual).mask)
+        idx = np.flatnonzero(slope_mask(f, dual))
         assert np.array_equal(idx, np.arange(idx.min(), idx.max() + 1))
+
+
+class TestSlopeRegions:
+    def test_identically_neg_inf_row_is_named(self):
+        g = Grid(Box((-1.0,), (1.0,)), 5)
+        V = np.zeros((3, 5))
+        V[2] = NEG_INF
+        with pytest.raises(DomainError, match="^row 2 of the stack is identically -inf: it has no subgradients$"):
+            next(slope_regions(g, V, g))
 
 
 class TestTrapezoidWeights:
@@ -716,7 +737,7 @@ class TestTrapezoidWeights:
     def test_huber_bowl_slope_set_has_area_4(self):
         phi = huber_bowl_2d(65)
         dual = default_dual_grid(phi)
-        area = trapezoid_weights(subgradient_range(phi, dual).mask).sum() * dual.cell_volume
+        area = trapezoid_weights(slope_mask(phi, dual)).sum() * dual.cell_volume
         assert abs(area - 4.0) <= 1e-12
 
     def test_integral_of_u_on_the_tilted_bowl(self):
@@ -728,10 +749,9 @@ class TestTrapezoidWeights:
         hub = lambda x: np.where(np.abs(x) <= 1.0, x * x / 2, np.abs(x) - 0.5)
         phi = GridFunction(g, hub(x1) + hub(x2) + a1 * x1 + a2 * x2 + b)
         dual = default_dual_grid(phi)
-        base = subgradient_range(phi, dual)
         y1, y2 = np.meshgrid(*dual.axes(), indexing="ij")
-        uvals = np.where(base.mask, -s * (np.abs(y1 - a1) + np.abs(y2 - a2)) / 2, -np.inf)
-        u = ConcaveTransform(GridFunction(dual, uvals), base)
+        uvals = -s * (np.abs(y1 - a1) + np.abs(y2 - a2)) / 2
+        u = ConcaveTransform(GridFunction(dual, np.where(slope_mask(phi, dual), uvals, -np.inf)))
         assert abs(u.integral() + 2 * s) <= 1e-12
 
 

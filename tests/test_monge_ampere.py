@@ -20,7 +20,7 @@ def whole_cells(mask):
 
 def masses(f, dual, weigh=whole_cells):
     """The slope-region mask of f and its MA deposit under ``weigh``."""
-    return next(region_masses([f], dual, weigh))
+    return next(region_masses(f.grid, f.values[None], dual, weigh))
 
 
 class TestMeasure:
@@ -57,6 +57,14 @@ class TestMeasure:
         g = Grid(Box((0.0,), (1.0,)), 3)
         with pytest.raises(DomainError):
             masses(GridFunction.neg_inf(g), g)
+
+    def test_neg_inf_error_names_the_row(self):
+        g = Grid(Box((-1.0,), (1.0,)), 5)
+        V = np.zeros((2, 5))
+        V[1, 4] = -np.inf
+        want = r"-inf at node 4 \(x = 1\) \(row 1 of the stack\) is \+inf everywhere$"
+        with pytest.raises(DomainError, match=want):
+            next(region_masses(g, V, g, whole_cells))
 
 
 class TestEnergy:

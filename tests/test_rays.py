@@ -10,15 +10,10 @@ from georay.instances import (
     linear_growth_bowl,
     quadratic_1d,
 )
-from georay.legendre import (
-    SlopeRegion,
-    default_dual_grid,
-    legendre,
-    subgradient_range,
-    trapezoid_weights,
-)
+from georay.legendre import default_dual_grid, legendre, trapezoid_weights
 from georay.monge_ampere import _energy_dual_grid
 from georay.rays import compare_rays, energy_linearity, ray_dual, ray_from_curve
+from test_legendre import slope_mask
 
 
 @pytest.fixture(scope="module")
@@ -52,11 +47,8 @@ class TestRayConstruction:
         # the maximizing slope is interior
         phi = quadratic_1d(257)
         dual = Grid(Box((-1.5,), (1.5,)), 257)
-        base = subgradient_range(phi, dual)
         ys = dual.axis(0)
-        u = ConcaveTransform(
-            GridFunction(dual, np.where(base.mask, 1 - ys**2 / 2, -np.inf)), base
-        )
+        u = ConcaveTransform(GridFunction(dual, np.where(slope_mask(phi, dual), 1 - ys**2 / 2, -np.inf)))
         ts = np.linspace(0.0, 1.0, 6)
         ray = ray_dual(legendre(phi, dual), u, phi.grid, ts)
         xs = phi.grid.axis(0)
@@ -113,8 +105,7 @@ class TestEnergyLinearity:
         ray = ray_from_curve(inst.curve)
         rep = energy_linearity(ray, inst.phi, _curve_u(inst))
         # the slope set of the bowl is [-1, 1]
-        mask = subgradient_range(inst.phi, inst.dual).mask
-        area = trapezoid_weights(mask).sum() * inst.dual.cell_volume
+        area = trapezoid_weights(slope_mask(inst.phi, inst.dual)).sum() * inst.dual.cell_volume
         assert area == pytest.approx(2.0, abs=1e-12)
         assert rep.slope == pytest.approx(1.0 * area, rel=0.02)
         assert rep.max_abs_residual <= 1e-2 * abs(rep.slope)
@@ -132,9 +123,9 @@ def _bowl2():
     g = Grid(Box((-3.0, -3.0), (3.0, 3.0)), (17, 17))
     phi = GridFunction.from_callable(g, lambda x, y: np.hypot(x, y) ** 2 / 4 + x / 8)
     dual = default_dual_grid(phi, 17)
-    u = GridFunction.from_callable(dual, lambda y1, y2: -(abs(y1) + abs(y2)) / 2)
-    base = subgradient_range(phi, dual)
-    return phi, dual, ConcaveTransform(u, SlopeRegion(dual, base.mask & u.finite_mask))
+    y1, y2 = np.meshgrid(*dual.axes(), indexing="ij")
+    u = np.where(slope_mask(phi, dual), -(np.abs(y1) + np.abs(y2)) / 2, -np.inf)
+    return phi, dual, ConcaveTransform(GridFunction(dual, u))
 
 
 @pytest.mark.parametrize("case", ["huber-1d", "bowl2-2d"])
@@ -155,7 +146,7 @@ def test_lambda_route_is_dual_route_of_floored_u(case):
     # envelope_from_u selects the nodes with u >= lambda - 1e-12
     below = np.searchsorted(lambdas - 1e-12, u.u.values, side="right")
     floor = np.where(below > 0, lambdas[np.maximum(below - 1, 0)], -np.inf)
-    floored = ConcaveTransform(GridFunction(dual, floor), u.base)
+    floored = ConcaveTransform(GridFunction(dual, floor))
     dual_ray = ray_dual(legendre(phi, dual), floored, phi.grid, ts)
     assert np.any(floor[u.base.mask] < u.u.values[u.base.mask])  # the floor bites
     for a, b in zip(hat.values, dual_ray.values):
