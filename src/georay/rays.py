@@ -24,10 +24,10 @@ from .monge_ampere import _require_equivalent, dual_energies
 
 
 def _t_values(t_grid) -> np.ndarray:
-    """A t grid, read-only; ``DomainError`` unless it starts at 0 and increases strictly."""
+    """A t grid, read-only; ``DomainError`` unless finite, from 0 and strictly increasing."""
     ts = np.asarray(t_grid, dtype=float).ravel()
-    if ts.size == 0 or ts[0] != 0.0 or np.any(np.diff(ts) <= 0):
-        raise DomainError("t grid must start at 0 and increase strictly")
+    if ts.size == 0 or ts[0] != 0.0 or not np.isfinite(ts).all() or np.any(np.diff(ts) <= 0):
+        raise DomainError("t grid must be finite, start at 0 and increase strictly")
     ts.setflags(write=False)
     return ts
 
@@ -79,7 +79,7 @@ def ray_from_curve(tc: TestCurve, t_grid=None) -> Ray:
 def ray_dual(phistar: GridFunction, u: ConcaveTransform, grid: Grid, t_grid) -> Ray:
     """frame(t) = conjugate (dual -> primal ``grid``) of phi* - t u on the
     u-region, from phi* on u's dual grid."""
-    ts = np.asarray(t_grid, dtype=float).ravel()
+    ts = _t_values(t_grid)
     dual = u.u.grid
     if phistar.grid != dual:
         raise DomainError("phi* and u live on different dual grids")

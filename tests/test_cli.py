@@ -464,14 +464,14 @@ class TestForkedRayWrite:
 
 
 P012_SHA256 = {
-    "gap.csv": "1c8ee7e7b0971b7e8a2d33f4e74caf5358680edb436d4f7108a21e716d1e1378",
-    "ray.csv": "ab10832cce31fc1d3cdbcb614e443b1526033981a51d8f4b15b1e85744165945",
+    "gap.csv": "a8e5a4a6988cb646de1b392582be4b60ad11796a985d3dfaaf5585f0bf14ae8e",
+    "ray.csv": "d613d53633dca93c8fa3aaa1afda2b8805755eafaf8415d7fbdd8c2d7ff2abff",
     "histogram.csv": "dcfb0eddc773728f760ad6d5efa3b032376bd5be7ac09899dc357ceab08f23c0",
 }
 
 W01_SHA256 = {
-    "gap.csv": "f927ff2902c30a48fad6ff90f23d7d4bc4c7fa6083f4dcbdf271ce1c77aacdfd",
-    "ray.csv": "22f4401c3ea207b8ed2355c50f8df0c3c9acf46918696cf5f671e1681654b799",
+    "gap.csv": "3b585e9bfda4d33c78bc7cf512f00b01b11945cf2bafbf071bfa6ea95ecf5de9",
+    "ray.csv": "3484ad380e0345883bfdd055611d94d6352156c547f1786c4ede459251303e47",
     "histogram.csv": "f68f25a1a01eadd983117959c332499c38d5ac26a1ab6bae06a8296a9d4152dc",
 }
 

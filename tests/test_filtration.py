@@ -6,6 +6,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from georay.filtration import (
     weight_facets,
     weight_histogram,
 )
-from georay.grids import NEG_INF, SIZE_CAP, GridFunction, require_convex
+from georay.grids import NEG_INF, SIZE_CAP, Box, Grid, GridFunction, require_convex
 from georay.instances import filtration_base
 from georay.legendre import default_dual_grid, legendre
 from georay.rays import compare_rays
@@ -260,6 +261,108 @@ class TestLimitCurveAndRay:
             assert np.abs(fr - (base + 2 * t)).max() <= 1e-10
 
 
+    def test_empty_degree_list(self, base_inst, w01):
+        with pytest.raises(DomainError, match="^empty degree list$"):
+            equivalence_check(base_inst, w01, np.linspace(0.0, 1.0, 6), [])
+
+
+def per_t_frames(inst, data, k, ts):
+    """The reference Phong-Sturm frames: one ``_logsumexp`` over nodes x sections per t."""
+    E, w = inst.section_values(data, k)
+    return np.array([_logsumexp(k * E + t * w) / k for t in ts])
+
+
+def runs_of(ts, span):
+    """How many runs of t the 600 rule makes: each run takes the t within
+    600 / span of its first."""
+    runs, t0 = 0, -math.inf
+    for t in ts:
+        if (t - t0) * span > 600.0:
+            runs, t0 = runs + 1, t
+    return runs
+
+
+def count_section_exps(monkeypatch, shape) -> list:
+    """Patch ``np.exp`` to record each call over an array of ``shape``."""
+    calls, exp = [], np.exp
+
+    def counted(x, *args, **kwargs):
+        if np.shape(x) == shape:
+            calls.append(shape)
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    return calls
+
+
+class TestPhongSturmRuns:
+    """phong_sturm_ray's one ``exp`` per run of t against the per-t log-sum-exp."""
+
+    @pytest.mark.parametrize("scale", [1, 40])
+    @pytest.mark.parametrize("case", ["w01", "three_point", "simplex_2d"])
+    def test_frames_match_per_t_reference(self, request, base_inst, monkeypatch, case, scale):
+        inst, data = (base_inst, request.getfixturevalue(case)) if case == "w01" else request.getfixturevalue(case)
+        data = WeightedLatticeData(data.points, scale * data.weights)
+        ts, runs = np.linspace(0.0, 1.0, 21), []
+        for k in (1, 2, 4, 8, 16, 32, 64):
+            E, w = inst.section_values(data, k)
+            want = per_t_frames(inst, data, k, ts)
+            calls = count_section_exps(monkeypatch, E.shape)
+            got = phong_sturm_ray(inst, data, k, ts).values.reshape(want.shape)
+            monkeypatch.undo()
+            # within 1e-14 of the frame's size, at least 1e-14: frames reach 85 at scale 40
+            assert (np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want))).all()
+            runs.append(len(calls))
+            assert runs[-1] == runs_of(ts, float(w.max() - w.min()))
+        # x 40 at k = 64 spans 2560 or 2600: 600 / span holds four steps of t
+        assert runs[-1] == (1 if scale == 1 else 5)
+
+    def test_both_sides_of_the_run_rule(self, w01, monkeypatch):
+        # e = (0, -800/k) and w = (0, 1000).  (1 - 0) x 1000 > 600, so t = 1
+        # takes its own run: in one run, exp(-800) would underflow, the other
+        # section's exp(-1000) too, and log 0 would warn (an error here)
+        grid = Grid(Box((0.0,), (1.0,)), 3)
+        for k in (1, 4):
+            E, w = np.array([[0.0, -800.0 / k]] * 3), np.array([0.0, 1000.0])
+            inst = SimpleNamespace(phi=SimpleNamespace(grid=grid), section_values=lambda data, k: (E, w))
+            calls = count_section_exps(monkeypatch, E.shape)
+            ray = phong_sturm_ray(inst, w01, k, [0.0, 1.0])
+            assert np.array_equal(ray.values, [[0.0] * 3, [200.0 / k] * 3]) and len(calls) == 2
+            # 0.6 x 1000 = 600: one run, whose t = 0.6 term is exp(-600)
+            calls.clear()
+            ray = phong_sturm_ray(inst, w01, k, [0.0, 0.6])
+            assert np.abs(ray.values[1] - np.logaddexp(0.0, -200.0) / k).max() <= 1e-12 and len(calls) == 1
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_t_rejected(self, base_inst, w01, monkeypatch, bad):
+        calls = count_section_exps(monkeypatch, base_inst.section_values(w01, 4)[0].shape)
+        with pytest.raises(DomainError, match="t grid must be finite"):
+            phong_sturm_ray(base_inst, w01, 4, [0.0, bad])
+        assert calls == []
+
+    def test_frames_independent_of_blas_threads(self):
+        # 513 nodes x 401 sections: a BLAS product of the two exponentials
+        # sums in a different order with two threads than with one
+        script = (
+            "import hashlib, numpy as np\n"
+            "from georay.filtration import BergmanInstance, WeightedLatticeData, phong_sturm_ray\n"
+            "from georay.instances import filtration_base\n"
+            "from georay.legendre import default_dual_grid\n"
+            "phi = filtration_base(513)\n"
+            "inst = BergmanInstance(phi, default_dual_grid(phi, 513))\n"
+            "data = WeightedLatticeData(np.array([[0], [1]]), np.array([0, 1]))\n"
+            "ray = phong_sturm_ray(inst, data, 400)\n"
+            "print(hashlib.sha256(ray.values.tobytes()).hexdigest())\n"
+        )
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(Path(georay.__file__).parents[1]))
+            out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1
+
+
 class TestExtremalTable:
     """extremal_metric's running-max table against the per-lambda definition."""
 
@@ -299,7 +402,7 @@ class TestExtremalTable:
         for ray in rays:
             for frame in ray.values:
                 h.update(frame.tobytes())
-        assert h.hexdigest() == "d93eacf857ca7c4823c3d238d8c8e5b795e602d32938979e2acc08f1feb1d8e8"
+        assert h.hexdigest() == "62ab19dce845e14194fe23641454f8b9f9839ddeac562d46e49b7107e66b1c0d"
 
 
 SQUARE = [[0, 0], [1, 0], [0, 1], [1, 1]]

@@ -12,7 +12,7 @@ from georay.instances import (
 )
 from georay.legendre import default_dual_grid, legendre, trapezoid_weights
 from georay.monge_ampere import _energy_dual_grid
-from georay.rays import compare_rays, energy_linearity, ray_dual, ray_from_curve
+from georay.rays import Ray, compare_rays, energy_linearity, ray_dual, ray_from_curve
 from test_legendre import slope_mask
 
 
@@ -64,6 +64,16 @@ class TestRayConstruction:
         other = default_dual_grid(huber.phi, 65)
         with pytest.raises(DomainError, match="different dual grids"):
             ray_dual(legendre(huber.phi, other), huber.u, huber.phi.grid, [0.0, 1.0])
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_t_rejected(self, huber, bad):
+        # np.diff(t) <= 0 is False at nan and at +inf: finiteness is its own test
+        ts, grid = [0.0, bad], huber.phi.grid
+        with pytest.raises(DomainError, match="t grid must be finite"):
+            Ray(ts, grid, np.zeros((2,) + grid.shape))
+        with pytest.raises(DomainError, match="t grid must be finite"):
+            ray_dual(legendre(huber.phi, huber.dual), huber.u, grid, ts)
 
 
 class TestRayEquality:
