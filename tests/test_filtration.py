@@ -260,7 +260,6 @@ class TestLimitCurveAndRay:
         for t, fr in zip(ray.t_grid, ray.values):
             assert np.abs(fr - (base + 2 * t)).max() <= 1e-10
 
-
     def test_empty_degree_list(self, base_inst, w01):
         with pytest.raises(DomainError, match="^empty degree list$"):
             equivalence_check(base_inst, w01, np.linspace(0.0, 1.0, 6), [])
@@ -327,11 +326,13 @@ class TestPhongSturmRuns:
             inst = SimpleNamespace(phi=SimpleNamespace(grid=grid), section_values=lambda data, k: (E, w))
             calls = count_section_exps(monkeypatch, E.shape)
             ray = phong_sturm_ray(inst, w01, k, [0.0, 1.0])
-            assert np.array_equal(ray.values, [[0.0] * 3, [200.0 / k] * 3]) and len(calls) == 2
+            assert np.array_equal(ray.values, [[0.0] * 3, [200.0 / k] * 3])
+            assert len(calls) == 2
             # 0.6 x 1000 = 600: one run, whose t = 0.6 term is exp(-600)
             calls.clear()
             ray = phong_sturm_ray(inst, w01, k, [0.0, 0.6])
-            assert np.abs(ray.values[1] - np.logaddexp(0.0, -200.0) / k).max() <= 1e-12 and len(calls) == 1
+            assert np.abs(ray.values[1] - np.logaddexp(0.0, -200.0) / k).max() <= 1e-12
+            assert len(calls) == 1
             monkeypatch.undo()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
