@@ -2,9 +2,10 @@
 
 Degree-1 lattice points with integer weights generate all higher degrees
 through a tropical (max-plus) convolution; the resulting weight arrays
-model a multiplicative filtration.  From them we build sup-norm Bergman
-metrics, their log-sum-exp sandwich, the Fekete limit curve, and the
-Phong-Sturm ray, together with the equivalence check against the
+model a multiplicative filtration.  From them we build sup-norm extremal
+metrics, the Fekete limit curve and the Phong-Sturm ray, a log-sum-exp
+over the N sections that lies between max_i (e_i + t w_i / k) and that
+max plus ln N / k, together with the equivalence check against the
 closed-form toric ray (phi* - t g-hat)*, where g-hat is the concave
 envelope of the degree-1 weights over the polytope (Song-Zelditch, Adv.
 Math. 229, 2012).  g-hat is evaluated, and its moments integrated, on the
@@ -26,23 +27,6 @@ from .errors import DomainError, ResourceError
 from .grids import Grid, GridFunction, NEG_INF, SIZE_CAP, require_within_cap
 from .legendre import _chunks, check_dual_contains_slopes, conjugate
 from .rays import Ray, _t_values, compare_rays, default_t_grid, ray_dual
-
-
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log sum exp along the rows of a 2-D array.
-
-    Takes the steps of scipy 1.17's ``scipy.special.logsumexp(a, axis=1)``
-    for real input, so the bits agree: the tied row maxima are counted as m
-    and left out of the shifted sum s, which is divided by m when nonzero,
-    and the result is log1p(s) + log(m) + max.  Every row needs a finite
-    entry (the section values are finite); -inf entries add nothing.
-    """
-    a_max = a.max(axis=1, keepdims=True)
-    top = a == a_max
-    m = top.sum(axis=1, keepdims=True, dtype=float)
-    s = np.exp(np.where(top, NEG_INF, a) - a_max).sum(axis=1, keepdims=True)
-    s = np.where(s == 0, s, s / m)
-    return (np.log1p(s) + np.log(m) + a_max)[:, 0]
 
 
 @dataclass(eq=False)
@@ -147,7 +131,8 @@ def weight_histogram(data: WeightedLatticeData, k: int):
 
 @dataclass(eq=False)
 class BergmanInstance:
-    """Base metric phi plus cached conjugate values at normalized points."""
+    """Base metric phi on a dual grid that contains its slopes; the
+    sections are affine functions with slopes at normalized lattice points."""
 
     phi: GridFunction
     dual: Grid
@@ -155,7 +140,6 @@ class BergmanInstance:
     def __post_init__(self):
         check_dual_contains_slopes(self.phi, self.dual)
         self._coords = self.phi.grid.coords()
-        self._sections: dict[tuple[int, int], tuple] = {}
 
     def conj_at(self, y: np.ndarray) -> np.ndarray:
         """phi*(y) at arbitrary slope points (exact max over primal nodes)."""
@@ -177,19 +161,15 @@ class BergmanInstance:
         """e_i(x) = <alpha_i/k, x> - phi*(alpha_i/k) for reachable alpha_i.
 
         Returns read-only (E (num_nodes, R), weights (R,)) in row-major
-        point order, cached per (data, k).  E must fit under the size cap.
+        point order.  E must fit under the size cap.
         """
-        key = (id(data), k)
-        if key not in self._sections:
-            pts, w = data.reachable(k)
-            require_within_cap(f"degree-{k} section matrix", w.size, self.phi.grid.num_nodes)
-            slopes = pts.astype(float) / k
-            E = self._coords @ slopes.T - self.conj_at(slopes)
-            E.setflags(write=False)
-            w.setflags(write=False)
-            # holding data keeps its id from being reused by another object
-            self._sections[key] = (data, E, w)
-        return self._sections[key][1:]
+        pts, w = data.reachable(k)
+        require_within_cap(f"degree-{k} section matrix", w.size, self.phi.grid.num_nodes)
+        slopes = pts.astype(float) / k
+        E = self._coords @ slopes.T - self.conj_at(slopes)
+        E.setflags(write=False)
+        w.setflags(write=False)
+        return E, w
 
 
 def extremal_metric(
@@ -350,26 +330,6 @@ def moment_check(data: WeightedLatticeData, k: int, p: int):
     s = a.sum(axis=1)
     mean = s / (n + 1) if p == 1 else (s * s + (a * a).sum(axis=1)) / ((n + 1) * (n + 2))
     return lhs, float((vol * mean).sum())
-
-
-def log_sum_exp_sandwich_gap(
-    inst: BergmanInstance, data: WeightedLatticeData, k: int, lam: float = -np.inf
-):
-    """Worst node-wise violation of max <= bergman <= max + ln|I|/k.
-
-    Returns (low_violation, high_violation); both should be ~ 0.
-    """
-    E, w = inst.section_values(data, k)
-    sel = w >= k * lam - 1e-9 if np.isfinite(lam) else np.ones(w.size, dtype=bool)
-    if not sel.any():
-        raise DomainError("empty selection")
-    block = E[:, sel]
-    mx = block.max(axis=1)
-    lse = _logsumexp(k * block) / k
-    budget = math.log(int(sel.sum())) / k
-    low = float((mx - lse).max())
-    high = float((lse - (mx + budget)).max())
-    return low, high
 
 
 def weight_envelope(data: WeightedLatticeData, pts: np.ndarray) -> np.ndarray:

@@ -76,10 +76,12 @@ def random_nonconvex_1d(rng: np.random.Generator, nodes: int = 257) -> GridFunct
 
 @dataclass(frozen=True)
 class RayInstance:
-    """Base obstacle, dual grid, concave dual data, and the envelope curve."""
+    """Base obstacle, dual grid, phi's conjugate on it, concave dual data,
+    and the envelope curve."""
 
     phi: GridFunction
     dual: Grid
+    star: GridFunction
     u: ConcaveTransform
     curve: TestCurve
     lambda_spacing: float
@@ -93,20 +95,20 @@ def huber_instance(
     """phi with slope set [-1, 1], u(y) = -|y|; envelopes are Huber functions."""
     phi = linear_growth_bowl(nodes)
     dual = default_dual_grid(phi, dual_nodes)
-    mask, _, _ = next(slope_regions(phi.grid, phi.values[None], dual))
+    mask, star, _ = next(slope_regions(phi.grid, phi.values[None], dual))
     uvals = np.where(mask, -np.abs(dual.axis(0)), -np.inf)
     u = ConcaveTransform(GridFunction(dual, uvals))
     lambdas = np.arange(-1.0, 1e-12, lambda_spacing)
     curve = envelope_from_u(phi, u, lambdas, dual, lambda_head=-1.0)
-    return RayInstance(phi, dual, u, curve, lambda_spacing)
+    return RayInstance(phi, dual, GridFunction(dual, star), u, curve, lambda_spacing)
 
 
 def constant_u_instance(nodes: int = 129, dual_nodes: int = 129) -> RayInstance:
     """u identically 1 on the slope set: pure-translation dynamics."""
     phi = linear_growth_bowl(nodes)
     dual = default_dual_grid(phi, dual_nodes)
-    mask, _, _ = next(slope_regions(phi.grid, phi.values[None], dual))
+    mask, star, _ = next(slope_regions(phi.grid, phi.values[None], dual))
     uvals = np.where(mask, 1.0, -np.inf)
     u = ConcaveTransform(GridFunction(dual, uvals))
     curve = envelope_from_u(phi, u, np.array([0.0, 1.0]), dual, lambda_head=1.0)
-    return RayInstance(phi, dual, u, curve, 1.0)
+    return RayInstance(phi, dual, GridFunction(dual, star), u, curve, 1.0)

@@ -52,11 +52,10 @@ first max, second largest or gap), dense pairs store no argmax, and 2-D
 skips the witness gather and the tie redo.  The values come from the same
 float expressions, so they are the same bits.  The window and the dense
 pairs both take the value at the first maximizer, as the brute force does:
-a plain max may return the other sign of a tied zero.  Witnesses are asked for by
-``legendre(..., return_witness=True)`` (``fast_vs_brute``),
-``slope_regions(..., witness=True)`` (the Monge-Ampere deposit of
-``region_masses``) and ``energy_quadrature``; every other caller
-conjugates values only.
+a plain max may return the other sign of a tied zero.  Witnesses are
+asked for by ``fast_vs_brute``, ``slope_regions(..., witness=True)`` (the
+Monge-Ampere deposit of ``region_masses``) and ``energy_quadrature``; every
+other caller conjugates values only.
 
 ``conjugate`` takes one function or a stack of them along a leading batch
 axis; one function is the batch of one.  In 1-D the stacked rows go to the
@@ -332,29 +331,12 @@ def _require_finite(grid: Grid, values: np.ndarray):
         )
 
 
-def legendre(
-    f: GridFunction,
-    dual: Grid,
-    method: str = "fast",
-    return_witness: bool = False,
-):
-    """phi*(y) = max over primal nodes of <x,y> - phi(x), on the dual grid.
-
-    method is "fast" (the certified ``conjugate`` kernel) or "brute"; the
-    two agree bit-for-bit including the argmax witness, which the fast
-    method computes only for ``return_witness``.
-    """
+def legendre(f: GridFunction, dual: Grid) -> GridFunction:
+    """phi*(y) = max over primal nodes of <x,y> - phi(x), on the dual grid:
+    the ``conjugate`` kernel on one finite function, values only."""
     _require_finite(f.grid, f.values)
-    if method == "fast":
-        vals, wit = conjugate(f.grid.axes(), f.values, dual.axes(), return_witness)
-    elif method == "brute":
-        vals, wit = _transform_brute(f.grid.axes(), f.values, dual.axes())
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    out = GridFunction(dual, vals.reshape(dual.shape))
-    if return_witness:
-        return out, wit.reshape(dual.shape)
-    return out
+    vals, _ = conjugate(f.grid.axes(), f.values, dual.axes())
+    return GridFunction(dual, vals.reshape(dual.shape))
 
 
 def biconjugate(f: GridFunction, dual: Grid) -> GridFunction:

@@ -19,6 +19,9 @@ Weight-data file::
     weightdata 1
     dim <n>
     point <coords...> <integer weight>     (one line per degree-1 point)
+
+A header keyword takes exactly its number of values, and every integer
+must fit in int64; a violation is a ``ParseError`` naming its line.
 """
 
 from __future__ import annotations
@@ -43,6 +46,16 @@ def _parse_float(tok: str, line: int) -> float:
         return float(tok)
     except ValueError:
         raise ParseError(f"bad float {tok!r}", line=line) from None
+
+
+def _parse_int(tok: str, line: int) -> int:
+    try:
+        v = int(tok)
+    except ValueError:
+        raise ParseError(f"bad integer {tok!r}", line=line) from None
+    if not -(2**63) <= v < 2**63:
+        raise ParseError(f"integer {tok!r} outside the int64 range", line=line)
+    return v
 
 
 def dump_grid_function(f: GridFunction) -> str:
@@ -72,24 +85,26 @@ class _Cursor:
                 return line
         raise ParseError("unexpected end of input", line=self.pos)
 
-    def expect(self, keyword: str) -> list[str]:
-        line = self.next()
-        parts = line.split()
-        if parts[0] != keyword:
-            raise ParseError(f"expected {keyword!r}, got {parts[0]!r}", line=self.pos)
-        return parts[1:]
+    def expect(self, keyword: str, count: int | None = 1) -> list[str]:
+        """The tokens after ``keyword`` on the next line: exactly ``count``
+        of them, or any number for None."""
+        head, *tokens = self.next().split()
+        if head != keyword:
+            raise ParseError(f"expected {keyword!r}, got {head!r}", line=self.pos)
+        if count is not None and len(tokens) != count:
+            n = len(tokens)
+            raise ParseError(f"{keyword!r} takes {count} value(s), got {n}", line=self.pos)
+        return tokens
 
 
 def _parse_record(cur: _Cursor):
     """(grid, values) of the next GridFunction record, unchecked."""
     cur.expect("gridfunction")
-    dim = int(cur.expect("dim")[0])
-    lower = tuple(_parse_float(t, cur.pos) for t in cur.expect("lower"))
-    upper = tuple(_parse_float(t, cur.pos) for t in cur.expect("upper"))
-    nodes = tuple(int(t) for t in cur.expect("nodes"))
-    if len(lower) != dim or len(upper) != dim or len(nodes) != dim:
-        raise ParseError("header lengths disagree with dim", line=cur.pos)
-    cur.expect("values")
+    dim = _parse_int(cur.expect("dim")[0], cur.pos)
+    lower = tuple(_parse_float(t, cur.pos) for t in cur.expect("lower", dim))
+    upper = tuple(_parse_float(t, cur.pos) for t in cur.expect("upper", dim))
+    nodes = tuple(_parse_int(t, cur.pos) for t in cur.expect("nodes", dim))
+    cur.expect("values", 0)
     grid = Grid(Box(lower, upper), nodes)
     return grid, _parse_values(cur, grid.num_nodes)
 
@@ -129,7 +144,7 @@ def dump_test_curve(tc: TestCurve) -> str:
 def load_test_curve(text: str) -> TestCurve:
     cur = _Cursor(text.splitlines())
     cur.expect("testcurve")
-    lambdas = np.array([_parse_float(t, cur.pos) for t in cur.expect("lambdas")])
+    lambdas = np.array([_parse_float(t, cur.pos) for t in cur.expect("lambdas", None)])
     head = _parse_float(cur.expect("lambda_head")[0], cur.pos)
     lc = _parse_float(cur.expect("lambda_c")[0], cur.pos)
     records = [_parse_record(cur) for _ in lambdas]
@@ -172,7 +187,7 @@ def load_weight_data(text: str) -> WeightedLatticeData:
 
     cur = _Cursor(text.splitlines())
     cur.expect("weightdata")
-    dim = int(cur.expect("dim")[0])
+    dim = _parse_int(cur.expect("dim")[0], cur.pos)
     pts, ws = [], []
     while True:
         try:
@@ -182,8 +197,8 @@ def load_weight_data(text: str) -> WeightedLatticeData:
         parts = line.split()
         if parts[0] != "point" or len(parts) != dim + 2:
             raise ParseError(f"bad point line {line!r}", line=cur.pos)
-        pts.append([int(v) for v in parts[1 : 1 + dim]])
-        ws.append(int(parts[-1]))
+        pts.append([_parse_int(v, cur.pos) for v in parts[1 : 1 + dim]])
+        ws.append(_parse_int(parts[-1], cur.pos))
     if not pts:
         raise ParseError("no points in weight data", line=cur.pos)
     return WeightedLatticeData(np.array(pts), np.array(ws))

@@ -28,7 +28,7 @@ from test_legendre import bowl_instance_2d, same_bits, slope_mask
 def deposit_ref(f, dual, weights):
     """MA masses of f: each dual node sends its weight times the dual-cell
     volume to the primal node of its witness."""
-    _, wit = legendre(f, dual, return_witness=True)
+    _, wit = conjugate(f.grid.axes(), f.values, dual.axes(), witness=True)
     masses = np.zeros(f.grid.num_nodes)
     on = weights != 0
     np.add.at(masses, wit[on], dual.cell_volume * weights[on])

@@ -20,7 +20,7 @@ from georay.filtration import WeightedLatticeData
 from georay.grids import SIZE_CAP, Box, Grid, GridFunction
 from georay.instances import filtration_base, huber_instance, linear_growth_bowl
 from georay.legendre import default_dual_grid
-from test_legendre import slope_mask
+from test_legendre import noisy_bowl_2d, slope_mask
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +72,13 @@ def specdir(tmp_path_factory, three_point, simplex_2d):
     (d / "bowl2.spec").write_text(
         json.dumps({"kind": "dual_u", "phi": "bowl2.gf", "u": "u2.gf", "t_nodes": 3})
     )
+    noisy = noisy_bowl_2d()
+    u_noisy = GridFunction.from_callable(default_dual_grid(noisy), lambda y1, y2: -(abs(y1) + abs(y2)) / 2)
+    (d / "noisy2.gf").write_text(ser.dump_grid_function(noisy))
+    (d / "u_noisy2.gf").write_text(ser.dump_grid_function(u_noisy))
+    (d / "noisy2.spec").write_text(
+        json.dumps({"kind": "dual_u", "phi": "noisy2.gf", "u": "u_noisy2.gf", "t_nodes": 3})
+    )
     inst2, data2 = simplex_2d
     (d / "simplex2.gf").write_text(ser.dump_grid_function(inst2.phi))
     (d / "p2d.wd").write_text(ser.dump_weight_data(data2))
@@ -91,6 +98,13 @@ BOWL2_SHA256 = {
     "ray.csv": "c926fd2050ae57c4058fdd3149cf6850a9125e85b06ce62159bb2bbbce1df99b",
     "energy.json": "8d9c8c41be2df59ff16cddb0f5e74f16e8c2ef95a9e6cd7d44382649b38be5e0",
     "linearity.json": "bf449ae1014e66046ce17632eff8f25040b81bd0feacd39f99fe1c62184853db",
+}
+
+# the noisy 2-D bowl, whose slope mask is the convex fill of gapped rows
+NOISY2_SHA256 = {
+    "ray.csv": "d35dac4f4875fdc0ba11122a4e9d5d3812e3a118d5a89b637f880c240043d30d",
+    "energy.json": "d24966fd43e3289049d8c09b7ebece01c22d1ab1e9ee93d146223a009c9b9c1c",
+    "linearity.json": "6cc50f4f6014ade529afcce241ee9a06b3215b0cabde83c0683a7ba9593491c8",
 }
 
 # the 1-D dual_u fixture, whose u = -|y| peaks at -0.0 on the node y = 0
@@ -322,6 +336,12 @@ class TestRayCommand:
         got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in BOWL2_SHA256}
         assert got == BOWL2_SHA256
 
+    def test_2d_noisy_bowl_output_bytes(self, specdir, tmp_path):
+        out = tmp_path / "out"
+        assert main(["ray", "--spec", str(specdir / "noisy2.spec"), "--out", str(out)]) == 0
+        got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in NOISY2_SHA256}
+        assert got == NOISY2_SHA256
+
     def test_huber_output_bytes(self, specdir, tmp_path):
         out = tmp_path / "out"
         assert main(["ray", "--spec", str(specdir / "huber.spec"), "--out", str(out)]) == 0
@@ -477,7 +497,7 @@ W01_SHA256 = {
 
 # SHA-256 of the `check --suite all` report without its timings, written as
 # json.dumps(report, indent=1, sort_keys=True)
-CHECK_ALL_SHA256 = "71e1370fabdf5ffc3fdded80d9e8ddd29a4d58b465cccddee58475839675db3b"
+CHECK_ALL_SHA256 = "57bddd8f5676c86b087d09d6312cf862ff9acd8070192b9daa94d3baa61066a6"
 
 
 class TestFiltrationCommand:
@@ -703,6 +723,29 @@ class TestFiltrationCommand:
         assert main(["filtration", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
         assert "validation failure: phi is not convex at node" in capsys.readouterr().err
         assert not any((tmp_path / "o").iterdir())
+
+    # a malformed integer in either input file is a parse error that names
+    # its line: these raised ValueError, IndexError and OverflowError
+    @pytest.mark.parametrize(
+        "name, old, new, message",
+        [
+            ("base.gf", "nodes 65", "nodes 5x", "(line 5): bad integer '5x'"),
+            ("base.gf", "dim 1", "dim", "(line 2): 'dim' takes 1 value(s), got 0"),
+            ("w01.wd", "point 1 1", "point 1 0.5", "(line 4): bad integer '0.5'"),
+            ("w01.wd", "dim 1", "dim", "(line 2): 'dim' takes 1 value(s), got 0"),
+            ("w01.wd", "point 1 1", "point 1 99999999999999999999",
+             "(line 4): integer '99999999999999999999' outside the int64 range"),
+        ],
+        ids=["nodes", "phi-dim", "weight-float", "weights-dim", "weight-overflow"],
+    )
+    def test_malformed_integer_exit_2(self, specdir, tmp_path, capsys, name, old, new, message):
+        text = (specdir / name).read_text()
+        assert old in text
+        (tmp_path / name).write_text(text.replace(old, new, 1))
+        key = "phi" if name.endswith(".gf") else "weights"
+        spec = _spec_elsewhere(specdir, "weights01.spec", tmp_path / "p.spec", **{key: str(tmp_path / name)})
+        assert main(["filtration", "--spec", spec, "--out", str(tmp_path / "o"), "--k", "4"]) == 2
+        assert capsys.readouterr().err == f"parse error {message}\n"
 
     def test_cap_exit_4(self, specdir, tmp_path):
         rc = main(
