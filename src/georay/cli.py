@@ -15,12 +15,14 @@ Unknown keys, such as an old ``lambda`` block, are ignored.  The ray of kind
 is finite and phi has slopes), and its ``lambda_c`` the max of u there (a
 max of -0.0 is written as 0.0).
 
-In 1-D, every input is certified by ``grids.require_convex`` before any
-conjugate: phi and each finite test-curve sample convex, u concave on its
-finite run, each within ``TOL_CONVEX_REL`` times its value range of its
-convex (concave) envelope; a failure exits 3 and names the node, x, the
-deviation and the tolerance.  A bound on the second differences settles
-most inputs in O(n), without a hull.  2-D inputs are trusted, as their test
+A test curve is certified by ``curves.validate`` before any conjugate: its
+lambda invariants and, in 1-D, each finite sample convex.  In 1-D, phi is
+certified convex and u concave on its finite run by
+``grids.require_convex``, each within ``TOL_CONVEX_REL`` times its value
+range of its convex (concave) envelope; a failure exits 3 and names the
+lambda, the node, x, the deviation and the tolerance, as they apply.  A
+bound on the second differences settles most inputs in O(n), without a
+hull.  2-D inputs are trusted beyond the lambda invariants, as their test
 is a hull that would load scipy.
 
 ``filtration`` writes ``gap.csv``, the per-t sup distance from the
@@ -45,9 +47,10 @@ either way; a forked write builds the CSV text in the child, whose memory
 the command's own peak RSS does not count.  Both commands count CPUs by
 ``grids.fork_cpus``, which honours the process's CPU affinity.
 
-Exit codes: 0 success, 2 parse error, 3 validation failure, 4 resource
-limit.  Output is deterministic: identical inputs give byte-identical
-files (apart from the ``timings`` of ``check``).
+Every rejection is an exception that ``main`` reports on stderr.  Exit
+codes: 0 success, 2 parse error, 3 validation failure, 4 resource limit.
+Output is deterministic: identical inputs give byte-identical files (apart
+from the ``timings`` of ``check``).
 """
 
 from __future__ import annotations
@@ -185,21 +188,9 @@ def cmd_ray(spec_path: str, out_dir: str, tol_scale: float = 1.0) -> int:
         phi = tc.head
         if "phi" in doc:
             phi = ser.load_grid_function(_read_spec_file(specdir, doc, "phi"))
-        # discrete envelopes are lambda-concave only up to one grid cell
-        h = max(tc.grid.spacing)
-        dlam = float(np.diff(tc.lambdas).min()) if tc.lambdas.size > 1 else 0.0
-        diag = validate(tc, tol_concave=tol_scale * (h + dlam))
-        if not diag.valid:
-            print(
-                f"invalid test curve: {'; '.join(diag.issues)}"
-                + (f" at {diag.witness}" if diag.witness else ""),
-                file=sys.stderr,
-            )
-            return 3
+        validate(tc, tol_scale)
         if tc.grid.dim == 1:
             require_convex("phi", phi)
-            for lam, sample in zip(tc.lambdas, tc.values):
-                require_convex(f"curve sample at lambda={lam:g}", GridFunction(tc.grid, sample))
         ray = ray_from_curve(tc, ts)
         # the predicted energy slope: u of the curve on phi's energy grid
         u = concave_transform(tc, _energy_dual_grid(phi))
@@ -273,8 +264,7 @@ def cmd_check(suite: str, json_path: str | None, tol_scale: float = 1.0) -> int:
     from .checks import SUITES, run_suite
 
     if suite not in SUITES:
-        print(f"unknown suite {suite!r}; choose from {sorted(SUITES)}", file=sys.stderr)
-        return 2
+        raise ParseError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     rep = run_suite(suite, tol_scale)
     timings = {r["name"]: r.pop("seconds") for r in rep["checks"]}
     for r in rep["checks"]:

@@ -2,14 +2,17 @@
 
 A test curve is a lambda-indexed family of convex functions, one array on
 one grid: constant below ``lambda_head``, decreasing and concave in lambda,
-and identically -inf past the critical value ``lambda_c``.  Its concave
-transform u(y) is the largest lambda whose member still has y among its
-subgradients, and -inf off its base, the first finite member's slope
-region; the regions come from one ``slope_regions`` pass over the curve's
-array.  A ``ConcaveTransform`` holds u alone: its ``base`` is u's finite
-set.  The maximal envelope runs the other way: from an obstacle phi and
-superlevel regions {u >= lambda} it rebuilds the curve as a restricted
-biconjugate, a supremum of affine functions with slopes confined to it.
+and identically -inf past the critical value ``lambda_c``; every lambda is
+finite.  ``validate`` is the one test of these invariants: it raises
+``DomainError`` at the first broken one, naming its lambda.  The curve's
+concave transform u(y) is the largest lambda whose member still has y
+among its subgradients, and -inf off its base, the first finite member's
+slope region; the regions come from one ``slope_regions`` pass over the
+curve's array.  A ``ConcaveTransform`` holds u alone: its ``base`` is u's
+finite set.  The maximal envelope runs the other way: from an obstacle phi,
+its conjugate and superlevel regions {u >= lambda} it rebuilds the curve as
+a restricted biconjugate, a supremum of affine functions with slopes
+confined to it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .grids import Grid, GridFunction, NEG_INF, grid_values
+from .grids import NEG_INF, Grid, GridFunction, _at, grid_values, require_convex
 from .legendre import (
     SlopeRegion,
     _chunks,
@@ -49,6 +52,8 @@ class TestCurve:
         object.__setattr__(self, "values", grid_values(self.grid, self.values, lam.size))
         if lam.size == 0:
             raise DomainError("empty test curve")
+        if not np.isfinite([*lam, self.lambda_head, self.lambda_c]).all():
+            raise DomainError("test curve lambdas, lambda_head and lambda_c must be finite")
         if np.any(np.diff(lam) <= 0):
             raise DomainError("lambda grid must be strictly increasing")
 
@@ -62,73 +67,50 @@ class TestCurve:
         return GridFunction(self.grid, self.values[0])
 
 
-@dataclass(frozen=True)
-class CurveDiagnostics:
-    valid: bool
-    issues: tuple[str, ...]
-    witness: tuple | None  # (lambda, node multi-index) of first violation
-
-
-def validate(tc: TestCurve, tol_concave: float = 1e-9) -> CurveDiagnostics:
-    """Check all TestCurve invariants; reports the first violating node."""
-    issues: list[str] = []
-    witness = None
-
-    def note(msg, lam=None, node=None):
-        nonlocal witness
-        issues.append(msg)
-        if witness is None and lam is not None:
-            witness = (lam, node)
-
-    lam, live = tc.lambdas, tc.live
+def validate(tc: TestCurve, tol_scale: float = 1.0):
+    """``DomainError`` at the first broken invariant of a test curve, in this
+    order: a finite sample past lambda_c, a -inf sample at or below it, a
+    partly -inf sample, a head sample unlike the first, an increase in lambda
+    over 1e-12, and lambda-concavity off by over tol_scale (h + least lambda
+    step), as discrete envelopes are lambda-concave only up to a cell.  The
+    error names the lambda and any node, x and deviation.  In 1-D each
+    finite sample is then certified by ``require_convex``."""
+    lam, live, grid = tc.lambdas, tc.live, tc.grid
     V = tc.values.reshape(len(lam), -1)
 
-    def worst(dev):
-        """Per row: its first node of largest deviation, and that deviation."""
-        j = np.argmax(dev, axis=1)
-        return j, dev[np.arange(len(dev)), j]
+    def first(what, rows, dev, tol):
+        """Raise at the first of ``rows`` (indices of lambdas) whose deviations
+        ``dev`` (a row of nodes each) exceed ``tol``, at its worst node."""
+        bad = np.flatnonzero((dev > tol).any(axis=1))
+        if bad.size:
+            i, j = bad[0], int(np.argmax(dev[bad[0]]))
+            raise DomainError(
+                f"{what} at lambda={lam[rows[i]]:g}, {_at(grid, j)}: "
+                f"deviation {dev[i, j]:g} > {tol:g}"
+            )
 
-    # finite exactly for lambda <= lambda_c
     for l, fin in zip(lam, live):
         if fin and l > tc.lambda_c + 1e-12:
-            note(f"finite sample past lambda_c at lambda={l:g}", l)
+            raise DomainError(f"finite sample at lambda={l:g} past lambda_c={tc.lambda_c:g}")
         if not fin and l <= tc.lambda_c - 1e-12:
-            note(f"-inf sample at lambda={l:g} <= lambda_c", l)
-
-    # mixed supports are not allowed within a sample
-    for l in lam[live & (V == NEG_INF).any(axis=1)]:
-        note(f"partially -inf sample at lambda={l:g}", l)
-
-    # constant head
+            raise DomainError(f"-inf sample at lambda={l:g} <= lambda_c={tc.lambda_c:g}")
+    for l, v in zip(lam[live], V[live]):
+        if (v == NEG_INF).any():
+            raise DomainError(f"sample at lambda={l:g} is partly -inf, at {_at(grid, int(np.argmin(v)))}")
     head = np.flatnonzero(lam <= tc.lambda_head + 1e-12)
-    for l in lam[head[~(V[head] == V[0]).all(axis=1)]]:
-        note(f"sample at lambda={l:g} differs from head", l)
-
-    # node-wise decreasing in lambda, up to each finite sample
+    if live[0]:  # else every head sample is -inf, by the checks above
+        first("sample differs from the head", head, np.abs(V[head] - V[0]), 0.0)
     prev = np.flatnonzero(live[1:])
-    at, dev = worst(V[prev + 1] - V[prev])
-    bad = dev > 1e-12
-    for i, j in zip(prev[bad], at[bad]):
-        note(
-            f"curve increases in lambda between {lam[i]:g} and {lam[i + 1]:g}",
-            lam[i + 1],
-            np.unravel_index(j, tc.grid.shape),
-        )
-
-    # concavity in lambda: interior samples above the chord of their neighbors
+    first("curve increases in lambda", prev + 1, V[prev + 1] - V[prev], 1e-12)
     fin = np.flatnonzero(live)
     a, b, c = fin[:-2], fin[1:-1], fin[2:]
     w = ((lam[b] - lam[a]) / (lam[c] - lam[a]))[:, None]
-    at, dev = worst((1 - w) * V[a] + w * V[c] - V[b])
-    bad = dev > tol_concave
-    for lb, j, d in zip(lam[b][bad], at[bad], dev[bad]):
-        note(
-            f"concavity in lambda fails at lambda={lb:g} (deviation {d:g})",
-            lb,
-            np.unravel_index(j, tc.grid.shape),
-        )
-
-    return CurveDiagnostics(len(issues) == 0, tuple(issues), witness)
+    dlam = float(np.diff(lam).min()) if lam.size > 1 else 0.0
+    tol = tol_scale * (max(grid.spacing) + dlam)
+    first("curve is not concave in lambda", b, (1 - w) * V[a] + w * V[c] - V[b], tol)
+    if grid.dim == 1:
+        for l, sample in zip(lam[live], tc.values[live]):
+            require_convex(f"curve sample at lambda={l:g}", GridFunction(grid, sample))
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,16 +150,18 @@ def envelope_from_u(
     phi: GridFunction,
     u: ConcaveTransform,
     lambdas,
-    dual: Grid,
+    phistar: GridFunction,
     lambda_head: float | None = None,
 ) -> TestCurve:
-    """Maximal-envelope curve of phi with slopes confined to {u >= lambda}.
+    """Maximal-envelope curve of phi with slopes confined to {u >= lambda},
+    from phi's conjugate ``phistar`` on u's grid.
 
     phi_lambda(x) = max over dual nodes y with u(y) >= lambda of
     <x,y> - phi*(y); empty selections give -inf samples.
     """
-    check_dual_contains_slopes(phi, dual)
-    phistar = legendre(phi, dual)
+    dual = phistar.grid
+    if u.u.grid != dual:
+        raise DomainError("phi* is not sampled on the grid of u")
     lam = np.asarray(lambdas, dtype=float).ravel()
     sels = [u.base.mask & (u.u.values >= l - 1e-12) for l in lam]
     live = [j for j, sel in enumerate(sels) if sel.any()]
@@ -193,12 +177,11 @@ def envelope_from_u(
     return TestCurve(lam, phi.grid, values, lambda_head=lambda_head, lambda_c=lambda_c)
 
 
-def maximal_envelope(
-    phi: GridFunction, tc: TestCurve, dual: Grid
-) -> TestCurve:
+def maximal_envelope(phi: GridFunction, tc: TestCurve, dual: Grid) -> TestCurve:
     """Envelope curve of phi driven by the concave transform of tc."""
     u = concave_transform(tc, dual)
-    return envelope_from_u(phi, u, tc.lambdas, dual, lambda_head=tc.lambda_head)
+    check_dual_contains_slopes(phi, dual)
+    return envelope_from_u(phi, u, tc.lambdas, legendre(phi, dual), lambda_head=tc.lambda_head)
 
 
 def default_contact_tol(phi: GridFunction) -> float:

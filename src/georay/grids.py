@@ -58,7 +58,7 @@ def fork_cpus() -> int:
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box in R^n, n in {1, 2}."""
+    """Axis-aligned box in R^n, n in {1, 2}, with finite bounds and spans."""
 
     lower: tuple[float, ...]
     upper: tuple[float, ...]
@@ -72,9 +72,9 @@ class Box:
             raise DomainError("lower and upper must have the same length")
         if len(lo) not in (1, 2):
             raise DomainError("only dimensions 1 and 2 are supported")
-        for a, b in zip(lo, hi):
-            if not (a < b):
-                raise DomainError(f"degenerate box: lower {a} >= upper {b}")
+        for ax, (a, b) in enumerate(zip(lo, hi)):
+            if not (a < b and math.isfinite(b - a)):
+                raise DomainError(f"box axis {ax} [{a}, {b}] has no finite positive span")
 
     @property
     def dim(self) -> int:

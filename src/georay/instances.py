@@ -99,8 +99,9 @@ def huber_instance(
     uvals = np.where(mask, -np.abs(dual.axis(0)), -np.inf)
     u = ConcaveTransform(GridFunction(dual, uvals))
     lambdas = np.arange(-1.0, 1e-12, lambda_spacing)
-    curve = envelope_from_u(phi, u, lambdas, dual, lambda_head=-1.0)
-    return RayInstance(phi, dual, GridFunction(dual, star), u, curve, lambda_spacing)
+    star = GridFunction(dual, star)
+    curve = envelope_from_u(phi, u, lambdas, star, lambda_head=-1.0)
+    return RayInstance(phi, dual, star, u, curve, lambda_spacing)
 
 
 def constant_u_instance(nodes: int = 129, dual_nodes: int = 129) -> RayInstance:
@@ -110,5 +111,6 @@ def constant_u_instance(nodes: int = 129, dual_nodes: int = 129) -> RayInstance:
     mask, star, _ = next(slope_regions(phi.grid, phi.values[None], dual))
     uvals = np.where(mask, 1.0, -np.inf)
     u = ConcaveTransform(GridFunction(dual, uvals))
-    curve = envelope_from_u(phi, u, np.array([0.0, 1.0]), dual, lambda_head=1.0)
-    return RayInstance(phi, dual, GridFunction(dual, star), u, curve, 1.0)
+    star = GridFunction(dual, star)
+    curve = envelope_from_u(phi, u, np.array([0.0, 1.0]), star, lambda_head=1.0)
+    return RayInstance(phi, dual, star, u, curve, 1.0)

@@ -132,7 +132,7 @@ def case(request):
         phi, dual, u, curve = inst.phi, inst.dual, inst.u, inst.curve
     else:
         phi, dual, u = bowl_instance_2d(17)
-        curve = envelope_from_u(phi, u, np.linspace(-1.0, 0.0, 9), dual)
+        curve = envelope_from_u(phi, u, np.linspace(-1.0, 0.0, 9), legendre(phi, dual))
     return phi, dual, u, curve, ray_from_curve(curve)
 
 
@@ -164,7 +164,7 @@ def test_energy_linearity(case, block):
 def test_envelope_from_u(case, block):
     phi, dual, u, curve, _ = case
     lambdas = np.append(curve.lambdas, 5.0)  # the last selection is empty
-    tc = envelope_from_u(phi, u, lambdas, dual)
+    tc = envelope_from_u(phi, u, lambdas, legendre(phi, dual))
     ref = envelope_ref(phi, u, lambdas, dual)
     assert tc.lambda_c == curve.lambda_c
     for s, want in zip(tc.values, ref):
@@ -259,7 +259,7 @@ def test_energy_linearity_memory_2d():
     # the per-item loop peaked at 3.47 MB here; groups may not raise it by
     # more than 15%
     phi, dual, u = bowl_instance_2d(65)
-    ray = ray_from_curve(envelope_from_u(phi, u, np.linspace(-1.0, 0.0, 17), dual))
+    ray = ray_from_curve(envelope_from_u(phi, u, np.linspace(-1.0, 0.0, 17), legendre(phi, dual)))
     tracemalloc.start()
     try:
         energy_linearity(ray, phi, u)

@@ -312,6 +312,29 @@ class TestRayCommand:
         )
         assert not any((tmp_path / "o").iterdir())
 
+    # lambda_c nan was written to energy.json as NaN, which is not JSON
+    @pytest.mark.parametrize("field, value", [("lambda_c", "nan"), ("lambda_head", "inf")])
+    def test_non_finite_lambda_exit_3(self, specdir, tmp_path, capsys, field, value):
+        text = (specdir / "curve.tc").read_text()
+        text = re.sub(f"^{field} .*$", f"{field} {value}", text, count=1, flags=re.M)
+        (tmp_path / "c.tc").write_text(text)
+        spec = _spec_elsewhere(specdir, "curve.spec", tmp_path / "p.spec", curve=str(tmp_path / "c.tc"))
+        assert main(["ray", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "validation failure: test curve lambdas, lambda_head and lambda_c must be finite\n"
+        )
+        assert not any((tmp_path / "o").iterdir())
+
+    def test_broken_curve_invariant_exit_3(self, specdir, tmp_path, capsys):
+        text = (specdir / "curve.tc").read_text()
+        (tmp_path / "c.tc").write_text(re.sub("^lambda_c .*$", "lambda_c -0.5", text, flags=re.M))
+        spec = _spec_elsewhere(specdir, "curve.spec", tmp_path / "p.spec", curve=str(tmp_path / "c.tc"))
+        assert main(["ray", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "validation failure: finite sample at lambda=-0.375 past lambda_c=-0.5\n"
+        )
+        assert not any((tmp_path / "o").iterdir())
+
     @pytest.mark.parametrize("spec", ["huber.spec", "curve.spec"])
     def test_certifies_1d_inputs_without_hull(self, specdir, tmp_path, monkeypatch, spec):
         # the second-difference bound certifies the fixtures' phi, u and curve
@@ -747,6 +770,21 @@ class TestFiltrationCommand:
         assert main(["filtration", "--spec", spec, "--out", str(tmp_path / "o"), "--k", "4"]) == 2
         assert capsys.readouterr().err == f"parse error {message}\n"
 
+    # an infinite or overflowing span ended in a traceback from the conjugate
+    @pytest.mark.parametrize(
+        "lower, upper", [("-2.0", "inf"), ("-1e308", "1e308")], ids=["inf", "overflow"]
+    )
+    def test_non_finite_box_exit_3(self, specdir, tmp_path, capsys, lower, upper):
+        text = (specdir / "base.gf").read_text()
+        assert "lower -2.0\nupper 3.0\n" in text
+        (tmp_path / "b.gf").write_text(text.replace("lower -2.0\nupper 3.0\n", f"lower {lower}\nupper {upper}\n"))
+        spec = _spec_elsewhere(specdir, "weights01.spec", tmp_path / "p.spec", phi=str(tmp_path / "b.gf"))
+        assert main(["filtration", "--spec", spec, "--out", str(tmp_path / "o"), "--k", "4"]) == 3
+        assert capsys.readouterr().err == (
+            f"validation failure: box axis 0 [{float(lower)}, {float(upper)}] has no finite positive span\n"
+        )
+        assert not any((tmp_path / "o").iterdir())
+
     def test_cap_exit_4(self, specdir, tmp_path):
         rc = main(
             [
@@ -805,6 +843,10 @@ class TestFiltrationCommand:
 class TestCheckCommand:
     def test_unknown_suite_exit_2(self, capsys):
         assert main(["check", "--suite", "bogus"]) == 2
+
+    def test_unknown_suite_is_a_parse_error(self, capsys):
+        main(["check", "--suite", "bogus"])
+        assert capsys.readouterr().err.startswith("parse error: unknown suite 'bogus'; choose from ")
 
     def test_suites(self):
         # the all-suite report is pinned by its hash; this pins the others

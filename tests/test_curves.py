@@ -14,7 +14,7 @@ from georay.curves import (
     validate,
 )
 from georay.errors import DomainError
-from georay.grids import GridFunction
+from georay.grids import Box, Grid, GridFunction
 from georay.instances import huber_instance, linear_growth_bowl
 from georay.legendre import default_dual_grid, slope_regions
 
@@ -61,15 +61,41 @@ class TestEnvelopeConstruction:
         # lambda above the top of u selects no slopes
         with pytest.raises(DomainError):
             envelope_from_u(
-                huber.phi, huber.u, np.array([0.5, 1.0]), huber.dual, lambda_head=0.5
+                huber.phi, huber.u, np.array([0.5, 1.0]), huber.star, lambda_head=0.5
             )
+
+
+def _small_curve(change=()):
+    """A valid curve on 9 nodes of [-1, 1]: x^2/2 - c at lambda = -1, -0.5
+    and 0 (c = 0, 0.25, 1) and -inf at 0.5.  ``change`` maps a field name
+    to its new value, or (row, node) to a value added to that sample's node
+    (node None: to the whole sample)."""
+    x = np.linspace(-1.0, 1.0, 9)
+    values = np.array([x * x / 2, x * x / 2 - 0.25, x * x / 2 - 1.0, np.full(9, -np.inf)])
+    fields = dict(lambda_head=-1.0, lambda_c=0.0)
+    for key, v in dict(change).items():
+        if key in fields:
+            fields[key] = v
+        else:
+            row, node = key
+            values[row, slice(None) if node is None else node] += v
+    grid = Grid(Box((-1.0,), (1.0,)), 9)
+    return Curve(np.array([-1.0, -0.5, 0.0, 0.5]), grid, values, **fields)
+
+
+def test_envelope_needs_phistar_on_the_grid_of_u(huber):
+    other = GridFunction(Grid(Box((-2.0,), (2.0,)), huber.dual.shape), huber.star.values)
+    with pytest.raises(DomainError, match="phi\\* is not sampled on the grid of u"):
+        envelope_from_u(huber.phi, huber.u, huber.curve.lambdas, other)
 
 
 class TestValidate:
     def test_huber_curve_valid(self, huber):
-        h = huber.phi.grid.spacing[0]
-        diag = validate(huber.curve, tol_concave=h + huber.lambda_spacing)
-        assert diag.valid, diag.issues
+        # the concavity tolerance h + min lambda step is derived by validate
+        validate(huber.curve)
+
+    def test_small_curve_valid(self):
+        validate(_small_curve())
 
     def test_detects_increasing_family(self, huber):
         phi = huber.phi
@@ -81,9 +107,58 @@ class TestValidate:
             lambda_head=-1.0,
             lambda_c=0.0,
         )
-        diag = validate(tc)
-        assert not diag.valid
-        assert any("increases" in i for i in diag.issues)
+        with pytest.raises(DomainError, match="increases"):
+            validate(tc)
+
+    # one case per invariant, in validate's order: each names its lambda,
+    # and its node and x where it sits at one
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"lambda_c": -0.5}, "finite sample at lambda=0 past lambda_c=-0.5"),
+            ({"lambda_c": 0.75}, "-inf sample at lambda=0.5 <= lambda_c=0.75"),
+            ({(1, 3): -np.inf}, "sample at lambda=-0.5 is partly -inf, at node 3 (x = -0.25)"),
+            (
+                {"lambda_head": -0.5, (1, None): 0.25, (1, 5): -0.5},
+                "sample differs from the head at lambda=-0.5, node 5 (x = 0.25): deviation 0.5 > 0",
+            ),
+            (
+                {(2, 6): 2.0},
+                "curve increases in lambda at lambda=0, node 6 (x = 0.5): deviation 1.25 > 1e-12",
+            ),
+            (
+                {(1, 4): -2.75, (2, 4): -3.0},
+                "curve is not concave in lambda at lambda=-0.5, node 4 (x = 0): "
+                "deviation 1 > 0.75",
+            ),
+            (
+                {(1, 4): 0.1},
+                "curve sample at lambda=-0.5 is not convex at node 4 (x = 0): deviation",
+            ),
+        ],
+        ids=["finite-past-c", "neg-inf-below-c", "partly-neg-inf", "head", "increase",
+             "concavity", "not-convex"],
+    )
+    def test_first_broken_invariant_named(self, change, message):
+        with pytest.raises(DomainError) as exc:
+            validate(_small_curve(change))
+        assert str(exc.value).startswith(message)
+
+    def test_concavity_tolerance_scales(self):
+        # every node deviates by 1 from the chord, against h + min step = 0.75
+        tc = _small_curve({(1, None): -2.75, (2, None): -3.0})
+        with pytest.raises(DomainError, match=r"lambda=-0.5, node 0 \(x = -1\): deviation 1 > 0.75"):
+            validate(tc)
+        validate(tc, tol_scale=1.5)
+
+    @pytest.mark.parametrize(
+        "lambdas, head, c",
+        [([-1.0, 0.0], -1.0, np.nan), ([-1.0, 0.0], np.inf, 0.0), ([-1.0, np.nan], -1.0, 0.0)],
+        ids=["lambda_c", "lambda_head", "lambdas"],
+    )
+    def test_rejects_non_finite_lambdas(self, huber, lambdas, head, c):
+        with pytest.raises(DomainError, match="lambda_head and lambda_c must be finite"):
+            Curve(np.array(lambdas), huber.phi.grid, [huber.phi.values] * 2, head, c)
 
     def test_rejects_unsorted_lambdas(self, huber):
         with pytest.raises(DomainError):

@@ -45,6 +45,16 @@ class TestBoxAndGrid:
         with pytest.raises(DomainError):
             Box((1.0,), (0.0,))
 
+    # a span that is infinite, NaN or overflows would reach the conjugate
+    @pytest.mark.parametrize(
+        "lower, upper, ax",
+        [((0.0,), (np.inf,), 0), ((-np.inf,), (0.0,), 0), ((-1e308,), (1e308,), 0),
+         ((0.0, np.nan), (1.0, 1.0), 1), ((0.0, 0.0), (1.0, np.inf), 1)],
+    )
+    def test_box_rejects_non_finite_span(self, lower, upper, ax):
+        with pytest.raises(DomainError, match=f"box axis {ax} .* has no finite positive span"):
+            Box(lower, upper)
+
     def test_box_rejects_dim_3(self):
         with pytest.raises(DomainError):
             Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))

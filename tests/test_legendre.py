@@ -558,9 +558,10 @@ class TestKernel2D:
         # the dense (primal x selected dual) matmul it replaced peaked at 256 MB
         phi, dual, u = bowl_instance_2d(65)
         lambdas = np.linspace(-1.0, 0.0, 5)
+        star = legendre(phi, dual)
         tracemalloc.start()
         try:
-            envelope_from_u(phi, u, lambdas, dual)
+            envelope_from_u(phi, u, lambdas, star)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -569,10 +570,10 @@ class TestKernel2D:
     def test_envelope_2d_matches_masked_max(self):
         phi, dual, u = bowl_instance_2d(17)
         lam = -0.5
-        tc = envelope_from_u(phi, u, [lam], dual)
-        star = legendre(phi, dual).values
+        star = legendre(phi, dual)
+        tc = envelope_from_u(phi, u, [lam], star)
         sel = u.base.mask & (u.u.values >= lam - 1e-12)
-        want, _ = masked_oracle(dual.axes(), star, sel, phi.grid.axes())
+        want, _ = masked_oracle(dual.axes(), star.values, sel, phi.grid.axes())
         assert np.array_equal(tc.values[0], want)
 
 

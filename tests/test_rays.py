@@ -152,7 +152,7 @@ def test_lambda_route_is_dual_route_of_floored_u(case):
         finite = u.u.values[u.base.mask]
         lambdas = np.arange(finite.min(), finite.max() + 1 / 64, (finite.max() - finite.min()) / 32)
     ts = np.linspace(0.0, 1.0, 11)
-    hat = ray_from_curve(envelope_from_u(phi, u, lambdas, dual), ts)
+    hat = ray_from_curve(envelope_from_u(phi, u, lambdas, legendre(phi, dual)), ts)
     # envelope_from_u selects the nodes with u >= lambda - 1e-12
     below = np.searchsorted(lambdas - 1e-12, u.u.values, side="right")
     floor = np.where(below > 0, lambdas[np.maximum(below - 1, 0)], -np.inf)
