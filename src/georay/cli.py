@@ -65,7 +65,7 @@ from pathlib import Path
 import numpy as np
 
 from . import serialization as ser
-from .curves import ConcaveTransform, concave_transform, validate
+from .curves import concave_transform, validate
 from .errors import DomainError, ParseError, ResourceError
 from .filtration import BergmanInstance, equivalence_check, weight_histogram
 from .grids import (
@@ -210,9 +210,9 @@ def cmd_ray(spec_path: str, out_dir: str, tol_scale: float = 1.0) -> int:
         # phi is conjugated on the dual grid once: its slope region and phi*,
         # from which the ray is the conjugate of phi* - t u
         mask, phistar, _ = next(slope_regions(phi.grid, phi.values[None], dual))
-        u = ConcaveTransform(GridFunction(dual, np.where(mask, uf.values, NEG_INF)))
+        u = GridFunction(dual, np.where(mask, uf.values, NEG_INF))
         ray = ray_dual(GridFunction(dual, phistar), u, phi.grid, ts)
-        lambda_c = float(u.u.values[u.base.mask].max())
+        lambda_c = float(u.values.max())
 
     with _ray_csv_written(out / "ray.csv", ray):
         rep = energy_linearity(ray, phi, u)

@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .curves import ConcaveTransform, TestCurve
+from .curves import TestCurve
 from .errors import DomainError, ResourceError
 from .grids import Grid, GridFunction, NEG_INF, SIZE_CAP, require_within_cap
 from .legendre import _chunks, check_dual_contains_slopes, conjugate
@@ -364,8 +364,7 @@ def toric_ray(inst: BergmanInstance, data: WeightedLatticeData, t_grid) -> Ray:
     if not np.isfinite(g).any():
         raise DomainError("no dual node lies in the polytope of the weights")
     star = inst.conj_at(dual.coords()).reshape(dual.shape)
-    u = ConcaveTransform(GridFunction(dual, g))
-    return ray_dual(GridFunction(dual, star), u, inst.phi.grid, t_grid)
+    return ray_dual(GridFunction(dual, star), GridFunction(dual, g), inst.phi.grid, t_grid)
 
 
 def equivalence_check(

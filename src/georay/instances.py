@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import ConcaveTransform, TestCurve, envelope_from_u
+from .curves import TestCurve, envelope
 from .grids import Box, Grid, GridFunction, require_convex
 from .legendre import default_dual_grid, slope_regions
 
@@ -76,41 +76,35 @@ def random_nonconvex_1d(rng: np.random.Generator, nodes: int = 257) -> GridFunct
 
 @dataclass(frozen=True)
 class RayInstance:
-    """Base obstacle, dual grid, phi's conjugate on it, concave dual data,
-    and the envelope curve."""
+    """Base obstacle, dual grid, phi's conjugate on it, concave dual data u
+    (-inf off phi's slope region), and the envelope curve."""
 
     phi: GridFunction
     dual: Grid
     star: GridFunction
-    u: ConcaveTransform
+    u: GridFunction
     curve: TestCurve
     lambda_spacing: float
 
 
-def huber_instance(
-    nodes: int = 129,
-    dual_nodes: int = 129,
-    lambda_spacing: float = 2.0**-5,
-) -> RayInstance:
-    """phi with slope set [-1, 1], u(y) = -|y|; envelopes are Huber functions."""
+def _bowl_instance(nodes, dual_nodes, u_of_y, lambdas, lambda_head, lambda_spacing) -> RayInstance:
+    """The linear-growth bowl with u = u_of_y on its slope region and its
+    envelope curve at ``lambdas``; phi is conjugated once."""
     phi = linear_growth_bowl(nodes)
     dual = default_dual_grid(phi, dual_nodes)
     mask, star, _ = next(slope_regions(phi.grid, phi.values[None], dual))
-    uvals = np.where(mask, -np.abs(dual.axis(0)), -np.inf)
-    u = ConcaveTransform(GridFunction(dual, uvals))
-    lambdas = np.arange(-1.0, 1e-12, lambda_spacing)
+    u = GridFunction(dual, np.where(mask, u_of_y(dual.axis(0)), -np.inf))
     star = GridFunction(dual, star)
-    curve = envelope_from_u(phi, u, lambdas, star, lambda_head=-1.0)
+    curve = envelope(star, u, lambdas, phi.grid, lambda_head)
     return RayInstance(phi, dual, star, u, curve, lambda_spacing)
+
+
+def huber_instance(nodes: int = 129, dual_nodes: int = 129, lambda_spacing: float = 2.0**-5) -> RayInstance:
+    """phi with slope set [-1, 1], u(y) = -|y|; envelopes are Huber functions."""
+    lambdas = np.arange(-1.0, 1e-12, lambda_spacing)
+    return _bowl_instance(nodes, dual_nodes, lambda y: -np.abs(y), lambdas, -1.0, lambda_spacing)
 
 
 def constant_u_instance(nodes: int = 129, dual_nodes: int = 129) -> RayInstance:
     """u identically 1 on the slope set: pure-translation dynamics."""
-    phi = linear_growth_bowl(nodes)
-    dual = default_dual_grid(phi, dual_nodes)
-    mask, star, _ = next(slope_regions(phi.grid, phi.values[None], dual))
-    uvals = np.where(mask, 1.0, -np.inf)
-    u = ConcaveTransform(GridFunction(dual, uvals))
-    star = GridFunction(dual, star)
-    curve = envelope_from_u(phi, u, np.array([0.0, 1.0]), star, lambda_head=1.0)
-    return RayInstance(phi, dual, star, u, curve, 1.0)
+    return _bowl_instance(nodes, dual_nodes, lambda y: 1.0, np.array([0.0, 1.0]), 1.0, 1.0)

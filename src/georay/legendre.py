@@ -62,7 +62,8 @@ axis; one function is the batch of one.  In 1-D the stacked rows go to the
 row kernel together; in 2-D pass 1 runs on r*n1 rows and pass 2 on r*m2.
 Callers that need one transform per lambda sample, path node or t conjugate
 their items in groups given by ``_chunks`` (about ``_BLOCK`` output values
-each), and reduce each group to regions, masses or frames before the next.
+each), and reduce each group to regions, masses or frames before the next;
+envelopes and dual rays share one such loop, ``masked_conjugates``.
 
 Slope regions (the numerical Delta_phi) keep only dual nodes whose max is
 attained at an interior primal node: boundary attainment encodes the box
@@ -71,13 +72,11 @@ boolean mask on the dual grid.  ``slope_regions`` takes one primal grid
 and a stack of functions on it, (k, *grid.shape), and returns each one's
 mask together with its full conjugate and, on request, the witnesses,
 which the Monge-Ampere deposit reuses; one function is the stack
-``f.values[None]``.  Integrals over a region use the trapezoid weights of
-its mask (``trapezoid_weights``).
+``f.values[None]``.  ``integral(u)`` integrates u over its finite set
+under the trapezoid weights of that mask (``trapezoid_weights``).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -345,17 +344,17 @@ def biconjugate(f: GridFunction, dual: Grid) -> GridFunction:
     return legendre(g, f.grid)
 
 
-@dataclass(frozen=True, eq=False)
-class SlopeRegion:
-    """Discretely convex set of dual-grid nodes (the numerical Delta_f)."""
-
-    grid: Grid
-    mask: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.array(self.mask, dtype=bool).reshape(self.grid.shape)
-        m.setflags(write=False)
-        object.__setattr__(self, "mask", m)
+def masked_conjugates(dual: Grid, count: int, rows, grid: Grid) -> np.ndarray:
+    """The (count, *grid.shape) conjugates onto ``grid`` of ``count`` items
+    on ``dual``, each +inf off its mask by ``np.where`` (adding 0 would turn
+    -0.0 into 0.0): ``rows(g)`` gives the values and masks of the slice
+    ``g`` of items, broadcast to one row per item, and a ``_chunks`` group's
+    rows are built and conjugated before the next's."""
+    out = np.empty((count,) + grid.shape)
+    for g in _chunks(count, grid.num_nodes):
+        values, mask = rows(g)
+        out[g] = conjugate(dual.axes(), np.where(mask, values, np.inf), grid.axes())[0]
+    return out
 
 
 def trapezoid_weights(mask: np.ndarray) -> np.ndarray:
@@ -370,6 +369,12 @@ def trapezoid_weights(mask: np.ndarray) -> np.ndarray:
     d, corners = mask.ndim, tuple(range(mask.ndim, 2 * mask.ndim))
     cells = sliding_window_view(mask, (2,) * d).all(axis=corners)
     return sliding_window_view(np.pad(cells, 1), (2,) * d).sum(axis=corners) / 2**d
+
+
+def integral(u: GridFunction) -> float:
+    """int of u over its finite set, by the trapezoid rule of its mask."""
+    sel = u.finite_mask
+    return float((trapezoid_weights(sel)[sel] * u.values[sel]).sum()) * u.grid.cell_volume
 
 
 def _convex_fill(grid: Grid, mask: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ and energy linearity.
 A ray is one array of frames on one grid, indexed by t.  Two constructions
 are compared: the lambda-supremum of a test curve, frame(t) = max over
 lambda of (phi_lambda + t lambda), a conjugate in lambda, and the dual
-route frame(t) = conjugate of (phi* - t u) on the finite-u region.  Their
+route frame(t) = conjugate of (phi* - t u) on the finite-u region, with u
+a plain ``GridFunction`` on the dual grid, -inf off its base.  Their
 agreement, and the energy E(frame(t), phi) = int of (phi* - frame(t)*) over
 the slope set being t times the integral of u there, are the model
 identities the acceptance suite pins down.
@@ -16,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import ConcaveTransform, TestCurve
+from .curves import TestCurve
 from .errors import DomainError
 from .grids import Grid, GridFunction, grid_values
-from .legendre import _chunks, conjugate
+from .legendre import conjugate, integral, masked_conjugates
 from .monge_ampere import _require_equivalent, dual_energies
 
 
@@ -76,22 +77,19 @@ def ray_from_curve(tc: TestCurve, t_grid=None) -> Ray:
     return Ray(ts, tc.grid, vals.T)
 
 
-def ray_dual(phistar: GridFunction, u: ConcaveTransform, grid: Grid, t_grid) -> Ray:
-    """frame(t) = conjugate (dual -> primal ``grid``) of phi* - t u on the
-    u-region, from phi* on u's dual grid."""
+def ray_dual(phistar: GridFunction, u: GridFunction, grid: Grid, t_grid) -> Ray:
+    """frame(t) = conjugate (dual -> primal ``grid``) of phi* - t u on u's
+    finite set, from phi* on u's dual grid."""
     ts = _t_values(t_grid)
-    dual = u.u.grid
-    if phistar.grid != dual:
+    if phistar.grid != u.grid:
         raise DomainError("phi* and u live on different dual grids")
-    sel = u.base.mask
+    sel = u.finite_mask
     if not sel.any():
         raise DomainError("empty slope region for the dual ray")
-    star, uv = phistar.values[sel], u.u.values[sel]
-    frames = np.empty((ts.size,) + grid.shape)
-    for g in _chunks(ts.size, grid.num_nodes):
-        mod = np.full((ts[g].size,) + dual.shape, np.inf)
-        mod[:, sel] = star - ts[g, None] * uv
-        frames[g] = conjugate(dual.axes(), mod, grid.axes())[0]
+    uv = np.where(sel, u.values, 0.0)  # no 0 * -inf off the selection
+    frames = masked_conjugates(
+        u.grid, ts.size, lambda g: (phistar.values - np.multiply.outer(ts[g], uv), sel), grid
+    )
     return Ray(ts, grid, frames)
 
 
@@ -106,11 +104,11 @@ def compare_rays(r1: Ray, r2: Ray) -> np.ndarray:
     return np.abs(gap).reshape(len(gap), -1).max(axis=1)
 
 
-def energy_linearity(ray: Ray, f0: GridFunction, u: ConcaveTransform) -> LinearityReport:
+def energy_linearity(ray: Ray, f0: GridFunction, u: GridFunction) -> LinearityReport:
     """Least-squares line through (t, E(frame(t), f0)), the ``dual_energies``
-    of the frames, with predicted slope ``u.integral()``."""
+    of the frames, with predicted slope ``integral(u)``."""
     _require_equivalent(ray.grid, ray.values, f0)
     energies = dual_energies(ray.values, f0)
     slope, intercept = np.polyfit(ray.t_grid, energies, 1)
     resid = float(np.abs(energies - (slope * ray.t_grid + intercept)).max())
-    return LinearityReport(float(slope), float(intercept), resid, u.integral())
+    return LinearityReport(float(slope), float(intercept), resid, integral(u))

@@ -16,7 +16,7 @@ import pytest
 
 import georay.legendre as LEGENDRE
 from georay.checks import check_contact_concentration
-from georay.curves import TestCurve as Curve, concave_transform, contact_set, envelope_from_u
+from georay.curves import TestCurve as Curve, concave_transform, contact_set, envelope
 from georay.grids import Box, Grid, GridFunction
 from georay.instances import huber_instance
 from georay.legendre import conjugate, legendre, trapezoid_weights
@@ -55,7 +55,7 @@ def energy_quadrature_ref(f1, f0, t_samples, dual):
 def integral_ref(u):
     """int of u with each node's trapezoid weight counted cell by cell: its
     adjacent grid cells whose corners all lie in the selection, over 2^d."""
-    sel = np.isfinite(u.u.values)
+    sel = u.finite_mask
     w = np.zeros(sel.shape)
     for node in zip(*np.nonzero(sel)):
         for offset in itertools.product((-1, 0), repeat=sel.ndim):
@@ -63,7 +63,7 @@ def integral_ref(u):
             if (lo >= 0).all() and (lo + 1 < sel.shape).all():
                 w[node] += sel[tuple(slice(i, i + 2) for i in lo)].all()
     w /= 2**sel.ndim
-    return float((w[sel] * u.u.values[sel]).sum()) * u.u.grid.cell_volume
+    return float((w[sel] * u.values[sel]).sum()) * u.grid.cell_volume
 
 
 def energy_linearity_ref(ray, f0, u):
@@ -79,7 +79,7 @@ def envelope_ref(phi, u, lambdas, dual):
     star = legendre(phi, dual).values
     out = []
     for lam in lambdas:
-        sel = np.isfinite(u.u.values) & (u.u.values >= lam - 1e-12)
+        sel = np.isfinite(u.values) & (u.values >= lam - 1e-12)
         vals = np.full(phi.grid.shape, -np.inf)
         if sel.any():
             vals, _ = conjugate(dual.axes(), np.where(sel, star, np.inf), phi.grid.axes())
@@ -100,13 +100,13 @@ def concave_transform_ref(tc, dual):
 
 
 def ray_dual_ref(phi, u, ts):
-    dual = u.u.grid
-    sel = np.isfinite(u.u.values)
+    dual = u.grid
+    sel = np.isfinite(u.values)
     star = legendre(phi, dual).values[sel]
     frames = []
     for t in ts:
         mod = np.full(dual.shape, np.inf)
-        mod[sel] = star - t * u.u.values[sel]
+        mod[sel] = star - t * u.values[sel]
         vals, _ = conjugate(dual.axes(), mod, phi.grid.axes())
         frames.append(vals.reshape(phi.grid.shape))
     return frames
@@ -132,7 +132,7 @@ def case(request):
         phi, dual, u, curve = inst.phi, inst.dual, inst.u, inst.curve
     else:
         phi, dual, u = bowl_instance_2d(17)
-        curve = envelope_from_u(phi, u, np.linspace(-1.0, 0.0, 9), legendre(phi, dual))
+        curve = envelope(legendre(phi, dual), u, np.linspace(-1.0, 0.0, 9), phi.grid)
     return phi, dual, u, curve, ray_from_curve(curve)
 
 
@@ -164,7 +164,7 @@ def test_energy_linearity(case, block):
 def test_envelope_from_u(case, block):
     phi, dual, u, curve, _ = case
     lambdas = np.append(curve.lambdas, 5.0)  # the last selection is empty
-    tc = envelope_from_u(phi, u, lambdas, legendre(phi, dual))
+    tc = envelope(legendre(phi, dual), u, lambdas, phi.grid)
     ref = envelope_ref(phi, u, lambdas, dual)
     assert tc.lambda_c == curve.lambda_c
     for s, want in zip(tc.values, ref):
@@ -175,8 +175,8 @@ def test_concave_transform(case, block):
     _, dual, _, curve, _ = case
     ct = concave_transform(curve, dual)
     u, base = concave_transform_ref(curve, dual)
-    assert np.array_equal(ct.u.values, u)
-    assert np.array_equal(ct.base.mask, base)
+    assert np.array_equal(ct.values, u)
+    assert np.array_equal(ct.finite_mask, base)
 
 
 def test_ray_dual(case, block):
@@ -259,7 +259,7 @@ def test_energy_linearity_memory_2d():
     # the per-item loop peaked at 3.47 MB here; groups may not raise it by
     # more than 15%
     phi, dual, u = bowl_instance_2d(65)
-    ray = ray_from_curve(envelope_from_u(phi, u, np.linspace(-1.0, 0.0, 17), legendre(phi, dual)))
+    ray = ray_from_curve(envelope(legendre(phi, dual), u, np.linspace(-1.0, 0.0, 17), phi.grid))
     tracemalloc.start()
     try:
         energy_linearity(ray, phi, u)

@@ -28,7 +28,7 @@ def specdir(tmp_path_factory, three_point, simplex_2d):
     d = tmp_path_factory.mktemp("specs")
     inst = huber_instance(nodes=65, dual_nodes=65, lambda_spacing=0.125)
     (d / "phi.gf").write_text(ser.dump_grid_function(inst.phi))
-    (d / "u.gf").write_text(ser.dump_grid_function(inst.u.u))
+    (d / "u.gf").write_text(ser.dump_grid_function(inst.u))
     (d / "curve.tc").write_text(ser.dump_test_curve(inst.curve))
     dual = inst.dual
     (d / "huber.spec").write_text(
@@ -332,6 +332,19 @@ class TestRayCommand:
         assert main(["ray", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err == (
             "validation failure: finite sample at lambda=-0.375 past lambda_c=-0.5\n"
+        )
+        assert not any((tmp_path / "o").iterdir())
+
+    # the fixture's lambda grid ends at 0, every sample finite: lambda_c 7.5
+    # was accepted and written to energy.json
+    @pytest.mark.parametrize("value", ["7.5", "0.0625"])
+    def test_lambda_c_past_last_finite_sample_exit_3(self, specdir, tmp_path, capsys, value):
+        text = (specdir / "curve.tc").read_text()
+        (tmp_path / "c.tc").write_text(re.sub("^lambda_c .*$", f"lambda_c {value}", text, flags=re.M))
+        spec = _spec_elsewhere(specdir, "curve.spec", tmp_path / "p.spec", curve=str(tmp_path / "c.tc"))
+        assert main(["ray", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            f"validation failure: lambda_c={float(value):g} past the last finite sample, at lambda=0\n"
         )
         assert not any((tmp_path / "o").iterdir())
 

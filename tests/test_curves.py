@@ -6,10 +6,9 @@ from georay.curves import (
 )
 from georay import curves
 from georay.curves import (
-    ConcaveTransform,
     concave_transform,
     contact_set,
-    envelope_from_u,
+    envelope,
     maximal_envelope,
     validate,
 )
@@ -60,9 +59,7 @@ class TestEnvelopeConstruction:
     def test_empty_level_gives_neg_inf(self, huber):
         # lambda above the top of u selects no slopes
         with pytest.raises(DomainError):
-            envelope_from_u(
-                huber.phi, huber.u, np.array([0.5, 1.0]), huber.star, lambda_head=0.5
-            )
+            envelope(huber.star, huber.u, np.array([0.5, 1.0]), huber.phi.grid, lambda_head=0.5)
 
 
 def _small_curve(change=()):
@@ -86,7 +83,7 @@ def _small_curve(change=()):
 def test_envelope_needs_phistar_on_the_grid_of_u(huber):
     other = GridFunction(Grid(Box((-2.0,), (2.0,)), huber.dual.shape), huber.star.values)
     with pytest.raises(DomainError, match="phi\\* is not sampled on the grid of u"):
-        envelope_from_u(huber.phi, huber.u, huber.curve.lambdas, other)
+        envelope(other, huber.u, huber.curve.lambdas, huber.phi.grid)
 
 
 class TestValidate:
@@ -117,6 +114,7 @@ class TestValidate:
         [
             ({"lambda_c": -0.5}, "finite sample at lambda=0 past lambda_c=-0.5"),
             ({"lambda_c": 0.75}, "-inf sample at lambda=0.5 <= lambda_c=0.75"),
+            ({"lambda_c": 0.25}, "lambda_c=0.25 past the last finite sample, at lambda=0"),
             ({(1, 3): -np.inf}, "sample at lambda=-0.5 is partly -inf, at node 3 (x = -0.25)"),
             (
                 {"lambda_head": -0.5, (1, None): 0.25, (1, 5): -0.5},
@@ -136,7 +134,7 @@ class TestValidate:
                 "curve sample at lambda=-0.5 is not convex at node 4 (x = 0): deviation",
             ),
         ],
-        ids=["finite-past-c", "neg-inf-below-c", "partly-neg-inf", "head", "increase",
+        ids=["finite-past-c", "neg-inf-below-c", "c-past-last-finite", "partly-neg-inf", "head", "increase",
              "concavity", "not-convex"],
     )
     def test_first_broken_invariant_named(self, change, message):
@@ -175,25 +173,23 @@ class TestConcaveTransformRoundTrip:
     def test_recovers_u(self, huber):
         ct = concave_transform(huber.curve, huber.dual)
         ys = huber.dual.axis(0)
-        mask = ct.base.mask & np.isfinite(ct.u.values)
-        err = np.abs(ct.u.values[mask] - (-np.abs(ys[mask])))
+        mask = ct.finite_mask
+        err = np.abs(ct.values[mask] - (-np.abs(ys[mask])))
         # u is recovered up to the lambda grid resolution
         assert err.max() <= huber.lambda_spacing + 1e-9
 
     def test_superlevel_monotone(self, huber):
         ct = concave_transform(huber.curve, huber.dual)
-        vals = ct.u.values[np.isfinite(ct.u.values)]
+        vals = ct.values[ct.finite_mask]
         assert vals.min() >= huber.curve.lambdas[0] - 1e-9
         assert vals.max() <= huber.curve.lambda_c + 1e-9
 
 
     def test_base_is_the_finite_set_of_u(self, huber):
-        dual = huber.dual
-        v = np.where(np.arange(dual.num_nodes) % 3 == 0, -np.inf, dual.axis(0))
-        u = ConcaveTransform(GridFunction(dual, v))
-        assert u.base.grid == dual and np.array_equal(u.base.mask, np.isfinite(v))
-        ct = concave_transform(huber.curve, dual)
-        assert np.array_equal(ct.base.mask, np.isfinite(ct.u.values))
+        # u is finite exactly on its base, the first finite sample's region
+        ct = concave_transform(huber.curve, huber.dual)
+        first, _, _ = next(slope_regions(huber.phi.grid, huber.curve.values[:1], huber.dual))
+        assert ct.grid == huber.dual and np.array_equal(ct.finite_mask, first)
 
     def test_one_slope_regions_pass(self, huber, monkeypatch):
         passes = []

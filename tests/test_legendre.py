@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import georay.legendre as LEGENDRE
-from georay.curves import ConcaveTransform, envelope_from_u
+from georay.curves import envelope
 from georay.errors import DomainError
 from georay.grids import Box, Grid, GridFunction, NEG_INF, _lower_hull_1d, require_convex
 from georay.instances import (
@@ -26,6 +26,7 @@ from georay.legendre import (
     check_dual_contains_slopes,
     conjugate,
     default_dual_grid,
+    integral,
     legendre,
     slope_regions,
     trapezoid_weights,
@@ -289,7 +290,7 @@ def bowl_instance_2d(n):
     dual = default_dual_grid(phi)
     y1, y2 = np.meshgrid(*dual.axes(), indexing="ij")
     uvals = np.where(slope_mask(phi, dual), -(np.abs(y1) + np.abs(y2)) / 2, -np.inf)
-    return phi, dual, ConcaveTransform(GridFunction(dual, uvals))
+    return phi, dual, GridFunction(dual, uvals)
 
 
 def masked_oracle(axes, values, mask, dual_axes):
@@ -561,7 +562,7 @@ class TestKernel2D:
         star = legendre(phi, dual)
         tracemalloc.start()
         try:
-            envelope_from_u(phi, u, lambdas, star)
+            envelope(star, u, lambdas, phi.grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -571,42 +572,48 @@ class TestKernel2D:
         phi, dual, u = bowl_instance_2d(17)
         lam = -0.5
         star = legendre(phi, dual)
-        tc = envelope_from_u(phi, u, [lam], star)
-        sel = u.base.mask & (u.u.values >= lam - 1e-12)
+        tc = envelope(star, u, [lam], phi.grid)
+        sel = u.values >= lam - 1e-12
         want, _ = masked_oracle(dual.axes(), star.values, sel, phi.grid.axes())
         assert np.array_equal(tc.values[0], want)
 
 
 class TestOneDimensionalCallers:
-    """1-D envelopes and dual rays keep the bytes of the old x*y - c max."""
+    """1-D envelopes and dual rays are the brute-force conjugates of phi*
+    (phi* - t u) set to +inf off their selections, signs of zero included:
+    a stack of 0 / +inf offsets added to phi* instead turns phi*(0) = -0.0
+    into 0.0, which ``np.array_equal`` cannot see."""
 
     @staticmethod
-    def old_max(x, y, c):
-        return (x[:, None] * y[None, :] - c).max(axis=1)
+    def instances():
+        from georay.instances import constant_u_instance, huber_instance
+
+        return huber_instance(nodes=129, dual_nodes=129, lambda_spacing=0.125), constant_u_instance()
+
+    @staticmethod
+    def assert_brute(inst, got, values):
+        want, _ = _transform_brute(inst.dual.axes(), values, inst.phi.grid.axes())
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_envelope_from_u_bytes(self):
-        from georay.instances import huber_instance
-
-        inst = huber_instance(nodes=129, dual_nodes=129, lambda_spacing=0.125)
-        x, y = inst.phi.grid.axis(0), inst.dual.axis(0)
-        star = legendre(inst.phi, inst.dual).values
-        for lam, s in zip(inst.curve.lambdas, inst.curve.values):
-            sel = inst.u.base.mask & (inst.u.u.values >= lam - 1e-12)
-            if sel.any():
-                assert np.array_equal(s, self.old_max(x, y[sel], star[sel]))
+        for inst in self.instances():
+            star = legendre(inst.phi, inst.dual).values
+            for lam, s in zip(inst.curve.lambdas, inst.curve.values):
+                sel = inst.u.values >= lam - 1e-12
+                if sel.any():
+                    self.assert_brute(inst, s, np.where(sel, star, np.inf))
 
     def test_ray_dual_bytes(self):
-        from georay.instances import huber_instance
-
-        inst = huber_instance(nodes=129, dual_nodes=129, lambda_spacing=0.125)
         ts = np.linspace(0.0, 1.0, 5)
-        ray = ray_dual(legendre(inst.phi, inst.dual), inst.u, inst.phi.grid, ts)
-        x, y = inst.phi.grid.axis(0), inst.dual.axis(0)
-        sel = inst.u.base.mask & np.isfinite(inst.u.u.values)
-        star = legendre(inst.phi, inst.dual).values[sel]
-        for t, fr in zip(ts, ray.values):
-            mod = star - t * inst.u.u.values[sel]
-            assert np.array_equal(fr, self.old_max(x, y[sel], mod))
+        for inst in self.instances():
+            star = legendre(inst.phi, inst.dual)
+            ray = ray_dual(star, inst.u, inst.phi.grid, ts)
+            sel = inst.u.finite_mask
+            for t, fr in zip(ts, ray.values):
+                mod = np.full(inst.dual.shape, np.inf)
+                mod[sel] = star.values[sel] - t * inst.u.values[sel]
+                self.assert_brute(inst, fr, mod)
 
 
 class TestBiconjugate:
@@ -780,8 +787,8 @@ class TestTrapezoidWeights:
         dual = default_dual_grid(phi)
         y1, y2 = np.meshgrid(*dual.axes(), indexing="ij")
         uvals = -s * (np.abs(y1 - a1) + np.abs(y2 - a2)) / 2
-        u = ConcaveTransform(GridFunction(dual, np.where(slope_mask(phi, dual), uvals, -np.inf)))
-        assert abs(u.integral() + 2 * s) <= 1e-12
+        u = GridFunction(dual, np.where(slope_mask(phi, dual), uvals, -np.inf))
+        assert abs(integral(u) + 2 * s) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
