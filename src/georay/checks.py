@@ -52,7 +52,7 @@ from .legendre import (
     _transform_brute, biconjugate, conjugate, default_dual_grid, trapezoid_weights,
 )
 from .monge_ampere import cocycle_residual, energy_dual, energy_quadrature, region_masses
-from .rays import compare_rays, energy_linearity, ray_dual, ray_from_curve
+from .rays import compare_rays, default_t_grid, energy_linearity, ray_dual, ray_from_curve
 
 _SEED = 20240817
 
@@ -165,7 +165,7 @@ def check_energy_dual():
     """Quadrature energy agrees with the dual-side formula."""
     f0 = quadratic_1d(257)
     f1 = GridFunction(f0.grid, f0.values + 0.25 * (1.0 - f0.grid.axis(0) ** 2))
-    eq = energy_quadrature(f1, f0, t_samples=11)
+    eq = energy_quadrature(f1, f0)
     ed = energy_dual(f1, f0)
     return abs(eq - ed) / max(abs(eq), abs(ed), 1e-30), 1e-2
 
@@ -211,8 +211,8 @@ def _hat_dual_gap(inst) -> float:
 def check_ray_equality():
     """Envelope-supremum ray equals the conjugate-side ray; gap halves
     with the spacings."""
-    coarse = huber_instance(nodes=129, dual_nodes=129, lambda_spacing=2.0**-5)
-    fine = huber_instance(nodes=257, dual_nodes=257, lambda_spacing=2.0**-6)
+    coarse = huber_instance(nodes=129, lambda_spacing=2.0**-5)
+    fine = huber_instance(nodes=257, lambda_spacing=2.0**-6)
     return _halving(_hat_dual_gap(coarse), _hat_dual_gap(fine), 10.0), 1.0
 
 
@@ -223,7 +223,7 @@ def check_energy_linearity():
     worst = 0.0
     for inst in (
         constant_u_instance(),
-        huber_instance(nodes=257, dual_nodes=257, lambda_spacing=2.0**-6),
+        huber_instance(nodes=257, lambda_spacing=2.0**-6),
     ):
         hat = ray_from_curve(inst.curve)
         for ray in (hat, ray_dual(inst.star, inst.u, inst.phi.grid, hat.t_grid)):
@@ -271,7 +271,7 @@ def check_phong_sturm():
     inst = BergmanInstance(phi, dual)
     data = _standard_filtration()
     k_list = [4, 8, 16, 32]
-    t_grid = np.linspace(0.0, 1.0, 11)
+    t_grid = default_t_grid()
     h = max(phi.grid.spacing)
     hd = max(dual.spacing)
     lam_sp = 1.0 / max(k_list)
@@ -323,7 +323,7 @@ def limit_curve_constant(nodes: int, k_max: int) -> float:
     phi = filtration_base(nodes)
     inst = BergmanInstance(phi, default_dual_grid(phi, nodes))
     data = _standard_filtration()
-    t_grid = np.linspace(0.0, 1.0, 11)
+    t_grid = default_t_grid()
     curve = limit_curve(inst, data, [k_max // 8, k_max // 4, k_max // 2, k_max])
     paper = ray_from_curve(maximal_envelope(phi, curve, inst.dual), t_grid)
     gap = float(compare_rays(paper, toric_ray(inst, data, t_grid)).max())

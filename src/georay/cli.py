@@ -106,6 +106,9 @@ def _grid_from_block(block) -> Grid:
         nodes = tuple(block["nodes"])
         if not all(type(m) is int for m in nodes):  # bool is no node count
             raise TypeError(f"nodes must be integers, not {block['nodes']!r}")
+        for key in ("lower", "upper"):
+            if not all(type(v) in (int, float) for v in block[key]):  # JSON numbers only
+                raise TypeError(f"{key} must be numbers, not {block[key]!r}")
         return Grid(Box(tuple(block["lower"]), tuple(block["upper"])), nodes)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed grid block: {exc}") from exc
@@ -246,7 +249,6 @@ def cmd_filtration(spec_path: str, out_dir: str, k_list) -> int:
     data = ser.load_weight_data(_read_spec_file(specdir, doc, "weights"))
     inst = BergmanInstance(phi, dual)
     ts = _t_grid(doc, phi.grid)
-    k_list = sorted(set(int(k) for k in k_list))
     rows = ["k,t,gap"]
     table, rays = equivalence_check(inst, data, ts, k_list)
     for k, gaps in zip(k_list, table):
@@ -283,14 +285,15 @@ def cmd_check(suite: str, json_path: str | None, tol_scale: float = 1.0) -> int:
     return 0 if rep["passed"] else 3
 
 
-def _parse_k_list(text: str):
+def _parse_k_list(text: str) -> list[int]:
+    """The distinct degrees of a comma-separated list, ascending."""
     try:
         ks = [int(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise ParseError(f"bad degree list {text!r}") from None
     if not ks or any(k < 1 for k in ks):
         raise ParseError("degrees must be positive integers")
-    return ks
+    return sorted(set(ks))
 
 
 def main(argv=None) -> int:

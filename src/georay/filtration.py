@@ -12,6 +12,8 @@ Math. 229, 2012).  g-hat is evaluated, and its moments integrated, on the
 simplices of P1 it is linear on, ``weight_facets``, with no hull.  The
 paper's route to that ray (limit curve, maximal envelope, lambda-transform)
 stays in the library, as the check that it converges to the closed form.
+Both routes enter through ``_degrees``: the degree list, P1's dimension
+and the section cap are checked once, before any closure is built.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import numpy as np
 
 from .curves import TestCurve
 from .errors import DomainError, ResourceError
-from .grids import Grid, GridFunction, NEG_INF, SIZE_CAP, require_within_cap
-from .legendre import _chunks, check_dual_contains_slopes, conjugate
+from .grids import Grid, GridFunction, NEG_INF, SIZE_CAP, _chunks, require_within_cap
+from .legendre import check_dual_contains_slopes, conjugate, legendre
 from .rays import Ray, _t_values, compare_rays, default_t_grid, ray_dual
 
 
@@ -76,14 +78,9 @@ class WeightedLatticeData:
         np.maximum.at(arr, tuple((self.points - self._origin(1)).T), self.weights.astype(float))
         return arr
 
-    def closure(self, k: int) -> np.ndarray:
-        if k not in self.closures:
-            multiplicative_closure(self, k)
-        return self.closures[k]
-
     def reachable(self, k: int):
         """(points (R, n), normalized weights (R,)) at degree k, row-major."""
-        arr = self.closure(k)
+        arr = multiplicative_closure(self, k)
         mask = np.isfinite(arr)
         idx = np.argwhere(mask)
         pts = idx + self._origin(k)
@@ -142,7 +139,7 @@ class BergmanInstance:
         self._coords = self.phi.grid.coords()
 
     def conj_at(self, y: np.ndarray) -> np.ndarray:
-        """phi*(y) at arbitrary slope points (exact max over primal nodes)."""
+        """phi*(y) at the normalized lattice points of ``section_values``."""
         y = np.atleast_2d(y)
         lo, hi = self.dual.box.lower, self.dual.box.upper
         out = (y < np.array(lo) - 1e-12) | (y > np.array(hi) + 1e-12)
@@ -219,14 +216,22 @@ def phong_sturm_ray(inst: BergmanInstance, data: WeightedLatticeData, k: int, t_
     return Ray(ts, inst.phi.grid, frames)
 
 
-def _require_sections_within_cap(inst: BergmanInstance, data: WeightedLatticeData, k: int):
-    """A P1 of affine rank r reaches C(k + r, r) points at degree k, the sums
-    of an r-simplex, so the degree-k section matrix can be over the cap
-    before any closure is built: ``ResourceError`` then."""
-    nodes, r = inst.phi.grid.num_nodes, int(np.linalg.matrix_rank(data.points - data.points[0]))
+def _degrees(inst: BergmanInstance, data: WeightedLatticeData, k_list) -> list[int]:
+    """The distinct degrees of k_list, ascending, checked before any closure
+    is built: not empty, P1 of phi's dimension, and the largest degree's
+    section matrix under the cap (``ResourceError``): a P1 of affine rank r
+    reaches C(k + r, r) points at degree k, the sums of an r-simplex."""
+    ks = sorted(set(int(k) for k in k_list))
+    if not ks:
+        raise DomainError("empty degree list")
+    if data.dim != inst.phi.grid.dim:
+        raise DomainError(f"{data.dim}-D weight data on a {inst.phi.grid.dim}-D base")
+    k, r = ks[-1], int(np.linalg.matrix_rank(data.points - data.points[0]))
+    nodes = inst.phi.grid.num_nodes
     if math.comb(k + r, r) * nodes > SIZE_CAP:
         raise ResourceError(f"degree-{k} section matrix of at least {math.comb(k + r, r)} x "
                             f"{nodes} nodes exceeds the size cap {SIZE_CAP}")
+    return ks
 
 
 def limit_curve(
@@ -239,12 +244,9 @@ def limit_curve(
     a max of the affine e_i, so it is convex by construction and is not
     re-hulled.
     """
-    k_list = sorted(set(int(k) for k in k_list))
-    if not k_list:
-        raise DomainError("empty degree list")
+    k_list = _degrees(inst, data, k_list)
     k_max = k_list[-1]
     grid = inst.phi.grid
-    _require_sections_within_cap(inst, data, k_max)
     norm_min = math.inf
     norm_max = -math.inf
     for k in k_list:
@@ -358,13 +360,12 @@ def toric_ray(inst: BergmanInstance, data: WeightedLatticeData, t_grid) -> Ray:
     """The closed-form limit of the Phong-Sturm rays: frame(t) is the
     conjugate of phi* - t g-hat over the dual nodes of the polytope, onto
     phi's grid, with g-hat from ``weight_envelope`` and phi* from
-    ``conj_at``."""
+    ``legendre``, which names a -inf node of phi."""
     dual = inst.dual
     g = weight_envelope(data, dual.coords()).reshape(dual.shape)
     if not np.isfinite(g).any():
         raise DomainError("no dual node lies in the polytope of the weights")
-    star = inst.conj_at(dual.coords()).reshape(dual.shape)
-    return ray_dual(GridFunction(dual, star), GridFunction(dual, g), inst.phi.grid, t_grid)
+    return ray_dual(legendre(inst.phi, dual), GridFunction(dual, g), inst.phi.grid, t_grid)
 
 
 def equivalence_check(
@@ -373,17 +374,15 @@ def equivalence_check(
     """Per-t sup-norm gaps between the Phong-Sturm rays of the degrees k_list
     and their limit, the closed-form ``toric_ray``.
 
-    A P1 that spans no n-simplex is rejected first, then the degree cap is
-    checked before any closure is built, and the target is built before any
-    Phong-Sturm ray.  Returns (gaps, rays): row i of the (degrees, t) table
-    ``gaps`` is the gap at the i-th distinct degree of k_list in ascending
-    order, and ``rays[i]`` is the Phong-Sturm ray it was measured against.
+    A P1 that spans no n-simplex is rejected first, then the degrees are
+    checked by ``_degrees`` before any closure is built, and the target is
+    built before any Phong-Sturm ray.  Returns (gaps, rays): row i of the
+    (degrees, t) table ``gaps`` is the gap at the i-th distinct degree of
+    k_list in ascending order, and ``rays[i]`` is the Phong-Sturm ray it was
+    measured against.
     """
-    ks = sorted(set(int(k) for k in k_list))
-    if not ks:
-        raise DomainError("empty degree list")
     weight_facets(data)
-    _require_sections_within_cap(inst, data, ks[-1])
+    ks = _degrees(inst, data, k_list)
     target = toric_ray(inst, data, t_grid)
     rays = [phong_sturm_ray(inst, data, k, t_grid) for k in ks]
     return np.array([compare_rays(target, ray) for ray in rays]), rays

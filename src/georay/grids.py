@@ -13,6 +13,12 @@ one: its height above the lower convex envelope must be within
 ``TOL_CONVEX_REL`` times its value range (at least 1e-12).  In 1-D a bound
 on the second differences settles most inputs in O(n); only the others
 cost a hull, through ``lower_envelope``.
+
+Every module takes its size rules from here: ``SIZE_CAP`` and
+``require_within_cap``, checked before an array is allocated, and
+``_BLOCK`` and ``_chunks``, the groups in which temporaries are built.  The
+2-D envelope meets the hull's facets a group of points at a time, so its
+temporaries stay near ``_BLOCK`` elements whatever the facet count.
 """
 
 from __future__ import annotations
@@ -35,6 +41,18 @@ TOL_CONVEX_REL = 1e-9
 
 #: Cap on the node count of a grid and on the entries of a lattice array.
 SIZE_CAP = 10**6
+
+# elements per temporary: small blocks stay in cache.  legendre's row kernel
+# keeps a few dozen temporaries of a block alive, so the block also bounds
+# the memory that a grouped caller's group (about one block) adds.
+_BLOCK = 1 << 14
+
+
+def _chunks(total: int, width: int):
+    """Slices of ``total`` items whose (items x width) temporaries hold at
+    most ``_BLOCK`` elements."""
+    step = max(1, _BLOCK // max(1, width))
+    return (slice(s, s + step) for s in range(0, total, step))
 
 
 def require_within_cap(what: str, count: float, nodes: int):
@@ -248,9 +266,8 @@ def lower_envelope(pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
             eq = np.array([[c[0], c[1], -1.0, c[2]]])
         nxy, nz, off = eq[:, :2], eq[:, 2], eq[:, 3]
         out = np.empty(len(pts))
-        chunk = 4096
-        for s in range(0, len(pts), chunk):
-            out[s : s + chunk] = (-(pts[s : s + chunk] @ nxy.T + off) / nz).max(axis=1)
+        for g in _chunks(len(pts), len(eq)):
+            out[g] = (-(pts[g] @ nxy.T + off) / nz).max(axis=1)
     # the hull surface interpolates the data; guard fp drift above it
     return np.minimum(out, vals)
 

@@ -87,11 +87,11 @@ class RayInstance:
     lambda_spacing: float
 
 
-def _bowl_instance(nodes, dual_nodes, u_of_y, lambdas, lambda_head, lambda_spacing) -> RayInstance:
-    """The linear-growth bowl with u = u_of_y on its slope region and its
-    envelope curve at ``lambdas``; phi is conjugated once."""
+def _bowl_instance(nodes, u_of_y, lambdas, lambda_head, lambda_spacing) -> RayInstance:
+    """The linear-growth bowl, u = u_of_y on its slope region of its default
+    dual grid, and its envelope curve at ``lambdas``; phi is conjugated once."""
     phi = linear_growth_bowl(nodes)
-    dual = default_dual_grid(phi, dual_nodes)
+    dual = default_dual_grid(phi)
     mask, star, _ = next(slope_regions(phi.grid, phi.values[None], dual))
     u = GridFunction(dual, np.where(mask, u_of_y(dual.axis(0)), -np.inf))
     star = GridFunction(dual, star)
@@ -99,12 +99,12 @@ def _bowl_instance(nodes, dual_nodes, u_of_y, lambdas, lambda_head, lambda_spaci
     return RayInstance(phi, dual, star, u, curve, lambda_spacing)
 
 
-def huber_instance(nodes: int = 129, dual_nodes: int = 129, lambda_spacing: float = 2.0**-5) -> RayInstance:
+def huber_instance(nodes: int = 129, lambda_spacing: float = 2.0**-5) -> RayInstance:
     """phi with slope set [-1, 1], u(y) = -|y|; envelopes are Huber functions."""
     lambdas = np.arange(-1.0, 1e-12, lambda_spacing)
-    return _bowl_instance(nodes, dual_nodes, lambda y: -np.abs(y), lambdas, -1.0, lambda_spacing)
+    return _bowl_instance(nodes, lambda y: -np.abs(y), lambdas, -1.0, lambda_spacing)
 
 
-def constant_u_instance(nodes: int = 129, dual_nodes: int = 129) -> RayInstance:
+def constant_u_instance(nodes: int = 129) -> RayInstance:
     """u identically 1 on the slope set: pure-translation dynamics."""
-    return _bowl_instance(nodes, dual_nodes, lambda y: 1.0, np.array([0.0, 1.0]), 1.0, 1.0)
+    return _bowl_instance(nodes, lambda y: 1.0, np.array([0.0, 1.0]), 1.0, 1.0)

@@ -44,7 +44,7 @@ bit-for-bit.  Adding x1*y1 can round a lower-index inner candidate up to
 the max; where the inner pass's gap does not rule that out, the winning
 row is redone densely.  With window w = 5 the cost is O(n1 (n2 + m2 w)) +
 O(m2 (n1 + m1 w)), plus a row per unsettled pair; temporaries are built in
-blocks of ``_BLOCK`` elements.
+blocks of ``grids._BLOCK`` elements.
 
 Witnesses are computed only when a caller asks for them: without, the
 window keeps only its running max v and the certificate bound < v (no
@@ -61,9 +61,9 @@ other caller conjugates values only.
 axis; one function is the batch of one.  In 1-D the stacked rows go to the
 row kernel together; in 2-D pass 1 runs on r*n1 rows and pass 2 on r*m2.
 Callers that need one transform per lambda sample, path node or t conjugate
-their items in groups given by ``_chunks`` (about ``_BLOCK`` output values
-each), and reduce each group to regions, masses or frames before the next;
-envelopes and dual rays share one such loop, ``masked_conjugates``.
+their items in groups given by ``grids._chunks`` (about ``_BLOCK`` output
+values each), and reduce each group to regions, masses or frames before
+the next; envelopes and dual rays share one such loop, ``masked_conjugates``.
 
 Slope regions (the numerical Delta_phi) keep only dual nodes whose max is
 attained at an interior primal node: boundary attainment encodes the box
@@ -82,12 +82,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError
-from .grids import NEG_INF, Box, Grid, GridFunction, _at, _lower_hull_1d
+from .grids import NEG_INF, Box, Grid, GridFunction, _at, _chunks, _lower_hull_1d
 
-# elements per temporary: small blocks stay in cache.  The row kernel keeps
-# a few dozen temporaries of a block alive, so the block also bounds the
-# memory that a grouped caller's group (about one block) adds.
-_BLOCK = 1 << 14
 _EPS = np.finfo(float).eps
 
 
@@ -167,13 +163,6 @@ def _transform_brute(axes, values, dual_axes):
             w = np.argmax(cand, axis=1)
             out[p, q], wit[p, q] = cand[rows, w], w
     return out, wit
-
-
-def _chunks(total: int, width: int):
-    """Slices of ``total`` items whose (items x width) temporaries hold at
-    most ``_BLOCK`` elements."""
-    step = max(1, _BLOCK // max(1, width))
-    return (slice(s, s + step) for s in range(0, total, step))
 
 
 def _transform_1d(x, V, y, witness=False):

@@ -5,7 +5,7 @@ conjugated in groups: one ``slope_regions`` pass over a batch of one
 (``slope_mask``), witnessed ``legendre``, ``energy_dual`` or ``conjugate``
 call per lambda sample, path node, frame or t, and one ``np.maximum`` per
 lambda sample and t.  Results must be equal, not close, and stay so when a
-small ``_BLOCK`` splits the items into many groups.
+small ``grids._BLOCK`` splits the items into many groups.
 """
 
 import itertools
@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import georay.legendre as LEGENDRE
+import georay.grids as GRIDS
 from georay.checks import check_contact_concentration
 from georay.curves import TestCurve as Curve, concave_transform, contact_set, envelope
 from georay.grids import Box, Grid, GridFunction
@@ -35,12 +35,12 @@ def deposit_ref(f, dual, weights):
     return masses.reshape(f.grid.shape)
 
 
-def energy_quadrature_ref(f1, f0, t_samples, dual):
+def energy_quadrature_ref(f1, f0, dual):
     region = slope_mask(f0, dual)
     mu0 = deposit_ref(f0, dual, region)
     diff = np.where(f1.finite_mask, f1.values - f0.values, 0.0)
-    ts = np.linspace(0.0, 1.0, t_samples)
-    w = np.ones(t_samples)
+    ts = np.linspace(0.0, 1.0, 11)
+    w = np.ones(11)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     w *= (ts[1] - ts[0]) / 3.0
@@ -136,21 +136,27 @@ def case(request):
     return phi, dual, u, curve, ray_from_curve(curve)
 
 
+def patch_block(monkeypatch, block):
+    """Set the block that every grouped caller reads.  The ``_chunks``
+    groups must follow it: a patch of a module that does not own the block
+    would leave them as they were and test nothing."""
+    monkeypatch.setattr(GRIDS, "_BLOCK", block)
+    assert len(list(GRIDS._chunks(10**5, 1))) == -(-(10**5) // block)
+
+
 # the default block, and blocks that split each caller's items into groups
 # of one to a few dozen
 @pytest.fixture(params=[None, 1200, 3000])
 def block(request, monkeypatch):
     if request.param is not None:
-        monkeypatch.setattr(LEGENDRE, "_BLOCK", request.param)
+        patch_block(monkeypatch, request.param)
 
 
 def test_energy_quadrature(case, block):
     phi, _, _, _, ray = case
     dual = _energy_dual_grid(phi)
     f1 = GridFunction(ray.grid, ray.values[-1])
-    for t_samples in (3, 11):
-        got = energy_quadrature(f1, phi, t_samples, dual=dual)
-        assert got == energy_quadrature_ref(f1, phi, t_samples, dual)
+    assert energy_quadrature(f1, phi, dual=dual) == energy_quadrature_ref(f1, phi, dual)
 
 
 def test_energy_linearity(case, block):
@@ -193,11 +199,11 @@ def test_ray_from_curve(case, block):
         assert same_bits(fr, want)
 
 
-@pytest.mark.parametrize("block", [LEGENDRE._BLOCK, 63, 150])
+@pytest.mark.parametrize("block", [GRIDS._BLOCK, 63, 150])
 def test_ray_from_curve_signed_zeros(rng, monkeypatch, block):
     # at t = 0, t * lambda is -0.0 for lambda < 0: samples of 0.0 and -0.0
     # tie, and the frame keeps the sign the per-lambda loop gave it
-    monkeypatch.setattr(LEGENDRE, "_BLOCK", block)
+    patch_block(monkeypatch, block)
     g = Grid(Box((-1.0, 0.0), (1.0, 2.0)), (9, 7))
     lambdas = np.array([-2.0, -1.0, -0.5, 0.0, 1.0, 3.0])
     samples = [rng.choice([0.0, -0.0, -1.0], g.shape) for _ in lambdas[:-1]]

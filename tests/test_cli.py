@@ -26,7 +26,7 @@ from test_legendre import noisy_bowl_2d, slope_mask
 @pytest.fixture(scope="module")
 def specdir(tmp_path_factory, three_point, simplex_2d):
     d = tmp_path_factory.mktemp("specs")
-    inst = huber_instance(nodes=65, dual_nodes=65, lambda_spacing=0.125)
+    inst = huber_instance(nodes=65, lambda_spacing=0.125)
     (d / "phi.gf").write_text(ser.dump_grid_function(inst.phi))
     (d / "u.gf").write_text(ser.dump_grid_function(inst.u))
     (d / "curve.tc").write_text(ser.dump_test_curve(inst.curve))
@@ -419,6 +419,18 @@ class TestRayCommand:
         path = _spec_elsewhere(specdir, spec, tmp_path / "bad.spec", **update)
         assert main([command, "--spec", path, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("parse error: ")
+
+    # a bound that is no JSON number is not read through float(): a string
+    # gave the same box as the number it spells, and true gave 1.0
+    @pytest.mark.parametrize("key", ["lower", "upper"])
+    @pytest.mark.parametrize("bound", ["str", True], ids=["string", "bool"])
+    def test_dual_bound_not_a_number_exit_2(self, specdir, tmp_path, capsys, key, bound):
+        dual = json.loads((specdir / "huber.spec").read_text())["dual"]
+        dual[key] = [str(dual[key][0]) if bound == "str" else bound]
+        path = _spec_elsewhere(specdir, "huber.spec", tmp_path / "bad.spec", dual=dual)
+        assert main(["ray", "--spec", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"parse error: malformed grid block: {key} must be numbers, not {dual[key]!r}\n"
 
     def test_missing_file_exit_3(self, specdir, tmp_path):
         spec = specdir / "missing_payload.spec"
@@ -851,6 +863,32 @@ class TestFiltrationCommand:
         err = capsys.readouterr().err
         assert "normalized lattice point [1.25] outside the dual box" in err
         assert f"axis 0 coordinate 1.25 not in [{box.lower[0]!r}, {box.upper[0]!r}]" in err
+
+    @pytest.mark.parametrize(
+        "spec, weights, want",
+        [("weights01.spec", "p2d.wd", "2-D weight data on a 1-D base"),
+         ("weights2d.spec", "w01.wd", "1-D weight data on a 2-D base")],
+        ids=["2d-on-1d", "1d-on-2d"],
+    )
+    def test_weight_dimension_mismatch_exit_3(self, specdir, tmp_path, capsys, spec, weights, want):
+        # checked before any closure or section matrix, whose matmul would
+        # otherwise fail with numpy's core-dimension ValueError
+        path = _spec_elsewhere(specdir, spec, tmp_path / "p.spec", weights=str(specdir / weights))
+        assert main(["filtration", "--spec", path, "--out", str(tmp_path / "o"), "--k", "4"]) == 3
+        assert capsys.readouterr().err == f"validation failure: {want}\n"
+
+    def test_2d_base_with_neg_inf_node_exit_3(self, specdir, tmp_path, capsys, simplex_2d):
+        # phi* of the 2-D base is +inf everywhere: the error names the node
+        inst, _ = simplex_2d
+        values = inst.phi.values.copy()
+        values[8, 8] = -np.inf
+        (tmp_path / "hole.gf").write_text(ser.dump_grid_function(GridFunction(inst.phi.grid, values)))
+        path = _spec_elsewhere(specdir, "weights2d.spec", tmp_path / "p.spec", phi=str(tmp_path / "hole.gf"))
+        assert main(["filtration", "--spec", path, "--out", str(tmp_path / "o"), "--k", "4"]) == 3
+        assert capsys.readouterr().err == (
+            "validation failure: conjugate of a function that is -inf at node (8, 8) (x = 0, 0) "
+            "is +inf everywhere\n"
+        )
 
 
 class TestCheckCommand:

@@ -68,7 +68,7 @@ class TestClosure:
     def test_w01_linear_weights(self, w01):
         # lambda_k(j) = j for j = 0..k: take j copies of the point 1
         for k in (2, 4, 8):
-            arr = w01.closure(k)
+            arr = multiplicative_closure(w01, k)
             assert np.array_equal(arr, np.arange(k + 1, dtype=float))
 
     def test_matches_exhaustive_oracle(self):
@@ -76,7 +76,7 @@ class TestClosure:
         ws = np.array([1, 0, 2])
         data = WeightedLatticeData(pts, ws)
         for k in (2, 3):
-            arr = data.closure(k)
+            arr = multiplicative_closure(data, k)
             oracle = closure_oracle(pts, ws, k)
             for idx, val in enumerate(arr):
                 key = (idx + int(k * pts.min()),)
@@ -86,7 +86,7 @@ class TestClosure:
         pts = np.array([[0, 0], [1, 0], [0, 1]])
         ws = np.array([0, 1, 2])
         data = WeightedLatticeData(pts, ws)
-        arr = data.closure(2)
+        arr = multiplicative_closure(data, 2)
         oracle = closure_oracle(pts, ws, 2)
         it = np.ndindex(arr.shape)
         for idx in it:
@@ -98,13 +98,13 @@ class TestClosure:
         data = WeightedLatticeData(pts, ws)
         for k in (1, 2, 3):
             oracle = closure_oracle(pts, ws, k)
-            assert data.closure(k).tolist() == [oracle[(j,)] for j in range(k + 1)]
+            assert multiplicative_closure(data, k).tolist() == [oracle[(j,)] for j in range(k + 1)]
 
     def test_superadditive(self, w01):
         # lambda_{j+k}(a+b) >= lambda_j(a) + lambda_k(b)
-        a2 = w01.closure(2)
-        a3 = w01.closure(3)
-        a5 = w01.closure(5)
+        a2 = multiplicative_closure(w01, 2)
+        a3 = multiplicative_closure(w01, 3)
+        a5 = multiplicative_closure(w01, 5)
         for i in range(3):
             for j in range(4):
                 assert a5[i + j] >= a2[i] + a3[j] - 1e-12
@@ -213,7 +213,7 @@ class TestLimitCurveAndRay:
         ts = np.linspace(0.0, 1.0, 6)
         cold = WeightedLatticeData(np.array([[0], [1]]), np.array([0, 1]))
         warm = WeightedLatticeData(np.array([[0], [1]]), np.array([0, 1]))
-        warm.closure(32)
+        multiplicative_closure(warm, 32)
         g_cold, _ = equivalence_check(base_inst, cold, ts, [4, 8])
         g_warm, _ = equivalence_check(base_inst, warm, ts, [4, 8])
         assert np.array_equal(g_cold, g_warm)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,6 +231,24 @@ class TestRequireConvex:
         require_convex("f", noisy)
         require_convex("u", GridFunction(g, -noisy.values), concave=True)
         assert calls == []
+
+    def test_2d_hull_memory(self):
+        # (x^2 + y^2)/2 at 65^2 has 8192 downward facets: evaluated against
+        # every facet in 4096-point blocks, the envelope peaked at 513 MB;
+        # in _chunks groups its temporaries stay near _BLOCK elements
+        def bowl(n):
+            g = Grid(Box((-1.0, -1.0), (1.0, 1.0)), (n, n))
+            return GridFunction.from_callable(g, lambda x, y: (x * x + y * y) / 2)
+
+        require_convex("f", bowl(9))  # scipy's import is not counted
+        f = bowl(65)
+        tracemalloc.start()
+        try:
+            require_convex("f", f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
     @pytest.mark.parametrize("scale", [1e-13, 1e-11, 1e-9, 1e-7])
     def test_verdict_is_the_hull_height(self, rng, scale):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import georay.grids as GRIDS
 import georay.legendre as LEGENDRE
 from georay.curves import envelope
 from georay.errors import DomainError
@@ -509,7 +510,7 @@ def batch_inputs(draw):
         items.append(v)
     extra = [draw(st.lists(st.floats(-20, 20), min_size=1, max_size=9)) for _ in range(dim)]
     dual_axes = [np.sort(np.concatenate([slopes, e])) for e in extra]
-    block = draw(st.one_of(st.just(LEGENDRE._BLOCK), st.integers(1, 300)))
+    block = draw(st.one_of(st.just(GRIDS._BLOCK), st.integers(1, 300)))
     return axes, np.stack(items), dual_axes, block
 
 
@@ -518,7 +519,9 @@ def batch_inputs(draw):
 def test_batched_conjugate_equals_single_calls(data):
     # small blocks split the stack's rows across the kernel's row blocks
     axes, stack, dual_axes, block = data
-    with mock.patch.object(LEGENDRE, "_BLOCK", block):
+    with mock.patch.object(GRIDS, "_BLOCK", block):
+        # the groups follow the patched block, so the patch reached its owner
+        assert len(list(GRIDS._chunks(10**4, 1))) == -(-(10**4) // block)
         vals, wit = conjugate(axes, stack, dual_axes, True)
         plain = values_only(conjugate, axes, stack, dual_axes)
     assert vals.shape == wit.shape == (len(stack),) + tuple(len(a) for a in dual_axes)
@@ -588,7 +591,7 @@ class TestOneDimensionalCallers:
     def instances():
         from georay.instances import constant_u_instance, huber_instance
 
-        return huber_instance(nodes=129, dual_nodes=129, lambda_spacing=0.125), constant_u_instance()
+        return huber_instance(nodes=129, lambda_spacing=0.125), constant_u_instance()
 
     @staticmethod
     def assert_brute(inst, got, values):

@@ -113,8 +113,3 @@ class TestEnergy:
         b = GridFunction(g, vals)
         with pytest.raises(DomainError):
             energy_quadrature(a, b)
-
-    def test_even_t_samples_rejected(self):
-        f = quadratic_1d(65)
-        with pytest.raises(DomainError):
-            energy_quadrature(f, f, t_samples=10)

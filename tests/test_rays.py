@@ -96,8 +96,8 @@ class TestRayEquality:
             denom = (h + hd + inst.lambda_spacing) * (1 + hat.t_grid)
             return float((gaps / denom).max())
 
-        coarse = worst_ratio(huber_instance(65, 65, 2.0**-4))
-        fine = worst_ratio(huber_instance(257, 257, 2.0**-6))
+        coarse = worst_ratio(huber_instance(65, 2.0**-4))
+        fine = worst_ratio(huber_instance(257, 2.0**-6))
         # the normalized gap is resolution-stable: the raw gap scales
         # linearly with the spacings
         assert fine <= 3 * max(coarse, 0.05)
@@ -118,7 +118,7 @@ def test_curve_predicted_slope_brackets_fitted(nodes, spacing):
     energy follows the concave envelope u-hat of those steps.  The fitted
     slope lies between the two integrals (65 nodes: the ``curve.spec``
     fixture of the CLI tests, -1.151 <= -1.026 <= -1.0)."""
-    tc = huber_instance(nodes, nodes, spacing).curve
+    tc = huber_instance(nodes, spacing).curve
     phi = tc.head  # as ``georay ray`` takes it when the spec names no phi
     floor = concave_transform(tc, _energy_dual_grid(phi))
     fin = floor.finite_mask
@@ -165,7 +165,7 @@ def test_lambda_route_is_dual_route_of_floored_u(case):
     to a few ulps: the lambda route of kind curve and of the filtration is
     the dual route of ``georay ray`` on a quantised u."""
     if case == "huber-1d":
-        inst = huber_instance(nodes=129, dual_nodes=129, lambda_spacing=2.0**-5)
+        inst = huber_instance(nodes=129, lambda_spacing=2.0**-5)
         phi, dual, u, lambdas = inst.phi, inst.dual, inst.u, inst.curve.lambdas
     else:
         phi, dual, u = _bowl2()

@@ -70,7 +70,7 @@ class TestGridFunctionRoundTrip:
 
 class TestCurveRoundTrip:
     def test_huber_curve(self):
-        inst = huber_instance(nodes=33, dual_nodes=33, lambda_spacing=0.25)
+        inst = huber_instance(nodes=33, lambda_spacing=0.25)
         text = ser.dump_test_curve(inst.curve)
         back = ser.load_test_curve(text)
         assert np.array_equal(back.lambdas, inst.curve.lambdas)
@@ -93,7 +93,7 @@ class TestWeightDataRoundTrip:
 
 class TestCsvDumps:
     def test_ray_csv_shape(self):
-        inst = huber_instance(nodes=17, dual_nodes=17, lambda_spacing=0.5)
+        inst = huber_instance(nodes=17, lambda_spacing=0.5)
         ray = ray_from_curve(inst.curve, np.array([0.0, 1.0]))
         lines = ser.dump_ray_csv(ray).strip().splitlines()
         assert lines[0] == "t,x0,value"
@@ -101,7 +101,7 @@ class TestCsvDumps:
 
     def test_every_csv_field_is_a_float(self):
         # numpy scalars must not leak their repr (np.float64(...)) into a field
-        inst = huber_instance(nodes=17, dual_nodes=17, lambda_spacing=0.5)
+        inst = huber_instance(nodes=17, lambda_spacing=0.5)
         f2 = quadratic_2d(5)
         texts = [
             ser.dump_ray_csv(ray_from_curve(inst.curve, np.array([0.0, 1.0]))),
