@@ -13,7 +13,8 @@ Problem files are JSON documents::
 Unknown keys, such as an old ``lambda`` block, are ignored.  The ray of kind
 ``dual_u`` is the conjugate of phi* - t u on the base (the dual nodes where u
 is finite and phi has slopes), and its ``lambda_c`` the max of u there (a
-max of -0.0 is written as 0.0).
+max of -0.0 is written as 0.0).  phi meets its dual grid only through
+``legendre.dual_base``; kind ``curve`` needs its phi on the curve's grid.
 
 A test curve is certified by ``curves.validate`` before any conjugate: its
 lambda invariants and, in 1-D, each finite sample convex.  In 1-D, phi is
@@ -71,7 +72,7 @@ from .filtration import BergmanInstance, equivalence_check, weight_histogram
 from .grids import (
     NEG_INF, Box, Grid, GridFunction, fork_cpus, require_convex, require_within_cap,
 )
-from .legendre import _require_finite, check_dual_contains_slopes, default_dual_grid, slope_regions
+from .legendre import default_dual_grid, dual_base
 from .monge_ampere import _energy_dual_grid
 from .rays import energy_linearity, ray_dual, ray_from_curve
 
@@ -103,13 +104,14 @@ def _read_spec_file(specdir: Path, doc: dict, key: str) -> str:
 
 def _grid_from_block(block) -> Grid:
     try:
-        nodes = tuple(block["nodes"])
-        if not all(type(m) is int for m in nodes):  # bool is no node count
-            raise TypeError(f"nodes must be integers, not {block['nodes']!r}")
-        for key in ("lower", "upper"):
-            if not all(type(v) in (int, float) for v in block[key]):  # JSON numbers only
-                raise TypeError(f"{key} must be numbers, not {block[key]!r}")
-        return Grid(Box(tuple(block["lower"]), tuple(block["upper"])), nodes)
+        # JSON lists of JSON numbers only: bool is no node count and no bound
+        for key, what, kinds in (("nodes", "integers", (int,)), ("lower", "numbers", (int, float)),
+                                 ("upper", "numbers", (int, float))):
+            if type(block[key]) is not list:
+                raise TypeError(f"{key} must be a list, not {block[key]!r}")
+            if not all(type(v) in kinds for v in block[key]):
+                raise TypeError(f"{key} must be {what}, not {block[key]!r}")
+        return Grid(Box(tuple(block["lower"]), tuple(block["upper"])), tuple(block["nodes"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed grid block: {exc}") from exc
 
@@ -191,6 +193,8 @@ def cmd_ray(spec_path: str, out_dir: str, tol_scale: float = 1.0) -> int:
         phi = tc.head
         if "phi" in doc:
             phi = ser.load_grid_function(_read_spec_file(specdir, doc, "phi"))
+            if phi.grid != tc.grid:
+                raise DomainError(f"phi is on {phi.grid}, the test curve on {tc.grid}")
         validate(tc, tol_scale)
         if tc.grid.dim == 1:
             require_convex("phi", phi)
@@ -205,16 +209,13 @@ def cmd_ray(spec_path: str, out_dir: str, tol_scale: float = 1.0) -> int:
         uf = ser.load_grid_function(_read_spec_file(specdir, doc, "u"))
         if uf.grid != dual:
             raise DomainError("u is not sampled on the dual grid")
-        _require_finite(phi.grid, phi.values)
-        check_dual_contains_slopes(phi, dual)
         if phi.grid.dim == 1:
             require_convex("phi", phi)
             require_convex("u", uf, concave=True)
-        # phi is conjugated on the dual grid once: its slope region and phi*,
-        # from which the ray is the conjugate of phi* - t u
-        mask, phistar, _ = next(slope_regions(phi.grid, phi.values[None], dual))
+        # one conjugate of phi gives its slope region and phi*; the ray is (phi* - t u)*
+        mask, phistar = dual_base(phi, dual)
         u = GridFunction(dual, np.where(mask, uf.values, NEG_INF))
-        ray = ray_dual(GridFunction(dual, phistar), u, phi.grid, ts)
+        ray = ray_dual(phistar, u, phi.grid, ts)
         lambda_c = float(u.values.max())
 
     with _ray_csv_written(out / "ray.csv", ray):

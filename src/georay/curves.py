@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .grids import NEG_INF, Grid, GridFunction, _at, grid_values, require_convex
-from .legendre import check_dual_contains_slopes, legendre, masked_conjugates, slope_regions
+from .legendre import dual_base, masked_conjugates, slope_regions
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,8 +150,7 @@ def envelope(
 def maximal_envelope(phi: GridFunction, tc: TestCurve, dual: Grid) -> TestCurve:
     """Envelope curve of phi driven by the concave transform of tc."""
     u = concave_transform(tc, dual)
-    check_dual_contains_slopes(phi, dual)
-    return envelope(legendre(phi, dual), u, tc.lambdas, phi.grid, lambda_head=tc.lambda_head)
+    return envelope(dual_base(phi, dual)[1], u, tc.lambdas, phi.grid, lambda_head=tc.lambda_head)
 
 
 def contact_set(phi: GridFunction, values: np.ndarray, tol: float | None = None) -> np.ndarray:

@@ -13,7 +13,8 @@ simplices of P1 it is linear on, ``weight_facets``, with no hull.  The
 paper's route to that ray (limit curve, maximal envelope, lambda-transform)
 stays in the library, as the check that it converges to the closed form.
 Both routes enter through ``_degrees``: the degree list, P1's dimension
-and the section cap are checked once, before any closure is built.
+and the section cap are checked once, before any closure is built; phi
+meets its dual grid once, in ``BergmanInstance``, by ``legendre.dual_base``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .curves import TestCurve
 from .errors import DomainError, ResourceError
 from .grids import Grid, GridFunction, NEG_INF, SIZE_CAP, _chunks, require_within_cap
-from .legendre import check_dual_contains_slopes, conjugate, legendre
+from .legendre import conjugate, dual_base
 from .rays import Ray, _t_values, compare_rays, default_t_grid, ray_dual
 
 
@@ -128,14 +129,14 @@ def weight_histogram(data: WeightedLatticeData, k: int):
 
 @dataclass(eq=False)
 class BergmanInstance:
-    """Base metric phi on a dual grid that contains its slopes; the
-    sections are affine functions with slopes at normalized lattice points."""
+    """Base metric phi and ``star``, phi* on a dual grid holding its slopes
+    (``dual_base``); sections are affine with normalized lattice slopes."""
 
     phi: GridFunction
     dual: Grid
 
     def __post_init__(self):
-        check_dual_contains_slopes(self.phi, self.dual)
+        _, self.star = dual_base(self.phi, self.dual)
         self._coords = self.phi.grid.coords()
 
     def conj_at(self, y: np.ndarray) -> np.ndarray:
@@ -359,13 +360,12 @@ def weight_envelope(data: WeightedLatticeData, pts: np.ndarray) -> np.ndarray:
 def toric_ray(inst: BergmanInstance, data: WeightedLatticeData, t_grid) -> Ray:
     """The closed-form limit of the Phong-Sturm rays: frame(t) is the
     conjugate of phi* - t g-hat over the dual nodes of the polytope, onto
-    phi's grid, with g-hat from ``weight_envelope`` and phi* from
-    ``legendre``, which names a -inf node of phi."""
-    dual = inst.dual
-    g = weight_envelope(data, dual.coords()).reshape(dual.shape)
+    phi's grid, with g-hat from ``weight_envelope`` and phi* the instance's
+    ``star``."""
+    g = weight_envelope(data, inst.dual.coords())
     if not np.isfinite(g).any():
         raise DomainError("no dual node lies in the polytope of the weights")
-    return ray_dual(legendre(inst.phi, dual), GridFunction(dual, g), inst.phi.grid, t_grid)
+    return ray_dual(inst.star, GridFunction(inst.dual, g), inst.phi.grid, t_grid)
 
 
 def equivalence_check(

@@ -14,7 +14,7 @@ import numpy as np
 
 from .curves import TestCurve, envelope
 from .grids import Box, Grid, GridFunction, require_convex
-from .legendre import default_dual_grid, slope_regions
+from .legendre import default_dual_grid, dual_base
 
 
 def quadratic_1d(nodes: int = 257) -> GridFunction:
@@ -92,9 +92,8 @@ def _bowl_instance(nodes, u_of_y, lambdas, lambda_head, lambda_spacing) -> RayIn
     dual grid, and its envelope curve at ``lambdas``; phi is conjugated once."""
     phi = linear_growth_bowl(nodes)
     dual = default_dual_grid(phi)
-    mask, star, _ = next(slope_regions(phi.grid, phi.values[None], dual))
+    mask, star = dual_base(phi, dual)
     u = GridFunction(dual, np.where(mask, u_of_y(dual.axis(0)), -np.inf))
-    star = GridFunction(dual, star)
     curve = envelope(star, u, lambdas, phi.grid, lambda_head)
     return RayInstance(phi, dual, star, u, curve, lambda_spacing)
 

@@ -71,9 +71,10 @@ truncation, not a genuine subgradient, and is discarded.  A region is a
 boolean mask on the dual grid.  ``slope_regions`` takes one primal grid
 and a stack of functions on it, (k, *grid.shape), and returns each one's
 mask together with its full conjugate and, on request, the witnesses,
-which the Monge-Ampere deposit reuses; one function is the stack
-``f.values[None]``.  ``integral(u)`` integrates u over its finite set
-under the trapezoid weights of that mask (``trapezoid_weights``).
+which the Monge-Ampere deposit reuses.  ``dual_base`` is the one entry for
+a base f on its dual grid: it checks the pair, then gives f's region and f*.
+``integral(u)`` integrates u over its finite set under the trapezoid
+weights of that mask (``trapezoid_weights``).
 """
 
 from __future__ import annotations
@@ -117,18 +118,6 @@ def default_dual_grid(f: GridFunction, nodes_per_axis=None) -> Grid:
         lo.append(mn - pad)
         hi.append(mx + pad)
     return Grid(Box(tuple(lo), tuple(hi)), nodes)
-
-
-def check_dual_contains_slopes(f: GridFunction, dual: Grid):
-    """The slope range of f lies inside the box of the dual grid."""
-    for ax, d in enumerate(_finite_slopes(f)):
-        if d.size == 0:
-            continue
-        if d.min() < dual.box.lower[ax] - 1e-12 or d.max() > dual.box.upper[ax] + 1e-12:
-            raise DomainError(
-                f"dual box axis {ax} [{dual.box.lower[ax]}, {dual.box.upper[ax]}] "
-                f"does not contain slope range [{d.min():g}, {d.max():g}]"
-            )
 
 
 def _transform_brute(axes, values, dual_axes):
@@ -323,8 +312,7 @@ def legendre(f: GridFunction, dual: Grid) -> GridFunction:
     """phi*(y) = max over primal nodes of <x,y> - phi(x), on the dual grid:
     the ``conjugate`` kernel on one finite function, values only."""
     _require_finite(f.grid, f.values)
-    vals, _ = conjugate(f.grid.axes(), f.values, dual.axes())
-    return GridFunction(dual, vals.reshape(dual.shape))
+    return GridFunction(dual, conjugate(f.grid.axes(), f.values, dual.axes())[0])
 
 
 def biconjugate(f: GridFunction, dual: Grid) -> GridFunction:
@@ -431,3 +419,19 @@ def slope_regions(grid: Grid, values: np.ndarray, dual: Grid, witness: bool = Fa
         for i, (a, b, r) in enumerate(zip(full, interior, spread[g])):
             t = 1e-8 * max(1.0, float(r), float(np.abs(a).max()))
             yield _convex_fill(dual, b >= a - t), a, None if wit is None else wit[i]
+
+
+def dual_base(f: GridFunction, dual: Grid) -> tuple[np.ndarray, GridFunction]:
+    """(mask, star): f's slope region on ``dual`` and f*, a value-capped
+    ``GridFunction``, from one ``slope_regions`` step.  ``DomainError`` for a
+    -inf node of f, then a ``dual`` of another dimension or missing f's slopes."""
+    _require_finite(f.grid, f.values)
+    if dual.dim != f.grid.dim:
+        raise DomainError(f"{dual.dim}-D dual grid for a {f.grid.dim}-D function")
+    lo, hi = dual.box.lower, dual.box.upper
+    for ax, d in enumerate(_finite_slopes(f)):
+        if d.min() < lo[ax] - 1e-12 or d.max() > hi[ax] + 1e-12:
+            raise DomainError(f"dual box axis {ax} [{lo[ax]}, {hi[ax]}] does not contain "
+                              f"slope range [{d.min():g}, {d.max():g}]")
+    mask, star, _ = next(slope_regions(f.grid, f.values[None], dual))
+    return mask, GridFunction(dual, star)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .grids import Grid, GridFunction, _chunks
-from .legendre import _require_finite, conjugate, default_dual_grid, slope_regions, trapezoid_weights
+from .legendre import _require_finite, conjugate, default_dual_grid, dual_base, slope_regions, trapezoid_weights
 
 
 def _deposit(grid: Grid, wit: np.ndarray, dual: Grid, weights: np.ndarray) -> np.ndarray:
@@ -75,10 +75,9 @@ def energy_quadrature(f1: GridFunction, f0: GridFunction, dual: Grid | None = No
     set is realized by fixing the base's dual box for the whole path.
     """
     _require_equivalent(f1.grid, f1.values, f0)
-    _require_finite(f0.grid, f0.values)
     if dual is None:
         dual = _energy_dual_grid(f0)
-    region, _, _ = next(slope_regions(f0.grid, f0.values[None], dual))
+    region, _ = dual_base(f0, dual)
     diff = f1.values - f0.values
     ts = np.linspace(0.0, 1.0, 11)
     w = np.ones(ts.size)
@@ -105,15 +104,13 @@ def dual_energies(values: np.ndarray, f: GridFunction) -> np.ndarray:
 
     The integral is the trapezoid rule on the nodes of the slope region of
     f (``trapezoid_weights``) on ``_energy_dual_grid(f)``.  The region and
-    conjugate of f come from one ``slope_regions`` step, and the f_t are
-    conjugated in groups of ``_chunks`` items; no witness is computed.
+    conjugate of f come from ``dual_base``, and the f_t are conjugated in
+    groups of ``_chunks`` items; no witness is computed.
     """
     dual = _energy_dual_grid(f)
-    _require_finite(f.grid, f.values)
-    mask, fstar, _ = next(slope_regions(f.grid, f.values[None], dual))
+    mask, fstar = dual_base(f, dual)
     w = trapezoid_weights(mask)[mask]
-    # the value cap of a grid function, as for any Legendre transform
-    fstar = GridFunction(dual, fstar).values[mask]
+    fstar = fstar.values[mask]
     out = np.empty(len(values))
     for g in _chunks(len(values), dual.num_nodes):
         stars, _ = conjugate(f.grid.axes(), values[g], dual.axes())

@@ -421,16 +421,50 @@ class TestRayCommand:
         assert capsys.readouterr().err.startswith("parse error: ")
 
     # a bound that is no JSON number is not read through float(): a string
-    # gave the same box as the number it spells, and true gave 1.0
-    @pytest.mark.parametrize("key", ["lower", "upper"])
-    @pytest.mark.parametrize("bound", ["str", True], ids=["string", "bool"])
+    # gave the same box as the number it spells, and true gave 1.0; a scalar
+    # where a list belongs was reported as "'float' object is not iterable"
+    @pytest.mark.parametrize("key", ["lower", "upper", "nodes"])
+    @pytest.mark.parametrize("bound", ["str", True, "scalar"], ids=["string", "bool", "scalar"])
     def test_dual_bound_not_a_number_exit_2(self, specdir, tmp_path, capsys, key, bound):
         dual = json.loads((specdir / "huber.spec").read_text())["dual"]
-        dual[key] = [str(dual[key][0]) if bound == "str" else bound]
+        if bound == "scalar":
+            dual[key], want = dual[key][0], "a list"
+        else:
+            dual[key] = [str(dual[key][0]) if bound == "str" else bound]
+            want = "integers" if key == "nodes" else "numbers"
         path = _spec_elsewhere(specdir, "huber.spec", tmp_path / "bad.spec", dual=dual)
         assert main(["ray", "--spec", path, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert err == f"parse error: malformed grid block: {key} must be numbers, not {dual[key]!r}\n"
+        assert err == f"parse error: malformed grid block: {key} must be {want}, not {dual[key]!r}\n"
+
+    def test_curve_with_phi_on_another_grid_exit_3(self, specdir, tmp_path, capsys):
+        # the mismatch was found only by the energies, after ray.csv was written
+        tc = ser.load_test_curve((specdir / "curve.tc").read_text())
+        phi = linear_growth_bowl(33)
+        (tmp_path / "phi33.gf").write_text(ser.dump_grid_function(phi))
+        spec = _spec_elsewhere(specdir, "curve.spec", tmp_path / "p.spec", phi=str(tmp_path / "phi33.gf"))
+        assert main(["ray", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            f"validation failure: phi is on {phi.grid}, the test curve on {tc.grid}\n"
+        )
+        assert not (tmp_path / "o" / "ray.csv").exists()
+
+    # the dual block of the wrong dimension raised IndexError out of main
+    @pytest.mark.parametrize(
+        "spec, dual, want",
+        [("bowl2.spec", {"lower": [-2.0], "upper": [2.0], "nodes": [17]}, "1-D dual grid for a 2-D function"),
+         ("huber.spec", {"lower": [-2.0, -2.0], "upper": [2.0, 2.0], "nodes": [9, 9]},
+          "2-D dual grid for a 1-D function")],
+        ids=["1d-dual-2d-phi", "2d-dual-1d-phi"],
+    )
+    def test_dual_of_another_dimension_exit_3(self, specdir, tmp_path, capsys, spec, dual, want):
+        # u lies on the dual block, so only the dimension is at fault
+        grid = Grid(Box(tuple(dual["lower"]), tuple(dual["upper"])), tuple(dual["nodes"]))
+        (tmp_path / "u.gf").write_text(ser.dump_grid_function(GridFunction(grid, np.zeros(grid.shape))))
+        path = _spec_elsewhere(specdir, spec, tmp_path / "p.spec", dual=dual, u=str(tmp_path / "u.gf"))
+        assert main(["ray", "--spec", path, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"validation failure: {want}\n"
+        assert not (tmp_path / "o" / "ray.csv").exists()
 
     def test_missing_file_exit_3(self, specdir, tmp_path):
         spec = specdir / "missing_payload.spec"
@@ -877,6 +911,20 @@ class TestFiltrationCommand:
         assert main(["filtration", "--spec", path, "--out", str(tmp_path / "o"), "--k", "4"]) == 3
         assert capsys.readouterr().err == f"validation failure: {want}\n"
 
+    # the dual block of the wrong dimension raised IndexError out of main
+    @pytest.mark.parametrize(
+        "spec, dual, want",
+        [("weights2d.spec", {"lower": [-0.5], "upper": [1.5], "nodes": [17]}, "1-D dual grid for a 2-D function"),
+         ("weights01.spec", {"lower": [-0.5, -0.5], "upper": [1.5, 1.5], "nodes": [17, 17]},
+          "2-D dual grid for a 1-D function")],
+        ids=["1d-dual-2d-phi", "2d-dual-1d-phi"],
+    )
+    def test_dual_of_another_dimension_exit_3(self, specdir, tmp_path, capsys, spec, dual, want):
+        path = _spec_elsewhere(specdir, spec, tmp_path / "p.spec", dual=dual)
+        assert main(["filtration", "--spec", path, "--out", str(tmp_path / "o"), "--k", "4"]) == 3
+        assert capsys.readouterr().err == f"validation failure: {want}\n"
+        assert not any((tmp_path / "o").iterdir())
+
     def test_2d_base_with_neg_inf_node_exit_3(self, specdir, tmp_path, capsys, simplex_2d):
         # phi* of the 2-D base is +inf everywhere: the error names the node
         inst, _ = simplex_2d
@@ -936,6 +984,12 @@ class TestCheckCommand:
         del rep["timings"]
         text = json.dumps(rep, indent=1, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == CHECK_ALL_SHA256
+
+    def test_all_suite_report_bytes_in_process(self, tmp_path, monkeypatch):
+        # one CPU: run_suite calls every check in this process, the branch
+        # the test above does not take on a machine with 2 or more CPUs
+        monkeypatch.setattr(checks, "fork_cpus", lambda: 1)
+        self.test_all_suite_report_bytes(tmp_path)
 
     # inf passed every gate, nan wrote an invalid JSON bound, and 0 or a
     # negative scale failed gates that hold

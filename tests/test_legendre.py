@@ -24,9 +24,9 @@ from georay.legendre import (
     _transform_1d,
     _transform_brute,
     biconjugate,
-    check_dual_contains_slopes,
     conjugate,
     default_dual_grid,
+    dual_base,
     integral,
     legendre,
     slope_regions,
@@ -75,8 +75,7 @@ class TestDefaultDualGrid:
     def test_contains_all_slopes(self, rng):
         for _ in range(5):
             f = random_convex_1d(rng, nodes=33)
-            dual = default_dual_grid(f)
-            check_dual_contains_slopes(f, dual)
+            dual_base(f, default_dual_grid(f))  # raises where the box misses a slope
 
     def test_degenerate_constant(self):
         g = Grid(Box((0.0,), (1.0,)), 9)
@@ -724,6 +723,47 @@ class TestSubgradientRange:
         dual = default_dual_grid(f)
         idx = np.flatnonzero(slope_mask(f, dual))
         assert np.array_equal(idx, np.arange(idx.min(), idx.max() + 1))
+
+
+class TestDualBase:
+    """``dual_base``: the one entry for a base function on its dual grid."""
+
+    def test_region_and_star_of_one_slope_regions_step(self):
+        f = noisy_bowl_2d()
+        dual = default_dual_grid(f)
+        mask, star = dual_base(f, dual)
+        want, wstar, _ = next(slope_regions(f.grid, f.values[None], dual))
+        assert np.array_equal(mask, want)
+        assert star.grid == dual and same_bits(star.values, wstar)
+        assert same_bits(star.values, legendre(f, dual).values)
+
+    def test_neg_inf_node_named_first(self):
+        # the dual has the other two faults too: 1-D, and far from f's slopes
+        g = Grid(Box((0.0, -1.0), (1.0, 1.0)), (3, 5))
+        v = np.zeros(g.shape)
+        v[1, 3] = NEG_INF
+        want = r"^conjugate of a function that is -inf at node \(1, 3\) \(x = 0.5, 0.5\) is \+inf everywhere$"
+        with pytest.raises(DomainError, match=want):
+            dual_base(GridFunction(g, v), Grid(Box((5.0,), (6.0,)), 5))
+
+    @pytest.mark.parametrize(
+        "f, dual, want",
+        [
+            (quadratic_2d(9), Grid(Box((-2.0,), (2.0,)), 17), "1-D dual grid for a 2-D function"),
+            (quadratic_1d(9), Grid(Box((-2.0, -2.0), (2.0, 2.0)), (5, 5)), "2-D dual grid for a 1-D function"),
+        ],
+        ids=["1d-dual-2d-f", "2d-dual-1d-f"],
+    )
+    def test_dimension_mismatch(self, f, dual, want):
+        with pytest.raises(DomainError, match=f"^{want}$"):
+            dual_base(f, dual)
+
+    def test_box_missing_slopes(self):
+        # the slopes of x^2/2 on 9 nodes of [-1, 1] run from -0.875 to 0.875
+        dual = Grid(Box((-0.5,), (2.0,)), 9)
+        want = r"^dual box axis 0 \[-0.5, 2.0\] does not contain slope range \[-0.875, 0.875\]$"
+        with pytest.raises(DomainError, match=want):
+            dual_base(quadratic_1d(9), dual)
 
 
 class TestSlopeRegions:
