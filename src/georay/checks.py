@@ -27,7 +27,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .curves import contact_set, maximal_envelope
+from .curves import concave_transform, contact_set, envelope
 from .filtration import (
     BergmanInstance,
     WeightedLatticeData,
@@ -37,7 +37,7 @@ from .filtration import (
     phong_sturm_ray,
     toric_ray,
 )
-from .grids import Box, Grid, GridFunction, fork_cpus, lower_convex_envelope
+from .grids import Box, Grid, GridFunction, fork_cpus, lower_envelope
 from .instances import (
     abs_1d,
     constant_u_instance,
@@ -112,8 +112,8 @@ def check_involution():
     for _ in range(20):
         f = random_nonconvex_1d(rng, nodes=257)
         dual = default_dual_grid(f)
-        env = lower_convex_envelope(f)
-        err = float(np.abs(biconjugate(f, dual).values - env.values).max())
+        env = lower_envelope(f.grid.coords(), f.values)
+        err = float(np.abs(biconjugate(f, dual).values - env).max())
         worst = max(worst, err)
     return worst, bound
 
@@ -325,7 +325,8 @@ def limit_curve_constant(nodes: int, k_max: int) -> float:
     data = _standard_filtration()
     t_grid = default_t_grid()
     curve = limit_curve(inst, data, [k_max // 8, k_max // 4, k_max // 2, k_max])
-    paper = ray_from_curve(maximal_envelope(phi, curve, inst.dual), t_grid)
+    u = concave_transform(curve, inst.dual)
+    paper = ray_from_curve(envelope(inst.star, u, curve.lambdas, phi.grid, curve.lambda_head), t_grid)
     gap = float(compare_rays(paper, toric_ray(inst, data, t_grid)).max())
     return gap / (inst.dual.spacing[0] + 1.0 / k_max)
 

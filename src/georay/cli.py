@@ -77,9 +77,17 @@ from .monge_ampere import _energy_dual_grid
 from .rays import energy_linearity, ray_dual, ray_from_curve
 
 
+def _read_text(path: Path) -> str:
+    """The text of a spec or a file it names; ``ParseError`` if it does not decode."""
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot decode {path}: {exc}") from None
+
+
 def _load_spec(path: str) -> dict:
     try:
-        text = Path(path).read_text()
+        text = _read_text(Path(path))
     except OSError as exc:
         raise ParseError(f"cannot read spec: {exc}") from exc
     try:
@@ -99,7 +107,7 @@ def _read_spec_file(specdir: Path, doc: dict, key: str) -> str:
         raise ParseError(f"spec has no {key!r} file")
     if not isinstance(doc[key], str):
         raise ParseError(f"{key} must be a file path string, not {doc[key]!r}")
-    return (specdir / doc[key]).read_text()
+    return _read_text(specdir / doc[key])
 
 
 def _grid_from_block(block) -> Grid:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .grids import NEG_INF, Grid, GridFunction, _at, grid_values, require_convex
-from .legendre import dual_base, masked_conjugates, slope_regions
+from .legendre import masked_conjugates, slope_regions
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,20 +147,12 @@ def envelope(
     return TestCurve(lam, grid, values, lambda_head=head, lambda_c=lam[live[-1]])
 
 
-def maximal_envelope(phi: GridFunction, tc: TestCurve, dual: Grid) -> TestCurve:
-    """Envelope curve of phi driven by the concave transform of tc."""
-    u = concave_transform(tc, dual)
-    return envelope(dual_base(phi, dual)[1], u, tc.lambdas, phi.grid, lambda_head=tc.lambda_head)
-
-
-def contact_set(phi: GridFunction, values: np.ndarray, tol: float | None = None) -> np.ndarray:
+def contact_set(phi: GridFunction, values: np.ndarray) -> np.ndarray:
     """Nodes where an envelope sample, ``values`` on phi's grid, touches the
-    obstacle: values >= phi - tol (never at a -inf node).  tol defaults to
-    10 h (slope bound): the contact set needs a band on grids."""
+    obstacle: values >= phi - 10 h (slope bound), never at a -inf node; the
+    contact set needs a band on grids."""
     if np.shape(values) != phi.grid.shape:
         raise DomainError("grid mismatch")
-    if tol is None:
-        hs = phi.grid.spacing
-        slope = max(float(np.abs(np.diff(phi.values, axis=ax)).max()) / h for ax, h in enumerate(hs))
-        tol = 10.0 * max(hs) * max(slope, 1.0)
-    return values >= phi.values - tol
+    hs = phi.grid.spacing
+    slope = max(float(np.abs(np.diff(phi.values, axis=ax)).max()) / h for ax, h in enumerate(hs))
+    return values >= phi.values - 10.0 * max(hs) * max(slope, 1.0)

@@ -139,9 +139,15 @@ class BergmanInstance:
         _, self.star = dual_base(self.phi, self.dual)
         self._coords = self.phi.grid.coords()
 
-    def conj_at(self, y: np.ndarray) -> np.ndarray:
-        """phi*(y) at the normalized lattice points of ``section_values``."""
-        y = np.atleast_2d(y)
+    def section_values(self, data: WeightedLatticeData, k: int):
+        """e_i(x) = <alpha_i/k, x> - phi*(alpha_i/k) for reachable alpha_i.
+
+        Returns read-only (E (num_nodes, R), weights (R,)) in row-major
+        point order.  E must fit under the size cap, then alpha_i/k in the dual box.
+        """
+        pts, w = data.reachable(k)
+        require_within_cap(f"degree-{k} section matrix", w.size, self.phi.grid.num_nodes)
+        y = pts.astype(float) / k
         lo, hi = self.dual.box.lower, self.dual.box.upper
         out = (y < np.array(lo) - 1e-12) | (y > np.array(hi) + 1e-12)
         if out.any():
@@ -152,19 +158,8 @@ class BergmanInstance:
             )
         # the points lie on the tensor grid of their distinct coordinates
         axes, where = zip(*(np.unique(c, return_inverse=True) for c in y.T))
-        vals, _ = conjugate(self.phi.grid.axes(), self.phi.values, axes)
-        return vals[where]
-
-    def section_values(self, data: WeightedLatticeData, k: int):
-        """e_i(x) = <alpha_i/k, x> - phi*(alpha_i/k) for reachable alpha_i.
-
-        Returns read-only (E (num_nodes, R), weights (R,)) in row-major
-        point order.  E must fit under the size cap.
-        """
-        pts, w = data.reachable(k)
-        require_within_cap(f"degree-{k} section matrix", w.size, self.phi.grid.num_nodes)
-        slopes = pts.astype(float) / k
-        E = self._coords @ slopes.T - self.conj_at(slopes)
+        conj, _ = conjugate(self.phi.grid.axes(), self.phi.values, axes)
+        E = self._coords @ y.T - conj[where]
         E.setflags(write=False)
         w.setflags(write=False)
         return E, w
@@ -248,14 +243,9 @@ def limit_curve(
     k_list = _degrees(inst, data, k_list)
     k_max = k_list[-1]
     grid = inst.phi.grid
-    norm_min = math.inf
-    norm_max = -math.inf
-    for k in k_list:
-        _, w = data.reachable(k)
-        norm_min = min(norm_min, float(w.min()) / k)
-        norm_max = max(norm_max, float(w.max()) / k)
-    j_lo = math.floor(norm_min * k_max + 1e-9)
-    j_hi = math.ceil(norm_max * k_max - 1e-9)
+    norm = [data.reachable(k)[1] / k for k in k_list]
+    j_lo = math.floor(min(float(w.min()) for w in norm) * k_max + 1e-9)
+    j_hi = math.ceil(max(float(w.max()) for w in norm) * k_max - 1e-9)
     require_within_cap("limit-curve table", j_hi - j_lo + 1, grid.num_nodes)
     lambdas = np.arange(j_lo, j_hi + 1) / k_max
     table = np.full((lambdas.size, grid.num_nodes), NEG_INF)

@@ -207,10 +207,6 @@ class GridFunction:
         return float(fin.max() - fin.min())
 
     @staticmethod
-    def neg_inf(grid: Grid) -> "GridFunction":
-        return GridFunction(grid, np.full(grid.shape, NEG_INF))
-
-    @staticmethod
     def from_callable(grid: Grid, fn) -> "GridFunction":
         mesh = np.meshgrid(*grid.axes(), indexing="ij")
         return GridFunction(grid, fn(*mesh))
@@ -270,17 +266,6 @@ def lower_envelope(pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
             out[g] = (-(pts[g] @ nxy.T + off) / nz).max(axis=1)
     # the hull surface interpolates the data; guard fp drift above it
     return np.minimum(out, vals)
-
-
-def lower_convex_envelope(f: GridFunction) -> GridFunction:
-    """Pointwise-largest convex minorant of f, sampled at the nodes.
-
-    A convex function that is -inf anywhere is -inf everywhere, so any
-    -inf entry collapses the envelope to the identically -inf function.
-    """
-    if not np.all(f.finite_mask):
-        return GridFunction.neg_inf(f.grid)
-    return GridFunction(f.grid, lower_envelope(f.grid.coords(), f.values.ravel()))
 
 
 def require_convex(name: str, f: GridFunction, concave: bool = False) -> GridFunction:

@@ -1,4 +1,5 @@
-"""Text formats for grid functions, test curves, weight data, and rays.
+"""Text formats: georay reads grid functions, test curves and weight data,
+and writes ``ray.csv`` and ``histogram.csv``.
 
 GridFunction record (bit-exact round trip for finite doubles; values use
 Python float repr, -inf is the literal token ``-inf``)::
@@ -35,10 +36,6 @@ from .errors import DomainError, ParseError
 from .grids import Box, Grid, GridFunction, NEG_INF
 
 
-def _fmt(x: float) -> str:
-    return "-inf" if x == NEG_INF else repr(float(x))
-
-
 def _parse_float(tok: str, line: int) -> float:
     if tok == "-inf":
         return NEG_INF
@@ -56,20 +53,6 @@ def _parse_int(tok: str, line: int) -> int:
     if not -(2**63) <= v < 2**63:
         raise ParseError(f"integer {tok!r} outside the int64 range", line=line)
     return v
-
-
-def dump_grid_function(f: GridFunction) -> str:
-    g = f.grid
-    lines = [
-        "gridfunction 1",
-        f"dim {g.dim}",
-        "lower " + " ".join(repr(v) for v in g.box.lower),
-        "upper " + " ".join(repr(v) for v in g.box.upper),
-        "nodes " + " ".join(str(m) for m in g.nodes_per_axis),
-        "values",
-    ]
-    lines.extend(_fmt(v) for v in f.values.ravel())
-    return "\n".join(lines) + "\n"
 
 
 class _Cursor:
@@ -130,17 +113,6 @@ def load_grid_function(text: str) -> GridFunction:
     return GridFunction(*_parse_record(_Cursor(text.splitlines())))
 
 
-def dump_test_curve(tc: TestCurve) -> str:
-    lines = [
-        "testcurve 1",
-        "lambdas " + " ".join(repr(float(v)) for v in tc.lambdas),
-        f"lambda_head {repr(float(tc.lambda_head))}",
-        f"lambda_c {repr(float(tc.lambda_c))}",
-    ]
-    body = "".join(dump_grid_function(GridFunction(tc.grid, v)) for v in tc.values)
-    return "\n".join(lines) + "\n" + body
-
-
 def load_test_curve(text: str) -> TestCurve:
     cur = _Cursor(text.splitlines())
     cur.expect("testcurve")
@@ -168,18 +140,12 @@ def dump_ray_csv(ray) -> str:
     blocks = ["t," + ",".join(f"x{i}" for i in range(ray.grid.dim)) + ",value"]
     for t, fr in zip(ray.t_grid.tolist(), ray.values):
         head = f"{t!r},"
-        # repr of a Python float is _fmt's token, -inf included; joining
-        # per frame keeps one frame's row strings alive, not every row's
+        # repr of a Python float is a GridFunction record's token, -inf
+        # included; joining per frame keeps one frame's row strings alive,
+        # not every row's
         vals = map(repr, fr.ravel().tolist())
         blocks.append("\n".join([head + c + v for c, v in zip(lead, vals)]))
     return "\n".join(blocks) + "\n"
-
-
-def dump_weight_data(data: WeightedLatticeData) -> str:
-    lines = ["weightdata 1", f"dim {data.dim}"]
-    for p, w in zip(data.points, data.weights):
-        lines.append("point " + " ".join(str(int(c)) for c in p) + f" {int(w)}")
-    return "\n".join(lines) + "\n"
 
 
 def load_weight_data(text: str) -> WeightedLatticeData:

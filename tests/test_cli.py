@@ -20,6 +20,7 @@ from georay.filtration import WeightedLatticeData
 from georay.grids import SIZE_CAP, Box, Grid, GridFunction
 from georay.instances import filtration_base, huber_instance, linear_growth_bowl
 from georay.legendre import default_dual_grid
+import formats
 from test_legendre import noisy_bowl_2d, slope_mask
 
 
@@ -27,9 +28,9 @@ from test_legendre import noisy_bowl_2d, slope_mask
 def specdir(tmp_path_factory, three_point, simplex_2d):
     d = tmp_path_factory.mktemp("specs")
     inst = huber_instance(nodes=65, lambda_spacing=0.125)
-    (d / "phi.gf").write_text(ser.dump_grid_function(inst.phi))
-    (d / "u.gf").write_text(ser.dump_grid_function(inst.u))
-    (d / "curve.tc").write_text(ser.dump_test_curve(inst.curve))
+    (d / "phi.gf").write_text(formats.dump_grid_function(inst.phi))
+    (d / "u.gf").write_text(formats.dump_grid_function(inst.u))
+    (d / "curve.tc").write_text(formats.dump_test_curve(inst.curve))
     dual = inst.dual
     (d / "huber.spec").write_text(
         json.dumps(
@@ -51,15 +52,15 @@ def specdir(tmp_path_factory, three_point, simplex_2d):
         json.dumps({"kind": "curve", "curve": "curve.tc", "t_nodes": 5})
     )
     base = filtration_base(65)
-    (d / "base.gf").write_text(ser.dump_grid_function(base))
+    (d / "base.gf").write_text(formats.dump_grid_function(base))
     data = WeightedLatticeData(np.array([[0], [1]]), np.array([0, 1]))
-    (d / "w01.wd").write_text(ser.dump_weight_data(data))
+    (d / "w01.wd").write_text(formats.dump_weight_data(data))
     (d / "weights01.spec").write_text(
         json.dumps({"kind": "filtration", "phi": "base.gf", "weights": "w01.wd"})
     )
     inst012, data012 = three_point
-    (d / "base012.gf").write_text(ser.dump_grid_function(inst012.phi))
-    (d / "p012.wd").write_text(ser.dump_weight_data(data012))
+    (d / "base012.gf").write_text(formats.dump_grid_function(inst012.phi))
+    (d / "p012.wd").write_text(formats.dump_weight_data(data012))
     (d / "p012.spec").write_text(
         json.dumps({"kind": "filtration", "phi": "base012.gf", "weights": "p012.wd"})
     )
@@ -67,21 +68,21 @@ def specdir(tmp_path_factory, three_point, simplex_2d):
     bowl = GridFunction.from_callable(g2, lambda x, y: np.hypot(x, y) ** 2 / 4 + x / 8)
     dual2 = default_dual_grid(bowl, 17)
     u2 = GridFunction.from_callable(dual2, lambda y1, y2: -(abs(y1) + abs(y2)) / 2)
-    (d / "bowl2.gf").write_text(ser.dump_grid_function(bowl))
-    (d / "u2.gf").write_text(ser.dump_grid_function(u2))
+    (d / "bowl2.gf").write_text(formats.dump_grid_function(bowl))
+    (d / "u2.gf").write_text(formats.dump_grid_function(u2))
     (d / "bowl2.spec").write_text(
         json.dumps({"kind": "dual_u", "phi": "bowl2.gf", "u": "u2.gf", "t_nodes": 3})
     )
     noisy = noisy_bowl_2d()
     u_noisy = GridFunction.from_callable(default_dual_grid(noisy), lambda y1, y2: -(abs(y1) + abs(y2)) / 2)
-    (d / "noisy2.gf").write_text(ser.dump_grid_function(noisy))
-    (d / "u_noisy2.gf").write_text(ser.dump_grid_function(u_noisy))
+    (d / "noisy2.gf").write_text(formats.dump_grid_function(noisy))
+    (d / "u_noisy2.gf").write_text(formats.dump_grid_function(u_noisy))
     (d / "noisy2.spec").write_text(
         json.dumps({"kind": "dual_u", "phi": "noisy2.gf", "u": "u_noisy2.gf", "t_nodes": 3})
     )
     inst2, data2 = simplex_2d
-    (d / "simplex2.gf").write_text(ser.dump_grid_function(inst2.phi))
-    (d / "p2d.wd").write_text(ser.dump_weight_data(data2))
+    (d / "simplex2.gf").write_text(formats.dump_grid_function(inst2.phi))
+    (d / "p2d.wd").write_text(formats.dump_weight_data(data2))
     dual2d = {"lower": list(inst2.dual.box.lower), "upper": list(inst2.dual.box.upper),
               "nodes": list(inst2.dual.nodes_per_axis)}
     (d / "weights2d.spec").write_text(
@@ -152,9 +153,9 @@ def _run_1d_dual_u(tmp_path, phi_values, u_of_y):
     phi = linear_growth_bowl(513)
     phi = GridFunction(phi.grid, phi_values(phi.values))
     dual = default_dual_grid(phi)
-    (tmp_path / "phi.gf").write_text(ser.dump_grid_function(phi))
+    (tmp_path / "phi.gf").write_text(formats.dump_grid_function(phi))
     u = GridFunction.from_callable(dual, u_of_y)
-    (tmp_path / "u.gf").write_text(ser.dump_grid_function(u))
+    (tmp_path / "u.gf").write_text(formats.dump_grid_function(u))
     spec = tmp_path / "p.spec"
     spec.write_text(json.dumps({"kind": "dual_u", "phi": "phi.gf", "u": "u.gf"}))
     return main(["ray", "--spec", str(spec), "--out", str(tmp_path / "o")])
@@ -238,7 +239,7 @@ class TestRayCommand:
         assert not region.all()
         got = []
         for name, vals in (("finite", u.values), ("cut", np.where(region, u.values, -np.inf))):
-            (tmp_path / f"{name}.gf").write_text(ser.dump_grid_function(GridFunction(dual, vals)))
+            (tmp_path / f"{name}.gf").write_text(formats.dump_grid_function(GridFunction(dual, vals)))
             path = _spec_elsewhere(specdir, spec, tmp_path / f"{name}.spec", u=str(tmp_path / f"{name}.gf"))
             assert main(["ray", "--spec", path, "--out", str(tmp_path / name)]) == 0
             got.append({f: hashlib.sha256((tmp_path / name / f).read_bytes()).hexdigest() for f in pin})
@@ -287,7 +288,7 @@ class TestRayCommand:
         samples[4] = _dented(GridFunction(tc.grid, samples[4])).values
         assert tc.lambdas[4] == -0.5
         (tmp_path / "c.tc").write_text(
-            ser.dump_test_curve(curves.TestCurve(tc.lambdas, tc.grid, samples, tc.lambda_head, tc.lambda_c))
+            formats.dump_test_curve(curves.TestCurve(tc.lambdas, tc.grid, samples, tc.lambda_head, tc.lambda_c))
         )
         spec = _spec_elsewhere(specdir, "curve.spec", tmp_path / "p.spec", curve=str(tmp_path / "c.tc"))
         assert main(["ray", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
@@ -302,7 +303,7 @@ class TestRayCommand:
         lam = " ".join(repr(float(v)) for v in tc.lambdas[:2])
         (tmp_path / "c.tc").write_text(
             f"testcurve 1\nlambdas {lam}\nlambda_head {lam.split()[0]}\nlambda_c {lam.split()[1]}\n"
-            + ser.dump_grid_function(head) + ser.dump_grid_function(moved)
+            + formats.dump_grid_function(head) + formats.dump_grid_function(moved)
         )
         spec = _spec_elsewhere(specdir, "curve.spec", tmp_path / "p.spec", curve=str(tmp_path / "c.tc"))
         assert main(["ray", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
@@ -441,7 +442,7 @@ class TestRayCommand:
         # the mismatch was found only by the energies, after ray.csv was written
         tc = ser.load_test_curve((specdir / "curve.tc").read_text())
         phi = linear_growth_bowl(33)
-        (tmp_path / "phi33.gf").write_text(ser.dump_grid_function(phi))
+        (tmp_path / "phi33.gf").write_text(formats.dump_grid_function(phi))
         spec = _spec_elsewhere(specdir, "curve.spec", tmp_path / "p.spec", phi=str(tmp_path / "phi33.gf"))
         assert main(["ray", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err == (
@@ -460,11 +461,25 @@ class TestRayCommand:
     def test_dual_of_another_dimension_exit_3(self, specdir, tmp_path, capsys, spec, dual, want):
         # u lies on the dual block, so only the dimension is at fault
         grid = Grid(Box(tuple(dual["lower"]), tuple(dual["upper"])), tuple(dual["nodes"]))
-        (tmp_path / "u.gf").write_text(ser.dump_grid_function(GridFunction(grid, np.zeros(grid.shape))))
+        (tmp_path / "u.gf").write_text(formats.dump_grid_function(GridFunction(grid, np.zeros(grid.shape))))
         path = _spec_elsewhere(specdir, spec, tmp_path / "p.spec", dual=dual, u=str(tmp_path / "u.gf"))
         assert main(["ray", "--spec", path, "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err == f"validation failure: {want}\n"
         assert not (tmp_path / "o" / "ray.csv").exists()
+
+    # bytes that do not decode escaped main as UnicodeDecodeError, exit 1
+    @pytest.mark.parametrize(
+        "command, spec, key",
+        [("ray", "huber.spec", None), ("ray", "huber.spec", "phi"),
+         ("filtration", "weights01.spec", None), ("filtration", "weights01.spec", "phi")],
+        ids=["ray-spec", "ray-phi", "filtration-spec", "filtration-phi"],
+    )
+    def test_undecodable_file_exit_2(self, specdir, tmp_path, capsys, command, spec, key):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe")
+        path = str(bad) if key is None else _spec_elsewhere(specdir, spec, tmp_path / "p.spec", **{key: str(bad)})
+        assert main([command, "--spec", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"parse error: cannot decode {bad}: ")
 
     def test_missing_file_exit_3(self, specdir, tmp_path):
         spec = specdir / "missing_payload.spec"
@@ -651,7 +666,7 @@ class TestFiltrationCommand:
         # the target ray (phi* - t g-hat)* and the concave envelope g-hat it
         # is built from do not depend on the degree; the paper's route to
         # that ray (limit curve, maximal envelope) is not taken
-        fns = (filtration.toric_ray, filtration.weight_envelope, filtration.limit_curve, curves.maximal_envelope)
+        fns = (filtration.toric_ray, filtration.weight_envelope, filtration.limit_curve, curves.envelope)
         calls = {fn.__name__: 0 for fn in fns}
 
         def counted(fn):
@@ -669,7 +684,7 @@ class TestFiltrationCommand:
                         monkeypatch.setattr(module, attr, counted(value))
         argv = ["filtration", "--spec", str(specdir / "weights01.spec"), "--k", "4,8,16"]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 0
-        assert calls == {"toric_ray": 1, "weight_envelope": 1, "limit_curve": 0, "maximal_envelope": 0}
+        assert calls == {"toric_ray": 1, "weight_envelope": 1, "limit_curve": 0, "envelope": 0}
 
     def test_extremal_table_once_per_degree_and_no_hull(self, specdir, tmp_path, monkeypatch):
         # the per-degree table is the section matrix the Phong-Sturm ray
@@ -677,7 +692,7 @@ class TestFiltrationCommand:
         # only by the limit curve) and the hull are never built
         tables, extremal, hulls = {}, [], []
         sections, ext = filtration.BergmanInstance.section_values, filtration.extremal_metric
-        hull = grids.lower_convex_envelope
+        hull = grids.lower_envelope
 
         def counted_sections(self, data, k):
             E, w = sections(self, data, k)
@@ -695,8 +710,8 @@ class TestFiltrationCommand:
         monkeypatch.setattr(filtration.BergmanInstance, "section_values", counted_sections)
         monkeypatch.setattr(filtration, "extremal_metric", counted_ext)
         for name, module in list(sys.modules.items()):
-            if name.startswith("georay.") and getattr(module, "lower_convex_envelope", None) is hull:
-                monkeypatch.setattr(module, "lower_convex_envelope", counted_hull)
+            if name.startswith("georay.") and getattr(module, "lower_envelope", None) is hull:
+                monkeypatch.setattr(module, "lower_envelope", counted_hull)
         argv = ["filtration", "--spec", str(specdir / "p012.spec"), "--k", "8,4,16,8"]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 0
         assert {k: len(ids) for k, ids in tables.items()} == {4: 1, 8: 1, 16: 1}
@@ -708,8 +723,8 @@ class TestFiltrationCommand:
         # the gaps are measured against the closed form (phi* - t g-hat)*:
         # no limit curve, extremal table, maximal envelope or hull is built
         route = (
-            filtration.limit_curve, filtration.extremal_metric, curves.maximal_envelope,
-            rays.ray_from_curve, grids.lower_envelope, grids.lower_convex_envelope,
+            filtration.limit_curve, filtration.extremal_metric, curves.envelope,
+            rays.ray_from_curve, grids.lower_envelope,
         )
         calls = []
 
@@ -785,7 +800,7 @@ class TestFiltrationCommand:
         y = np.stack(np.meshgrid(ys, ys, indexing="ij"), -1).reshape(-1, 2)
         y = y[y.sum(axis=1) <= 1.0 + 1e-12]
         phi = GridFunction(g, (g.coords() @ y.T - (y * y).sum(axis=1) / 2).max(axis=1))
-        (tmp_path / "phi65.gf").write_text(ser.dump_grid_function(phi))
+        (tmp_path / "phi65.gf").write_text(formats.dump_grid_function(phi))
         spec = _spec_elsewhere(specdir, "weights2d.spec", tmp_path / "p.spec", phi=str(tmp_path / "phi65.gf"))
 
         def fail(*args, **kwargs):
@@ -800,7 +815,7 @@ class TestFiltrationCommand:
 
     def test_dented_phi_exit_3(self, specdir, tmp_path, capsys):
         phi = ser.load_grid_function((specdir / "base.gf").read_text())
-        (tmp_path / "phi.gf").write_text(ser.dump_grid_function(_dented(phi)))
+        (tmp_path / "phi.gf").write_text(formats.dump_grid_function(_dented(phi)))
         spec = _spec_elsewhere(specdir, "weights01.spec", tmp_path / "p.spec", phi=str(tmp_path / "phi.gf"))
         assert main(["filtration", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
         assert "validation failure: phi is not convex at node" in capsys.readouterr().err
@@ -874,7 +889,7 @@ class TestFiltrationCommand:
     def test_polytope_without_interior_exit_3(self, specdir, tmp_path, capsys):
         # g-hat is the concave envelope over conv(P1); a single point spans
         # no segment, so there is no closed-form target to measure against
-        (specdir / "w0.wd").write_text(ser.dump_weight_data(WeightedLatticeData(np.array([[0]]), np.array([3]))))
+        (specdir / "w0.wd").write_text(formats.dump_weight_data(WeightedLatticeData(np.array([[0]]), np.array([3]))))
         spec = specdir / "weights0.spec"
         spec.write_text(json.dumps({"kind": "filtration", "phi": "base.gf", "weights": "w0.wd"}))
         assert main(["filtration", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 3
@@ -884,9 +899,9 @@ class TestFiltrationCommand:
         # P1 = {0, 1, 2} reaches slopes up to 2, but the default dual box
         # only pads the base's slope set [0, 1]
         base = filtration_base(257)
-        (specdir / "base257.gf").write_text(ser.dump_grid_function(base))
+        (specdir / "base257.gf").write_text(formats.dump_grid_function(base))
         data = WeightedLatticeData(np.array([[0], [1], [2]]), np.array([1, 0, 2]))
-        (specdir / "w012.wd").write_text(ser.dump_weight_data(data))
+        (specdir / "w012.wd").write_text(formats.dump_weight_data(data))
         spec = specdir / "weights012.spec"
         spec.write_text(
             json.dumps({"kind": "filtration", "phi": "base257.gf", "weights": "w012.wd"})
@@ -930,7 +945,7 @@ class TestFiltrationCommand:
         inst, _ = simplex_2d
         values = inst.phi.values.copy()
         values[8, 8] = -np.inf
-        (tmp_path / "hole.gf").write_text(ser.dump_grid_function(GridFunction(inst.phi.grid, values)))
+        (tmp_path / "hole.gf").write_text(formats.dump_grid_function(GridFunction(inst.phi.grid, values)))
         path = _spec_elsewhere(specdir, "weights2d.spec", tmp_path / "p.spec", phi=str(tmp_path / "hole.gf"))
         assert main(["filtration", "--spec", path, "--out", str(tmp_path / "o"), "--k", "4"]) == 3
         assert capsys.readouterr().err == (

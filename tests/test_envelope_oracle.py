@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from georay.filtration import WeightedLatticeData, weight_envelope, weight_facets
-from georay.grids import Box, Grid, GridFunction, lower_convex_envelope
+from georay.grids import Box, Grid, lower_envelope
 
 
 def sample_g(data, rng, count):
@@ -91,6 +91,6 @@ def test_grid_convex_envelope(caratheodory, n, seed):
     rng = np.random.default_rng(seed)
     g = Grid(Box((-1.0, 0.0), (2.0, 1.5)), (n, n))
     vals = rng.normal(size=(n, n))
-    env = lower_convex_envelope(GridFunction(g, vals)).values.ravel()
+    env = lower_envelope(g.coords(), vals.ravel())
     lower, _ = caratheodory(g.coords(), vals.ravel(), g.coords())
     assert np.abs(env - lower).max() <= 1e-12 * max(1.0, float(np.abs(vals).max()))

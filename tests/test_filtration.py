@@ -30,7 +30,7 @@ from georay.filtration import (
 )
 from georay.grids import NEG_INF, SIZE_CAP, Box, Grid, GridFunction, require_convex
 from georay.instances import filtration_base
-from georay.legendre import _transform_brute, default_dual_grid
+from georay.legendre import _transform_brute, default_dual_grid, dual_base
 from georay.rays import compare_rays
 
 
@@ -457,6 +457,22 @@ class TestToricRay:
         assert max(cs) <= _LIMIT_CURVE_C / 2
         for coarse, fine in zip(cs, cs[1:]):
             assert 0.7 <= fine / coarse <= 1.3
+
+    def test_limit_curve_constant_conjugates_phi_once(self, monkeypatch):
+        # the maximal envelope reads phi* from the instance: the envelope's
+        # own dual_base was a second slope_regions pass over phi
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return dual_base(*args, **kwargs)
+
+        # wherever a georay module binds it
+        for name, module in list(sys.modules.items()):
+            if name.startswith("georay.") and getattr(module, "dual_base", None) is dual_base:
+                monkeypatch.setattr(module, "dual_base", counted)
+        limit_curve_constant(65, 8)
+        assert len(calls) == 1
 
 
 class TestConcaveTransformG:

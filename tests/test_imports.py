@@ -1,14 +1,17 @@
 """Every name a georay module imports is used in it, and is imported from
-the module that defines it.
+the module that defines it; every function, class and method the package
+defines is named somewhere else in the package.
 
 No linter runs on the package, so this reads each module's syntax tree
 with ``ast``: a name bound by an import must appear somewhere in the
 module as a name (``__init__.py`` only re-exports, and is skipped), and a
 name imported ``from .mod`` must be defined at the top level of ``mod``,
-not merely imported there, so that each shared rule has one owner.
+not merely imported there, so that each shared rule has one owner.  A
+definition that only the tests or the benchmark name belongs with them.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "georay"
@@ -65,3 +68,40 @@ def test_imports_from_the_owner():
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) > 5
     assert [bad for p in modules for bad in imports_not_from_owner(p)] == []
+
+
+def definitions(tree: ast.Module):
+    """The top-level functions and classes of a module and the methods of
+    its classes, except dunders and the checks registered by ``@_check``."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for d in [node, *members]:
+            if not isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            registered = any(
+                isinstance(dec, ast.Call) and getattr(dec.func, "id", None) == "_check"
+                for dec in d.decorator_list
+            )
+            if not (d.name.startswith("__") and d.name.endswith("__")) and not registered:
+                yield d
+
+
+def mentions(node: ast.AST) -> list[str]:
+    """Every name and attribute that ``node`` reads or binds, with repeats."""
+    return [
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    ]
+
+
+def test_no_dead_definition():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    everywhere = Counter(name for tree in trees.values() for name in mentions(tree))
+    dead = [
+        f"{path}:{d.lineno} {d.name}"
+        for path, tree in trees.items()
+        for d in definitions(tree)
+        if everywhere[d.name] == Counter(mentions(d))[d.name]
+    ]
+    assert dead == []

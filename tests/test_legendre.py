@@ -157,7 +157,7 @@ class TestTransform:
         g = Grid(Box((0.0,), (1.0,)), 3)
         dual = Grid(Box((-1.0,), (1.0,)), 3)
         with pytest.raises(DomainError):
-            legendre(GridFunction.neg_inf(g), dual)
+            legendre(GridFunction(g, np.full(3, NEG_INF)), dual)
 
     def test_neg_inf_error_names_the_node(self):
         g = Grid(Box((0.0, -1.0), (1.0, 1.0)), (3, 5))

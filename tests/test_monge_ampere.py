@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from georay.errors import DomainError
-from georay.grids import Box, Grid, GridFunction
+from georay.grids import Box, Grid, GridFunction, NEG_INF
 from georay.instances import abs_1d, quadratic_1d, random_convex_1d
 from georay.legendre import default_dual_grid, trapezoid_weights
 from georay.monge_ampere import (
@@ -56,7 +56,7 @@ class TestMeasure:
     def test_rejects_neg_inf(self):
         g = Grid(Box((0.0,), (1.0,)), 3)
         with pytest.raises(DomainError):
-            masses(GridFunction.neg_inf(g), g)
+            masses(GridFunction(g, np.full(3, NEG_INF)), g)
 
     def test_neg_inf_error_names_the_row(self):
         g = Grid(Box((-1.0,), (1.0,)), 5)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import formats
 from georay import serialization as ser
 from georay.errors import ParseError
 from georay.filtration import WeightedLatticeData
@@ -13,7 +14,7 @@ class TestGridFunctionRoundTrip:
     def test_bit_exact_1d(self, rng):
         g = Grid(Box((-1.25,), (2.5,)), 17)
         f = GridFunction(g, rng.uniform(-1e6, 1e6, 17))
-        back = ser.load_grid_function(ser.dump_grid_function(f))
+        back = ser.load_grid_function(formats.dump_grid_function(f))
         assert back.grid == f.grid
         assert np.array_equal(back.values, f.values)
 
@@ -22,13 +23,13 @@ class TestGridFunctionRoundTrip:
         vals = rng.standard_normal((4, 6))
         vals[2, 3] = NEG_INF
         f = GridFunction(g, vals)
-        back = ser.load_grid_function(ser.dump_grid_function(f))
+        back = ser.load_grid_function(formats.dump_grid_function(f))
         assert np.array_equal(back.values, f.values)
 
     def test_awkward_doubles_survive(self):
         g = Grid(Box((0.0,), (1.0,)), 3)
         vals = np.array([np.nextafter(0.1, 1), 1e-308, -1.0 / 3.0])
-        back = ser.load_grid_function(ser.dump_grid_function(GridFunction(g, vals)))
+        back = ser.load_grid_function(formats.dump_grid_function(GridFunction(g, vals)))
         assert np.array_equal(back.values, vals)
 
     def test_bad_keyword(self):
@@ -37,14 +38,14 @@ class TestGridFunctionRoundTrip:
 
     def test_truncated_values(self):
         g = Grid(Box((0.0,), (1.0,)), 3)
-        text = ser.dump_grid_function(GridFunction(g, np.zeros(3)))
+        text = formats.dump_grid_function(GridFunction(g, np.zeros(3)))
         lines = text.strip().splitlines()[:-1]
         with pytest.raises(ParseError):
             ser.load_grid_function("\n".join(lines))
 
     def test_bad_float_reports_line(self):
         g = Grid(Box((0.0,), (1.0,)), 3)
-        text = ser.dump_grid_function(GridFunction(g, np.zeros(3))).replace(
+        text = formats.dump_grid_function(GridFunction(g, np.zeros(3))).replace(
             "0.0", "zero", 1
         )
         with pytest.raises(ParseError) as exc:
@@ -54,7 +55,7 @@ class TestGridFunctionRoundTrip:
     def test_value_lines_keep_their_rules(self):
         g = Grid(Box((0.0,), (1.0,)), 3)
         vals = np.array([1.5, NEG_INF, -2.0])
-        lines = ser.dump_grid_function(GridFunction(g, vals)).splitlines()
+        lines = formats.dump_grid_function(GridFunction(g, vals)).splitlines()
         # blank lines among the values are skipped
         spaced = lines[:7] + ["", "  "] + lines[7:]
         back = ser.load_grid_function("\n".join(spaced))
@@ -71,7 +72,7 @@ class TestGridFunctionRoundTrip:
 class TestCurveRoundTrip:
     def test_huber_curve(self):
         inst = huber_instance(nodes=33, lambda_spacing=0.25)
-        text = ser.dump_test_curve(inst.curve)
+        text = formats.dump_test_curve(inst.curve)
         back = ser.load_test_curve(text)
         assert np.array_equal(back.lambdas, inst.curve.lambdas)
         assert back.lambda_c == inst.curve.lambda_c
@@ -82,7 +83,7 @@ class TestCurveRoundTrip:
 class TestWeightDataRoundTrip:
     def test_round_trip(self):
         data = WeightedLatticeData(np.array([[0, 1], [2, -3]]), np.array([5, -2]))
-        back = ser.load_weight_data(ser.dump_weight_data(data))
+        back = ser.load_weight_data(formats.dump_weight_data(data))
         assert np.array_equal(back.points, data.points)
         assert np.array_equal(back.weights, data.weights)
 
@@ -123,5 +124,5 @@ class TestCsvDumps:
         coords = [",".join(repr(float(x)) for x in c) for c in g.coords()]
         rows = ["t,x0,x1,value"]
         for t, fr in zip(ray.t_grid, ray.values):
-            rows += [f"{float(t)!r},{c},{ser._fmt(v)}" for c, v in zip(coords, fr.ravel())]
+            rows += [f"{float(t)!r},{c},{formats.token(v)}" for c, v in zip(coords, fr.ravel())]
         assert ser.dump_ray_csv(ray) == "\n".join(rows) + "\n"
